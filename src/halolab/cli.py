@@ -67,7 +67,7 @@ def cmd_ball(args) -> int:
 def _points(args, g):
     radius = args.radius if args.radius is not None else args.n_max - 1
     if args.method == "exact":
-        return profile_exact(g, args.n_max, radius, workers=args.workers)
+        return profile_exact(g, args.n_max, radius)
     return profile_heuristic(g, args.n_max, args.method, seed=args.seed)
 
 
@@ -243,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--method", default="exact",
                        choices=["exact", "greedy", "anneal"])
         p.add_argument("--radius", type=int, default=None)
-        p.add_argument("--workers", type=int, default=1)
         if name == "folner":
             p.add_argument("--target", type=int, required=True,
                            help="n for target ratio 1/n")

@@ -32,7 +32,6 @@ _SCHEMA = {
     "radius": (int, None),
     "seed": (int, 0),
     "steps": (int, 2000),
-    "workers": (int, 1),
     "budget": (int, 2 * 10 ** 6),
     "bounds": (list, []),
     "plot": (bool, False),
@@ -160,10 +159,11 @@ def run_experiment(config: Dict, out_dir: str) -> Dict[str, Any]:
             warnings.append("exact search optimizes the p=1 profile; "
                             "p is recorded but ignored")
         points = profile_exact(group, cfg["n_max"], cfg["radius"],
-                               workers=cfg["workers"], budget=cfg["budget"])
+                               budget=cfg["budget"])
         if points and not points[-1].exact:
             warnings.append("search budget or window truncated the exact "
-                            "search; tail marked exact=false")
+                            "search; every point marked exact=false, "
+                            "values are lower bounds")
     else:
         points = profile_heuristic(group, cfg["n_max"], cfg["method"],
                                    seed=cfg["seed"], steps=cfg["steps"])

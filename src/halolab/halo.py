@@ -54,6 +54,11 @@ def _perm_invert(a: Lamp, key) -> Lamp:
     return _perm_canonical({y: x for x, y in a}, key)
 
 
+def _perm_translate(base: GroupHandle, h, a: Lamp, key) -> Lamp:
+    """h . a: the permutation x -> h a(h^-1 x)."""
+    return _perm_canonical({base.multiply(h, x): base.multiply(h, y) for x, y in a}, key)
+
+
 def _perm_check(a: Lamp):
     dom = [x for x, _ in a]
     img = [y for _, y in a]
@@ -61,6 +66,28 @@ def _perm_check(a: Lamp):
         raise ContractViolation("permutation payload is not a bijection on its support")
     if any(x == y for x, y in a):
         raise ContractViolation("permutation payload stores a fixed point")
+
+
+# ---------------------------------------------------------------------------
+# map payload helpers (tuples of (x, f(x)) pairs, no fiber-identity values)
+
+def _map_canonical(mapping: Dict, fiber: GroupHandle, key) -> Lamp:
+    e = fiber.identity()
+    items = [(x, v) for x, v in mapping.items() if v != e]
+    items.sort(key=lambda xv: key(xv[0]))
+    return tuple(items)
+
+
+def _map_compose(da: Dict, db: Dict, fiber: GroupHandle, key) -> Lamp:
+    """Pointwise product of two maps given as dicts."""
+    e = fiber.identity()
+    out = {x: fiber.multiply(da.get(x, e), db.get(x, e)) for x in set(da) | set(db)}
+    return _map_canonical(out, fiber, key)
+
+
+def _map_translate(base: GroupHandle, h, a: Lamp, fiber: GroupHandle, key) -> Lamp:
+    """h . a: the map x -> a(h^-1 x)."""
+    return _map_canonical({base.multiply(h, x): v for x, v in a}, fiber, key)
 
 
 # ---------------------------------------------------------------------------
@@ -281,24 +308,16 @@ class WreathHalo(HaloGroup):
         self.spec = f"wreath({fiber.spec}, {base.spec})"
 
     def _canonical(self, mapping: Dict) -> Lamp:
-        e = self.fiber.identity()
-        items = [(x, v) for x, v in mapping.items() if v != e]
-        items.sort(key=lambda xv: self.site_key(xv[0]))
-        return tuple(items)
+        return _map_canonical(mapping, self.fiber, self.site_key)
 
     def lamp_compose(self, a, b):
-        da, db = dict(a), dict(b)
-        out = {}
-        for x in set(da) | set(db):
-            out[x] = self.fiber.multiply(da.get(x, self.fiber.identity()),
-                                         db.get(x, self.fiber.identity()))
-        return self._canonical(out)
+        return _map_compose(dict(a), dict(b), self.fiber, self.site_key)
 
     def lamp_invert(self, a):
         return self._canonical({x: self.fiber.invert(v) for x, v in a})
 
     def lamp_act(self, h, a):
-        return self._canonical({self.base.multiply(h, x): v for x, v in a})
+        return _map_translate(self.base, h, a, self.fiber, self.site_key)
 
     def lamp_sites(self, a):
         return frozenset(x for x, _ in a)
@@ -339,9 +358,7 @@ class ShufflerHalo(HaloGroup):
         return _perm_invert(a, self.site_key)
 
     def lamp_act(self, h, a):
-        return _perm_canonical(
-            {self.base.multiply(h, x): self.base.multiply(h, y) for x, y in a},
-            self.site_key)
+        return _perm_translate(self.base, h, a, self.site_key)
 
     def lamp_sites(self, a):
         return frozenset(x for x, _ in a)
@@ -438,23 +455,15 @@ class DesignerHalo(HaloGroup):
         return ((), ())
 
     def _wcanon(self, mapping):
-        e = self.fiber.identity()
-        items = [(x, v) for x, v in mapping.items() if v != e]
-        items.sort(key=lambda xv: self.site_key(xv[0]))
-        return tuple(items)
+        return _map_canonical(mapping, self.fiber, self.site_key)
 
     def lamp_compose(self, a, b):
         (fa, pa), (fb, pb) = a, b
         # (f, s)(g, t) = (f * (s.g), s t)  with (s.g)(x) = g(s^-1 x)
-        pa_inv = dict(_perm_invert(pa, self.site_key))
-        shifted = {_perm_apply(dict(pa), x): v for x, v in fb}
-        del pa_inv
-        da = dict(fa)
-        out = {}
-        for x in set(da) | set(shifted):
-            out[x] = self.fiber.multiply(da.get(x, self.fiber.identity()),
-                                         shifted.get(x, self.fiber.identity()))
-        return (self._wcanon(out), _perm_compose(pa, pb, self.site_key))
+        dpa = dict(pa)
+        shifted = {_perm_apply(dpa, x): v for x, v in fb}
+        return (_map_compose(dict(fa), shifted, self.fiber, self.site_key),
+                _perm_compose(pa, pb, self.site_key))
 
     def lamp_invert(self, a):
         fa, pa = a
@@ -465,11 +474,8 @@ class DesignerHalo(HaloGroup):
 
     def lamp_act(self, h, a):
         fa, pa = a
-        fmoved = self._wcanon({self.base.multiply(h, x): v for x, v in fa})
-        pmoved = _perm_canonical(
-            {self.base.multiply(h, x): self.base.multiply(h, y) for x, y in pa},
-            self.site_key)
-        return (fmoved, pmoved)
+        return (_map_translate(self.base, h, fa, self.fiber, self.site_key),
+                _perm_translate(self.base, h, pa, self.site_key))
 
     def lamp_sites(self, a):
         fa, pa = a
@@ -503,22 +509,13 @@ class DesignerHalo(HaloGroup):
         return len(self._fiber_elements) ** n * math.factorial(n)
 
 
-class ClonerHalo(HaloGroup):
-    """FGL(H) over GF(q) |x H: finitely supported invertible matrices."""
-
-    family = "cloner"
+class _MatrixHalo(HaloGroup):
+    """Shared lamp arithmetic of the matrix families over GF(q)."""
 
     def __init__(self, gf: GF, base: GroupHandle):
         super().__init__(base)
         self.gf = gf
-        self.spec = f"cloner(GF{gf.q}, {base.spec})"
-
-    def make_lamp(self, entries: Dict) -> Lamp:
-        """Canonicalize and validate a user-supplied deviation map."""
-        lamp = _mat_canonical(entries, self.gf, self.site_key)
-        if lamp and not _mat_is_invertible(lamp, self.gf, self.site_key):
-            raise ContractViolation("cloner lamp matrix is singular")
-        return lamp
+        self.spec = f"{self.family}(GF{gf.q}, {base.spec})"
 
     def lamp_compose(self, a, b):
         return _mat_compose(a, b, self.gf, self.site_key)
@@ -533,6 +530,19 @@ class ClonerHalo(HaloGroup):
 
     def lamp_sites(self, a):
         return _mat_sites(a)
+
+
+class ClonerHalo(_MatrixHalo):
+    """FGL(H) over GF(q) |x H: finitely supported invertible matrices."""
+
+    family = "cloner"
+
+    def make_lamp(self, entries: Dict) -> Lamp:
+        """Canonicalize and validate a user-supplied deviation map."""
+        lamp = _mat_canonical(entries, self.gf, self.site_key)
+        if lamp and not _mat_is_invertible(lamp, self.gf, self.site_key):
+            raise ContractViolation("cloner lamp matrix is singular")
+        return lamp
 
     def lamp_generators(self):
         e = self.base.identity()
@@ -584,7 +594,7 @@ class ClonerHalo(HaloGroup):
         return out
 
 
-class UpclonerHalo(HaloGroup):
+class UpclonerHalo(_MatrixHalo):
     """FU(H) |x H: unitriangular matrices w.r.t. the base total order."""
 
     family = "upcloner"
@@ -592,9 +602,7 @@ class UpclonerHalo(HaloGroup):
     def __init__(self, gf: GF, base: GroupHandle):
         if not base.has_total_order:
             raise ContractViolation("order required: upcloner needs a totally ordered base")
-        super().__init__(base)
-        self.gf = gf
-        self.spec = f"upcloner(GF{gf.q}, {base.spec})"
+        super().__init__(gf, base)
 
     def make_lamp(self, entries: Dict) -> Lamp:
         lamp = _mat_canonical(entries, self.gf, self.site_key)
@@ -606,20 +614,6 @@ class UpclonerHalo(HaloGroup):
             if p == q or self.base.compare(p, q) >= 0:
                 raise ContractViolation(
                     "upcloner lamp must be unitriangular: entry (p,q) requires p < q")
-
-    def lamp_compose(self, a, b):
-        return _mat_compose(a, b, self.gf, self.site_key)
-
-    def lamp_invert(self, a):
-        return _mat_invert(a, self.gf, self.site_key)
-
-    def lamp_act(self, h, a):
-        entries = {(self.base.multiply(h, p), self.base.multiply(h, q)): v
-                   for (p, q), v in a}
-        return _mat_canonical(entries, self.gf, self.site_key)
-
-    def lamp_sites(self, a):
-        return _mat_sites(a)
 
     def lamp_generators(self):
         e = self.base.identity()

@@ -160,31 +160,33 @@ def _connected_subsets(adj: Dict, v0, n_max: int, budget: int):
     yield from rec(frozenset([v0]), list(adj[v0]), frozenset())
 
 
-def _best_by_size(group: GroupHandle, subsets, n_max: int):
-    """best[k] = (ratio, witness) maximizing |A|/|dA| over size-k sets."""
-    best: Dict[int, Tuple[Optional[Fraction], SubsetWitness]] = {}
+def _beats(group: GroupHandle, cand: SubsetWitness,
+           incumbent: Optional[SubsetWitness]) -> bool:
+    """The one witness order: larger ratio first (None is +infinity), then
+    the lexicographically smallest sorted sort_key list, computed on ties only."""
+    if incumbent is None:
+        return True
+    c = math.inf if cand.ratio is None else cand.ratio
+    i = math.inf if incumbent.ratio is None else incumbent.ratio
+    if c != i:
+        return c > i
+    return sorted(map(group.sort_key, cand.A)) < sorted(map(group.sort_key, incumbent.A))
 
-    def better(candidate, incumbent):
-        cr, cw = candidate
-        ir, iw = incumbent
-        ckey = math.inf if cr is None else cr
-        ikey = math.inf if ir is None else ir
-        if ckey != ikey:
-            return ckey > ikey
-        # deterministic tie-break: lexicographically smallest witness set
-        return sorted(map(group.sort_key, cw.A)) < sorted(map(group.sort_key, iw.A))
 
-    for S in subsets:
-        w = boundary(group, S)
-        cand = (w.ratio, w)
-        k = len(S)
-        if k not in best or better(cand, best[k]):
-            best[k] = cand
-    return best
+def _carry_forward(group: GroupHandle, best: Dict[int, SubsetWitness], n_max: int,
+                   method: str, exact: bool) -> List[ProfilePoint]:
+    """Point n carries the best witness of any size <= n; best[1] must exist."""
+    points = []
+    top: Optional[SubsetWitness] = None
+    for n in range(1, n_max + 1):
+        if n in best and _beats(group, best[n], top):
+            top = best[n]
+        points.append(ProfilePoint(n, top.ratio, top, method, exact))
+    return points
 
 
 def profile_exact(group: GroupHandle, n_max: int, radius: int,
-                  workers: int = 1, budget: int = 2 * 10 ** 6) -> List[ProfilePoint]:
+                  budget: int = 2 * 10 ** 6) -> List[ProfilePoint]:
     """Exact l^1 profile over connected subsets of Ball(radius) containing
     the identity, sizes <= n_max.
 
@@ -195,9 +197,15 @@ def profile_exact(group: GroupHandle, n_max: int, radius: int,
     nothing.  The ball restriction is provably harmless when
     radius >= n_max - 1, since a connected set of size n containing the
     identity lies in Ball(n-1); points are flagged exact accordingly.
+
+    budget caps the number of subsets visited.  A search that runs out
+    keeps the best witnesses found so far and marks every point
+    exact=False: each value is then a lower bound.
     """
     if n_max < 1:
         raise ContractViolation("n_max must be >= 1")
+    if budget < 1:
+        raise ContractViolation("budget must be >= 1")
     b = ball(group, radius)
     window = sorted(b.elements, key=group.sort_key)
     wset = set(window)
@@ -206,90 +214,17 @@ def profile_exact(group: GroupHandle, n_max: int, radius: int,
                sorted((group.multiply(v, s) for s in gens), key=group.sort_key)
                if w in wset]
            for v in window}
-    e = group.identity()
 
-    truncated = False
-    merged: Dict[int, Tuple[Optional[Fraction], SubsetWitness]] = {}
-
-    def merge(best):
-        for k, cand in best.items():
-            if k not in merged:
-                merged[k] = cand
-                continue
-            cr, cw = cand
-            ir, iw = merged[k]
-            ckey = math.inf if cr is None else cr
-            ikey = math.inf if ir is None else ir
-            if ckey > ikey or (ckey == ikey and
-                               sorted(map(group.sort_key, cw.A)) <
-                               sorted(map(group.sort_key, iw.A))):
-                merged[k] = cand
-
-    if workers <= 1:
-        try:
-            merge(_best_by_size(group, _connected_subsets(adj, e, n_max, budget), n_max))
-        except BudgetError:
-            truncated = True
-    else:
-        # partition the search at the first level: subtree t fixes the t-th
-        # first choice; merge is order-independent, so results match workers=1
-        from concurrent.futures import ThreadPoolExecutor
-
-        first = list(adj[e])
-
-        def subtree(i):
-            u = first[i]
-            S = frozenset([e, u])
-            banned = frozenset(first[:i])
-            seen = set(S) | set(banned) | set(first[i + 1:])
-            cand = first[i + 1:] + [w for w in adj[u] if w not in seen]
-            return _subtree_subsets(adj, S, cand, banned, n_max, budget)
-
-        try:
-            with ThreadPoolExecutor(max_workers=workers) as ex:
-                results = [_best_by_size(group, [frozenset([e])], n_max)]
-                results += list(ex.map(lambda i: _best_by_size(
-                    group, subtree(i), n_max), range(len(first))))
-            for r in results:
-                merge(r)
-        except BudgetError:
-            truncated = True
-
-    points = []
-    best_so_far: Tuple[Optional[Fraction], Optional[SubsetWitness]] = (Fraction(0), None)
-    for n in range(1, n_max + 1):
-        if n in merged:
-            cr, cw = merged[n]
-            ckey = math.inf if cr is None else cr
-            ikey = math.inf if best_so_far[0] is None else best_so_far[0]
-            if best_so_far[1] is None or ckey > ikey:
-                best_so_far = (cr, cw)
-        value, witness = best_so_far
-        exact = (radius >= n_max - 1) and not truncated
-        points.append(ProfilePoint(n, value, witness, "exact", exact))
-    return points
-
-
-def _subtree_subsets(adj, S, cand, banned, n_max, budget):
-    count = 0
-
-    def rec(S, cand, banned):
-        nonlocal count
-        count += 1
-        if count > budget:
-            raise BudgetError(f"connected-subset budget exceeded ({budget})")
-        yield S
-        if len(S) == n_max:
-            return
-        local_banned = set(banned)
-        for i, u in enumerate(cand):
-            newS = S | {u}
-            seen = set(newS) | local_banned | set(cand[i + 1:])
-            ext = cand[i + 1:] + [w for w in adj[u] if w not in seen]
-            yield from rec(newS, ext, frozenset(local_banned))
-            local_banned.add(u)
-
-    yield from rec(S, cand, banned)
+    best: Dict[int, SubsetWitness] = {}
+    exact = radius >= n_max - 1
+    try:
+        for S in _connected_subsets(adj, group.identity(), n_max, budget):
+            w = boundary(group, S)
+            if _beats(group, w, best.get(len(S))):
+                best[len(S)] = w
+    except BudgetError:
+        exact = False
+    return _carry_forward(group, best, n_max, "exact", exact)
 
 
 def profile_heuristic(group: GroupHandle, n_max: int, method: str = "greedy",
@@ -309,12 +244,8 @@ def profile_heuristic(group: GroupHandle, n_max: int, method: str = "greedy",
 
     def consider(A: frozenset):
         w = boundary(group, A)
-        k = len(A)
-        if k not in best or (w.ratio or math.inf) > (best[k].ratio or math.inf) or (
-                w.ratio == best[k].ratio and
-                sorted(map(group.sort_key, A)) < sorted(map(group.sort_key, best[k].A))):
-            best[k] = w
-        return w
+        if _beats(group, w, best.get(len(A))):
+            best[len(A)] = w
 
     if method == "greedy":
         A = frozenset([e])
@@ -356,16 +287,7 @@ def profile_heuristic(group: GroupHandle, n_max: int, method: str = "greedy",
     else:
         raise ContractViolation(f"unknown heuristic method {method!r}")
 
-    points = []
-    best_pt: Optional[SubsetWitness] = None
-    for n in range(1, n_max + 1):
-        if n in best:
-            w = best[n]
-            if best_pt is None or (w.ratio or math.inf) > (best_pt.ratio or math.inf):
-                best_pt = w
-        if best_pt is not None:
-            points.append(ProfilePoint(n, best_pt.ratio, best_pt, method, False))
-    return points
+    return _carry_forward(group, best, n_max, method, False)
 
 
 def folner_function(points: Sequence[ProfilePoint], target: Fraction):

@@ -323,14 +323,11 @@ def build_Ystar(halo: HaloGroup, net: SeparatedNet, s0, radius: int,
             vertices.append(v)
             for y in moves[x]:
                 edges.add(frozenset((v, (rho, y))))
-            cur = blocks[x][rho[xi]]
-            for j, other in enumerate(blocks[x]):
+            for j in range(len(blocks[x])):
                 if j == rho[xi]:
                     continue
                 rho2 = rho[:xi] + (j,) + rho[xi + 1:]
                 edges.add(frozenset((v, (rho2, x))))
-                del other
-            del cur
     e0 = tuple(0 for _ in sites)
     x0 = sites[0] if sites else None
     return FiniteGraph(tuple(vertices), frozenset(edges),
@@ -385,33 +382,34 @@ def graph_isomorphism(G1: FiniteGraph, G2: FiniteGraph,
     mapping: Dict = {}
     used = set()
 
-    def extend(i: int) -> bool:
-        if i == len(order):
-            return True
-        v = order[i]
-        for w in by_color2[c1[v]]:
-            if w in used:
-                continue
-            ok = True
-            for u in a1[v]:
-                if u in mapping and mapping[u] not in a2[w]:
-                    ok = False
-                    break
-            if ok:
-                # also: mapped non-neighbors must stay non-neighbors
-                for u, mu in mapping.items():
-                    if (u in a1[v]) != (mu in a2[w]):
-                        ok = False
-                        break
-            if ok:
-                mapping[v] = w
-                used.add(w)
-                if extend(i + 1):
-                    return True
-                del mapping[v]
-                used.discard(w)
-        return False
+    def fits(v, w) -> bool:
+        if w in used:
+            return False
+        for u in a1[v]:
+            if u in mapping and mapping[u] not in a2[w]:
+                return False
+        # also: mapped non-neighbors must stay non-neighbors
+        return all((u in a1[v]) == (mu in a2[w]) for u, mu in mapping.items())
 
-    if extend(0):
-        return True, dict(mapping)
+    # depth-first backtracking without recursion: tried[i] counts the
+    # candidates already tried for order[i], in by_color2 order
+    tried = [0]
+    while tried:
+        i = len(tried) - 1
+        if i == len(order):
+            return True, dict(mapping)
+        v = order[i]
+        if v in mapping:  # back from a dead end below: undo this choice
+            used.discard(mapping.pop(v))
+        cands = by_color2[c1[v]]
+        k = tried[i]
+        while k < len(cands) and not fits(v, cands[k]):
+            k += 1
+        if k == len(cands):
+            tried.pop()
+            continue
+        mapping[v] = cands[k]
+        used.add(cands[k])
+        tried[i] = k + 1
+        tried.append(0)
     return False, None

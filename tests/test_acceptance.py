@@ -332,9 +332,13 @@ def test_criterion_13_determinism(tmp_path):
     pa = (tmp_path / "a" / "profile.csv").read_bytes()
     pb = (tmp_path / "b" / "profile.csv").read_bytes()
     assert pa == pb
-    p1 = profile_exact(Z2, 6, 6, workers=1)
-    p3 = profile_exact(Z2, 6, 6, workers=3)
-    assert [(p.n, p.value, sorted(p.witness.A)) for p in p1] == \
-        [(p.n, p.value, sorted(p.witness.A)) for p in p3]
-    record_criterion(13, True, "seeded reruns byte-identical; exhaustive "
-                               "search identical at 1 and 3 workers")
+    exact = {"group": "Z^2", "n_max": 6, "radius": 6, "method": "exact"}
+    run_experiment(exact, str(tmp_path / "c"))
+    run_experiment(exact, str(tmp_path / "d"))
+    for name in ("profile.csv", "witnesses.json"):
+        assert (tmp_path / "c" / name).read_bytes() == \
+            (tmp_path / "d" / name).read_bytes()
+    rows = (tmp_path / "c" / "profile.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[4] for r in rows] == ["true"] * 6
+    record_criterion(13, True, "seeded anneal reruns and exact Z^2 search "
+                               "reruns byte-identical")

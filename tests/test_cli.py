@@ -121,6 +121,14 @@ def test_run_experiment_schema_errors(tmp_path):
         run_experiment({"group": "Z", "n_max": 4, "mehtod": "exact"},
                        str(tmp_path / "y"))
     assert "config field 'mehtod'" in str(exc.value)
+    with pytest.raises(ContractViolation) as exc:
+        run_experiment({"group": "Z", "n_max": 4, "workers": 1},
+                       str(tmp_path / "z"))
+    assert "config field 'workers': unknown" in str(exc.value)
+    with pytest.raises(ContractViolation) as exc:
+        run_experiment({"group": "Z", "n_max": 4, "budget": 0},
+                       str(tmp_path / "w"))
+    assert "budget" in str(exc.value)
 
 
 def test_load_config_key_value(tmp_path):

@@ -92,6 +92,29 @@ def test_profile_exact_against_unordered_enumeration_oracle():
         assert pt.value == running
 
 
+def test_profile_exact_truncated_keeps_witnesses_as_lower_bounds():
+    full = [Fraction(1, 4), Fraction(1, 3), Fraction(3, 7), Fraction(1, 2),
+            Fraction(5, 8), Fraction(2, 3), Fraction(7, 10)]
+    assert [(pt.value, pt.exact) for pt in profile_exact(Z2, 7, 6)] == \
+        [(v, True) for v in full]
+    pts = profile_exact(Z2, 7, 6, budget=5000)
+    assert [pt.n for pt in pts] == list(range(1, 8))
+    for pt, true_value in zip(pts, full):
+        assert not pt.exact and pt.witness is not None
+        A = pt.witness.A
+        assert (0, 0) in A and len(A) <= pt.n
+        reached, frontier = {(0, 0)}, [(0, 0)]
+        while frontier:
+            g = frontier.pop()
+            for s in Z2.generators():
+                h = Z2.multiply(g, s)
+                if h in A and h not in reached:
+                    reached.add(h)
+                    frontier.append(h)
+        assert reached == A
+        assert boundary(Z2, A).ratio == pt.value <= true_value
+
+
 def test_profile_exact_monotone_and_folner_inverse():
     pts = profile_exact(Z2, 8, 8)
     values = [pt.value for pt in pts]

@@ -120,6 +120,17 @@ def test_graph_isomorphism_basics():
     assert graph_isomorphism(c6, two_triangles) == (False, None)
 
 
+def test_graph_isomorphism_long_path_does_not_recurse():
+    # deeper than the default recursion limit: one backtracking level per vertex
+    n = 1100
+    g = path_graph(n)
+    relabel = {i: ("v", (7 * i) % n) for i in range(n)}
+    h = graph_from_edges([(relabel[i], relabel[i + 1]) for i in range(n - 1)])
+    ok, m = graph_isomorphism(g, h)
+    assert ok and sorted(m) == list(range(n))
+    assert all(frozenset(m[v] for v in e) in h.edges for e in g.edges)
+
+
 def test_graph_isomorphism_budget():
     with pytest.raises(BudgetError):
         graph_isomorphism(path_graph(3), path_graph(3), size_budget=2)
