@@ -62,6 +62,9 @@ def _validate(config: Dict) -> Dict:
     for key in config:
         if key not in _SCHEMA:
             raise ContractViolation(f"config field '{key}': unknown")
+    for key in ("n_max", "budget"):
+        if out[key] < 1:
+            raise ContractViolation(f"config field '{key}': must be >= 1")
     if out["method"] not in ("exact", "greedy", "anneal"):
         raise ContractViolation("config field 'method': must be exact|greedy|anneal")
     for b in out["bounds"]:
@@ -150,7 +153,6 @@ def _plot_svg(points: Sequence[ProfilePoint], fits) -> str:
 def run_experiment(config: Dict, out_dir: str) -> Dict[str, Any]:
     """Run one experiment stanza; returns the manifest dict."""
     cfg = _validate(dict(config))
-    os.makedirs(out_dir, exist_ok=True)
     group = parse_descriptor(cfg["group"]).build()
 
     warnings: List[str] = []
@@ -168,6 +170,8 @@ def run_experiment(config: Dict, out_dir: str) -> Dict[str, Any]:
         points = profile_heuristic(group, cfg["n_max"], cfg["method"],
                                    seed=cfg["seed"], steps=cfg["steps"])
 
+    # Only now: a config rejected above leaves no directory behind.
+    os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "config.json"), "w") as fh:
         json.dump(cfg, fh, indent=1, sort_keys=True)
     write_profile_csv(os.path.join(out_dir, "profile.csv"), points)

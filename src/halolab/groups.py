@@ -74,6 +74,11 @@ class ZdGroup(GroupHandle):
         self.lex = lex
         self.has_total_order = lex
         self.spec = ("Z" if d == 1 else f"Z^{d}") + (":lex" if lex else "")
+        self._gens = []
+        for i in range(d):
+            e = tuple(1 if j == i else 0 for j in range(d))
+            self._gens.append(e)
+            self._gens.append(self.invert(e))
 
     def identity(self):
         return (0,) * self.d
@@ -85,12 +90,7 @@ class ZdGroup(GroupHandle):
         return tuple(-x for x in a)
 
     def generators(self):
-        gens = []
-        for i in range(self.d):
-            e = tuple(1 if j == i else 0 for j in range(self.d))
-            gens.append(e)
-            gens.append(self.invert(e))
-        return gens
+        return list(self._gens)  # a copy, so no caller can edit the shared list
 
     def compare(self, a, b):
         if not self.lex:

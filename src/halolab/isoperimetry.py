@@ -133,31 +133,86 @@ def gradient_ratio(group: GroupHandle, f: FiniteFunction) -> Value:
 # ---------------------------------------------------------------------------
 # exact profile: connected, basepoint-containing subsets of a ball
 
-def _connected_subsets(adj: Dict, v0, n_max: int, budget: int):
-    """Yield all connected subsets containing v0 of size <= n_max, each once.
+class _NeighbourTable:
+    """Ball(radius + 1) indexed by integers.
 
-    Standard exclusion-based enumeration: children extend by one candidate
-    and the used candidate is banned for later siblings.
+    The window Ball(radius) comes first, in sort_key order, so on the
+    window index order is sort_key order.  nbr[i] lists the index of
+    elements[i] * s for every s in the full generator list (multiplicity
+    kept) and adj[i] its neighbours inside the window, in index order;
+    both exist for window vertices only.
     """
+
+    def __init__(self, group: GroupHandle, radius: int):
+        b = ball(group, radius + 1)
+        self.elements = sorted(b.elements,
+                               key=lambda g: (b.lengths[g] > radius, group.sort_key(g)))
+        index = {g: i for i, g in enumerate(self.elements)}
+        window = sum(1 for g in self.elements if b.lengths[g] <= radius)
+        gens = group.generators()
+        self.nbr = [[index[group.multiply(g, s)] for s in gens]
+                    for g in self.elements[:window]]
+        self.adj = [sorted(j for j in row if j < window) for row in self.nbr]
+
+
+def _connected_subsets(table: _NeighbourTable, v0: int, n_max: int, budget: int):
+    """Yield (S, |dS|) for every connected subset S of the window that
+    contains v0 and has at most n_max elements, each set once.
+
+    Exclusion-based enumeration: a child extends S by one candidate, and
+    the candidates taken by its earlier siblings are banned below it.
+    seen marks S, the banned vertices and the candidates, so the new
+    candidates of a child are the unseen window neighbours of the vertex
+    it adds.  S is the live list of indices in insertion order: copy it
+    to keep it.
+
+    |dS| is kept incrementally: cnt[t] counts the pairs (a, s) with a in S
+    and a * s = t, and bnd counts the t with cnt[t] > 0 outside S.  Adding
+    or removing a vertex updates both in O(|generators|).  budget caps the
+    number of sets yielded; BudgetError is raised on the next one.
+    """
+    nbr, adj = table.nbr, table.adj
+    size = len(table.elements)
+    cnt = [0] * size
+    in_s = [False] * size
+    seen = [False] * size
+    seen[v0] = True
+    S: List[int] = []
+    bnd = 0
     count = 0
 
-    def rec(S: frozenset, cand: List, banned: frozenset):
-        nonlocal count
-        count += 1
-        if count > budget:
-            raise BudgetError(f"connected-subset budget exceeded ({budget})")
-        yield S
-        if len(S) == n_max:
-            return
-        local_banned = set(banned)
+    def extend(cand: List[int]):
+        nonlocal bnd, count
         for i, u in enumerate(cand):
-            newS = S | {u}
-            seen = set(newS) | local_banned | set(cand[i + 1:])
-            ext = cand[i + 1:] + [w for w in adj[u] if w not in seen]
-            yield from rec(newS, ext, frozenset(local_banned))
-            local_banned.add(u)
+            new = [w for w in adj[u] if not seen[w]]
+            for w in new:
+                seen[w] = True
+            if cnt[u]:
+                bnd -= 1
+            in_s[u] = True
+            S.append(u)
+            for t in nbr[u]:
+                cnt[t] += 1
+                if cnt[t] == 1 and not in_s[t]:
+                    bnd += 1
+            count += 1
+            if count > budget:
+                raise BudgetError(f"connected-subset budget exceeded ({budget})")
+            yield S, bnd
+            if len(S) < n_max:
+                yield from extend(cand[i + 1:] + new)
+            for t in nbr[u]:
+                cnt[t] -= 1
+                if cnt[t] == 0 and not in_s[t]:
+                    bnd -= 1
+            S.pop()
+            in_s[u] = False
+            if cnt[u]:
+                bnd += 1
+            for w in new:
+                seen[w] = False
 
-    yield from rec(frozenset([v0]), list(adj[v0]), frozenset())
+    yield from extend([v0])
 
 
 def _beats(group: GroupHandle, cand: SubsetWitness,
@@ -198,32 +253,56 @@ def profile_exact(group: GroupHandle, n_max: int, radius: int,
     radius >= n_max - 1, since a connected set of size n containing the
     identity lies in Ball(n-1); points are flagged exact accordingly.
 
-    budget caps the number of subsets visited.  A search that runs out
-    keeps the best witnesses found so far and marks every point
-    exact=False: each value is then a lower bound.
+    The search builds Ball(radius + 1) once, indexes it by integers and
+    tabulates each window element's right multiples by the generators
+    (one generators() call, |window| * |generators| multiplies).  The
+    enumeration itself does no group arithmetic: _connected_subsets keeps
+    |dS| by boundary multiplicity counters, updated in O(|generators|)
+    integer steps per added or removed element, so a visited set costs
+    O(|generators|) plus its share of the candidate lists.  Sets of one
+    size compare by |dS|; boundary() builds a witness only on a tie (for
+    _beats) and for each size's final witness.
+
+    budget caps the number of subsets visited, each visited set counting
+    once.  The visit order is fixed, so a truncated search always reaches
+    the same sets.  A search that runs out keeps the best witnesses found
+    so far and marks every point exact=False: each value is then a lower
+    bound.
     """
     if n_max < 1:
         raise ContractViolation("n_max must be >= 1")
     if budget < 1:
         raise ContractViolation("budget must be >= 1")
-    b = ball(group, radius)
-    window = sorted(b.elements, key=group.sort_key)
-    wset = set(window)
-    gens = group.generators()
-    adj = {v: [w for w in
-               sorted((group.multiply(v, s) for s in gens), key=group.sort_key)
-               if w in wset]
-           for v in window}
+    if radius < 0:
+        raise ContractViolation("radius must be >= 0")
+    table = _NeighbourTable(group, radius)
+    elements = table.elements
 
-    best: Dict[int, SubsetWitness] = {}
+    def witness(S) -> SubsetWitness:
+        return boundary(group, [elements[i] for i in S])
+
+    # Sets of one size compare by |dS| alone (smaller is a larger ratio,
+    # 0 is +infinity); a witness is built only on a tie, for _beats.
+    found: Dict[int, Tuple[int, Tuple[int, ...]]] = {}
+    built: Dict[int, SubsetWitness] = {}
     exact = radius >= n_max - 1
     try:
-        for S in _connected_subsets(adj, group.identity(), n_max, budget):
-            w = boundary(group, S)
-            if _beats(group, w, best.get(len(S))):
-                best[len(S)] = w
+        for S, bnd in _connected_subsets(table, elements.index(group.identity()),
+                                         n_max, budget):
+            k = len(S)
+            if k not in found or bnd < found[k][0]:
+                found[k] = (bnd, tuple(S))
+                built.pop(k, None)
+            elif bnd == found[k][0]:
+                if k not in built:
+                    built[k] = witness(found[k][1])
+                w = witness(S)
+                if _beats(group, w, built[k]):
+                    found[k] = (bnd, tuple(S))
+                    built[k] = w
     except BudgetError:
         exact = False
+    best = {k: built[k] if k in built else witness(S) for k, (_, S) in found.items()}
     return _carry_forward(group, best, n_max, "exact", exact)
 
 

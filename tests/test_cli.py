@@ -4,7 +4,7 @@ import os
 import pytest
 
 from halolab.cli import main
-from halolab.errors import ContractViolation
+from halolab.errors import ContractViolation, ParseError
 from halolab.experiment import load_config, run_experiment
 
 
@@ -114,21 +114,26 @@ def test_run_experiment_budget_warning(tmp_path):
 
 
 def test_run_experiment_schema_errors(tmp_path):
-    with pytest.raises(ContractViolation) as exc:
-        run_experiment({"n_max": 4}, str(tmp_path / "x"))
-    assert "config field 'group'" in str(exc.value)
-    with pytest.raises(ContractViolation) as exc:
-        run_experiment({"group": "Z", "n_max": 4, "mehtod": "exact"},
-                       str(tmp_path / "y"))
-    assert "config field 'mehtod'" in str(exc.value)
-    with pytest.raises(ContractViolation) as exc:
-        run_experiment({"group": "Z", "n_max": 4, "workers": 1},
-                       str(tmp_path / "z"))
-    assert "config field 'workers': unknown" in str(exc.value)
-    with pytest.raises(ContractViolation) as exc:
-        run_experiment({"group": "Z", "n_max": 4, "budget": 0},
-                       str(tmp_path / "w"))
-    assert "budget" in str(exc.value)
+    cases = [
+        ({"n_max": 4}, ContractViolation, "config field 'group'"),
+        ({"group": "Z", "n_max": 4, "mehtod": "exact"}, ContractViolation,
+         "config field 'mehtod'"),
+        ({"group": "Z", "n_max": 4, "workers": 1}, ContractViolation,
+         "config field 'workers': unknown"),
+        ({"group": "Z^2", "n_max": 4, "method": "exact", "budget": 0},
+         ContractViolation, "config field 'budget': must be >= 1"),
+        ({"group": "Z", "n_max": 0, "method": "greedy"}, ContractViolation,
+         "config field 'n_max': must be >= 1"),
+        ({"group": "Zz", "n_max": 4}, ParseError, "position"),
+        ({"group": "Z", "n_max": 4, "radius": -1}, ContractViolation,
+         "radius must be >= 0"),
+    ]
+    for i, (config, error, message) in enumerate(cases):
+        out = tmp_path / f"run{i}"
+        with pytest.raises(error) as exc:
+            run_experiment(config, str(out))
+        assert message in str(exc.value)
+        assert not out.exists(), f"rejected config {config} left {out} behind"
 
 
 def test_load_config_key_value(tmp_path):

@@ -5,12 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from halolab.errors import ContractViolation
+from halolab.errors import BudgetError, ContractViolation
 from halolab.gf import GF
-from halolab.groups import CyclicGroup, ZdGroup, ball
+from halolab.groups import CyclicGroup, SymmetricGroup, ZdGroup, ball, make_group
 from halolab.halo import make_halo
 from halolab.isoperimetry import (FiniteFunction, SubsetWitness,
-                                  almost_invariant_lift, boundary,
+                                  _NeighbourTable, _beats, _carry_forward,
+                                  _connected_subsets, almost_invariant_lift,
+                                  boundary,
                                   folner_function, gradient_ratio,
                                   power_transform, power_transform_bound,
                                   product_boundary, profile_exact,
@@ -113,6 +115,87 @@ def test_profile_exact_truncated_keeps_witnesses_as_lower_bounds():
                     frontier.append(h)
         assert reached == A
         assert boundary(Z2, A).ratio == pt.value <= true_value
+
+
+# Reference search: frozenset subsets and boundary() per visited set, no
+# counters.  profile_exact must match it, truncated searches included.
+
+def _reference_connected_subsets(adj, v0, n_max, budget):
+    count = 0
+
+    def rec(S, cand, banned):
+        nonlocal count
+        count += 1
+        if count > budget:
+            raise BudgetError(f"connected-subset budget exceeded ({budget})")
+        yield S
+        if len(S) == n_max:
+            return
+        local_banned = set(banned)
+        for i, u in enumerate(cand):
+            newS = S | {u}
+            seen = set(newS) | local_banned | set(cand[i + 1:])
+            ext = cand[i + 1:] + [w for w in adj[u] if w not in seen]
+            yield from rec(newS, ext, frozenset(local_banned))
+            local_banned.add(u)
+
+    yield from rec(frozenset([v0]), list(adj[v0]), frozenset())
+
+
+def _reference_window_adjacency(group, radius):
+    window = sorted(ball(group, radius).elements, key=group.sort_key)
+    wset = set(window)
+    return {v: [w for w in sorted((group.multiply(v, s) for s in group.generators()),
+                                  key=group.sort_key) if w in wset]
+            for v in window}
+
+
+def _reference_profile_exact(group, n_max, radius, budget):
+    adj = _reference_window_adjacency(group, radius)
+    best = {}
+    exact = radius >= n_max - 1
+    try:
+        for S in _reference_connected_subsets(adj, group.identity(), n_max, budget):
+            w = boundary(group, S)
+            if _beats(group, w, best.get(len(S))):
+                best[len(S)] = w
+    except BudgetError:
+        exact = False
+    return _carry_forward(group, best, n_max, "exact", exact)
+
+
+# (group, n_max, radius); the finite groups' windows are the whole group,
+# so the search reaches a set with empty boundary (ratio +infinity).
+SEARCH_CASES = [("Z^2", 6, 5), ("H3", 6, 5), ("wreath(C2, Z)", 5, 4),
+                ("C5", 6, 2), ("Sym3", 7, 3)]
+
+
+def _search_group(spec):
+    return SymmetricGroup(3) if spec == "Sym3" else make_group(spec)
+
+
+@pytest.mark.parametrize("spec, n_max, radius", SEARCH_CASES)
+def test_boundary_counters_match_boundary_on_every_visited_set(spec, n_max, radius):
+    group = _search_group(spec)
+    table = _NeighbourTable(group, radius)
+    v0 = table.elements.index(group.identity())
+    reference = _reference_connected_subsets(
+        _reference_window_adjacency(group, radius), group.identity(), n_max, 10 ** 6)
+    visited = [(frozenset(table.elements[i] for i in S), bnd)
+               for S, bnd in _connected_subsets(table, v0, n_max, 10 ** 6)]
+    assert [A for A, _ in visited] == list(reference)  # same sets, same order
+    for A, bnd in visited:
+        assert bnd == len(boundary(group, A).boundary)
+    assert len(visited) > n_max
+    assert sum(bnd == 0 for _, bnd in visited) == (1 if group.is_finite() else 0)
+
+
+@pytest.mark.parametrize("spec, n_max, radius", SEARCH_CASES)
+@pytest.mark.parametrize("budget", [1, 777, 5000, 2 * 10 ** 6])
+def test_profile_exact_equals_reference_search(spec, n_max, radius, budget):
+    group = _search_group(spec)
+    assert profile_exact(group, n_max, radius, budget=budget) == \
+        _reference_profile_exact(group, n_max, radius, budget)
 
 
 def test_profile_exact_monotone_and_folner_inverse():
