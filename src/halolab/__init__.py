@@ -35,7 +35,6 @@ from .halo import (
     lamp_growth,
     enumerate_block,
     commutativity_constant,
-    act,
 )
 from .decompose import (
     decompose_gluing,

@@ -221,24 +221,31 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _option(*flags, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser holding one option, for the subcommands that read it."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*flags, **kwargs)
+    return parent
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="halolab",
                                   description=__doc__.splitlines()[0])
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--group", help="group descriptor, e.g. wreath(C2, Z)")
-    common.add_argument("--p", type=int, default=1, help="norm exponent")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--budget-mem", type=int, default=2 * 1024 ** 3,
-                        dest="budget_mem", help="memory budget in bytes")
-    common.add_argument("--out", help="output file or directory")
+    group = _option("--group", required=True,
+                    help="group descriptor, e.g. wreath(C2, Z)")
+    seed = _option("--seed", type=int, default=0)
+    out = _option("--out", help="output file or directory")
     sub = top.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ball", parents=[common], help="Cayley ball census")
+    p = sub.add_parser("ball", parents=[group, out], help="Cayley ball census")
     p.add_argument("--radius", type=int, required=True)
+    p.add_argument("--budget-mem", type=int, default=2 * 1024 ** 3,
+                   dest="budget_mem", help="memory budget in bytes")
     p.set_defaults(fn=cmd_ball)
 
     for name, fn in (("profile", cmd_profile), ("folner", cmd_folner)):
-        p = sub.add_parser(name, parents=[common])
+        parents = [group, seed, out] if name == "profile" else [group, seed]
+        p = sub.add_parser(name, parents=parents)
         p.add_argument("--n-max", type=int, required=True, dest="n_max")
         p.add_argument("--method", default="exact",
                        choices=["exact", "greedy", "anneal"])
@@ -248,34 +255,35 @@ def build_parser() -> argparse.ArgumentParser:
                            help="n for target ratio 1/n")
         p.set_defaults(fn=fn)
 
-    p = sub.add_parser("growth", parents=[common], help="lamp growth table")
+    p = sub.add_parser("growth", help="lamp growth table")
     p.add_argument("--family", required=True)
     p.add_argument("--params", default=None)
     p.add_argument("--n-max", type=int, default=5, dest="n_max")
     p.set_defaults(fn=cmd_growth)
 
-    p = sub.add_parser("lift", parents=[common],
+    p = sub.add_parser("lift", parents=[group],
                        help="almost-invariant lift of a base indicator")
     p.add_argument("--support", default="0", help="base interval lo:hi")
+    p.add_argument("--p", type=int, default=1, help="norm exponent")
     p.set_defaults(fn=cmd_lift)
 
-    p = sub.add_parser("decompose", parents=[common])
+    p = sub.add_parser("decompose", parents=[group, seed])
     p.add_argument("--sites", required=True,
                    help="semicolon-separated base points, e.g. '0;1' or '0,0;0,1'")
     p.set_defaults(fn=cmd_decompose)
 
-    p = sub.add_parser("net", parents=[common], help="greedy separated net")
+    p = sub.add_parser("net", parents=[group], help="greedy separated net")
     p.add_argument("--radius", type=int, required=True)
     p.add_argument("--D", type=int, required=True)
     p.set_defaults(fn=cmd_net)
 
-    p = sub.add_parser("ystar", parents=[common],
+    p = sub.add_parser("ystar", parents=[group, out],
                        help="block-over-net subgraph and isomorphism check")
     p.add_argument("--radius", type=int, required=True)
     p.add_argument("--D", type=int, required=True)
     p.set_defaults(fn=cmd_ystar)
 
-    p = sub.add_parser("embed", parents=[common])
+    p = sub.add_parser("embed", parents=[seed])
     p.add_argument("--construction", required=True,
                    choices=["wreath-in-shuffler", "endomorphism", "lamplighter"])
     p.add_argument("--base", default="Z")
@@ -286,14 +294,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check-radius", type=int, default=4, dest="check_radius")
     p.set_defaults(fn=cmd_embed)
 
-    p = sub.add_parser("bounds", parents=[common], help="phi_inverse table")
+    p = sub.add_parser("bounds", help="phi_inverse table")
     p.add_argument("--family", required=True)
     p.add_argument("--params", default=None)
     p.add_argument("--x", type=float, nargs="+", required=True)
     p.set_defaults(fn=cmd_bounds)
 
-    p = sub.add_parser("run", parents=[common], help="run an experiment config")
+    p = sub.add_parser("run", help="run an experiment config")
     p.add_argument("--config", required=True)
+    p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(fn=cmd_run)
 
     return top

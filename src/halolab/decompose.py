@@ -31,8 +31,7 @@ from .errors import (BudgetError, ContractViolation, UndecomposableError,
                      UnsupportedFamilyError)
 from .gf import GF
 from .groups import ZdGroup
-from .halo import (HaloGroup, Lamp, UpclonerHalo, _mat_canonical, _mat_compose,
-                   enumerate_block)
+from .halo import HaloGroup, Lamp, UpclonerHalo, enumerate_block, make_halo
 
 Word = List[Tuple[int, int]]
 DEFAULT_WORD_CAP = 10 ** 5
@@ -70,19 +69,17 @@ def simplify_word(word: Word) -> Word:
 # commutator identity oracle
 
 def commutator_transvection(gf: GF, r, f, s, lam: int, mu: int) -> Lamp:
-    """tau_{r,f}(-lam) tau_{f,s}(-mu) tau_{r,f}(lam) tau_{f,s}(mu), by
-    matrix multiplication; returned verbatim as a matrix payload."""
+    """tau_{r,f}(-lam) tau_{f,s}(-mu) tau_{r,f}(lam) tau_{f,s}(mu) for sites
+    r, f, s of Z, by matrix multiplication in cloner(GF q, Z); returned
+    verbatim as a matrix payload."""
     if len({r, f, s}) != 3:
         raise ContractViolation("r, f, s must be pairwise distinct")
-
-    def key(x):
-        return x
-
-    t_rf = lambda c: _mat_canonical({(r, f): c}, gf, key)
-    t_fs = lambda c: _mat_canonical({(f, s): c}, gf, key)
+    cloner = make_halo("cloner", gf, ZdGroup(1))
+    t_rf = lambda c: cloner.make_lamp({(r, f): c})
+    t_fs = lambda c: cloner.make_lamp({(f, s): c})
     out = t_rf(gf.neg(lam))
     for factor in (t_fs(gf.neg(mu)), t_rf(lam), t_fs(mu)):
-        out = _mat_compose(out, factor, gf, key)
+        out = cloner.lamp_compose(out, factor)
     return out
 
 
@@ -93,18 +90,17 @@ def certify_commutator_form(qs: Sequence[int] = (2, 3, 4, 5)) -> str:
     'lambda' if it always equals tau_{r,s}(lam); raises if neither form
     holds uniformly.
     """
-    def key(x):
-        return x
-
+    r, f, s = (0,), (1,), (2,)
     holds = {"lambda_mu": True, "lambda": True}
     for q in qs:
         gf = GF(q)
+        cloner = make_halo("cloner", gf, ZdGroup(1))
         for lam in gf.elements:
             for mu in gf.elements:
-                got = commutator_transvection(gf, 0, 1, 2, lam, mu)
-                if got != _mat_canonical({(0, 2): gf.mul(lam, mu)}, gf, key):
+                got = commutator_transvection(gf, r, f, s, lam, mu)
+                if got != cloner.make_lamp({(r, s): gf.mul(lam, mu)}):
                     holds["lambda_mu"] = False
-                if got != _mat_canonical({(0, 2): lam}, gf, key):
+                if got != cloner.make_lamp({(r, s): lam}):
                     holds["lambda"] = False
     for form in ("lambda_mu", "lambda"):
         if holds[form]:
@@ -188,6 +184,19 @@ def _bfs_factor(halo: HaloGroup, target: Lamp, generator_lamps: List[Lamp]) -> L
         frontier = new_frontier
     raise UndecomposableError(
         "target lamp is not in the subgroup generated by the provided blocks")
+
+
+def _factor_and_recurse(rec, halo: HaloGroup, lamp: Lamp, r1: Sequence, r2: Sequence,
+                        measure, budget: _Budget, trace: Optional[list]) -> Word:
+    """Factor lamp over the non-identity elements of L(r1) and L(r2), then
+    decompose each factor by rec(halo, factor, measure, budget, trace)."""
+    ident = halo.lamp_identity()
+    blocks = [l for l in enumerate_block(halo, r1) if l != ident]
+    blocks += [l for l in enumerate_block(halo, r2) if l != ident]
+    out: Word = []
+    for f in _bfs_factor(halo, lamp, blocks):
+        out += rec(halo, f, measure, budget, trace)
+    return out
 
 
 def _edge_table(halo: HaloGroup, p, q) -> Dict[Lamp, Word]:
@@ -298,25 +307,12 @@ def _gluing_rec(halo: HaloGroup, lamp: Lamp, parent_measure, budget: _Budget,
         c = a
         for idx, _ in path[:mid]:
             c = base.multiply(c, gens[idx][1])
-        blocks = [l for l in enumerate_block(halo, [a, c]) if l != halo.lamp_identity()]
-        blocks += [l for l in enumerate_block(halo, [c, b]) if l != halo.lamp_identity()]
-        factors = _bfs_factor(halo, lamp, blocks)
-        out: Word = []
-        for f in factors:
-            out += _gluing_rec(halo, f, measure, budget, trace)
-        return out
+        return _factor_and_recurse(_gluing_rec, halo, lamp, [a, c], [c, b],
+                                   measure, budget, trace)
 
     # |R| >= 3: split off the two lex-smallest sites
-    h, hp = sites[0], sites[1]
-    r1 = [h, hp]
-    r2 = sites[1:]
-    blocks = [l for l in enumerate_block(halo, r1) if l != halo.lamp_identity()]
-    blocks += [l for l in enumerate_block(halo, r2) if l != halo.lamp_identity()]
-    factors = _bfs_factor(halo, lamp, blocks)
-    out = []
-    for f in factors:
-        out += _gluing_rec(halo, f, measure, budget, trace)
-    return out
+    return _factor_and_recurse(_gluing_rec, halo, lamp, sites[:2], sites[1:],
+                               measure, budget, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +335,7 @@ def _gen_index(halo: UpclonerHalo, i: int, lam: int) -> int:
     """Index of the natural generator tau_{0, e_i}(lam)."""
     e = halo.base.identity()
     ei = tuple(1 if j == i else 0 for j in range(halo.base.d))
-    target = _mat_canonical({(e, ei): lam}, halo.gf, halo.site_key)
+    target = halo.make_lamp({(e, ei): lam})
     for gi, (lg, _c) in enumerate(halo.generators()[: halo.base_gen_offset]):
         if lg == target:
             return gi
@@ -385,16 +381,16 @@ def _transvection_word(halo: UpclonerHalo, a, b, lam: int, parent_len: Optional[
                   for j in range(base.d))
     f = tuple(x + y for x, y in zip(a, h))
 
-    # certified identity: the four-factor product is tau_{a,b}(lam1 * mu1)
-    if certified_form() == "lambda_mu":
-        lam1, mu1 = lam, 1
-    else:  # 'lambda': product is tau_{a,b}(lam1) regardless of mu1
-        lam1, mu1 = lam, 1
+    # the four-factor product is tau_{a,b}(lam * mu) or tau_{a,b}(lam), as
+    # certified (certified_form raises if neither holds); with mu = 1 both
+    # forms give tau_{a,b}(lam)
+    certified_form()
+    mu = 1
     word: Word = []
-    word += _transvection_word(halo, a, f, gf.neg(lam1), mlen, budget, trace)
-    word += _transvection_word(halo, f, b, gf.neg(mu1), mlen, budget, trace)
-    word += _transvection_word(halo, a, f, lam1, mlen, budget, trace)
-    word += _transvection_word(halo, f, b, mu1, mlen, budget, trace)
+    word += _transvection_word(halo, a, f, gf.neg(lam), mlen, budget, trace)
+    word += _transvection_word(halo, f, b, gf.neg(mu), mlen, budget, trace)
+    word += _transvection_word(halo, a, f, lam, mlen, budget, trace)
+    word += _transvection_word(halo, f, b, mu, mlen, budget, trace)
     return word
 
 
@@ -413,12 +409,5 @@ def _upcloner_rec(halo: UpclonerHalo, lamp: Lamp, parent_measure, budget: _Budge
         ((p, q), lam), = lamp
         return _transvection_word(halo, p, q, lam, None, budget, trace)
 
-    r1 = sites[:2]
-    r2 = sites[1:]
-    blocks = [l for l in enumerate_block(halo, r1) if l != halo.lamp_identity()]
-    blocks += [l for l in enumerate_block(halo, r2) if l != halo.lamp_identity()]
-    factors = _bfs_factor(halo, lamp, blocks)
-    out: Word = []
-    for f in factors:
-        out += _upcloner_rec(halo, f, measure, budget, trace)
-    return out
+    return _factor_and_recurse(_upcloner_rec, halo, lamp, sites[:2], sites[1:],
+                               measure, budget, trace)

@@ -12,8 +12,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from .errors import ContractViolation, NotInDomainError, UnsupportedFamilyError
 from .gf import GF
 from .groups import CyclicGroup, GroupHandle, SymmetricGroup, ZdGroup, ball
-from .halo import (ClonerHalo, DesignerHalo, HaloGroup, JugglerHalo,
-                   ShufflerHalo, WreathHalo, make_halo)
+from .halo import make_halo
 
 
 @dataclass(frozen=True)
@@ -143,21 +142,14 @@ def wreath_in_shuffler(H: GroupHandle, cosets: CosetSystem) -> GroupMorphism:
             raise NotInDomainError(
                 "element is not coset-preserving with cursor in K")
         sigma, h = g
-        sd = dict(sigma)
         by_coset: Dict[Any, Dict[int, int]] = {}
         for x, y in sigma:
             k, s = cosets.decompose(x)
             _, s2 = cosets.decompose(y)
             by_coset.setdefault(k, {})[s_index[s]] = s_index[s2]
-        del sd
-        lamp_entries = {}
-        sym_id = tuple(range(m))
-        for k, moved in by_coset.items():
-            img = tuple(moved.get(i, i) for i in range(m))
-            if img != sym_id:
-                lamp_entries[cosets.k_to_base(k)] = img
-        lamp = tuple(sorted(lamp_entries.items(),
-                            key=lambda kv: codomain.site_key(kv[0])))
+        lamp = codomain.make_lamp({
+            cosets.k_to_base(k): tuple(moved.get(i, i) for i in range(m))
+            for k, moved in by_coset.items()})
         return (lamp, cosets.k_to_base(h))
 
     return GroupMorphism(shuffler, codomain, phi,
@@ -209,15 +201,13 @@ def shuffler_endomorphism(H: GroupHandle, psi: Optional[BaseEndomorphism] = None
 
     def phi(g):
         sigma, h = g
-        moved = {psi.map(x): psi.map(y) for x, y in sigma}
-        bar = tuple(sorted(moved.items(), key=lambda xy: shuffler.site_key(xy[0])))
+        bar = shuffler.make_lamp({psi.map(x): psi.map(y) for x, y in sigma})
         return (bar, psi.map(h))
 
     # non-surjectivity witness: a transposition whose support leaves im(psi)
     witness = None
     for g in sorted(ball(shuffler, 2).elements, key=shuffler.sort_key):
-        sigma, _h = g
-        sites = [x for x, _ in sigma]
+        sites = shuffler.lamp_sites(g[0])
         if sites and any(not psi.in_image(x) for x in sites):
             witness = g
             break
@@ -251,8 +241,7 @@ def lamplighter_in_halo(family: str, params, H: GroupHandle) -> GroupMorphism:
                 for i, pi in enumerate(perm):
                     if pi != i:
                         moved[(x, i)] = (x, pi)
-            from .halo import _perm_canonical
-            return (_perm_canonical(moved, codomain.site_key), h)
+            return (codomain.make_lamp(moved), h)
 
         return GroupMorphism(domain, codomain, phi,
                              name=f"Sym({r}) wreath base inside {codomain.spec}")
@@ -264,7 +253,7 @@ def lamplighter_in_halo(family: str, params, H: GroupHandle) -> GroupMorphism:
 
         def phi(g):
             lamp, h = g
-            return ((lamp, ()), h)
+            return (codomain.make_lamp((dict(lamp), {})), h)
 
         return GroupMorphism(domain, codomain, phi,
                              name=f"{fiber.spec} wreath base inside {codomain.spec}")

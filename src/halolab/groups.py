@@ -324,11 +324,6 @@ def word_length(group: GroupHandle, g: Element, max_radius: int = 64) -> int:
     raise ContractViolation(f"element {g!r} not within radius {max_radius}")
 
 
-def lex_compare(group: GroupHandle, a: Element, b: Element) -> int:
-    """Total-order comparison on ordered groups: -1, 0, or +1."""
-    return group.compare(a, b)
-
-
 def make_group(spec: str) -> GroupHandle:
     """Build a GroupHandle from a descriptor string (see cli grammar)."""
     from .descriptor import parse_descriptor

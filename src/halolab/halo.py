@@ -11,14 +11,16 @@ Elements are pairs (lamp, cursor) with the semidirect law
 (sigma, h)(tau, k) = (sigma * act(h, tau), h k), where act(h, -)
 translates lamp supports by h.  Lamp payloads are canonical tuples
 (deviation-from-identity entries, sorted), so structural equality is
-group equality.
+group equality.  The payload format is private to this module: payloads
+are built only by each family's ``make_lamp`` (from a mapping, checked)
+and by the family methods (``lamp_compose``, ``lamp_act``,
+``block_elements``, ...); other modules go through those.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from functools import lru_cache
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import BudgetError, ContractViolation
 from .gf import GF
@@ -54,18 +56,18 @@ def _perm_invert(a: Lamp, key) -> Lamp:
     return _perm_canonical({y: x for x, y in a}, key)
 
 
-def _perm_translate(base: GroupHandle, h, a: Lamp, key) -> Lamp:
-    """h . a: the permutation x -> h a(h^-1 x)."""
-    return _perm_canonical({base.multiply(h, x): base.multiply(h, y) for x, y in a}, key)
+def _perm_translate(move, h, a: Lamp, key) -> Lamp:
+    """h . a: the permutation x -> h a(h^-1 x), for the point action move(h, x)."""
+    moved = {x: move(h, x) for x, _ in a}  # a permutes its support: one move per point
+    return _perm_canonical({moved[x]: moved[y] for x, y in a}, key)
 
 
 def _perm_check(a: Lamp):
-    dom = [x for x, _ in a]
-    img = [y for _, y in a]
-    if len(set(dom)) != len(dom) or set(dom) != set(img):
+    # a canonical payload has distinct points and no fixed point, so it is a
+    # bijection of its support exactly when the images cover the points
+    images = dict(a)
+    if images.keys() != set(images.values()):
         raise ContractViolation("permutation payload is not a bijection on its support")
-    if any(x == y for x, y in a):
-        raise ContractViolation("permutation payload stores a fixed point")
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +95,7 @@ def _map_translate(base: GroupHandle, h, a: Lamp, fiber: GroupHandle, key) -> La
 # ---------------------------------------------------------------------------
 # matrix payload helpers (tuples of ((p, q), v) deviations from identity)
 
-def _mat_canonical(entries: Dict, gf: GF, key) -> Lamp:
+def _mat_canonical(entries: Dict, key) -> Lamp:
     items = []
     for (p, q), v in entries.items():
         ident = 1 if p == q else 0
@@ -111,7 +113,7 @@ def _mat_sites(a: Lamp) -> FrozenSet:
     return frozenset(out)
 
 
-def _mat_entry(a: Dict, p, q, gf: GF) -> int:
+def _mat_entry(a: Dict, p, q) -> int:
     return a.get((p, q), 1 if p == q else 0)
 
 
@@ -143,26 +145,26 @@ def _mat_compose(a: Lamp, b: Lamp, gf: GF, key) -> Lamp:
         acc[p] = acc.get(p, 0)  # a zero diagonal must be stored explicitly
         for q, v in acc.items():
             out[(p, q)] = v
-    return _mat_canonical(out, gf, key)
+    return _mat_canonical(out, key)
 
 
-def _mat_rows(a: Lamp, sites: Sequence, gf: GF) -> List[List[int]]:
+def _mat_rows(a: Lamp, sites: Sequence) -> List[List[int]]:
     d = dict(a)
-    return [[_mat_entry(d, p, q, gf) for q in sites] for p in sites]
+    return [[_mat_entry(d, p, q) for q in sites] for p in sites]
 
 
-def _mat_from_rows(rows: Sequence[Sequence[int]], sites: Sequence, gf: GF, key) -> Lamp:
+def _mat_from_rows(rows: Sequence[Sequence[int]], sites: Sequence, key) -> Lamp:
     entries = {}
     for i, p in enumerate(sites):
         for j, q in enumerate(sites):
             entries[(p, q)] = rows[i][j]
-    return _mat_canonical(entries, gf, key)
+    return _mat_canonical(entries, key)
 
 
 def _mat_invert(a: Lamp, gf: GF, key) -> Lamp:
     sites = sorted(_mat_sites(a), key=key)
     n = len(sites)
-    rows = _mat_rows(a, sites, gf)
+    rows = _mat_rows(a, sites)
     aug = [rows[i] + [1 if j == i else 0 for j in range(n)] for i, _ in enumerate(sites)]
     for col in range(n):
         pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
@@ -176,15 +178,7 @@ def _mat_invert(a: Lamp, gf: GF, key) -> Lamp:
                 factor = aug[r][col]
                 aug[r] = [gf.sub(v, gf.mul(factor, w)) for v, w in zip(aug[r], aug[col])]
     inv_rows = [row[n:] for row in aug]
-    return _mat_from_rows(inv_rows, sites, gf, key)
-
-
-def _mat_is_invertible(a: Lamp, gf: GF, key) -> bool:
-    try:
-        _mat_invert(a, gf, key)
-        return True
-    except ContractViolation:
-        return False
+    return _mat_from_rows(inv_rows, sites, key)
 
 
 # ---------------------------------------------------------------------------
@@ -195,12 +189,18 @@ class HaloGroup(GroupHandle):
 
     family: str = "?"
 
-    def __init__(self, base: GroupHandle):
+    def __init__(self, base: GroupHandle, params):
         self.base = base
+        self.params = params  # the family parameter, as make_halo and lamp_growth take it
         self._gens: Optional[List] = None
         self._base_balls: Dict[int, Ball] = {}
 
     # -- family interface ---------------------------------------------------
+    def make_lamp(self, entries) -> Lamp:
+        """The canonical payload of a lamp given as a mapping (the family's
+        own form, see the subclasses); ContractViolation if it is no lamp."""
+        raise NotImplementedError
+
     def lamp_identity(self) -> Lamp:
         return ()
 
@@ -225,7 +225,8 @@ class HaloGroup(GroupHandle):
         raise NotImplementedError
 
     def growth(self, n: int) -> int:
-        raise NotImplementedError
+        """Lambda(n) = |L(F)| for any n-site set F."""
+        return lamp_growth(self.family, self.params, n)
 
     def site_key(self, site):
         return self.base.sort_key(site)
@@ -249,11 +250,12 @@ class HaloGroup(GroupHandle):
             base_part = [(self.lamp_identity(), s) for s in self.base.generators()]
             self._gens = lamp_part + base_part
             self._base_gen_offset = len(lamp_part)
-        return self._gens
+        return list(self._gens)  # a copy, so no caller can edit the shared list
 
     @property
     def base_gen_offset(self) -> int:
-        self.generators()
+        if self._gens is None:
+            self.generators()
         return self._base_gen_offset
 
     def sort_key(self, a):
@@ -289,26 +291,36 @@ class HaloGroup(GroupHandle):
         raise ContractViolation(f"base element {h!r} not within radius {max_radius}")
 
 
-def act(halo: HaloGroup, h, lamp: Lamp) -> Lamp:
-    """The translation action (h . sigma)(x) = h sigma(h^-1 x)."""
-    return halo.lamp_act(h, lamp)
+class _FiberHalo(HaloGroup):
+    """Shared set-up of the families whose lamps carry a map H -> F."""
+
+    def __init__(self, fiber: GroupHandle, base: GroupHandle):
+        if not fiber.is_finite():
+            raise ContractViolation(f"{self.family} fiber must be a finite group")
+        super().__init__(base, fiber)
+        self.fiber = fiber
+        self._fiber_elements = fiber.elements()
+        self.spec = f"{self.family}({fiber.spec}, {base.spec})"
+
+    def _canonical(self, mapping: Dict) -> Lamp:
+        return _map_canonical(mapping, self.fiber, self.site_key)
+
+    def _map_lamp(self, mapping: Dict) -> Lamp:
+        """The canonical map payload of a site -> fiber mapping, checked."""
+        if not set(mapping.values()).issubset(self._fiber_elements):
+            raise ContractViolation(f"{self.family} lamp value is not an element of "
+                                    f"{self.fiber.spec}")
+        return self._canonical(mapping)
 
 
-class WreathHalo(HaloGroup):
+class WreathHalo(_FiberHalo):
     """F wreath H: lamps are finitely supported maps H -> F."""
 
     family = "wreath"
 
-    def __init__(self, fiber: GroupHandle, base: GroupHandle):
-        if not fiber.is_finite():
-            raise ContractViolation("wreath fiber must be a finite group")
-        super().__init__(base)
-        self.fiber = fiber
-        self._fiber_elements = fiber.elements()
-        self.spec = f"wreath({fiber.spec}, {base.spec})"
-
-    def _canonical(self, mapping: Dict) -> Lamp:
-        return _map_canonical(mapping, self.fiber, self.site_key)
+    def make_lamp(self, entries: Dict) -> Lamp:
+        """entries: site -> fiber element."""
+        return self._map_lamp(entries)
 
     def lamp_compose(self, a, b):
         return _map_compose(dict(a), dict(b), self.fiber, self.site_key)
@@ -326,7 +338,7 @@ class WreathHalo(HaloGroup):
         e = self.base.identity()
         gens = []
         for f in self.fiber.generators():
-            lamp = self._canonical({e: f})
+            lamp = self.make_lamp({e: f})
             if lamp and lamp not in gens:
                 gens.append(lamp)
         return gens
@@ -338,18 +350,16 @@ class WreathHalo(HaloGroup):
             out.append(self._canonical(dict(zip(sites, values))))
         return out
 
-    def growth(self, n):
-        return len(self._fiber_elements) ** n
 
+class _PermutationHalo(HaloGroup):
+    """Shared lamp arithmetic of the permutation families: lamps are finitely
+    supported permutations of points on which H acts by ``_move(h, point)``."""
 
-class ShufflerHalo(HaloGroup):
-    """FSym(H) |x H: lamps are finitely supported permutations of H."""
-
-    family = "shuffler"
-
-    def __init__(self, base: GroupHandle):
-        super().__init__(base)
-        self.spec = f"shuffler({base.spec})"
+    def make_lamp(self, entries: Dict) -> Lamp:
+        """entries: point -> image point, a bijection of its support."""
+        lamp = _perm_canonical(entries, self.site_key)
+        _perm_check(lamp)
+        return lamp
 
     def lamp_compose(self, a, b):
         return _perm_compose(a, b, self.site_key)
@@ -358,7 +368,20 @@ class ShufflerHalo(HaloGroup):
         return _perm_invert(a, self.site_key)
 
     def lamp_act(self, h, a):
-        return _perm_translate(self.base, h, a, self.site_key)
+        return _perm_translate(self._move, h, a, self.site_key)
+
+
+class ShufflerHalo(_PermutationHalo):
+    """FSym(H) |x H: lamps are finitely supported permutations of H."""
+
+    family = "shuffler"
+
+    def __init__(self, base: GroupHandle):
+        super().__init__(base, None)
+        self.spec = f"shuffler({base.spec})"
+
+    def _move(self, h, x):
+        return self.base.multiply(h, x)
 
     def lamp_sites(self, a):
         return frozenset(x for x, _ in a)
@@ -367,7 +390,7 @@ class ShufflerHalo(HaloGroup):
         e = self.base.identity()
         gens = []
         for s in self.base.generators():
-            lamp = _perm_canonical({e: s, s: e}, self.site_key)
+            lamp = self.make_lamp({e: s, s: e})
             if lamp not in gens:
                 gens.append(lamp)
         return gens
@@ -379,11 +402,8 @@ class ShufflerHalo(HaloGroup):
             out.append(_perm_canonical(dict(zip(sites, images)), self.site_key))
         return out
 
-    def growth(self, n):
-        return math.factorial(n)
 
-
-class JugglerHalo(HaloGroup):
+class JugglerHalo(_PermutationHalo):
     """FSym(H x {0..s-1}) |x H with the track-fixing action h.(x,i)=(hx,i)."""
 
     family = "juggler"
@@ -391,7 +411,7 @@ class JugglerHalo(HaloGroup):
     def __init__(self, tracks: int, base: GroupHandle):
         if tracks < 1:
             raise ContractViolation("juggler requires at least one track")
-        super().__init__(base)
+        super().__init__(base, tracks)
         self.tracks = tracks
         self.spec = f"juggler({tracks}, {base.spec})"
 
@@ -399,17 +419,9 @@ class JugglerHalo(HaloGroup):
         x, i = point
         return (self.base.sort_key(x), i)
 
-    def lamp_compose(self, a, b):
-        return _perm_compose(a, b, self.site_key)
-
-    def lamp_invert(self, a):
-        return _perm_invert(a, self.site_key)
-
-    def lamp_act(self, h, a):
-        moved = {}
-        for (x, i), (y, j) in a:
-            moved[(self.base.multiply(h, x), i)] = (self.base.multiply(h, y), j)
-        return _perm_canonical(moved, self.site_key)
+    def _move(self, h, point):
+        x, i = point
+        return (self.base.multiply(h, x), i)
 
     def lamp_sites(self, a):
         return frozenset(x for (x, _i), _ in a)
@@ -421,7 +433,7 @@ class JugglerHalo(HaloGroup):
             for i in range(self.tracks):
                 for j in range(self.tracks):
                     p, q = (e, i), (s, j)
-                    lamp = _perm_canonical({p: q, q: p}, self.site_key)
+                    lamp = self.make_lamp({p: q, q: p})
                     if lamp not in gens:
                         gens.append(lamp)
         return gens
@@ -434,28 +446,21 @@ class JugglerHalo(HaloGroup):
             out.append(_perm_canonical(dict(zip(points, images)), self.site_key))
         return out
 
-    def growth(self, n):
-        return math.factorial(self.tracks * n)
 
-
-class DesignerHalo(HaloGroup):
+class DesignerHalo(_FiberHalo):
     """F wreath_H FSym(H) |x H: lamps are (map H -> F, permutation) pairs."""
 
     family = "designer"
 
-    def __init__(self, fiber: GroupHandle, base: GroupHandle):
-        if not fiber.is_finite():
-            raise ContractViolation("designer fiber must be a finite group")
-        super().__init__(base)
-        self.fiber = fiber
-        self._fiber_elements = fiber.elements()
-        self.spec = f"designer({fiber.spec}, {base.spec})"
+    def make_lamp(self, entries) -> Lamp:
+        """entries: a pair (site -> fiber element, site -> image site)."""
+        mapping, perm = entries
+        lamp = _perm_canonical(perm, self.site_key)
+        _perm_check(lamp)
+        return (self._map_lamp(mapping), lamp)
 
     def lamp_identity(self):
         return ((), ())
-
-    def _wcanon(self, mapping):
-        return _map_canonical(mapping, self.fiber, self.site_key)
 
     def lamp_compose(self, a, b):
         (fa, pa), (fb, pb) = a, b
@@ -470,12 +475,12 @@ class DesignerHalo(HaloGroup):
         pinv = _perm_invert(pa, self.site_key)
         dpinv = dict(pinv)
         out = {_perm_apply(dpinv, x): self.fiber.invert(v) for x, v in fa}
-        return (self._wcanon(out), pinv)
+        return (self._canonical(out), pinv)
 
     def lamp_act(self, h, a):
         fa, pa = a
         return (_map_translate(self.base, h, fa, self.fiber, self.site_key),
-                _perm_translate(self.base, h, pa, self.site_key))
+                _perm_translate(self.base.multiply, h, pa, self.site_key))
 
     def lamp_sites(self, a):
         fa, pa = a
@@ -485,11 +490,11 @@ class DesignerHalo(HaloGroup):
         e = self.base.identity()
         gens = []
         for f in self.fiber.generators():
-            lamp = (self._wcanon({e: f}), ())
+            lamp = self.make_lamp(({e: f}, {}))
             if lamp[0] and lamp not in gens:
                 gens.append(lamp)
         for s in self.base.generators():
-            lamp = ((), _perm_canonical({e: s, s: e}, self.site_key))
+            lamp = self.make_lamp(({}, {e: s, s: e}))
             if lamp not in gens:
                 gens.append(lamp)
         return gens
@@ -500,20 +505,17 @@ class DesignerHalo(HaloGroup):
                  for images in itertools.permutations(sites)]
         out = []
         for values in itertools.product(self._fiber_elements, repeat=len(sites)):
-            wpart = self._wcanon(dict(zip(sites, values)))
+            wpart = self._canonical(dict(zip(sites, values)))
             for p in perms:
                 out.append((wpart, p))
         return out
-
-    def growth(self, n):
-        return len(self._fiber_elements) ** n * math.factorial(n)
 
 
 class _MatrixHalo(HaloGroup):
     """Shared lamp arithmetic of the matrix families over GF(q)."""
 
     def __init__(self, gf: GF, base: GroupHandle):
-        super().__init__(base)
+        super().__init__(base, gf)
         self.gf = gf
         self.spec = f"{self.family}(GF{gf.q}, {base.spec})"
 
@@ -526,7 +528,7 @@ class _MatrixHalo(HaloGroup):
     def lamp_act(self, h, a):
         entries = {(self.base.multiply(h, p), self.base.multiply(h, q)): v
                    for (p, q), v in a}
-        return _mat_canonical(entries, self.gf, self.site_key)
+        return _mat_canonical(entries, self.site_key)
 
     def lamp_sites(self, a):
         return _mat_sites(a)
@@ -538,10 +540,14 @@ class ClonerHalo(_MatrixHalo):
     family = "cloner"
 
     def make_lamp(self, entries: Dict) -> Lamp:
-        """Canonicalize and validate a user-supplied deviation map."""
-        lamp = _mat_canonical(entries, self.gf, self.site_key)
-        if lamp and not _mat_is_invertible(lamp, self.gf, self.site_key):
-            raise ContractViolation("cloner lamp matrix is singular")
+        """entries: (p, q) -> matrix entry; unlisted entries are those of
+        the identity.  The matrix must be invertible."""
+        lamp = _mat_canonical(entries, self.site_key)
+        if lamp:
+            try:
+                _mat_invert(lamp, self.gf, self.site_key)
+            except ContractViolation:
+                raise ContractViolation("cloner lamp matrix is singular") from None
         return lamp
 
     def lamp_generators(self):
@@ -549,10 +555,10 @@ class ClonerHalo(_MatrixHalo):
         gens = []
         for lam in self.gf.units:
             if lam != 1:
-                gens.append(_mat_canonical({(e, e): lam}, self.gf, self.site_key))
+                gens.append(self.make_lamp({(e, e): lam}))
         for s in self.base.generators():
             for lam in self.gf.units:
-                gens.append(_mat_canonical({(e, s): lam}, self.gf, self.site_key))
+                gens.append(self.make_lamp({(e, s): lam}))
         return gens
 
     def block_elements(self, sites):
@@ -572,7 +578,7 @@ class ClonerHalo(_MatrixHalo):
 
         def extend(rows, span):
             if len(rows) == n:
-                out.append(_mat_from_rows(rows, sites, self.gf, self.site_key))
+                out.append(_mat_from_rows(rows, sites, self.site_key))
                 return
             for v in vectors:
                 if v in span:
@@ -584,13 +590,6 @@ class ClonerHalo(_MatrixHalo):
                 extend(rows + [list(v)], new_span)
 
         extend([], {zero})
-        return out
-
-    def growth(self, n):
-        q = self.gf.q
-        out = 1
-        for i in range(n):
-            out *= q ** n - q ** i
         return out
 
 
@@ -605,7 +604,8 @@ class UpclonerHalo(_MatrixHalo):
         super().__init__(gf, base)
 
     def make_lamp(self, entries: Dict) -> Lamp:
-        lamp = _mat_canonical(entries, self.gf, self.site_key)
+        """entries: (p, q) -> matrix entry with p < q in the base order."""
+        lamp = _mat_canonical(entries, self.site_key)
         self._check_unitriangular(lamp)
         return lamp
 
@@ -621,7 +621,7 @@ class UpclonerHalo(_MatrixHalo):
         for s in self.base.generators():
             if self.base.compare(e, s) < 0:
                 for lam in self.gf.units:
-                    gens.append(_mat_canonical({(e, s): lam}, self.gf, self.site_key))
+                    gens.append(self.make_lamp({(e, s): lam}))
         return gens
 
     def block_elements(self, sites):
@@ -634,11 +634,8 @@ class UpclonerHalo(_MatrixHalo):
         out = []
         for values in itertools.product(self.gf.elements, repeat=len(pairs)):
             entries = {pq: v for pq, v in zip(pairs, values)}
-            out.append(_mat_canonical(entries, self.gf, self.site_key))
+            out.append(_mat_canonical(entries, self.site_key))
         return out
-
-    def growth(self, n):
-        return self.gf.q ** (n * (n - 1) // 2)
 
 
 def make_halo(family: str, params, base: GroupHandle) -> HaloGroup:

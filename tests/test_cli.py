@@ -97,6 +97,34 @@ def test_run_subcommand(tmp_path, capsys):
     assert (out_dir / "manifest.json").exists()
 
 
+def test_options_are_scoped_to_the_subcommands_that_read_them(capsys):
+    rejected = [
+        (["profile", "--group", "Z", "--n-max", "3", "--p", "2"], "--p"),
+        (["profile", "--group", "Z", "--n-max", "3", "--budget-mem", "1"], "--budget-mem"),
+        (["growth", "--family", "shuffler", "--group", "Z"], "--group"),
+        (["ball", "--radius", "1"], "--group"),
+    ]
+    for argv, flag in rejected:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert flag in capsys.readouterr().err, argv
+
+
+def test_run_requires_out(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"group": "Z", "n_max": 3}))
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr("halolab.experiment.run_experiment", no_search)
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert "--out" in capsys.readouterr().err
+
+
 def test_run_experiment_reruns_byte_identical(tmp_path):
     cfg = {"group": "wreath(C2, Z)", "n_max": 5, "method": "anneal",
            "seed": 11, "bounds": ["x"], "plot": True}

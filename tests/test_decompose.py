@@ -153,14 +153,13 @@ def test_upcloner_obstruction_is_structural():
 
     # all generators satisfy the property
     lamps = [lamp for lamp, h in up.generators() if lamp]
-    from halolab.halo import act
     for t in [(0, 0), (1, 2), (2, 0), (3, 1)]:
         for lamp in lamps:
-            moved = act(up, t, lamp)
+            moved = up.lamp_act(t, lamp)
             assert displacements_natural(moved)
     # and it is closed under composition and inverse on samples
     import itertools
-    pool = [act(up, t, lamp) for t in [(0, 0), (1, 0), (0, 1)] for lamp in lamps]
+    pool = [up.lamp_act(t, lamp) for t in [(0, 0), (1, 0), (0, 1)] for lamp in lamps]
     for a, b in itertools.product(pool, repeat=2):
         assert displacements_natural(up.lamp_compose(a, b))
         assert displacements_natural(up.lamp_invert(a))

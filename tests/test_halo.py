@@ -1,11 +1,14 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
+import halolab
 from halolab.errors import BudgetError, ContractViolation
 from halolab.gf import GF
 from halolab.groups import CyclicGroup, ZdGroup, ball
-from halolab.halo import (act, commutativity_constant, enumerate_block,
+from halolab.halo import (commutativity_constant, enumerate_block,
                           lamp_growth, make_halo)
 
 Z = ZdGroup(1, False)
@@ -48,6 +51,7 @@ def test_enumerate_block_matches_growth():
         for n in range(1, len(values)):
             sites = [(i,) for i in range(n)]
             block = enumerate_block(halo, sites)
+            assert halo.growth(n) == values[n], (halo.family, n)
             assert len(block) == values[n], (halo.family, n)
             assert len(set(block)) == len(block)
 
@@ -94,18 +98,18 @@ def test_act_is_an_automorphism():
         block = sorted(enumerate_block(halo, [(0,), (1,)]), key=repr)[:6]
         for h in [(1,), (-2,)]:
             for a in block:
-                assert act(halo, h, halo.lamp_invert(a)) == \
-                    halo.lamp_invert(act(halo, h, a))
+                assert halo.lamp_act(h, halo.lamp_invert(a)) == \
+                    halo.lamp_invert(halo.lamp_act(h, a))
                 for b in block:
-                    assert act(halo, h, halo.lamp_compose(a, b)) == \
-                        halo.lamp_compose(act(halo, h, a), act(halo, h, b))
+                    assert halo.lamp_act(h, halo.lamp_compose(a, b)) == \
+                        halo.lamp_compose(halo.lamp_act(h, a), halo.lamp_act(h, b))
 
 
 def test_act_translates_sites():
     for halo in _families():
         block = sorted(enumerate_block(halo, [(0,), (1,)]), key=repr)
         for a in block[:6]:
-            moved = act(halo, (3,), a)
+            moved = halo.lamp_act((3,), a)
             assert halo.lamp_sites(moved) == \
                 frozenset(halo.base.multiply((3,), x) for x in halo.lamp_sites(a))
 
@@ -206,3 +210,61 @@ def test_halo_ball_word_metric_symmetric():
     for g in sorted(b.elements, key=repr)[:40]:
         inv = sh.invert(g)
         assert inv in b and b.lengths[inv] == b.lengths[g]
+
+
+def test_generators_returns_a_copy():
+    for halo in _families():
+        count = len(halo.generators())
+        halo.generators().append("x")
+        assert len(halo.generators()) == count, halo.family
+
+
+def _reversed_mapping(halo, lamp):
+    """The mapping make_lamp takes, read off a payload in reverse order."""
+    if halo.family == "designer":
+        return (dict(reversed(lamp[0])), dict(reversed(lamp[1])))
+    return dict(reversed(lamp))
+
+
+def test_make_lamp_rebuilds_every_block_element():
+    for halo in _families():
+        for sites in ([(0,)], [(-1,), (1,)], [(0,), (1,), (2,)]):
+            for lamp in enumerate_block(halo, sites):
+                assert halo.make_lamp(_reversed_mapping(halo, lamp)) == lamp, \
+                    (halo.family, lamp)
+
+
+def test_make_lamp_rejects_non_lamps():
+    sh = make_halo("shuffler", None, Z)
+    ju = make_halo("juggler", 2, Z)
+    de = make_halo("designer", CyclicGroup(2), Z)
+    wr = make_halo("wreath", CyclicGroup(2), Z)
+    bad = [
+        (sh, {(0,): (1,)}),
+        (sh, {(0,): (2,), (1,): (2,), (2,): (0,)}),
+        (ju, {((0,), 0): ((1,), 0)}),
+        (ju, {((0,), 0): ((0,), 1), ((0,), 1): ((0,), 1)}),
+        (de, ({}, {(0,): (1,)})),
+        (de, ({(0,): 2}, {})),
+        (wr, {(0,): 2}),
+    ]
+    for halo, entries in bad:
+        with pytest.raises(ContractViolation):
+            halo.make_lamp(entries)
+
+
+def test_lamp_payload_helpers_stay_private():
+    """No halolab module imports a _-prefixed name (dunders aside) from
+    another one, and only halo.py names the _perm_/_map_/_mat_ payload
+    helpers."""
+    for path in sorted(Path(halolab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level > 0 or (node.module or "").startswith("halolab")):
+                private = [a.name for a in node.names
+                           if a.name.startswith("_") and not a.name.endswith("__")]
+                assert not private, f"{path.name}:{node.lineno} imports {private}"
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute) else "")
+            assert path.name == "halo.py" or not name.startswith(
+                ("_perm_", "_map_", "_mat_")), f"{path.name}:{node.lineno} names {name}"
