@@ -44,7 +44,14 @@ class GroupHandle:
         raise NotImplementedError
 
     def sort_key(self, a: Element):
-        """Deterministic structural key; total on any finite element set."""
+        """Deterministic structural key; total on any finite element set.
+
+        A group used as a halo base must order its elements as they order
+        themselves: sorted(xs) == sorted(xs, key=sort_key) for every finite
+        xs, because halo payloads are sorted with no key function.  Every
+        group here does, since each sort_key returns the element itself or
+        an equal tuple.
+        """
         return a
 
     def compare(self, a: Element, b: Element) -> int:

@@ -11,13 +11,18 @@ Elements are pairs (lamp, cursor) with the semidirect law
 (sigma, h)(tau, k) = (sigma * act(h, tau), h k), where act(h, -)
 translates lamp supports by h.  Lamp payloads are canonical tuples
 (deviation-from-identity entries, sorted), so structural equality is
-group equality.  The payload format is private to this module: payloads
-are built only by each family's ``make_lamp`` (from a mapping, checked)
-and by the family methods (``lamp_compose``, ``lamp_act``,
+group equality.  Entries are sorted by the points' own order, with no
+key function.  That is sort_key order: every base orders its elements as
+its sort_key does (see GroupHandle.sort_key), so juggler points (x, i)
+and matrix positions (p, q) sort by (sort_key(x), i) and (sort_key(p),
+sort_key(q)) too.  The payload format is private to this module:
+payloads are built only by each family's ``make_lamp`` (from a mapping,
+checked) and by the family methods (``lamp_compose``, ``lamp_act``,
 ``block_elements``, ...); other modules go through those.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
@@ -33,33 +38,29 @@ DEFAULT_ENUM_BUDGET = 10 ** 6
 # ---------------------------------------------------------------------------
 # permutation payload helpers (tuples of (x, sigma(x)) pairs, no fixed points)
 
-def _perm_apply(p: Dict, x):
-    return p.get(x, x)
-
-
-def _perm_canonical(mapping: Dict, key) -> Lamp:
+def _perm_canonical(mapping: Dict) -> Lamp:
     items = [(x, y) for x, y in mapping.items() if x != y]
-    items.sort(key=lambda xy: key(xy[0]))
+    items.sort()
     return tuple(items)
 
 
-def _perm_compose(a: Lamp, b: Lamp, key) -> Lamp:
-    # (a o b)(x) = a(b(x))
-    da, db = dict(a), dict(b)
-    out = {}
-    for x in set(da) | set(db):
-        out[x] = _perm_apply(da, _perm_apply(db, x))
-    return _perm_canonical(out, key)
+def _perm_compose(a: Lamp, b: Lamp) -> Lamp:
+    # (a o b)(x) = a(b(x)): only the points b moves change their image
+    da = dict(a)
+    out = dict(da)
+    for x, y in b:
+        out[x] = da.get(y, y)
+    return _perm_canonical(out)
 
 
-def _perm_invert(a: Lamp, key) -> Lamp:
-    return _perm_canonical({y: x for x, y in a}, key)
+def _perm_invert(a: Lamp) -> Lamp:
+    return _perm_canonical({y: x for x, y in a})
 
 
-def _perm_translate(move, h, a: Lamp, key) -> Lamp:
+def _perm_translate(move, h, a: Lamp) -> Lamp:
     """h . a: the permutation x -> h a(h^-1 x), for the point action move(h, x)."""
     moved = {x: move(h, x) for x, _ in a}  # a permutes its support: one move per point
-    return _perm_canonical({moved[x]: moved[y] for x, y in a}, key)
+    return _perm_canonical({moved[x]: moved[y] for x, y in a})
 
 
 def _perm_check(a: Lamp):
@@ -73,35 +74,31 @@ def _perm_check(a: Lamp):
 # ---------------------------------------------------------------------------
 # map payload helpers (tuples of (x, f(x)) pairs, no fiber-identity values)
 
-def _map_canonical(mapping: Dict, fiber: GroupHandle, key) -> Lamp:
+def _map_canonical(mapping: Dict, fiber: GroupHandle) -> Lamp:
     e = fiber.identity()
     items = [(x, v) for x, v in mapping.items() if v != e]
-    items.sort(key=lambda xv: key(xv[0]))
+    items.sort()
     return tuple(items)
 
 
-def _map_compose(da: Dict, db: Dict, fiber: GroupHandle, key) -> Lamp:
+def _map_compose(da: Dict, db: Dict, fiber: GroupHandle) -> Lamp:
     """Pointwise product of two maps given as dicts."""
     e = fiber.identity()
     out = {x: fiber.multiply(da.get(x, e), db.get(x, e)) for x in set(da) | set(db)}
-    return _map_canonical(out, fiber, key)
+    return _map_canonical(out, fiber)
 
 
-def _map_translate(base: GroupHandle, h, a: Lamp, fiber: GroupHandle, key) -> Lamp:
+def _map_translate(base: GroupHandle, h, a: Lamp, fiber: GroupHandle) -> Lamp:
     """h . a: the map x -> a(h^-1 x)."""
-    return _map_canonical({base.multiply(h, x): v for x, v in a}, fiber, key)
+    return _map_canonical({base.multiply(h, x): v for x, v in a}, fiber)
 
 
 # ---------------------------------------------------------------------------
 # matrix payload helpers (tuples of ((p, q), v) deviations from identity)
 
-def _mat_canonical(entries: Dict, key) -> Lamp:
-    items = []
-    for (p, q), v in entries.items():
-        ident = 1 if p == q else 0
-        if v != ident:
-            items.append(((p, q), v))
-    items.sort(key=lambda e: (key(e[0][0]), key(e[0][1])))
+def _mat_canonical(entries: Dict) -> Lamp:
+    items = [((p, q), v) for (p, q), v in entries.items() if v != (1 if p == q else 0)]
+    items.sort()
     return tuple(items)
 
 
@@ -128,7 +125,7 @@ def _sparse_rows(payload: Lamp, sites) -> Dict:
     return rows
 
 
-def _mat_compose(a: Lamp, b: Lamp, gf: GF, key) -> Lamp:
+def _mat_compose(a: Lamp, b: Lamp, gf: GF) -> Lamp:
     sites = _mat_sites(a) | _mat_sites(b)
     rows_a = _sparse_rows(a, sites)
     rows_b = _sparse_rows(b, sites)
@@ -145,7 +142,7 @@ def _mat_compose(a: Lamp, b: Lamp, gf: GF, key) -> Lamp:
         acc[p] = acc.get(p, 0)  # a zero diagonal must be stored explicitly
         for q, v in acc.items():
             out[(p, q)] = v
-    return _mat_canonical(out, key)
+    return _mat_canonical(out)
 
 
 def _mat_rows(a: Lamp, sites: Sequence) -> List[List[int]]:
@@ -153,16 +150,16 @@ def _mat_rows(a: Lamp, sites: Sequence) -> List[List[int]]:
     return [[_mat_entry(d, p, q) for q in sites] for p in sites]
 
 
-def _mat_from_rows(rows: Sequence[Sequence[int]], sites: Sequence, key) -> Lamp:
+def _mat_from_rows(rows: Sequence[Sequence[int]], sites: Sequence) -> Lamp:
     entries = {}
     for i, p in enumerate(sites):
         for j, q in enumerate(sites):
             entries[(p, q)] = rows[i][j]
-    return _mat_canonical(entries, key)
+    return _mat_canonical(entries)
 
 
-def _mat_invert(a: Lamp, gf: GF, key) -> Lamp:
-    sites = sorted(_mat_sites(a), key=key)
+def _mat_invert(a: Lamp, gf: GF) -> Lamp:
+    sites = sorted(_mat_sites(a))
     n = len(sites)
     rows = _mat_rows(a, sites)
     aug = [rows[i] + [1 if j == i else 0 for j in range(n)] for i, _ in enumerate(sites)]
@@ -178,7 +175,7 @@ def _mat_invert(a: Lamp, gf: GF, key) -> Lamp:
                 factor = aug[r][col]
                 aug[r] = [gf.sub(v, gf.mul(factor, w)) for v, w in zip(aug[r], aug[col])]
     inv_rows = [row[n:] for row in aug]
-    return _mat_from_rows(inv_rows, sites, key)
+    return _mat_from_rows(inv_rows, sites)
 
 
 # ---------------------------------------------------------------------------
@@ -228,16 +225,18 @@ class HaloGroup(GroupHandle):
         """Lambda(n) = |L(F)| for any n-site set F."""
         return lamp_growth(self.family, self.params, n)
 
-    def site_key(self, site):
-        return self.base.sort_key(site)
-
     # -- GroupHandle --------------------------------------------------------
     def identity(self):
         return (self.lamp_identity(), self.base.identity())
 
     def multiply(self, a, b):
         (sa, ha), (sb, hb) = a, b
-        return (self.lamp_compose(sa, self.lamp_act(ha, sb)), self.base.multiply(ha, hb))
+        cursor = self.base.multiply(ha, hb)
+        no_lamp = self.lamp_identity()
+        if sb == no_lamp:  # e.g. a base-generator step: only the cursor moves
+            return (sa, cursor)
+        moved = self.lamp_act(ha, sb)
+        return (moved if sa == no_lamp else self.lamp_compose(sa, moved), cursor)
 
     def invert(self, a):
         sa, ha = a
@@ -286,7 +285,7 @@ class HaloGroup(GroupHandle):
             b = self.base_ball(r)
             if h in b:
                 off = self.base_gen_offset
-                return [(off + i, 1) for i, _ in ((i, e) for i, e in b.word_to(h))]
+                return [(off + i, 1) for i, _ in b.word_to(h)]
             r += 1
         raise ContractViolation(f"base element {h!r} not within radius {max_radius}")
 
@@ -303,7 +302,7 @@ class _FiberHalo(HaloGroup):
         self.spec = f"{self.family}({fiber.spec}, {base.spec})"
 
     def _canonical(self, mapping: Dict) -> Lamp:
-        return _map_canonical(mapping, self.fiber, self.site_key)
+        return _map_canonical(mapping, self.fiber)
 
     def _map_lamp(self, mapping: Dict) -> Lamp:
         """The canonical map payload of a site -> fiber mapping, checked."""
@@ -323,13 +322,13 @@ class WreathHalo(_FiberHalo):
         return self._map_lamp(entries)
 
     def lamp_compose(self, a, b):
-        return _map_compose(dict(a), dict(b), self.fiber, self.site_key)
+        return _map_compose(dict(a), dict(b), self.fiber)
 
     def lamp_invert(self, a):
         return self._canonical({x: self.fiber.invert(v) for x, v in a})
 
     def lamp_act(self, h, a):
-        return _map_translate(self.base, h, a, self.fiber, self.site_key)
+        return _map_translate(self.base, h, a, self.fiber)
 
     def lamp_sites(self, a):
         return frozenset(x for x, _ in a)
@@ -344,7 +343,7 @@ class WreathHalo(_FiberHalo):
         return gens
 
     def block_elements(self, sites):
-        sites = sorted(sites, key=self.site_key)
+        sites = sorted(sites)
         out = []
         for values in itertools.product(self._fiber_elements, repeat=len(sites)):
             out.append(self._canonical(dict(zip(sites, values))))
@@ -357,18 +356,18 @@ class _PermutationHalo(HaloGroup):
 
     def make_lamp(self, entries: Dict) -> Lamp:
         """entries: point -> image point, a bijection of its support."""
-        lamp = _perm_canonical(entries, self.site_key)
+        lamp = _perm_canonical(entries)
         _perm_check(lamp)
         return lamp
 
     def lamp_compose(self, a, b):
-        return _perm_compose(a, b, self.site_key)
+        return _perm_compose(a, b)
 
     def lamp_invert(self, a):
-        return _perm_invert(a, self.site_key)
+        return _perm_invert(a)
 
     def lamp_act(self, h, a):
-        return _perm_translate(self._move, h, a, self.site_key)
+        return _perm_translate(self._move, h, a)
 
 
 class ShufflerHalo(_PermutationHalo):
@@ -396,10 +395,10 @@ class ShufflerHalo(_PermutationHalo):
         return gens
 
     def block_elements(self, sites):
-        sites = sorted(sites, key=self.site_key)
+        sites = sorted(sites)
         out = []
         for images in itertools.permutations(sites):
-            out.append(_perm_canonical(dict(zip(sites, images)), self.site_key))
+            out.append(_perm_canonical(dict(zip(sites, images))))
         return out
 
 
@@ -414,10 +413,6 @@ class JugglerHalo(_PermutationHalo):
         super().__init__(base, tracks)
         self.tracks = tracks
         self.spec = f"juggler({tracks}, {base.spec})"
-
-    def site_key(self, point):
-        x, i = point
-        return (self.base.sort_key(x), i)
 
     def _move(self, h, point):
         x, i = point
@@ -439,11 +434,11 @@ class JugglerHalo(_PermutationHalo):
         return gens
 
     def block_elements(self, sites):
-        points = [(x, i) for x in sorted(sites, key=self.base.sort_key)
+        points = [(x, i) for x in sorted(sites)
                   for i in range(self.tracks)]
         out = []
         for images in itertools.permutations(points):
-            out.append(_perm_canonical(dict(zip(points, images)), self.site_key))
+            out.append(_perm_canonical(dict(zip(points, images))))
         return out
 
 
@@ -455,7 +450,7 @@ class DesignerHalo(_FiberHalo):
     def make_lamp(self, entries) -> Lamp:
         """entries: a pair (site -> fiber element, site -> image site)."""
         mapping, perm = entries
-        lamp = _perm_canonical(perm, self.site_key)
+        lamp = _perm_canonical(perm)
         _perm_check(lamp)
         return (self._map_lamp(mapping), lamp)
 
@@ -466,21 +461,21 @@ class DesignerHalo(_FiberHalo):
         (fa, pa), (fb, pb) = a, b
         # (f, s)(g, t) = (f * (s.g), s t)  with (s.g)(x) = g(s^-1 x)
         dpa = dict(pa)
-        shifted = {_perm_apply(dpa, x): v for x, v in fb}
-        return (_map_compose(dict(fa), shifted, self.fiber, self.site_key),
-                _perm_compose(pa, pb, self.site_key))
+        shifted = {dpa.get(x, x): v for x, v in fb}
+        return (_map_compose(dict(fa), shifted, self.fiber),
+                _perm_compose(pa, pb))
 
     def lamp_invert(self, a):
         fa, pa = a
-        pinv = _perm_invert(pa, self.site_key)
+        pinv = _perm_invert(pa)
         dpinv = dict(pinv)
-        out = {_perm_apply(dpinv, x): self.fiber.invert(v) for x, v in fa}
+        out = {dpinv.get(x, x): self.fiber.invert(v) for x, v in fa}
         return (self._canonical(out), pinv)
 
     def lamp_act(self, h, a):
         fa, pa = a
-        return (_map_translate(self.base, h, fa, self.fiber, self.site_key),
-                _perm_translate(self.base.multiply, h, pa, self.site_key))
+        return (_map_translate(self.base, h, fa, self.fiber),
+                _perm_translate(self.base.multiply, h, pa))
 
     def lamp_sites(self, a):
         fa, pa = a
@@ -500,8 +495,8 @@ class DesignerHalo(_FiberHalo):
         return gens
 
     def block_elements(self, sites):
-        sites = sorted(sites, key=self.site_key)
-        perms = [_perm_canonical(dict(zip(sites, images)), self.site_key)
+        sites = sorted(sites)
+        perms = [_perm_canonical(dict(zip(sites, images)))
                  for images in itertools.permutations(sites)]
         out = []
         for values in itertools.product(self._fiber_elements, repeat=len(sites)):
@@ -520,15 +515,15 @@ class _MatrixHalo(HaloGroup):
         self.spec = f"{self.family}(GF{gf.q}, {base.spec})"
 
     def lamp_compose(self, a, b):
-        return _mat_compose(a, b, self.gf, self.site_key)
+        return _mat_compose(a, b, self.gf)
 
     def lamp_invert(self, a):
-        return _mat_invert(a, self.gf, self.site_key)
+        return _mat_invert(a, self.gf)
 
     def lamp_act(self, h, a):
         entries = {(self.base.multiply(h, p), self.base.multiply(h, q)): v
                    for (p, q), v in a}
-        return _mat_canonical(entries, self.site_key)
+        return _mat_canonical(entries)
 
     def lamp_sites(self, a):
         return _mat_sites(a)
@@ -542,10 +537,10 @@ class ClonerHalo(_MatrixHalo):
     def make_lamp(self, entries: Dict) -> Lamp:
         """entries: (p, q) -> matrix entry; unlisted entries are those of
         the identity.  The matrix must be invertible."""
-        lamp = _mat_canonical(entries, self.site_key)
+        lamp = _mat_canonical(entries)
         if lamp:
             try:
-                _mat_invert(lamp, self.gf, self.site_key)
+                _mat_invert(lamp, self.gf)
             except ContractViolation:
                 raise ContractViolation("cloner lamp matrix is singular") from None
         return lamp
@@ -562,7 +557,7 @@ class ClonerHalo(_MatrixHalo):
         return gens
 
     def block_elements(self, sites):
-        sites = sorted(sites, key=self.site_key)
+        sites = sorted(sites)
         n = len(sites)
         q = self.gf.q
         vectors = list(itertools.product(range(q), repeat=n))
@@ -578,7 +573,7 @@ class ClonerHalo(_MatrixHalo):
 
         def extend(rows, span):
             if len(rows) == n:
-                out.append(_mat_from_rows(rows, sites, self.site_key))
+                out.append(_mat_from_rows(rows, sites))
                 return
             for v in vectors:
                 if v in span:
@@ -605,7 +600,7 @@ class UpclonerHalo(_MatrixHalo):
 
     def make_lamp(self, entries: Dict) -> Lamp:
         """entries: (p, q) -> matrix entry with p < q in the base order."""
-        lamp = _mat_canonical(entries, self.site_key)
+        lamp = _mat_canonical(entries)
         self._check_unitriangular(lamp)
         return lamp
 
@@ -625,16 +620,14 @@ class UpclonerHalo(_MatrixHalo):
         return gens
 
     def block_elements(self, sites):
-        sites = sorted(sites, key=self.site_key)
         # order positions by the base total order so (p,q) with p<q is upper
-        import functools
         ordered = sorted(sites, key=functools.cmp_to_key(self.base.compare))
         pairs = [(ordered[i], ordered[j])
                  for i in range(len(ordered)) for j in range(i + 1, len(ordered))]
         out = []
         for values in itertools.product(self.gf.elements, repeat=len(pairs)):
             entries = {pq: v for pq, v in zip(pairs, values)}
-            out.append(_mat_canonical(entries, self.site_key))
+            out.append(_mat_canonical(entries))
         return out
 
 

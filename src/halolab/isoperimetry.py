@@ -3,8 +3,11 @@ the almost-invariant lift, the power transform, and product boundaries.
 
 Conventions fixed once here: gradient sums run over ordered pairs (g, s)
 with s ranging over the full symmetric generator list, so each geometric
-edge is counted twice.  p = 1 is exact rational arithmetic end-to-end;
-p > 1 uses compensated float summation with p-th roots at the last step.
+edge is counted twice.  p = 1 with int/Fraction values is exact: the
+values are scaled to integers by the lcm of their denominators, so the
+gradient sums integers and the ratio is a Fraction.  Float values (at
+p = 1 too) and p > 1 use compensated float summation with p-th roots at
+the last step.
 """
 from __future__ import annotations
 
@@ -109,15 +112,17 @@ def gradient_ratio(group: GroupHandle, f: FiniteFunction) -> Value:
     p = f.p
     gens = group.generators()
     entries = f.entries
-    if p == 1:
-        grad = Fraction(0)
-        for g, v in entries.items():
+    if p == 1 and all(isinstance(v, (int, Fraction)) for v in entries.values()):
+        scale = math.lcm(*{v.denominator for v in entries.values()})
+        ints = {g: v.numerator * (scale // v.denominator) for g, v in entries.items()}
+        grad = 0
+        for g, v in ints.items():
             for s in gens:
-                w = entries.get(group.multiply(g, s), 0)
+                w = ints.get(group.multiply(g, s), 0)
                 grad += abs(v - w)
                 if w == 0:
                     grad += abs(v)
-        return grad / f.norm()
+        return Fraction(grad, sum(map(abs, ints.values())))
     pf = float(p)
     terms = []
     for g, v in entries.items():

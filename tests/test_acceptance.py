@@ -23,8 +23,7 @@ from halolab.embeddings import (coset_system_mZ, lamplighter_in_halo,
 from halolab.errors import BudgetError
 from halolab.gf import GF
 from halolab.groups import CyclicGroup, ZdGroup, ball
-from halolab.halo import (commutativity_constant, enumerate_block,
-                          lamp_growth, make_halo)
+from halolab.halo import commutativity_constant, enumerate_block, make_halo
 from halolab.isoperimetry import (FiniteFunction, almost_invariant_lift,
                                   boundary, folner_function, gradient_ratio,
                                   power_transform_bound, product_boundary,
@@ -62,10 +61,7 @@ def test_criterion_01_lift_ratio_equality():
             U = [(i,) for i in supp]
             V = {halo.base.multiply(u, s) for u in U
                  for s in halo.base.generators()} | set(U)
-            lam = lamp_growth(halo.family,
-                              getattr(halo, "fiber", None) or
-                              getattr(halo, "tracks", None) or
-                              getattr(halo, "gf", None), len(V))
+            lam = halo.growth(len(V))
             if lam > 10 ** 6:
                 skipped.append(f"{fname}/{sname} (Lambda({len(V)}) = {lam:,})")
                 continue

@@ -1,0 +1,303 @@
+"""Halo arithmetic against a keyed reference.
+
+The reference below is the lamp arithmetic as it stood before payloads
+were sorted by the points' own order: every payload helper sorts with an
+explicit site key (the base sort_key; (sort_key(x), i) for juggler
+points), permutations compose through two dicts over the union of the
+supports, and a product always translates and then composes.  halo.py
+must agree with it payload for payload.
+"""
+import functools
+import itertools
+import random
+
+import pytest
+
+from halolab.descriptor import parse_descriptor
+from halolab.gf import GF
+from halolab.groups import (CyclicGroup, HeisenbergGroup, ProductGroup,
+                            SymmetricGroup, ZdGroup, ball)
+from halolab.halo import enumerate_block, make_halo
+
+# ---------------------------------------------------------------------------
+# the keyed reference helpers
+
+
+def _perm_apply(p, x):
+    return p.get(x, x)
+
+
+def _perm_canonical(mapping, key):
+    items = [(x, y) for x, y in mapping.items() if x != y]
+    items.sort(key=lambda xy: key(xy[0]))
+    return tuple(items)
+
+
+def _perm_compose(a, b, key):
+    da, db = dict(a), dict(b)
+    out = {}
+    for x in set(da) | set(db):
+        out[x] = _perm_apply(da, _perm_apply(db, x))
+    return _perm_canonical(out, key)
+
+
+def _perm_invert(a, key):
+    return _perm_canonical({y: x for x, y in a}, key)
+
+
+def _perm_translate(move, h, a, key):
+    return _perm_canonical({move(h, x): move(h, y) for x, y in a}, key)
+
+
+def _map_canonical(mapping, fiber, key):
+    e = fiber.identity()
+    items = [(x, v) for x, v in mapping.items() if v != e]
+    items.sort(key=lambda xv: key(xv[0]))
+    return tuple(items)
+
+
+def _map_compose(da, db, fiber, key):
+    e = fiber.identity()
+    out = {x: fiber.multiply(da.get(x, e), db.get(x, e)) for x in set(da) | set(db)}
+    return _map_canonical(out, fiber, key)
+
+
+def _map_translate(base, h, a, fiber, key):
+    return _map_canonical({base.multiply(h, x): v for x, v in a}, fiber, key)
+
+
+def _mat_canonical(entries, key):
+    items = [((p, q), v) for (p, q), v in entries.items() if v != (1 if p == q else 0)]
+    items.sort(key=lambda e: (key(e[0][0]), key(e[0][1])))
+    return tuple(items)
+
+
+def _mat_sites(a):
+    return frozenset(x for (p, q), _ in a for x in (p, q))
+
+
+def _mat_compose(a, b, gf, key):
+    sites = _mat_sites(a) | _mat_sites(b)
+    da, db = dict(a), dict(b)
+
+    def entry(d, p, q):
+        return d.get((p, q), 1 if p == q else 0)
+
+    out = {}
+    for p in sites:
+        for q in sites:
+            acc = 0
+            for x in sites:
+                acc = gf.add(acc, gf.mul(entry(da, p, x), entry(db, x, q)))
+            out[(p, q)] = acc
+    return _mat_canonical(out, key)
+
+
+def _mat_from_rows(rows, sites, key):
+    return _mat_canonical({(p, q): rows[i][j] for i, p in enumerate(sites)
+                           for j, q in enumerate(sites)}, key)
+
+
+def _mat_invert(a, gf, key):
+    sites = sorted(_mat_sites(a), key=key)
+    n = len(sites)
+    d = dict(a)
+    aug = [[d.get((p, q), 1 if p == q else 0) for q in sites] +
+           [1 if j == i else 0 for j in range(n)] for i, p in enumerate(sites)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv = gf.inv(aug[col][col])
+        aug[col] = [gf.mul(inv, v) for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [gf.sub(v, gf.mul(factor, w)) for v, w in zip(aug[r], aug[col])]
+    return _mat_from_rows([row[n:] for row in aug], sites, key)
+
+
+class Reference:
+    """The lamp and element arithmetic of one halo, by the keyed helpers."""
+
+    def __init__(self, halo):
+        self.halo = halo
+        self.base = base = halo.base
+        self.family = halo.family
+        if self.family == "juggler":
+            self.key = lambda point: (base.sort_key(point[0]), point[1])
+        else:
+            self.key = base.sort_key
+
+    def _move(self, h, x):
+        if self.family == "juggler":
+            return (self.base.multiply(h, x[0]), x[1])
+        return self.base.multiply(h, x)
+
+    def compose(self, a, b):
+        fam, key = self.family, self.key
+        if fam in ("shuffler", "juggler"):
+            return _perm_compose(a, b, key)
+        if fam == "wreath":
+            return _map_compose(dict(a), dict(b), self.halo.fiber, key)
+        if fam == "designer":
+            (fa, pa), (fb, pb) = a, b
+            dpa = dict(pa)
+            shifted = {_perm_apply(dpa, x): v for x, v in fb}
+            return (_map_compose(dict(fa), shifted, self.halo.fiber, key),
+                    _perm_compose(pa, pb, key))
+        return _mat_compose(a, b, self.halo.gf, key)
+
+    def invert_lamp(self, a):
+        fam, key = self.family, self.key
+        if fam in ("shuffler", "juggler"):
+            return _perm_invert(a, key)
+        if fam == "wreath":
+            fiber = self.halo.fiber
+            return _map_canonical({x: fiber.invert(v) for x, v in a}, fiber, key)
+        if fam == "designer":
+            fa, pa = a
+            pinv = _perm_invert(pa, key)
+            dpinv = dict(pinv)
+            fiber = self.halo.fiber
+            out = {_perm_apply(dpinv, x): fiber.invert(v) for x, v in fa}
+            return (_map_canonical(out, fiber, key), pinv)
+        return _mat_invert(a, self.halo.gf, key)
+
+    def act(self, h, a):
+        fam, key, base = self.family, self.key, self.base
+        if fam in ("shuffler", "juggler"):
+            return _perm_translate(self._move, h, a, key)
+        if fam == "wreath":
+            return _map_translate(base, h, a, self.halo.fiber, key)
+        if fam == "designer":
+            fa, pa = a
+            return (_map_translate(base, h, fa, self.halo.fiber, key),
+                    _perm_translate(base.multiply, h, pa, key))
+        return _mat_canonical({(base.multiply(h, p), base.multiply(h, q)): v
+                               for (p, q), v in a}, key)
+
+    def multiply(self, x, y):
+        (sa, ha), (sb, hb) = x, y
+        return (self.compose(sa, self.act(ha, sb)), self.base.multiply(ha, hb))
+
+    def invert(self, x):
+        sa, ha = x
+        hinv = self.base.invert(ha)
+        return (self.invert_lamp(self.act(hinv, sa)), hinv)
+
+    def block(self, sites):
+        fam, key, halo = self.family, self.key, self.halo
+        sites = sorted(sites, key=self.base.sort_key)
+        if fam == "wreath":
+            return [_map_canonical(dict(zip(sites, values)), halo.fiber, key)
+                    for values in itertools.product(halo.fiber.elements(),
+                                                    repeat=len(sites))]
+        if fam in ("shuffler", "juggler"):
+            points = sites if fam == "shuffler" else \
+                [(x, i) for x in sites for i in range(halo.tracks)]
+            return [_perm_canonical(dict(zip(points, images)), key)
+                    for images in itertools.permutations(points)]
+        if fam == "designer":
+            perms = [_perm_canonical(dict(zip(sites, images)), key)
+                     for images in itertools.permutations(sites)]
+            return [(_map_canonical(dict(zip(sites, values)), halo.fiber, key), p)
+                    for values in itertools.product(halo.fiber.elements(),
+                                                    repeat=len(sites))
+                    for p in perms]
+        gf = halo.gf
+        if fam == "upcloner":
+            ordered = sorted(sites, key=functools.cmp_to_key(self.base.compare))
+            pairs = list(itertools.combinations(ordered, 2))
+            return [_mat_canonical(dict(zip(pairs, values)), key)
+                    for values in itertools.product(gf.elements, repeat=len(pairs))]
+        # cloner: the rows of every invertible matrix, in the order of halo.py
+        n = len(sites)
+        out = []
+
+        def extend(rows, span):
+            if len(rows) == n:
+                out.append(_mat_from_rows(rows, sites, key))
+                return
+            for v in itertools.product(range(gf.q), repeat=n):
+                if v not in span:
+                    extend(rows + [list(v)],
+                           {tuple(gf.add(a, gf.mul(c, b)) for a, b in zip(w, v))
+                            for w in span for c in range(gf.q)})
+
+        extend([], {(0,) * n})
+        return out
+
+
+# ---------------------------------------------------------------------------
+
+Z, Z2, ZLEX, Z2LEX = ZdGroup(1), ZdGroup(2), ZdGroup(1, True), ZdGroup(2, True)
+H3 = HeisenbergGroup()
+ZxC3 = ProductGroup(Z, CyclicGroup(3))
+C2, C3, S3 = CyclicGroup(2), CyclicGroup(3), SymmetricGroup(3)
+
+HALOS = [
+    ("wreath", C2, Z), ("wreath", C3, Z2), ("wreath", S3, H3), ("wreath", C2, ZxC3),
+    ("shuffler", None, Z), ("shuffler", None, Z2), ("shuffler", None, H3),
+    ("shuffler", None, ZxC3),
+    ("juggler", 1, Z), ("juggler", 2, Z), ("juggler", 2, Z2), ("juggler", 3, ZxC3),
+    ("designer", C2, Z), ("designer", C3, Z2), ("designer", S3, Z), ("designer", C2, H3),
+    ("cloner", GF(2), Z), ("cloner", GF(3), Z2), ("cloner", GF(2), H3),
+    ("cloner", GF(3), ZxC3),
+    ("upcloner", GF(2), ZLEX), ("upcloner", GF(3), ZLEX), ("upcloner", GF(2), Z2LEX),
+]
+IDS = [f"{fam}-{getattr(p, 'spec', p)}-{base.spec}" for fam, p, base in HALOS]
+
+
+@pytest.mark.parametrize("family, params, base", HALOS, ids=IDS)
+def test_halo_arithmetic_matches_keyed_reference(family, params, base):
+    halo = make_halo(family, params, base)
+    ref = Reference(halo)
+    rng = random.Random(halo.spec)
+    gens = halo.generators()
+    # words built by the reference alone, so no shortcut of halo.multiply feeds them
+    elems = [halo.identity()]
+    for _ in range(40):
+        x = halo.identity()
+        for _ in range(rng.randint(1, 10)):
+            x = ref.multiply(x, rng.choice(gens))
+        elems.append(x)
+    assert len(set(elems)) > 20, "the random words should reach distinct elements"
+    for x in elems:
+        assert halo.invert(x) == ref.invert(x)
+        for s in gens:
+            assert halo.multiply(x, s) == ref.multiply(x, s)
+    for _ in range(150):
+        x, y = rng.choice(elems), rng.choice(elems)
+        assert halo.multiply(x, y) == ref.multiply(x, y)
+        assert halo.lamp_compose(x[0], y[0]) == ref.compose(x[0], y[0])
+        h = rng.choice(elems)[1]
+        assert halo.lamp_act(h, x[0]) == ref.act(h, x[0])
+
+
+@pytest.mark.parametrize("family, params, base", HALOS, ids=IDS)
+def test_enumerate_block_matches_keyed_reference(family, params, base):
+    halo = make_halo(family, params, base)
+    ref = Reference(halo)
+    rng = random.Random(halo.spec)
+    window = sorted(ball(base, 2).elements, key=base.sort_key)
+    for k in (1, 2, 3):
+        if halo.growth(k) > 1500:
+            continue
+        for _ in range(3):
+            sites = rng.sample(window, k)
+            rng.shuffle(sites)
+            assert enumerate_block(halo, sites) == ref.block(sites), sites
+
+
+def test_payload_order_is_sort_key_order_on_every_parsed_base():
+    """Payloads are sorted by the points' own order, which is sort_key
+    order exactly when sorted(xs) == sorted(xs, key=sort_key)."""
+    specs = ["Z", "Z^2", "Z^3", "Z:lex", "Z^2:lex", "C2", "C5", "H3", "Z x C3",
+             "Z^2 x H3", "C2 x Z x Z:lex", "wreath(C2, Z)", "shuffler(Z)",
+             "juggler(2, Z)", "designer(C2, Z)", "cloner(GF2, Z)", "upcloner(GF2, Z:lex)",
+             "shuffler(Z x C2)"]
+    for spec in specs:
+        g = parse_descriptor(spec).build()
+        xs = list(ball(g, 2).elements)
+        random.Random(spec).shuffle(xs)
+        assert sorted(xs) == sorted(xs, key=g.sort_key), spec

@@ -65,6 +65,68 @@ def test_gradient_ratio_indicator_relates_to_boundary():
         assert len(w.boundary) <= cut <= S * len(w.boundary)
 
 
+def _reference_gradient_ratio(group, f):
+    """||grad f||_1 / ||f||_1 by Fraction accumulation, term by term; float
+    values enter as the exact Fractions they stand for."""
+    gens = group.generators()
+    grad = Fraction(0)
+    for g, v in f.entries.items():
+        v = Fraction(v)
+        for s in gens:
+            w = Fraction(f.entries.get(group.multiply(g, s), 0))
+            grad += abs(v - w)
+            if w == 0:
+                grad += abs(v)
+    return grad / sum(abs(Fraction(v)) for v in f.entries.values())
+
+
+def _mixed_values(rng, points):
+    """Fractions of mixed signs and denominators, with some plain ints."""
+    return {x: rng.randint(-4, 4) if rng.random() < 0.3
+            else Fraction(rng.randint(-30, 30), rng.randint(1, 12)) for x in points}
+
+
+def test_gradient_ratio_p1_is_the_exact_fraction():
+    rng = random.Random(11)
+    window = sorted(ball(Z2, 3).elements)
+    cases = [(Z2, FiniteFunction(_mixed_values(rng, rng.sample(window, rng.randint(1, 12))), 1))
+             for _ in range(60)]
+    cases.append((Z2, FiniteFunction({(0, 0): 3, (1, 0): -2, (0, 1): 7}, 1)))
+    for spec, U in (("wreath(C2, Z)", [(0,), (1,)]), ("shuffler(Z)", [(0,), (1,)]),
+                    ("juggler(2, Z)", [(0,)]), ("cloner(GF2, Z)", [(0,)])):
+        halo = make_group(spec)
+        for _ in range(2):
+            f = FiniteFunction(_mixed_values(rng, U), 1)
+            g = almost_invariant_lift(halo, f)
+            assert gradient_ratio(halo, g) == gradient_ratio(Z, f), spec
+            cases.append((halo, g))
+    for group, f in cases:
+        r = gradient_ratio(group, f)
+        assert type(r) is Fraction
+        assert r == _reference_gradient_ratio(group, f)
+
+
+def test_gradient_ratio_p1_float_values_agree_with_the_exact_ratio():
+    rng = random.Random(12)
+    window = sorted(ball(Z2, 3).elements)
+    cases = []
+    for _ in range(60):
+        supp = rng.sample(window, rng.randint(1, 12))
+        cases.append(FiniteFunction({x: rng.uniform(-5, 5) for x in supp}, 1))
+        # one float among Fractions makes the whole sum a float one
+        cases.append(FiniteFunction({x: rng.uniform(-5, 5) if i == 0 else
+                                     Fraction(rng.randint(1, 9), 7)
+                                     for i, x in enumerate(supp)}, 1))
+        # criterion 9's route to float values at p = 1
+        f = FiniteFunction({x: float(rng.randint(1, 9)) for x in supp}, 3)
+        cases.append(power_transform(f, Fraction(5, 2), 1))
+    for f in cases:
+        r = gradient_ratio(Z2, f)
+        exact = _reference_gradient_ratio(Z2, f)
+        assert type(r) is float
+        assert abs(r - exact) <= 1e-12 * exact
+
+
 def test_profile_exact_on_z():
     pts = profile_exact(Z, 10, 11)
     for pt in pts:
