@@ -9,6 +9,7 @@ carry exact word lengths plus parent pointers for geodesic words.
 """
 from __future__ import annotations
 
+import operator
 import sys
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
@@ -91,7 +92,7 @@ class ZdGroup(GroupHandle):
         return (0,) * self.d
 
     def multiply(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
+        return tuple(map(operator.add, a, b))
 
     def invert(self, a):
         return tuple(-x for x in a)

@@ -265,13 +265,6 @@ class HaloGroup(GroupHandle):
         lamp, cursor = a
         return f"lamp={lamp!r} cursor={self.base.element_str(cursor)}"
 
-    def element_json(self, a) -> dict:
-        lamp, cursor = a
-        return {
-            "lamp": {"variant": self.family, "entries": [repr(e) for e in lamp]},
-            "cursor": self.base.element_str(cursor),
-        }
-
     # -- shared helpers -----------------------------------------------------
     def base_ball(self, radius: int) -> Ball:
         if radius not in self._base_balls:

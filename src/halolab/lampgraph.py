@@ -232,13 +232,17 @@ def _bigstep_distances(net: SeparatedNet) -> Dict[Tuple, int]:
     return dist
 
 
-def net_metric_check(net: SeparatedNet) -> bool:
-    """For net pairs (both in the ball interior): with d_big the bigstep
-    word metric of the group and d_X0 the net-graph metric,
-    d_big <= d_X0 <= (2D+5) * d_big.
+def _net_metric_pairs(net: SeparatedNet
+                      ) -> Tuple[Dict[Tuple, Optional[int]], Tuple[int, int, int]]:
+    """The pairs behind :func:`net_metric_check`, with their counts.
 
-    d_big is computed by BFS over bigstep words inside a window large
-    enough to contain geodesics between interior points.
+    Returns ``(d_big, (checked, skipped, failed))``.  ``d_big`` maps every
+    ordered pair (x, y) of interior net points that the net graph joins to
+    its bigstep distance, or to None when that distance exceeds the BFS
+    cutoff.  A pair is checked when both distances are known, and failed
+    when the bound breaks; every other interior pair (not joined by the
+    net graph, or beyond the cutoff) is skipped, so checked + skipped is
+    the number of ordered interior pairs.
     """
     g = net.group
     L = 2 * net.D + 5
@@ -246,30 +250,60 @@ def net_metric_check(net: SeparatedNet) -> bool:
     interior_r = net.radius - net.separation
     pts = [x for x in net.X0 if b.lengths[x] <= interior_r]
     dX = _bigstep_distances(net)
-    # bigstep metric on the window via BFS from identity translated to x
-    big = list(net.bigstep)
-    window = set(ball(g, 3 * net.radius + 3 * L).elements)
+    pairs = {}  # (x, y) -> x^-1 y, for the pairs the net graph joins
     for x in pts:
-        d = {x: 0}
-        frontier = [x]
-        while frontier and max(d[u] for u in frontier) < len(pts) + 2:
-            nxt = []
-            for u in frontier:
-                for s in big:
-                    w = g.multiply(u, s)
-                    if w in window and w not in d:
-                        d[w] = d[u] + 1
-                        nxt.append(w)
-            frontier = nxt
+        xi = g.invert(x)
         for y in pts:
-            if (x, y) not in dX:
-                continue
-            dby = d.get(y)
-            if dby is None:
-                continue
-            if not (dby <= dX[(x, y)] <= L * dby if dby else dX[(x, y)] == 0):
-                return False
-    return True
+            if (x, y) in dX:
+                pairs[(x, y)] = g.multiply(xi, y)
+    e = g.identity()
+    d = {e: 0}
+    todo = set(pairs.values()) - {e}
+    window = ball(g, 3 * net.radius + 3 * L).elements
+    frontier = [e]
+    depth = 0
+    while frontier and todo and depth < len(pts) + 2:
+        depth += 1
+        nxt = []
+        for u in frontier:
+            for s in net.bigstep:
+                w = g.multiply(u, s)
+                if w in window and w not in d:
+                    d[w] = depth
+                    nxt.append(w)
+                    todo.discard(w)
+        frontier = nxt
+    d_big = {xy: d.get(z) for xy, z in pairs.items()}
+    checked = failed = 0
+    for xy, dby in d_big.items():
+        if dby is None:
+            continue
+        checked += 1
+        dxy = dX[xy]
+        if not (dby <= dxy <= L * dby if dby else dxy == 0):
+            failed += 1
+    return d_big, (checked, len(pts) ** 2 - checked, failed)
+
+
+def net_metric_check(net: SeparatedNet) -> bool:
+    """For net pairs (both in the ball interior): with d_big the bigstep
+    word metric of the group and d_X0 the net-graph metric,
+    d_big <= d_X0 <= (2D+5) * d_big.  Pairs whose d_big lies beyond the
+    BFS cutoff below are skipped; :func:`_net_metric_pairs` counts them.
+
+    The bigstep metric is left-invariant, d_big(x, y) = d_big(e, x^-1 y),
+    so one BFS from the identity over the bigstep generators serves every
+    pair.  It stops as soon as every target x^-1 y has a distance, and
+    otherwise at depth len(pts) + 2 (the cutoff).  It stays inside the
+    window Ball(3r + 3L), L = 2D + 5, which contains a bigstep geodesic
+    from e to each target: for interior x, y the target z = x^-1 y has
+    |z| <= 2 r_int (r_int the interior radius); cutting a geodesic word
+    for z into pieces of length <= L gives d_big(e, z) = k <= ceil(|z|/L),
+    and each vertex of a bigstep geodesic from e to z has length at most
+    kL < 2 r_int + L.  So the BFS returns the true d_big whenever it is
+    within the cutoff, and None otherwise.
+    """
+    return _net_metric_pairs(net)[1][2] == 0
 
 
 # ---------------------------------------------------------------------------

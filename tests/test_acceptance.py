@@ -28,10 +28,10 @@ from halolab.isoperimetry import (FiniteFunction, almost_invariant_lift,
                                   boundary, folner_function, gradient_ratio,
                                   power_transform_bound, product_boundary,
                                   profile_exact)
-from halolab.lampgraph import (build_Ystar, check_iso_to_lamplighter,
-                               complete_graph, greedy_net,
-                               net_is_maximal_in_interior, net_is_separated,
-                               net_metric_check)
+from halolab.lampgraph import (_net_metric_pairs, build_Ystar,
+                               check_iso_to_lamplighter, complete_graph,
+                               greedy_net, net_is_maximal_in_interior,
+                               net_is_separated, net_metric_check)
 
 Z = ZdGroup(1, False)
 ZLEX = ZdGroup(1, True)
@@ -230,11 +230,14 @@ def test_criterion_08_ystar_isomorphism_and_metric():
     assert net_is_separated(net) and net_is_maximal_in_interior(net)
     assert net_metric_check(net)
     # metric bounds exhaustively on larger windows too
-    for group, radius in ((Z, 6), (Z2, 6)):
-        bigger = greedy_net(group, radius, 1)
-        assert net_metric_check(bigger)
+    checked = skipped = 0
+    for n in (net, greedy_net(Z, 6, 1), greedy_net(Z2, 6, 1)):
+        c, s, failed = _net_metric_pairs(n)[1]
+        assert c > 0 and failed == 0
+        checked, skipped = checked + c, skipped + s
     record_criterion(8, True, "Y* isomorphic to the block-over-net lamplighter "
-                              "graph; net metric bounds hold exhaustively")
+                              f"graph; net metric bounds hold on {checked} "
+                              f"interior pairs of 3 nets ({skipped} skipped)")
 
 
 def test_criterion_09_power_transform_inequality():

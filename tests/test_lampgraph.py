@@ -1,10 +1,13 @@
+from dataclasses import replace
+
 import pytest
 
 from halolab.errors import BudgetError, ContractViolation
 from halolab.gf import GF
-from halolab.groups import CyclicGroup, ZdGroup
+from halolab.groups import CyclicGroup, SymmetricGroup, ZdGroup, ball
 from halolab.halo import make_halo
-from halolab.lampgraph import (FiniteGraph, build_Ystar,
+from halolab.lampgraph import (FiniteGraph, _bigstep_distances,
+                               _net_metric_pairs, build_Ystar,
                                check_iso_to_lamplighter, complete_graph,
                                graph_from_edges, graph_isomorphism,
                                greedy_net, lamplighter_graph,
@@ -65,11 +68,105 @@ def test_greedy_net_small_radius():
 
 
 def test_net_metric_bounds_on_z_and_z2():
-    for group, radius in ((Z, 6), (Z2, 6), (Z, 5)):
+    for group, radius in ((Z, 6), (Z2, 6), (Z, 5), (Z2, 9)):
         for D in (0, 1):
             net = greedy_net(group, radius, D)
             assert net_is_separated(net)
             assert net_metric_check(net), (group.spec, radius, D)
+            checked, skipped, failed = _net_metric_pairs(net)[1]
+            assert checked > 0 and failed == 0, (group.spec, radius, D)
+
+
+def _per_source_d_big(net):
+    """Oracle: bigstep distances without left-invariance.  One BFS per
+    interior net point x, right-multiplying by bigstep generators from x
+    itself, inside the window Ball(3r + 3L) and to depth len(pts) + 2.  A
+    source stops once it has labelled every y it is asked for; BFS labels
+    are final, so this changes no distance."""
+    g = net.group
+    L = 2 * net.D + 5
+    b = ball(g, net.radius)
+    interior_r = net.radius - net.separation
+    pts = [x for x in net.X0 if b.lengths[x] <= interior_r]
+    dX = _bigstep_distances(net)
+    window = set(ball(g, 3 * net.radius + 3 * L).elements)
+    out = {}
+    for x in pts:
+        want = {y for y in pts if (x, y) in dX}
+        d = {x: 0}
+        frontier = [x]
+        while (frontier and not want <= d.keys()
+               and max(d[u] for u in frontier) < len(pts) + 2):
+            nxt = []
+            for u in frontier:
+                for s in net.bigstep:
+                    w = g.multiply(u, s)
+                    if w in window and w not in d:
+                        d[w] = d[u] + 1
+                        nxt.append(w)
+            frontier = nxt
+        for y in pts:
+            if (x, y) in dX:
+                out[(x, y)] = d.get(y)
+    failed = sum(1 for xy, dby in out.items() if dby is not None and not (
+        dby <= dX[xy] <= L * dby if dby else dX[xy] == 0))
+    return out, len(pts), failed
+
+
+def _assert_matches_oracle(net):
+    d_big, (checked, skipped, failed) = _net_metric_pairs(net)
+    want, n_pts, want_failed = _per_source_d_big(net)
+    assert d_big == want
+    assert checked == sum(1 for dby in want.values() if dby is not None)
+    assert checked + skipped == n_pts ** 2
+    assert failed == want_failed
+    assert net_metric_check(net) == (want_failed == 0)
+    return checked, skipped, failed
+
+
+@pytest.mark.parametrize("group, radius, D", [
+    (Z, 5, 0), (Z, 5, 1), (Z, 6, 0), (Z, 6, 1), (Z, 12, 0), (Z, 12, 1),
+    (Z2, 6, 0), (Z2, 6, 1),
+    # non-abelian: d_big(x, y) is d_big(e, x^-1 y), not d_big(e, y x^-1)
+    (SymmetricGroup(5), 10, 0),
+])
+def test_net_metric_pairs_match_per_source_oracle(group, radius, D):
+    checked, skipped, failed = _assert_matches_oracle(greedy_net(group, radius, D))
+    assert checked > 0 and failed == 0
+
+
+def test_net_metric_pairs_z2_radius_7_counts():
+    assert _assert_matches_oracle(greedy_net(Z2, 7, 1)) == (81, 0, 0)
+
+
+@pytest.mark.parametrize("r_int, want", [(10, (4, 0, 0)), (12, (2, 2, 0))])
+def test_net_metric_pairs_at_the_depth_cutoff(r_int, want):
+    # Two interior points (r_int, 0) and (-r_int, 0), joined only through a
+    # chain of net points just outside the interior, so the cutoff is
+    # len(pts) + 2 = 4 while d_big = ceil(2 r_int / 5): 4 at r_int 10 (the
+    # last depth the BFS reaches), 5 at r_int 12 (one beyond: skipped).
+    rim = [(r_int + 1 - k, k) for k in range(r_int + 2)]
+    rim += [(-a, b) for a, b in rim if a]
+    net = replace(greedy_net(Z2, 0, 0), radius=r_int + 2,
+                  X0=((r_int, 0), (-r_int, 0), *rim))
+    assert _assert_matches_oracle(net) == want
+
+
+def test_net_metric_check_fails_on_a_long_detour():
+    # Hand-made net on Z^2, D = 0 (L = 5): (3, 0) and (-3, 0) are 6 apart,
+    # so d_big = 2, but the net graph joins them only up one column, across
+    # the top and down the other: 12 hops > L * d_big = 10.  Every other
+    # pair keeps the bound.
+    up = [(3, k) for k in range(0, 26, 5)]
+    X0 = (*up, (0, 25), *[(-a, b) for a, b in reversed(up)])
+    net = replace(greedy_net(Z2, 0, 0), radius=30, X0=X0)
+    d_big, counts = _net_metric_pairs(net)
+    assert counts == (169, 0, 2)
+    dX = _bigstep_distances(net)
+    assert {xy for xy, dby in d_big.items() if dX[xy] > 5 * dby} == {
+        ((3, 0), (-3, 0)), ((-3, 0), (3, 0))}
+    assert d_big[((3, 0), (-3, 0))] == 2 and dX[((3, 0), (-3, 0))] == 12
+    assert net_metric_check(net) is False
 
 
 def test_ystar_shuffler_example():
