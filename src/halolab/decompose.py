@@ -38,15 +38,18 @@ DEFAULT_WORD_CAP = 10 ** 5
 
 
 def evaluate_word(halo: HaloGroup, word: Word):
+    """The product of the word's letters; a +1 letter is one halo.step."""
     gens = halo.generators()
     out = halo.identity()
     for idx, exp in word:
-        g = gens[idx]
-        if exp == -1:
-            g = halo.invert(g)
-        elif exp != 1:
+        if not 0 <= idx < len(gens):
+            raise ContractViolation(f"generator index {idx} out of range")
+        if exp == 1:
+            out = halo.step(out, idx)
+        elif exp == -1:
+            out = halo.multiply(out, halo.invert(gens[idx]))
+        else:
             raise ContractViolation("word exponents must be +-1")
-        out = halo.multiply(out, g)
     return out
 
 

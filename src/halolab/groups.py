@@ -9,6 +9,7 @@ carry exact word lengths plus parent pointers for geodesic words.
 """
 from __future__ import annotations
 
+import functools
 import operator
 import sys
 from typing import Any, Dict, Iterable, List, Optional, Tuple
@@ -26,6 +27,12 @@ class GroupHandle:
     Subclasses must provide identity/multiply/invert/generators and a
     structural sort key used for deterministic tie-breaking.  Elements are
     immutable values with structural equality (tuples, ints).
+
+    ``step(a, i)`` is the right multiplication a * generators()[i] for
+    0 <= i < len(generators()); it must equal ``multiply(a,
+    generators()[i])`` exactly.  The default calls multiply on a generator
+    list fetched once per handle; a subclass may override it with a
+    cheaper edit of ``a`` (halo products do).
     """
 
     spec: str = "?"
@@ -43,6 +50,14 @@ class GroupHandle:
     def generators(self) -> List[Element]:
         """Ordered list of non-identity generators, closed under inversion."""
         raise NotImplementedError
+
+    @functools.cached_property
+    def _step_generators(self) -> List[Element]:
+        return self.generators()
+
+    def step(self, a: Element, i: int) -> Element:
+        """a * generators()[i], for 0 <= i < len(generators())."""
+        return self.multiply(a, self._step_generators[i])
 
     def sort_key(self, a: Element):
         """Deterministic structural key; total on any finite element set.
@@ -93,6 +108,9 @@ class ZdGroup(GroupHandle):
 
     def multiply(self, a, b):
         return tuple(map(operator.add, a, b))
+
+    def step(self, a, i):
+        return tuple(map(operator.add, a, self._gens[i]))
 
     def invert(self, a):
         return tuple(-x for x in a)

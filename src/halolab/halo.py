@@ -19,12 +19,32 @@ sort_key(q)) too.  The payload format is private to this module:
 payloads are built only by each family's ``make_lamp`` (from a mapping,
 checked) and by the family methods (``lamp_compose``, ``lamp_act``,
 ``block_elements``, ...); other modules go through those.
+
+``step(a, i)`` is a * generators()[i] without a general product.  A base
+generator moves only the cursor: (sigma, base.step(h, j)), so halos over
+halos step through their base's own step.  A lamp generator t at cursor h
+right-multiplies sigma by its translate t_h = lamp_act(h, t), which is
+computed once per cursor and kept (at most _STEP_CACHE_CURSORS cursors),
+and ``_step_lamp`` applies t_h as a local edit of the sorted payload,
+with no dict round-trip and no re-sort:
+
+- shuffler / juggler: t_h is the transposition (P Q); sigma o (P Q)
+  trades the images of P and Q, found by bisection, and drops a point
+  that becomes fixed;
+- wreath: t_h = {h: f}; the value at h is multiplied by f;
+- designer: a fiber generator multiplies the value at sigma(h) by f, a
+  transposition edits the permutation part as for shuffler;
+- cloner / upcloner: t_h = I + lam E_PQ adds lam * column P to column Q;
+  a diagonal cloner generator (P = Q) scales column P by lam.
+
+``multiply`` stays the general product and the oracle for ``step``.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 import math
+from bisect import bisect_left, insort
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import BudgetError, ContractViolation
@@ -33,6 +53,7 @@ from .groups import Ball, GroupHandle, ball
 
 Lamp = Tuple  # canonical payload tuple, family-specific
 DEFAULT_ENUM_BUDGET = 10 ** 6
+_STEP_CACHE_CURSORS = 4096  # cursors whose translated lamp generators step() keeps
 
 
 # ---------------------------------------------------------------------------
@@ -63,6 +84,23 @@ def _perm_translate(move, h, a: Lamp) -> Lamp:
     return _perm_canonical({moved[x]: moved[y] for x, y in a})
 
 
+def _perm_image(a: Lamp, x):
+    i = bisect_left(a, (x,))
+    return a[i][1] if i < len(a) and a[i][0] == x else x
+
+
+def _perm_swap(a: Lamp, P, Q) -> Lamp:
+    """a o (P Q) for points P < Q: P and Q trade images, nothing else moves."""
+    i = bisect_left(a, (P,))
+    has_p = i < len(a) and a[i][0] == P
+    j = bisect_left(a, (Q,), i)
+    has_q = j < len(a) and a[j][0] == Q
+    image_p = a[j][1] if has_q else Q
+    image_q = a[i][1] if has_p else P
+    return (a[:i] + (((P, image_p),) if image_p != P else ()) + a[i + has_p:j]
+            + (((Q, image_q),) if image_q != Q else ()) + a[j + has_q:])
+
+
 def _perm_check(a: Lamp):
     # a canonical payload has distinct points and no fixed point, so it is a
     # bijection of its support exactly when the images cover the points
@@ -91,6 +129,16 @@ def _map_compose(da: Dict, db: Dict, fiber: GroupHandle) -> Lamp:
 def _map_translate(base: GroupHandle, h, a: Lamp, fiber: GroupHandle) -> Lamp:
     """h . a: the map x -> a(h^-1 x)."""
     return _map_canonical({base.multiply(h, x): v for x, v in a}, fiber)
+
+
+def _map_times_at(a: Lamp, x, f, fiber: GroupHandle) -> Lamp:
+    """a * {x: f}: the value at x is multiplied by f on the right."""
+    i = bisect_left(a, (x,))
+    if i < len(a) and a[i][0] == x:
+        v, j = fiber.multiply(a[i][1], f), i + 1
+    else:
+        v, j = f, i
+    return a[:i] + (((x, v),) if v != fiber.identity() else ()) + a[j:]
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +193,44 @@ def _mat_compose(a: Lamp, b: Lamp, gf: GF) -> Lamp:
     return _mat_canonical(out)
 
 
+def _mat_add_column(a: Lamp, P, Q, lam: int, gf: GF) -> Lamp:
+    """a * (I + lam E_PQ) for P != Q: column Q gains lam times column P."""
+    column = [(r, v) for (r, c), v in a if c == P and v]
+    i = bisect_left(a, ((P, P),))
+    if not (i < len(a) and a[i][0] == (P, P)):
+        insort(column, (P, 1))  # the implicit diagonal entry
+    add, mul = gf.add, gf.mul
+    out: List = []
+    pos = 0
+    for r, v in column:
+        key = (r, Q)
+        k = bisect_left(a, (key,), pos)
+        out += a[pos:k]
+        unit = 1 if r == Q else 0
+        if k < len(a) and a[k][0] == key:
+            old, pos = a[k][1], k + 1
+        else:
+            old, pos = unit, k
+        new = add(old, mul(lam, v))
+        if new != unit:
+            out.append((key, new))
+    out += a[pos:]
+    return tuple(out)
+
+
+def _mat_scale_column(a: Lamp, P, lam: int, gf: GF) -> Lamp:
+    """a * diag(.., lam at P, ..) for a unit lam != 1: column P times lam."""
+    mul = gf.mul
+    out = [((r, c), mul(lam, v)) if c == P else ((r, c), v) for (r, c), v in a]
+    i = bisect_left(out, ((P, P),))
+    if i < len(out) and out[i][0] == (P, P):
+        if out[i][1] == 1:
+            del out[i]
+    else:
+        out.insert(i, ((P, P), lam))  # the implicit diagonal 1, scaled
+    return tuple(out)
+
+
 def _mat_rows(a: Lamp, sites: Sequence) -> List[List[int]]:
     d = dict(a)
     return [[_mat_entry(d, p, q) for q in sites] for p in sites]
@@ -190,6 +276,8 @@ class HaloGroup(GroupHandle):
         self.base = base
         self.params = params  # the family parameter, as make_halo and lamp_growth take it
         self._gens: Optional[List] = None
+        self._base_gen_offset: Optional[int] = None
+        self._translated: Dict = {}  # cursor h -> [lamp_act(h, t) for each lamp generator t]
         self._base_balls: Dict[int, Ball] = {}
 
     # -- family interface ---------------------------------------------------
@@ -215,6 +303,11 @@ class HaloGroup(GroupHandle):
         raise NotImplementedError
 
     def lamp_generators(self) -> List[Lamp]:
+        raise NotImplementedError
+
+    def _step_lamp(self, a: Lamp, t: Lamp) -> Lamp:
+        """lamp_compose(a, t) for t a translated lamp generator, as a local
+        edit of a."""
         raise NotImplementedError
 
     def block_elements(self, sites: Sequence) -> List[Lamp]:
@@ -256,6 +349,24 @@ class HaloGroup(GroupHandle):
         if self._gens is None:
             self.generators()
         return self._base_gen_offset
+
+    def step(self, a, i):
+        """a * generators()[i] as a local edit: a base generator moves the
+        cursor only, a lamp generator edits the payload where its translate
+        to the cursor acts (see the module docstring)."""
+        lamp, h = a
+        off = self._base_gen_offset
+        if off is None:
+            off = self.base_gen_offset
+        if i >= off:
+            return (lamp, self.base.step(h, i - off))
+        moved = self._translated.get(h)
+        if moved is None:
+            if len(self._translated) >= _STEP_CACHE_CURSORS:
+                self._translated.clear()
+            moved = self._translated[h] = [self.lamp_act(h, t)
+                                           for t, _ in self._gens[:off]]
+        return (self._step_lamp(lamp, moved[i]), h)
 
     def sort_key(self, a):
         lamp, cursor = a
@@ -335,6 +446,10 @@ class WreathHalo(_FiberHalo):
                 gens.append(lamp)
         return gens
 
+    def _step_lamp(self, a, t):
+        ((x, f),) = t
+        return _map_times_at(a, x, f, self.fiber)
+
     def block_elements(self, sites):
         sites = sorted(sites)
         out = []
@@ -361,6 +476,10 @@ class _PermutationHalo(HaloGroup):
 
     def lamp_act(self, h, a):
         return _perm_translate(self._move, h, a)
+
+    def _step_lamp(self, a, t):
+        (P, _), (Q, _) = t  # a transposition, P < Q
+        return _perm_swap(a, P, Q)
 
 
 class ShufflerHalo(_PermutationHalo):
@@ -474,6 +593,14 @@ class DesignerHalo(_FiberHalo):
         fa, pa = a
         return frozenset(x for x, _ in fa) | frozenset(x for x, _ in pa)
 
+    def _step_lamp(self, a, t):
+        (fa, pa), (ft, pt) = a, t
+        if ft:  # {x: f}: the value at pa(x) is multiplied by f
+            ((x, f),) = ft
+            return (_map_times_at(fa, _perm_image(pa, x), f, self.fiber), pa)
+        (P, _), (Q, _) = pt
+        return (fa, _perm_swap(pa, P, Q))
+
     def lamp_generators(self):
         e = self.base.identity()
         gens = []
@@ -521,6 +648,12 @@ class _MatrixHalo(HaloGroup):
     def lamp_sites(self, a):
         return _mat_sites(a)
 
+    def _step_lamp(self, a, t):
+        (((P, Q), lam),) = t
+        if P == Q:
+            return _mat_scale_column(a, P, lam, self.gf)
+        return _mat_add_column(a, P, Q, lam, self.gf)
+
 
 class ClonerHalo(_MatrixHalo):
     """FGL(H) over GF(q) |x H: finitely supported invertible matrices."""
@@ -550,34 +683,38 @@ class ClonerHalo(_MatrixHalo):
         return gens
 
     def block_elements(self, sites):
+        """Rows are chosen top to bottom, each outside the span of the rows
+        above it, every choice in the lexicographic order of GF(q)^n.  A
+        vector is coded by its index in that order, so spans are sets of
+        ints grown through add/scale tables, and a payload is the
+        concatenation of its rows' precomputed entries (sites are sorted,
+        so row-major order is payload order)."""
         sites = sorted(sites)
         n = len(sites)
-        q = self.gf.q
+        if n == 0:
+            return [self.lamp_identity()]
+        gf, q = self.gf, self.gf.q
         vectors = list(itertools.product(range(q), repeat=n))
+        code = {v: c for c, v in enumerate(vectors)}
+        add = [[code[tuple(map(gf.add, u, v))] for v in vectors] for u in vectors]
+        multiples = [[code[tuple(gf.mul(c, x) for x in v)] for c in range(q)]
+                     for v in vectors]
+        row_entries = [[tuple(((p, sites[j]), x) for j, x in enumerate(v)
+                              if x != (1 if j == i else 0)) for v in vectors]
+                       for i, p in enumerate(sites)]
+        out: List[Lamp] = []
 
-        def add_vec(u, v):
-            return tuple(self.gf.add(a, b) for a, b in zip(u, v))
-
-        def scale_vec(c, u):
-            return tuple(self.gf.mul(c, a) for a in u)
-
-        out = []
-        zero = (0,) * n
-
-        def extend(rows, span):
-            if len(rows) == n:
-                out.append(_mat_from_rows(rows, sites))
+        def extend(i, prefix, span):
+            rows = row_entries[i]
+            if i == n - 1:
+                out.extend(prefix + row for c, row in enumerate(rows) if c not in span)
                 return
-            for v in vectors:
-                if v in span:
-                    continue
-                new_span = set()
-                for w in span:
-                    for c in range(q):
-                        new_span.add(add_vec(w, scale_vec(c, v)))
-                extend(rows + [list(v)], new_span)
+            for c, row in enumerate(rows):
+                if c not in span:
+                    extend(i + 1, prefix + row,
+                           {add[w][m] for w in span for m in multiples[c]})
 
-        extend([], {zero})
+        extend(0, (), {0})
         return out
 
 

@@ -106,19 +106,21 @@ def gradient_ratio(group: GroupHandle, f: FiniteFunction) -> Value:
     Only pairs with g or gs in supp f contribute; the sum iterates
     supp f x generators once, adding the mirrored term |f(g)|^p whenever
     gs leaves the support (that term is the (gs, s^-1) contribution).
+    Each gs is group.step(g, i), a local edit on halo products.
     """
     if not f.entries:
         raise ContractViolation("gradient_ratio of the empty function")
     p = f.p
-    gens = group.generators()
+    steps = range(len(group.generators()))
+    step = group.step
     entries = f.entries
     if p == 1 and all(isinstance(v, (int, Fraction)) for v in entries.values()):
         scale = math.lcm(*{v.denominator for v in entries.values()})
         ints = {g: v.numerator * (scale // v.denominator) for g, v in entries.items()}
         grad = 0
         for g, v in ints.items():
-            for s in gens:
-                w = ints.get(group.multiply(g, s), 0)
+            for i in steps:
+                w = ints.get(step(g, i), 0)
                 grad += abs(v - w)
                 if w == 0:
                     grad += abs(v)
@@ -127,8 +129,8 @@ def gradient_ratio(group: GroupHandle, f: FiniteFunction) -> Value:
     terms = []
     for g, v in entries.items():
         v = float(v)
-        for s in gens:
-            w = float(entries.get(group.multiply(g, s), 0))
+        for i in steps:
+            w = float(entries.get(step(g, i), 0))
             terms.append(abs(v - w) ** pf)
             if w == 0.0:
                 terms.append(abs(v) ** pf)
@@ -389,50 +391,6 @@ def folner_function(points: Sequence[ProfilePoint], target: Fraction):
         if qualifies and (best is None or len(w.A) < best):
             best = len(w.A)
     return best
-
-
-def spectral_refine(group: GroupHandle, A: Iterable,
-                    tol: float = 1e-10, max_iter: int = 10 ** 4) -> ProfilePoint:
-    """Optimal l^2 function supported on A: principal eigenvector of the
-    support-restricted gradient quadratic form, by inverse power iteration.
-
-    For f supported in A the form is Q(f) = 2(|S| ||f||^2 - <f, W f>) with
-    W the within-A adjacency (counted with multiplicity over generators),
-    so the minimizer is the top eigenvector of W, found by power iteration
-    on (W + |S| I) to guarantee positivity of the shift.
-    """
-    A = sorted(frozenset(A), key=group.sort_key)
-    if not A:
-        raise ContractViolation("spectral_refine of the empty set")
-    idx = {a: i for i, a in enumerate(A)}
-    gens = group.generators()
-    m = len(A)
-    W = [[0.0] * m for _ in range(m)]
-    for a in A:
-        i = idx[a]
-        for s in gens:
-            j = idx.get(group.multiply(a, s))
-            if j is not None:
-                W[i][j] += 1.0
-    shift = float(len(gens))
-    v = [1.0 / math.sqrt(m)] * m
-    mu = 0.0
-    for _ in range(max_iter):
-        w = [math.fsum(W[i][j] * v[j] for j in range(m)) + shift * v[i]
-             for i in range(m)]
-        norm = math.sqrt(math.fsum(x * x for x in w))
-        w = [x / norm for x in w]
-        mu_new = norm - shift
-        if abs(mu_new - mu) < tol:
-            mu = mu_new
-            v = w
-            break
-        mu, v = mu_new, w
-    f = FiniteFunction({a: v[idx[a]] for a in A}, 2)
-    ratio = gradient_ratio(group, f)
-    # profile convention: value = ||f|| / ||grad f||, larger is better
-    value = None if ratio == 0 else Fraction(1.0 / ratio).limit_denominator(10 ** 12)
-    return ProfilePoint(m, value, f, "spectral", False)
 
 
 # ---------------------------------------------------------------------------

@@ -121,7 +121,10 @@ def lamplighter_graph(B: FiniteGraph, A: FiniteGraph, support_cap: int,
                 f = tuple(sorted(zip(sites, values), key=lambda p: a_order[p[0]]))
                 configs.append(f)
                 if len(configs) * len(A.vertices) > vertex_budget:
-                    raise BudgetError(f"vertex budget exceeded ({vertex_budget})")
+                    raise BudgetError(
+                        f"vertex budget exceeded ({vertex_budget}): reached "
+                        f"{len(configs)} lamp configs x |A| = {len(A.vertices)}, "
+                        f"{len(configs) * len(A.vertices)} vertices, at support size {k}")
 
     config_set = set(configs)
     adjB = B.adjacency
@@ -259,7 +262,7 @@ def _net_metric_pairs(net: SeparatedNet
     e = g.identity()
     d = {e: 0}
     todo = set(pairs.values()) - {e}
-    window = ball(g, 3 * net.radius + 3 * L).elements
+    window = ball(g, 2 * interior_r + L).elements
     frontier = [e]
     depth = 0
     while frontier and todo and depth < len(pts) + 2:
@@ -295,13 +298,16 @@ def net_metric_check(net: SeparatedNet) -> bool:
     so one BFS from the identity over the bigstep generators serves every
     pair.  It stops as soon as every target x^-1 y has a distance, and
     otherwise at depth len(pts) + 2 (the cutoff).  It stays inside the
-    window Ball(3r + 3L), L = 2D + 5, which contains a bigstep geodesic
-    from e to each target: for interior x, y the target z = x^-1 y has
-    |z| <= 2 r_int (r_int the interior radius); cutting a geodesic word
-    for z into pieces of length <= L gives d_big(e, z) = k <= ceil(|z|/L),
-    and each vertex of a bigstep geodesic from e to z has length at most
-    kL < 2 r_int + L.  So the BFS returns the true d_big whenever it is
-    within the cutoff, and None otherwise.
+    window Ball(2 r_int + L), r_int the interior radius and L = 2D + 5,
+    which contains every bigstep geodesic from e to each target: for
+    interior x, y the target z = x^-1 y has |z| <= |x| + |y| <= 2 r_int;
+    cutting a geodesic word for z into pieces of length <= L gives
+    d_big(e, z) = k <= ceil(|z|/L) < |z|/L + 1, and the j-th vertex of a
+    bigstep geodesic from e to z has length at most jL <= kL < 2 r_int + L.
+    A BFS confined to the window therefore reaches each target at its true
+    d_big, and never earlier, since the window only removes paths.  So
+    the BFS returns the true d_big whenever it is within the cutoff, and
+    None otherwise.
     """
     return _net_metric_pairs(net)[1][2] == 0
 
@@ -397,7 +403,9 @@ def graph_isomorphism(G1: FiniteGraph, G2: FiniteGraph,
     """Exact isomorphism by iterated degree refinement then backtracking.
     Returns (True, dict vertex1 -> vertex2) or (False, None)."""
     if len(G1.vertices) > size_budget or len(G2.vertices) > size_budget:
-        raise BudgetError(f"isomorphism size budget exceeded ({size_budget})")
+        raise BudgetError(f"isomorphism size budget exceeded ({size_budget}): "
+                          f"the graphs have {len(G1.vertices)} and "
+                          f"{len(G2.vertices)} vertices")
     if len(G1.vertices) != len(G2.vertices) or len(G1.edges) != len(G2.edges):
         return False, None
     a1, a2 = G1.adjacency, G2.adjacency

@@ -6,7 +6,8 @@ from halolab.decompose import (certify_commutator_form, certified_form,
                                commutator_transvection, decompose_gluing,
                                decompose_upcloner, evaluate_word,
                                simplify_word)
-from halolab.errors import UndecomposableError, UnsupportedFamilyError
+from halolab.errors import (ContractViolation, UndecomposableError,
+                            UnsupportedFamilyError)
 from halolab.gf import GF
 from halolab.groups import CyclicGroup, ZdGroup
 from halolab.halo import enumerate_block, make_halo
@@ -170,3 +171,13 @@ def test_upcloner_obstruction_is_structural():
 
 def test_simplify_word_cancels_inverses():
     assert simplify_word([(0, 1), (0, -1), (2, 1)]) == [(2, 1)]
+
+
+def test_evaluate_word_rejects_out_of_range_indices():
+    sh = make_halo("shuffler", None, Z)
+    n = len(sh.generators())
+    assert evaluate_word(sh, [(n - 1, 1), (n - 1, -1)]) == sh.identity()
+    for idx in (-1, n):
+        for exp in (1, -1):
+            with pytest.raises(ContractViolation, match="out of range"):
+                evaluate_word(sh, [(idx, exp)])

@@ -138,3 +138,27 @@ def test_make_group_delegates_to_descriptor():
     assert isinstance(g, ZdGroup) and g.d == 2 and g.lex
     with pytest.raises(Exception):
         make_group("nonsense(")
+
+
+def test_step_is_right_multiplication_by_a_generator():
+    groups = [make_group(spec) for spec in ("Z", "Z^3", "Z^2:lex", "C5", "H3", "Z x C3")]
+    for g in groups + [SymmetricGroup(4)]:
+        spec = g.spec
+        gens = g.generators()
+        for a in ball(g, 2).elements:
+            for i, s in enumerate(gens):
+                assert g.step(a, i) == g.multiply(a, s), (spec, a, i)
+
+
+def test_default_step_fetches_the_generators_once():
+    class Counting(CyclicGroup):
+        calls = 0
+
+        def generators(self):
+            Counting.calls += 1
+            return super().generators()
+
+    c = Counting(5)
+    for a in range(5):
+        assert [c.step(a, i) for i in range(2)] == [(a + 1) % 5, (a - 1) % 5]
+    assert Counting.calls == 1

@@ -17,6 +17,7 @@ from halolab.descriptor import parse_descriptor
 from halolab.gf import GF
 from halolab.groups import (CyclicGroup, HeisenbergGroup, ProductGroup,
                             SymmetricGroup, ZdGroup, ball)
+from halolab import halo as halo_module
 from halolab.halo import enumerate_block, make_halo
 
 # ---------------------------------------------------------------------------
@@ -248,13 +249,10 @@ HALOS = [
 IDS = [f"{fam}-{getattr(p, 'spec', p)}-{base.spec}" for fam, p, base in HALOS]
 
 
-@pytest.mark.parametrize("family, params, base", HALOS, ids=IDS)
-def test_halo_arithmetic_matches_keyed_reference(family, params, base):
-    halo = make_halo(family, params, base)
-    ref = Reference(halo)
-    rng = random.Random(halo.spec)
+def _reference_elements(halo, ref, rng):
+    """The identity and 40 random words, built by the reference alone so
+    no shortcut of halo.multiply or halo.step feeds them."""
     gens = halo.generators()
-    # words built by the reference alone, so no shortcut of halo.multiply feeds them
     elems = [halo.identity()]
     for _ in range(40):
         x = halo.identity()
@@ -262,6 +260,16 @@ def test_halo_arithmetic_matches_keyed_reference(family, params, base):
             x = ref.multiply(x, rng.choice(gens))
         elems.append(x)
     assert len(set(elems)) > 20, "the random words should reach distinct elements"
+    return elems
+
+
+@pytest.mark.parametrize("family, params, base", HALOS, ids=IDS)
+def test_halo_arithmetic_matches_keyed_reference(family, params, base):
+    halo = make_halo(family, params, base)
+    ref = Reference(halo)
+    rng = random.Random(halo.spec)
+    gens = halo.generators()
+    elems = _reference_elements(halo, ref, rng)
     for x in elems:
         assert halo.invert(x) == ref.invert(x)
         for s in gens:
@@ -287,6 +295,44 @@ def test_enumerate_block_matches_keyed_reference(family, params, base):
             sites = rng.sample(window, k)
             rng.shuffle(sites)
             assert enumerate_block(halo, sites) == ref.block(sites), sites
+
+
+# halos over halos: a base-generator step is the inner halo's own step
+NESTED = [("shuffler", None, make_halo("wreath", C2, Z)),
+          ("wreath", C2, make_halo("shuffler", None, Z))]
+
+
+@pytest.mark.parametrize("family, params, base", HALOS + NESTED,
+                         ids=IDS + ["shuffler-wreath(C2, Z)", "wreath-C2-shuffler(Z)"])
+def test_step_matches_keyed_reference(family, params, base):
+    halo = make_halo(family, params, base)
+    ref = Reference(halo)
+    gens = halo.generators()
+    for x in _reference_elements(halo, ref, random.Random(halo.spec)):
+        for i, s in enumerate(gens):
+            assert halo.step(x, i) == ref.multiply(x, s), (x, i)
+
+
+def test_step_cursor_cache_is_bounded(monkeypatch):
+    monkeypatch.setattr(halo_module, "_STEP_CACHE_CURSORS", 2)
+    halo = make_halo("juggler", 2, Z2)
+    ref = Reference(halo)
+    gens = halo.generators()
+    for x in _reference_elements(halo, ref, random.Random(7)):
+        for i, s in enumerate(gens):
+            assert halo.step(x, i) == ref.multiply(x, s), (x, i)
+            assert len(halo._translated) <= 2
+
+
+@pytest.mark.parametrize("q, sites", [(2, [(1,), (-1,), (2,), (0,)]),
+                                      (3, [(0,), (1,), (-1,)])])
+def test_cloner_blocks_of_the_lift_match_keyed_reference(q, sites):
+    # GL(4, 2) and GL(3, 3), the blocks the lift workload enumerates; the
+    # list order is part of the contract
+    halo = make_halo("cloner", GF(q), Z)
+    block = enumerate_block(halo, sites)
+    assert len(block) == halo.growth(len(sites)) == {2: 20160, 3: 11232}[q]
+    assert block == Reference(halo).block(sites)
 
 
 def test_payload_order_is_sort_key_order_on_every_parsed_base():

@@ -16,7 +16,7 @@ from halolab.isoperimetry import (FiniteFunction, SubsetWitness,
                                   folner_function, gradient_ratio,
                                   power_transform, power_transform_bound,
                                   product_boundary, profile_exact,
-                                  profile_heuristic, spectral_refine)
+                                  profile_heuristic)
 
 Z = ZdGroup(1, False)
 Z2 = ZdGroup(2, False)
@@ -334,14 +334,6 @@ def test_lift_constant_on_finite_base():
     f = FiniteFunction({g: Fraction(1) for g in C4.elements()}, 1)
     g = almost_invariant_lift(wr, f)
     assert gradient_ratio(wr, g) == gradient_ratio(C4, f) == 0
-
-
-def test_spectral_refine_interval():
-    pt = spectral_refine(Z, [(i,) for i in range(4)])
-    assert pt.method == "spectral"
-    # optimal l^2 value on a fixed support beats the flat indicator
-    flat = FiniteFunction({(i,): 1.0 for i in range(4)}, 2)
-    assert float(pt.value) >= 1.0 / gradient_ratio(Z, flat) - 1e-9
 
 
 def test_power_transform_examples():

@@ -4,7 +4,7 @@ import pytest
 
 from halolab.errors import BudgetError, ContractViolation
 from halolab.gf import GF
-from halolab.groups import CyclicGroup, SymmetricGroup, ZdGroup, ball
+from halolab.groups import CyclicGroup, HeisenbergGroup, SymmetricGroup, ZdGroup, ball
 from halolab.halo import make_halo
 from halolab.lampgraph import (FiniteGraph, _bigstep_distances,
                                _net_metric_pairs, build_Ystar,
@@ -16,6 +16,7 @@ from halolab.lampgraph import (FiniteGraph, _bigstep_distances,
 
 Z = ZdGroup(1, False)
 Z2 = ZdGroup(2, False)
+H3 = HeisenbergGroup()
 
 
 def test_graph_invariants():
@@ -43,7 +44,9 @@ def test_lamplighter_graph_trivial_cases():
 
 
 def test_lamplighter_graph_budget():
-    with pytest.raises(BudgetError):
+    # 1 + 5 * 3 configs fit (80 vertices); the 21st config of support 2 makes 105
+    with pytest.raises(BudgetError, match=r"\(100\): reached 21 lamp configs "
+                       r"x \|A\| = 5, 105 vertices, at support size 2"):
         lamplighter_graph(complete_graph(4), complete_graph(5), 5,
                           vertex_budget=100)
 
@@ -128,7 +131,7 @@ def _assert_matches_oracle(net):
     (Z, 5, 0), (Z, 5, 1), (Z, 6, 0), (Z, 6, 1), (Z, 12, 0), (Z, 12, 1),
     (Z2, 6, 0), (Z2, 6, 1),
     # non-abelian: d_big(x, y) is d_big(e, x^-1 y), not d_big(e, y x^-1)
-    (SymmetricGroup(5), 10, 0),
+    (SymmetricGroup(5), 10, 0), (H3, 3, 0), (H3, 4, 1),
 ])
 def test_net_metric_pairs_match_per_source_oracle(group, radius, D):
     checked, skipped, failed = _assert_matches_oracle(greedy_net(group, radius, D))
@@ -229,8 +232,8 @@ def test_graph_isomorphism_long_path_does_not_recurse():
 
 
 def test_graph_isomorphism_budget():
-    with pytest.raises(BudgetError):
-        graph_isomorphism(path_graph(3), path_graph(3), size_budget=2)
+    with pytest.raises(BudgetError, match=r"\(2\): the graphs have 3 and 4 vertices"):
+        graph_isomorphism(path_graph(3), path_graph(4), size_budget=2)
 
 
 def test_export_edge_list(tmp_path):
