@@ -178,6 +178,16 @@ class HeisenbergGroup(GroupHandle):
     def multiply(self, a, b):
         return (a[0] + b[0], a[1] + b[1], a[2] + b[2] + a[0] * b[1])
 
+    def step(self, a, i):
+        x, y, z = a  # the product law with generators()[i] written out
+        if i == 0:
+            return (x + 1, y, z)
+        if i == 1:
+            return (x - 1, y, z)
+        if i == 2:
+            return (x, y + 1, z + x)
+        return (x, y - 1, z - x)
+
     def invert(self, a):
         x, y, z = a
         return (-x, -y, -z + x * y)
@@ -305,14 +315,16 @@ class Ball:
 
 
 def ball(group: GroupHandle, radius: int, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> Ball:
-    """Breadth-first Cayley ball of the given radius.
+    """Breadth-first Cayley ball of the given radius; each g * s is
+    group.step(g, i).
 
     Raises BudgetError naming the radius reached if the (estimated) memory
     footprint of the element set exceeds ``memory_budget`` bytes.
     """
     if radius < 0:
         raise ContractViolation("radius must be >= 0")
-    gens = group.generators()
+    steps = range(len(group.generators()))
+    step = group.step
     e = group.identity()
     lengths: Dict[Element, int] = {e: 0}
     parents: Dict[Element, Tuple[Element, int]] = {}
@@ -321,8 +333,8 @@ def ball(group: GroupHandle, radius: int, memory_budget: int = DEFAULT_MEMORY_BU
     for r in range(1, radius + 1):
         new_frontier = []
         for g in frontier:
-            for i, s in enumerate(gens):
-                h = group.multiply(g, s)
+            for i in steps:
+                h = step(g, i)
                 if h not in lengths:
                     lengths[h] = r
                     parents[h] = (g, i)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .errors import BudgetError, ContractViolation
+from .errors import ContractViolation
 from .groups import GroupHandle, ProductGroup, ball
 from .halo import HaloGroup, enumerate_block, DEFAULT_ENUM_BUDGET
 
@@ -85,15 +85,17 @@ class ProfilePoint:
 
 
 def boundary(group: GroupHandle, A: Iterable) -> SubsetWitness:
-    """Exact boundary AS \\ A over the full generator list."""
+    """Exact boundary AS \\ A over the full generator list, each a * s
+    taken by group.step."""
     A = frozenset(A)
     if not A:
         raise ContractViolation("boundary of the empty set is undefined")
-    gens = group.generators()
+    steps = range(len(group.generators()))
+    step = group.step
     out = set()
     for a in A:
-        for s in gens:
-            b = group.multiply(a, s)
+        for i in steps:
+            b = step(a, i)
             if b not in A:
                 out.add(b)
     ratio = Fraction(len(A), len(out)) if out else None
@@ -143,11 +145,15 @@ def gradient_ratio(group: GroupHandle, f: FiniteFunction) -> Value:
 class _NeighbourTable:
     """Ball(radius + 1) indexed by integers.
 
-    The window Ball(radius) comes first, in sort_key order, so on the
-    window index order is sort_key order.  nbr[i] lists the index of
+    The window Ball(radius) comes first, in sort_key order, and its
+    sort_keys must strictly increase along that order: a group whose
+    sort_key gives two window elements one key is rejected with
+    ContractViolation.  On the window, comparing sorted index tuples is
+    then comparing sorted sort_key lists.  nbr[i] lists the index of
     elements[i] * s for every s in the full generator list (multiplicity
-    kept) and adj[i] its neighbours inside the window, in index order;
-    both exist for window vertices only.
+    kept), targets[i] the distinct entries of nbr[i], and adj[i] the
+    distinct ones inside the window, in index order; all three
+    exist for window vertices only.
     """
 
     def __init__(self, group: GroupHandle, radius: int):
@@ -156,41 +162,89 @@ class _NeighbourTable:
                                key=lambda g: (b.lengths[g] > radius, group.sort_key(g)))
         index = {g: i for i, g in enumerate(self.elements)}
         window = sum(1 for g in self.elements if b.lengths[g] <= radius)
-        gens = group.generators()
-        self.nbr = [[index[group.multiply(g, s)] for s in gens]
-                    for g in self.elements[:window]]
-        self.adj = [sorted(j for j in row if j < window) for row in self.nbr]
+        keys = [group.sort_key(g) for g in self.elements[:window]]
+        for i in range(1, window):
+            if not keys[i - 1] < keys[i]:
+                raise ContractViolation(
+                    f"sort_key of {group.spec} does not strictly order Ball({radius}): "
+                    f"{self.elements[i - 1]!r} and {self.elements[i]!r}")
+        step = group.step
+        steps = range(len(group.generators()))
+        self.nbr = [[index[step(g, i)] for i in steps] for g in self.elements[:window]]
+        self.targets = [list(dict.fromkeys(row)) for row in self.nbr]
+        self.adj = [sorted({j for j in row if j < window}) for row in self.nbr]
 
 
-def _connected_subsets(table: _NeighbourTable, v0: int, n_max: int, budget: int):
-    """Yield (S, |dS|) for every connected subset S of the window that
-    contains v0 and has at most n_max elements, each set once.
+def _exact_search(table: _NeighbourTable, v0: int, n_max: int,
+                  budget: int) -> Tuple[Dict[int, Tuple[int, Tuple[int, ...]]], bool]:
+    """Visit the connected subsets S of the window that contain v0 and have
+    at most n_max elements, each set once, and return ({k: (|dS|, sorted
+    index tuple of S)} for the best set S of each size k visited, whether
+    every set was visited).  The best set of a size has the least |dS|,
+    and among those the least sorted index tuple.
 
     Exclusion-based enumeration: a child extends S by one candidate, and
     the candidates taken by its earlier siblings are banned below it.
     seen marks S, the banned vertices and the candidates, so the new
     candidates of a child are the unseen window neighbours of the vertex
-    it adds.  S is the live list of indices in insertion order: copy it
-    to keep it.
+    it adds.  The recursion runs on an explicit stack with one (candidates,
+    next position, added vertex, its new candidates) frame per vertex of
+    S, and visits the sets in depth-first preorder.
 
     |dS| is kept incrementally: cnt[t] counts the pairs (a, s) with a in S
     and a * s = t, and bnd counts the t with cnt[t] > 0 outside S.  Adding
-    or removing a vertex updates both in O(|generators|).  budget caps the
-    number of sets yielded; BudgetError is raised on the next one.
+    or removing a vertex updates both in O(|generators|).  A set of size
+    n_max has no children, so when |S| = n_max - 1 each candidate u is
+    scored as a leaf without being added: adding u takes u out of the
+    boundary if cnt[u] > 0, and puts a target t of u into it iff nothing
+    in S reaches t (cnt[t] == 0) and t is not in S (t != u, as no
+    generator is the identity).  A target that several generators of u
+    reach joins once (the counters would take cnt[t] from 0 to 1 once),
+    so the leaf counts table.targets[u], the distinct ones.
+
+    budget caps the number of sets visited, leaves included.  The visit
+    order is fixed, so a truncated search visits the first budget sets.
     """
-    nbr, adj = table.nbr, table.adj
+    nbr, adj, targets = table.nbr, table.adj, table.targets
     size = len(table.elements)
     cnt = [0] * size
     in_s = [False] * size
     seen = [False] * size
     seen[v0] = True
+    unset = size + 1  # above every |dS|: no set of that size visited yet
+    best_b = [unset] * (n_max + 1)
+    best_s: List[Tuple[int, ...]] = [()] * (n_max + 1)
     S: List[int] = []
     bnd = 0
-    count = 0
-
-    def extend(cand: List[int]):
-        nonlocal bnd, count
-        for i, u in enumerate(cand):
+    left = budget
+    complete = True
+    stack = []
+    cand, i = [v0], 0
+    while True:
+        if len(S) == n_max - 1:
+            if len(cand) > left:
+                cand, complete = cand[:left], False
+            left -= len(cand)
+            lb, ls = best_b[n_max], best_s[n_max]
+            for u in cand:
+                b = bnd - 1 if cnt[u] else bnd
+                for t in targets[u]:
+                    if not cnt[t] and not in_s[t]:
+                        b += 1
+                if b <= lb:
+                    key = tuple(sorted(S + [u]))
+                    if b < lb or key < ls:
+                        lb, ls = b, key
+            best_b[n_max], best_s[n_max] = lb, ls
+            if not complete:
+                break
+        elif i < len(cand):
+            if not left:
+                complete = False
+                break
+            left -= 1
+            u = cand[i]
+            i += 1
             new = [w for w in adj[u] if not seen[w]]
             for w in new:
                 seen[w] = True
@@ -202,30 +256,40 @@ def _connected_subsets(table: _NeighbourTable, v0: int, n_max: int, budget: int)
                 cnt[t] += 1
                 if cnt[t] == 1 and not in_s[t]:
                     bnd += 1
-            count += 1
-            if count > budget:
-                raise BudgetError(f"connected-subset budget exceeded ({budget})")
-            yield S, bnd
-            if len(S) < n_max:
-                yield from extend(cand[i + 1:] + new)
-            for t in nbr[u]:
-                cnt[t] -= 1
-                if cnt[t] == 0 and not in_s[t]:
-                    bnd -= 1
-            S.pop()
-            in_s[u] = False
-            if cnt[u]:
-                bnd += 1
-            for w in new:
-                seen[w] = False
-
-    yield from extend([v0])
+            k = len(S)
+            if bnd <= best_b[k]:
+                key = tuple(sorted(S))
+                if bnd < best_b[k] or key < best_s[k]:
+                    best_b[k], best_s[k] = bnd, key
+            stack.append((cand, i, u, new))
+            cand, i = cand[i:] + new, 0
+            continue
+        if not stack:
+            break
+        cand, i, u, new = stack.pop()
+        for t in nbr[u]:
+            cnt[t] -= 1
+            if cnt[t] == 0 and not in_s[t]:
+                bnd -= 1
+        S.pop()
+        in_s[u] = False
+        if cnt[u]:
+            bnd += 1
+        for w in new:
+            seen[w] = False
+    return ({k: (best_b[k], best_s[k]) for k in range(1, n_max + 1) if best_b[k] != unset},
+            complete)
 
 
 def _beats(group: GroupHandle, cand: SubsetWitness,
            incumbent: Optional[SubsetWitness]) -> bool:
     """The one witness order: larger ratio first (None is +infinity), then
-    the lexicographically smallest sorted sort_key list, computed on ties only."""
+    the lexicographically smallest sorted sort_key list, computed on ties only.
+
+    profile_exact's search applies this order without building witnesses:
+    two sets of one size tie on ratio iff they tie on |dS|, and on its
+    window index order is strict sort_key order, so the sort_key lists
+    compare as the sorted index tuples do."""
     if incumbent is None:
         return True
     c = math.inf if cand.ratio is None else cand.ratio
@@ -262,13 +326,17 @@ def profile_exact(group: GroupHandle, n_max: int, radius: int,
 
     The search builds Ball(radius + 1) once, indexes it by integers and
     tabulates each window element's right multiples by the generators
-    (one generators() call, |window| * |generators| multiplies).  The
-    enumeration itself does no group arithmetic: _connected_subsets keeps
-    |dS| by boundary multiplicity counters, updated in O(|generators|)
-    integer steps per added or removed element, so a visited set costs
-    O(|generators|) plus its share of the candidate lists.  Sets of one
-    size compare by |dS|; boundary() builds a witness only on a tie (for
-    _beats) and for each size's final witness.
+    (|window| * |generators| steps).  The enumeration, _exact_search, does
+    no group arithmetic and has no generators: it walks an explicit stack
+    of candidate frames and keeps |dS| by boundary multiplicity counters,
+    updated in O(|generators|) integer steps per added or removed element.
+    A set of the largest size n_max is a leaf, scored from the counters
+    without being added: |dS u {u}| = |dS| - [cnt[u] > 0] + #{distinct
+    targets t of u with cnt[t] == 0, t not in S}.  A target reached by two
+    generators of u joins the boundary once, hence distinct.  Sets of one
+    size compare by |dS| and then by sorted index tuple, which on the
+    window is _beats's order (see there), so boundary() runs once per
+    size, for the final witness.
 
     budget caps the number of subsets visited, each visited set counting
     once.  The visit order is fixed, so a truncated search always reaches
@@ -284,33 +352,9 @@ def profile_exact(group: GroupHandle, n_max: int, radius: int,
         raise ContractViolation("radius must be >= 0")
     table = _NeighbourTable(group, radius)
     elements = table.elements
-
-    def witness(S) -> SubsetWitness:
-        return boundary(group, [elements[i] for i in S])
-
-    # Sets of one size compare by |dS| alone (smaller is a larger ratio,
-    # 0 is +infinity); a witness is built only on a tie, for _beats.
-    found: Dict[int, Tuple[int, Tuple[int, ...]]] = {}
-    built: Dict[int, SubsetWitness] = {}
-    exact = radius >= n_max - 1
-    try:
-        for S, bnd in _connected_subsets(table, elements.index(group.identity()),
-                                         n_max, budget):
-            k = len(S)
-            if k not in found or bnd < found[k][0]:
-                found[k] = (bnd, tuple(S))
-                built.pop(k, None)
-            elif bnd == found[k][0]:
-                if k not in built:
-                    built[k] = witness(found[k][1])
-                w = witness(S)
-                if _beats(group, w, built[k]):
-                    found[k] = (bnd, tuple(S))
-                    built[k] = w
-    except BudgetError:
-        exact = False
-    best = {k: built[k] if k in built else witness(S) for k, (_, S) in found.items()}
-    return _carry_forward(group, best, n_max, "exact", exact)
+    found, complete = _exact_search(table, elements.index(group.identity()), n_max, budget)
+    best = {k: boundary(group, [elements[i] for i in S]) for k, (_, S) in found.items()}
+    return _carry_forward(group, best, n_max, "exact", complete and radius >= n_max - 1)
 
 
 def profile_heuristic(group: GroupHandle, n_max: int, method: str = "greedy",

@@ -335,15 +335,58 @@ def test_cloner_blocks_of_the_lift_match_keyed_reference(q, sites):
     assert block == Reference(halo).block(sites)
 
 
+PARSED_SPECS = ["Z", "Z^2", "Z^3", "Z:lex", "Z^2:lex", "C2", "C5", "H3", "Z x C3",
+                "Z^2 x H3", "C2 x Z x Z:lex", "wreath(C2, Z)", "shuffler(Z)",
+                "juggler(2, Z)", "designer(C2, Z)", "cloner(GF2, Z)",
+                "upcloner(GF2, Z:lex)", "shuffler(Z x C2)"]
+
+
 def test_payload_order_is_sort_key_order_on_every_parsed_base():
     """Payloads are sorted by the points' own order, which is sort_key
     order exactly when sorted(xs) == sorted(xs, key=sort_key)."""
-    specs = ["Z", "Z^2", "Z^3", "Z:lex", "Z^2:lex", "C2", "C5", "H3", "Z x C3",
-             "Z^2 x H3", "C2 x Z x Z:lex", "wreath(C2, Z)", "shuffler(Z)",
-             "juggler(2, Z)", "designer(C2, Z)", "cloner(GF2, Z)", "upcloner(GF2, Z:lex)",
-             "shuffler(Z x C2)"]
-    for spec in specs:
+    for spec in PARSED_SPECS:
         g = parse_descriptor(spec).build()
         xs = list(ball(g, 2).elements)
         random.Random(spec).shuffle(xs)
         assert sorted(xs) == sorted(xs, key=g.sort_key), spec
+
+
+# ---------------------------------------------------------------------------
+# ball and boundary take each a * s by step; these copies multiply instead
+
+
+def _multiply_ball(group, radius):
+    gens = group.generators()
+    lengths, parents, frontier = {group.identity(): 0}, {}, [group.identity()]
+    for r in range(1, radius + 1):
+        nxt = []
+        for g in frontier:
+            for i, s in enumerate(gens):
+                h = group.multiply(g, s)
+                if h not in lengths:
+                    lengths[h], parents[h] = r, (g, i)
+                    nxt.append(h)
+        frontier = nxt
+    return lengths, parents
+
+
+def _multiply_boundary(group, A):
+    A = frozenset(A)
+    return frozenset(b for a in A for s in group.generators()
+                     for b in [group.multiply(a, s)] if b not in A)
+
+
+@pytest.mark.parametrize("group", [parse_descriptor(spec).build() for spec in PARSED_SPECS]
+                         + [make_halo(*h) for h in HALOS[2::4] + NESTED],
+                         ids=lambda g: g.spec)
+def test_ball_and_boundary_by_step_equal_their_multiply_copies(group):
+    from halolab.isoperimetry import _NeighbourTable, boundary
+
+    _NeighbourTable(group, 1)  # sort_key strictly orders the window
+    b = ball(group, 2)
+    assert (b.lengths, b.parents) == _multiply_ball(group, 2)
+    rng = random.Random(group.spec)
+    window = sorted(b.elements, key=group.sort_key)
+    for _ in range(10):
+        A = rng.sample(window, rng.randint(1, min(12, len(window))))
+        assert boundary(group, A).boundary == _multiply_boundary(group, A)

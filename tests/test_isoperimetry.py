@@ -11,8 +11,7 @@ from halolab.groups import CyclicGroup, SymmetricGroup, ZdGroup, ball, make_grou
 from halolab.halo import make_halo
 from halolab.isoperimetry import (FiniteFunction, SubsetWitness,
                                   _NeighbourTable, _beats, _carry_forward,
-                                  _connected_subsets, almost_invariant_lift,
-                                  boundary,
+                                  _exact_search, almost_invariant_lift, boundary,
                                   folner_function, gradient_ratio,
                                   power_transform, power_transform_bound,
                                   product_boundary, profile_exact,
@@ -207,7 +206,7 @@ def _reference_connected_subsets(adj, v0, n_max, budget):
 def _reference_window_adjacency(group, radius):
     window = sorted(ball(group, radius).elements, key=group.sort_key)
     wset = set(window)
-    return {v: [w for w in sorted((group.multiply(v, s) for s in group.generators()),
+    return {v: [w for w in sorted({group.multiply(v, s) for s in group.generators()},
                                   key=group.sort_key) if w in wset]
             for v in window}
 
@@ -226,14 +225,90 @@ def _reference_profile_exact(group, n_max, radius, budget):
     return _carry_forward(group, best, n_max, "exact", exact)
 
 
+def _connected_subsets(table, v0, n_max, budget):
+    """The exact search's enumeration and boundary counters as nested
+    generators: yield (S, |dS|) for every visited set, in visit order.
+
+    S is the live list of indices in insertion order.  Unlike the exact
+    search, which scores the sets of size n_max as leaves, this adds every
+    set to the counters.
+    """
+    nbr, adj = table.nbr, table.adj
+    size = len(table.elements)
+    cnt = [0] * size
+    in_s = [False] * size
+    seen = [False] * size
+    seen[v0] = True
+    S = []
+    bnd = 0
+    count = 0
+
+    def extend(cand):
+        nonlocal bnd, count
+        for i, u in enumerate(cand):
+            new = [w for w in adj[u] if not seen[w]]
+            for w in new:
+                seen[w] = True
+            if cnt[u]:
+                bnd -= 1
+            in_s[u] = True
+            S.append(u)
+            for t in nbr[u]:
+                cnt[t] += 1
+                if cnt[t] == 1 and not in_s[t]:
+                    bnd += 1
+            count += 1
+            if count > budget:
+                raise BudgetError(f"connected-subset budget exceeded ({budget})")
+            yield S, bnd
+            if len(S) < n_max:
+                yield from extend(cand[i + 1:] + new)
+            for t in nbr[u]:
+                cnt[t] -= 1
+                if cnt[t] == 0 and not in_s[t]:
+                    bnd -= 1
+            S.pop()
+            in_s[u] = False
+            if cnt[u]:
+                bnd += 1
+            for w in new:
+                seen[w] = False
+
+    yield from extend([v0])
+
+
+class _RepeatedGeneratorZd(ZdGroup):
+    """Z^d with its generator i listed twice: two generators of a vertex
+    reach one target."""
+
+    def __init__(self, d, i):
+        super().__init__(d)
+        self._gens.append(self._gens[i])
+        self.spec += f" with generator {i} repeated"
+
+
+class _CoarseKeyZ(ZdGroup):
+    """Z whose sort_key gives x and -x one key."""
+
+    def sort_key(self, a):
+        return abs(a[0])
+
+
 # (group, n_max, radius); the finite groups' windows are the whole group,
 # so the search reaches a set with empty boundary (ratio +infinity).
 SEARCH_CASES = [("Z^2", 6, 5), ("H3", 6, 5), ("wreath(C2, Z)", 5, 4),
-                ("C5", 6, 2), ("Sym3", 7, 3)]
+                ("C5", 6, 2), ("Sym3", 7, 3), ("Z, -1 twice", 6, 6),
+                ("Z^2, -e1 twice", 5, 4)]
 
 
 def _search_group(spec):
-    return SymmetricGroup(3) if spec == "Sym3" else make_group(spec)
+    if spec == "Sym3":
+        return SymmetricGroup(3)
+    if spec == "Z, -1 twice":
+        return _RepeatedGeneratorZd(1, 1)
+    if spec == "Z^2, -e1 twice":
+        return _RepeatedGeneratorZd(2, 1)
+    return make_group(spec)
 
 
 @pytest.mark.parametrize("spec, n_max, radius", SEARCH_CASES)
@@ -246,6 +321,7 @@ def test_boundary_counters_match_boundary_on_every_visited_set(spec, n_max, radi
     visited = [(frozenset(table.elements[i] for i in S), bnd)
                for S, bnd in _connected_subsets(table, v0, n_max, 10 ** 6)]
     assert [A for A, _ in visited] == list(reference)  # same sets, same order
+    assert len(set(A for A, _ in visited)) == len(visited)  # each set once
     for A, bnd in visited:
         assert bnd == len(boundary(group, A).boundary)
     assert len(visited) > n_max
@@ -258,6 +334,78 @@ def test_profile_exact_equals_reference_search(spec, n_max, radius, budget):
     group = _search_group(spec)
     assert profile_exact(group, n_max, radius, budget=budget) == \
         _reference_profile_exact(group, n_max, radius, budget)
+
+
+@pytest.mark.parametrize("spec, n_max, radius", SEARCH_CASES)
+def test_profile_exact_budget_sweep_pins_the_visit_order(spec, n_max, radius):
+    """A search cut at budget b keeps the best sets among the first b of
+    the reference order: every b on small cases, 45 spread ones, the
+    ends among them, on the others."""
+    group = _search_group(spec)
+    visited = list(_reference_connected_subsets(
+        _reference_window_adjacency(group, radius), group.identity(), n_max, 10 ** 6))
+    total = len(visited)
+    if total <= 500:
+        budgets = set(range(1, total + 1))
+    else:
+        budgets = {1, 2, total - 1, total} | {1 + (total - 1) * j // 44 for j in range(45)}
+    assert len(budgets) >= min(total, 40)
+    best = {}
+    for b, S in enumerate(visited, 1):
+        w = boundary(group, S)
+        if _beats(group, w, best.get(len(S))):
+            best[len(S)] = w
+        if b in budgets:
+            exact = b == total and radius >= n_max - 1
+            assert profile_exact(group, n_max, radius, budget=b) == \
+                _carry_forward(group, best, n_max, "exact", exact), b
+    assert profile_exact(group, n_max, radius, budget=total + 1) == \
+        profile_exact(group, n_max, radius, budget=total)
+
+
+@pytest.mark.parametrize("spec, n_max, radius", SEARCH_CASES)
+@pytest.mark.parametrize("budget", [7, 100, 10 ** 6])
+def test_exact_search_scores_each_best_set_by_its_boundary(spec, n_max, radius, budget):
+    """The search's own |dS| for each size's best set, leaves included,
+    is the boundary() size, and the set is the reference's best.  Every
+    size bound up to n_max is tried, so leaves are scored at every depth,
+    {v0} + u (whose target v0 has cnt 0) among them."""
+    group = _search_group(spec)
+    table = _NeighbourTable(group, radius)
+    adj = _reference_window_adjacency(group, radius)
+    for n in range(1, n_max + 1):
+        found, complete = _exact_search(table, table.elements.index(group.identity()),
+                                        n, budget)
+        visited = list(_reference_connected_subsets(adj, group.identity(), n, 10 ** 6))
+        best = {}
+        for S in visited[:budget]:
+            w = boundary(group, S)
+            if _beats(group, w, best.get(len(S))):
+                best[len(S)] = w
+        assert complete == (budget >= len(visited))
+        assert sorted(found) == sorted(best)
+        for k, (bnd, S) in found.items():
+            A = frozenset(table.elements[i] for i in S)
+            assert list(S) == sorted(S) and len(S) == k
+            assert A == best[k].A and bnd == len(best[k].boundary), (n, k)
+
+
+def test_neighbour_table_rejects_a_sort_key_that_ties_on_the_window():
+    with pytest.raises(ContractViolation, match="strictly"):
+        _NeighbourTable(_CoarseKeyZ(1), 2)
+    with pytest.raises(ContractViolation, match="strictly"):
+        profile_exact(_CoarseKeyZ(1), 3, 2)
+    # the key is strict on Ball(0) = {0}, so a radius-0 table is fine
+    assert _NeighbourTable(_CoarseKeyZ(1), 0).elements[0] == (0,)
+
+
+def test_neighbour_table_targets_are_the_distinct_neighbours():
+    for group in (_RepeatedGeneratorZd(2, 1), Z2, make_group("H3")):
+        table = _NeighbourTable(group, 3)
+        for i, row in enumerate(table.nbr):
+            assert len(row) == len(group.generators())
+            assert sorted(table.targets[i]) == sorted(set(row))
+            assert table.adj[i] == sorted({j for j in row if j < len(table.adj)})
 
 
 def test_profile_exact_monotone_and_folner_inverse():
