@@ -59,10 +59,6 @@ def power(alpha: float) -> BoundExpr:
     return BoundExpr(f"x^{alpha:g}", lambda x: x ** alpha, 0.0)
 
 
-def constant(c: float) -> BoundExpr:
-    return BoundExpr(f"{c:g}", lambda x: c, 0.0)
-
-
 def iterated_log(n: int) -> BoundExpr:
     """ln applied n times; refuses x below e^^(n-1) * safety margin."""
     if n < 1:

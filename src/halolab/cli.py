@@ -15,10 +15,9 @@ from typing import List, Optional
 
 from .bounds import phi, phi_inverse
 from .decompose import decompose_gluing, decompose_upcloner, evaluate_word
-from .descriptor import parse_descriptor
 from .errors import HalolabError
 from .gf import GF
-from .groups import ball
+from .groups import ball, make_group
 from .halo import (HaloGroup, UpclonerHalo, commutativity_constant,
                    enumerate_block, lamp_growth)
 from .isoperimetry import (FiniteFunction, folner_function, gradient_ratio,
@@ -27,10 +26,6 @@ from .isoperimetry import (FiniteFunction, folner_function, gradient_ratio,
 from .lampgraph import (build_Ystar, check_iso_to_lamplighter, complete_graph,
                         greedy_net, net_is_maximal_in_interior,
                         net_is_separated)
-
-
-def _build_group(spec: str):
-    return parse_descriptor(spec).build()
 
 
 def _parse_point(text: str):
@@ -44,11 +39,11 @@ def _parse_params(text: Optional[str]):
         return GF(int(text[2:]))
     if text.isdigit():
         return int(text)
-    return _build_group(text)
+    return make_group(text)
 
 
 def cmd_ball(args) -> int:
-    g = _build_group(args.group)
+    g = make_group(args.group)
     b = ball(g, args.radius, memory_budget=args.budget_mem)
     by_r = {}
     for elem, ln in b.lengths.items():
@@ -72,7 +67,7 @@ def _points(args, g):
 
 
 def cmd_profile(args) -> int:
-    g = _build_group(args.group)
+    g = make_group(args.group)
     pts = _points(args, g)
     for pt in pts:
         val = "inf" if pt.value is None else str(pt.value)
@@ -85,7 +80,7 @@ def cmd_profile(args) -> int:
 
 
 def cmd_folner(args) -> int:
-    g = _build_group(args.group)
+    g = make_group(args.group)
     pts = _points(args, g)
     val = folner_function(pts, Fraction(1, args.target))
     kind = "exact" if args.method == "exact" else "upper bound"
@@ -104,7 +99,7 @@ def cmd_growth(args) -> int:
 
 
 def cmd_lift(args) -> int:
-    halo = _build_group(args.group)
+    halo = make_group(args.group)
     if not isinstance(halo, HaloGroup):
         print("lift requires a halo-product group", file=sys.stderr)
         return 2
@@ -123,7 +118,7 @@ def cmd_lift(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    halo = _build_group(args.group)
+    halo = make_group(args.group)
     if not isinstance(halo, HaloGroup):
         print("decompose requires a halo-product group", file=sys.stderr)
         return 2
@@ -140,7 +135,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_net(args) -> int:
-    g = _build_group(args.group)
+    g = make_group(args.group)
     net = greedy_net(g, args.radius, args.D)
     print(f"X0 ({len(net.X0)} points): "
           + ", ".join(g.element_str(x) for x in net.X0))
@@ -150,7 +145,7 @@ def cmd_net(args) -> int:
 
 
 def cmd_ystar(args) -> int:
-    halo = _build_group(args.group)
+    halo = make_group(args.group)
     if not isinstance(halo, HaloGroup):
         print("ystar requires a halo-product group", file=sys.stderr)
         return 2
@@ -160,13 +155,7 @@ def cmd_ystar(args) -> int:
     print(f"net size {len(net.X0)}; Y* has {len(Y.vertices)} vertices, "
           f"{len(Y.edges)} edges")
     block = enumerate_block(halo, {halo.base.identity(), s0})
-    big = set(net.bigstep)
-    net_edges = [(x, y) for i, x in enumerate(net.X0) for y in net.X0[i + 1:]
-                 if halo.base.multiply(halo.base.invert(x), y) in big]
-    from .lampgraph import graph_from_edges
-    A = graph_from_edges(net_edges, extra_vertices=net.X0,
-                         basepoint=net.X0[0] if net.X0 else None)
-    ok, _ = check_iso_to_lamplighter(Y, complete_graph(len(block)), A)
+    ok, _ = check_iso_to_lamplighter(Y, complete_graph(len(block)), net.graph)
     print(f"isomorphic to block-over-net lamplighter graph: {ok}")
     if args.out:
         Y.export_edge_list(args.out)
@@ -177,7 +166,7 @@ def cmd_ystar(args) -> int:
 def cmd_embed(args) -> int:
     from .embeddings import (coset_system_mZ, lamplighter_in_halo,
                              shuffler_endomorphism, wreath_in_shuffler)
-    base = _build_group(args.base)
+    base = make_group(args.base)
     if args.construction == "wreath-in-shuffler":
         morphism = wreath_in_shuffler(base, coset_system_mZ(args.index))
     elif args.construction == "endomorphism":

@@ -142,7 +142,7 @@ def _subset_measure(halo: HaloGroup, sites) -> Tuple[int, int]:
     identity before summing word lengths, matching the proof's bookkeeping
     (each recursion step re-translates its block to the origin).
     """
-    sites = sorted(sites, key=halo.base.sort_key)
+    sites = sorted(sites)
     if not sites:
         return (0, 0)
     anchor_inv = halo.base.invert(sites[0])
@@ -228,7 +228,7 @@ def _edge_table(halo: HaloGroup, p, q) -> Dict[Lamp, Word]:
         for u in supp:
             for site in (p, q):
                 ts.add(base.multiply(site, base.invert(u)))
-        for t in sorted(ts, key=base.sort_key):
+        for t in sorted(ts):
             moved = halo.lamp_act(t, lg)
             if not halo.lamp_sites(moved) <= sites:
                 continue
@@ -287,7 +287,7 @@ def decompose_gluing(halo: HaloGroup, lamp: Lamp, word_cap: int = DEFAULT_WORD_C
 def _gluing_rec(halo: HaloGroup, lamp: Lamp, parent_measure, budget: _Budget,
                 trace: Optional[list]) -> Word:
     base = halo.base
-    sites = sorted(halo.lamp_sites(lamp), key=base.sort_key)
+    sites = sorted(halo.lamp_sites(lamp))
     if not sites:
         return []
     measure = _subset_measure(halo, sites)

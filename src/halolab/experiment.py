@@ -17,8 +17,8 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from .bounds import (BoundExpr, bound_report, identity_bound, iterated_log,
                      log_over_loglog, power)
-from .descriptor import parse_descriptor
 from .errors import BudgetError, ContractViolation
+from .groups import make_group
 from .isoperimetry import (ProfilePoint, SubsetWitness, profile_exact,
                            profile_heuristic)
 
@@ -153,7 +153,7 @@ def _plot_svg(points: Sequence[ProfilePoint], fits) -> str:
 def run_experiment(config: Dict, out_dir: str) -> Dict[str, Any]:
     """Run one experiment stanza; returns the manifest dict."""
     cfg = _validate(dict(config))
-    group = parse_descriptor(cfg["group"]).build()
+    group = make_group(cfg["group"])
 
     warnings: List[str] = []
     if cfg["method"] == "exact":

@@ -24,9 +24,9 @@ DEFAULT_MEMORY_BUDGET = 2 * 1024 ** 3  # bytes, per ball computation
 class GroupHandle:
     """A finitely generated group with canonical element encodings.
 
-    Subclasses must provide identity/multiply/invert/generators and a
-    structural sort key used for deterministic tie-breaking.  Elements are
-    immutable values with structural equality (tuples, ints).
+    Subclasses must provide identity/multiply/invert/generators.  Elements
+    are immutable values with structural equality (tuples, ints), totally
+    ordered by ``<``; that order breaks every tie deterministically.
 
     ``step(a, i)`` is the right multiplication a * generators()[i] for
     0 <= i < len(generators()); it must equal ``multiply(a,
@@ -58,17 +58,6 @@ class GroupHandle:
     def step(self, a: Element, i: int) -> Element:
         """a * generators()[i], for 0 <= i < len(generators())."""
         return self.multiply(a, self._step_generators[i])
-
-    def sort_key(self, a: Element):
-        """Deterministic structural key; total on any finite element set.
-
-        A group used as a halo base must order its elements as they order
-        themselves: sorted(xs) == sorted(xs, key=sort_key) for every finite
-        xs, because halo payloads are sorted with no key function.  Every
-        group here does, since each sort_key returns the element itself or
-        an equal tuple.
-        """
-        return a
 
     def compare(self, a: Element, b: Element) -> int:
         """Translation-invariant total order; only on ordered groups."""
@@ -263,9 +252,6 @@ class ProductGroup(GroupHandle):
         gens += [(self.left.identity(), s) for s in self.right.generators()]
         return gens
 
-    def sort_key(self, a):
-        return (self.left.sort_key(a[0]), self.right.sort_key(a[1]))
-
     def is_finite(self):
         return self.left.is_finite() and self.right.is_finite()
 
@@ -309,8 +295,7 @@ class Ball:
         return word
 
     def export_json(self) -> List[dict]:
-        items = sorted(self.lengths.items(),
-                       key=lambda kv: (kv[1], self.group.sort_key(kv[0])))
+        items = sorted(self.lengths.items(), key=lambda kv: (kv[1], kv[0]))
         return [{"element": self.group.element_str(g), "length": l} for g, l in items]
 
 

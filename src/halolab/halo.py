@@ -11,11 +11,10 @@ Elements are pairs (lamp, cursor) with the semidirect law
 (sigma, h)(tau, k) = (sigma * act(h, tau), h k), where act(h, -)
 translates lamp supports by h.  Lamp payloads are canonical tuples
 (deviation-from-identity entries, sorted), so structural equality is
-group equality.  Entries are sorted by the points' own order, with no
-key function.  That is sort_key order: every base orders its elements as
-its sort_key does (see GroupHandle.sort_key), so juggler points (x, i)
-and matrix positions (p, q) sort by (sort_key(x), i) and (sort_key(p),
-sort_key(q)) too.  The payload format is private to this module:
+group equality.  Entries are sorted by the points' own order ``<`` (the
+element order of GroupHandle), with no key function; juggler points
+(x, i) and matrix positions (p, q) sort as tuples.  The payload format
+is private to this module:
 payloads are built only by each family's ``make_lamp`` (from a mapping,
 checked) and by the family methods (``lamp_compose``, ``lamp_act``,
 ``block_elements``, ...); other modules go through those.
@@ -367,10 +366,6 @@ class HaloGroup(GroupHandle):
             moved = self._translated[h] = [self.lamp_act(h, t)
                                            for t, _ in self._gens[:off]]
         return (self._step_lamp(lamp, moved[i]), h)
-
-    def sort_key(self, a):
-        lamp, cursor = a
-        return (lamp, self.base.sort_key(cursor))
 
     def element_str(self, a):
         lamp, cursor = a
@@ -826,7 +821,7 @@ def commutativity_constant(halo: HaloGroup, radius: int,
     distance between subsets is min over point pairs of the word metric.
     """
     base = halo.base
-    window = sorted(ball(base, radius).elements, key=base.sort_key)
+    window = sorted(ball(base, radius).elements)
     metric = ball(base, 2 * radius).lengths
 
     def dist(a, b):

@@ -145,34 +145,23 @@ def gradient_ratio(group: GroupHandle, f: FiniteFunction) -> Value:
 class _NeighbourTable:
     """Ball(radius + 1) indexed by integers.
 
-    The window Ball(radius) comes first, in sort_key order, and its
-    sort_keys must strictly increase along that order: a group whose
-    sort_key gives two window elements one key is rejected with
-    ContractViolation.  On the window, comparing sorted index tuples is
-    then comparing sorted sort_key lists.  nbr[i] lists the index of
-    elements[i] * s for every s in the full generator list (multiplicity
-    kept), targets[i] the distinct entries of nbr[i], and adj[i] the
-    distinct ones inside the window, in index order; all three
-    exist for window vertices only.
+    The window Ball(radius) comes first, in element order, so on the
+    window comparing sorted index tuples is comparing sorted element
+    lists.  targets[i] lists the distinct indices of elements[i] * s over
+    the generators s, in generator order, and adj[i] those inside the
+    window, in index order; both exist for window vertices only.
     """
 
     def __init__(self, group: GroupHandle, radius: int):
         b = ball(group, radius + 1)
-        self.elements = sorted(b.elements,
-                               key=lambda g: (b.lengths[g] > radius, group.sort_key(g)))
+        self.elements = sorted(b.elements, key=lambda g: (b.lengths[g] > radius, g))
         index = {g: i for i, g in enumerate(self.elements)}
         window = sum(1 for g in self.elements if b.lengths[g] <= radius)
-        keys = [group.sort_key(g) for g in self.elements[:window]]
-        for i in range(1, window):
-            if not keys[i - 1] < keys[i]:
-                raise ContractViolation(
-                    f"sort_key of {group.spec} does not strictly order Ball({radius}): "
-                    f"{self.elements[i - 1]!r} and {self.elements[i]!r}")
         step = group.step
         steps = range(len(group.generators()))
-        self.nbr = [[index[step(g, i)] for i in steps] for g in self.elements[:window]]
-        self.targets = [list(dict.fromkeys(row)) for row in self.nbr]
-        self.adj = [sorted({j for j in row if j < window}) for row in self.nbr]
+        self.targets = [list(dict.fromkeys(index[step(g, i)] for i in steps))
+                        for g in self.elements[:window]]
+        self.adj = [sorted(j for j in row if j < window) for row in self.targets]
 
 
 def _exact_search(table: _NeighbourTable, v0: int, n_max: int,
@@ -191,21 +180,19 @@ def _exact_search(table: _NeighbourTable, v0: int, n_max: int,
     next position, added vertex, its new candidates) frame per vertex of
     S, and visits the sets in depth-first preorder.
 
-    |dS| is kept incrementally: cnt[t] counts the pairs (a, s) with a in S
-    and a * s = t, and bnd counts the t with cnt[t] > 0 outside S.  Adding
-    or removing a vertex updates both in O(|generators|).  A set of size
-    n_max has no children, so when |S| = n_max - 1 each candidate u is
-    scored as a leaf without being added: adding u takes u out of the
-    boundary if cnt[u] > 0, and puts a target t of u into it iff nothing
-    in S reaches t (cnt[t] == 0) and t is not in S (t != u, as no
-    generator is the identity).  A target that several generators of u
-    reach joins once (the counters would take cnt[t] from 0 to 1 once),
-    so the leaf counts table.targets[u], the distinct ones.
+    |dS| is kept incrementally: cnt[t] counts the a in S that have t among
+    their targets (a * s = t for some generator s), and bnd counts the t
+    with cnt[t] > 0 outside S.  Adding or removing a vertex updates both
+    in O(|generators|).  A set of size n_max has no children, so when
+    |S| = n_max - 1 each candidate u is scored as a leaf without being
+    added: adding u takes u out of the boundary if cnt[u] > 0, and puts a
+    target t of u into it iff nothing in S reaches t (cnt[t] == 0) and t
+    is not in S (t != u, as no generator is the identity).
 
     budget caps the number of sets visited, leaves included.  The visit
     order is fixed, so a truncated search visits the first budget sets.
     """
-    nbr, adj, targets = table.nbr, table.adj, table.targets
+    adj, targets = table.adj, table.targets
     size = len(table.elements)
     cnt = [0] * size
     in_s = [False] * size
@@ -252,7 +239,7 @@ def _exact_search(table: _NeighbourTable, v0: int, n_max: int,
                 bnd -= 1
             in_s[u] = True
             S.append(u)
-            for t in nbr[u]:
+            for t in targets[u]:
                 cnt[t] += 1
                 if cnt[t] == 1 and not in_s[t]:
                     bnd += 1
@@ -267,7 +254,7 @@ def _exact_search(table: _NeighbourTable, v0: int, n_max: int,
         if not stack:
             break
         cand, i, u, new = stack.pop()
-        for t in nbr[u]:
+        for t in targets[u]:
             cnt[t] -= 1
             if cnt[t] == 0 and not in_s[t]:
                 bnd -= 1
@@ -281,31 +268,31 @@ def _exact_search(table: _NeighbourTable, v0: int, n_max: int,
             complete)
 
 
-def _beats(group: GroupHandle, cand: SubsetWitness,
-           incumbent: Optional[SubsetWitness]) -> bool:
+def _beats(cand: SubsetWitness, incumbent: Optional[SubsetWitness]) -> bool:
     """The one witness order: larger ratio first (None is +infinity), then
-    the lexicographically smallest sorted sort_key list, computed on ties only.
+    the lexicographically smallest sorted element list, computed on ties
+    only.
 
     profile_exact's search applies this order without building witnesses:
     two sets of one size tie on ratio iff they tie on |dS|, and on its
-    window index order is strict sort_key order, so the sort_key lists
-    compare as the sorted index tuples do."""
+    window index order is element order, so the element lists compare as
+    the sorted index tuples do."""
     if incumbent is None:
         return True
     c = math.inf if cand.ratio is None else cand.ratio
     i = math.inf if incumbent.ratio is None else incumbent.ratio
     if c != i:
         return c > i
-    return sorted(map(group.sort_key, cand.A)) < sorted(map(group.sort_key, incumbent.A))
+    return sorted(cand.A) < sorted(incumbent.A)
 
 
-def _carry_forward(group: GroupHandle, best: Dict[int, SubsetWitness], n_max: int,
+def _carry_forward(best: Dict[int, SubsetWitness], n_max: int,
                    method: str, exact: bool) -> List[ProfilePoint]:
     """Point n carries the best witness of any size <= n; best[1] must exist."""
     points = []
     top: Optional[SubsetWitness] = None
     for n in range(1, n_max + 1):
-        if n in best and _beats(group, best[n], top):
+        if n in best and _beats(best[n], top):
             top = best[n]
         points.append(ProfilePoint(n, top.ratio, top, method, exact))
     return points
@@ -354,7 +341,7 @@ def profile_exact(group: GroupHandle, n_max: int, radius: int,
     elements = table.elements
     found, complete = _exact_search(table, elements.index(group.identity()), n_max, budget)
     best = {k: boundary(group, [elements[i] for i in S]) for k, (_, S) in found.items()}
-    return _carry_forward(group, best, n_max, "exact", complete and radius >= n_max - 1)
+    return _carry_forward(best, n_max, "exact", complete and radius >= n_max - 1)
 
 
 def profile_heuristic(group: GroupHandle, n_max: int, method: str = "greedy",
@@ -362,7 +349,7 @@ def profile_heuristic(group: GroupHandle, n_max: int, method: str = "greedy",
     """Witness-certified lower bounds on the profile.
 
     greedy: grow A from the identity, always adding the boundary vertex
-    minimizing the resulting |dA| (ties broken by sort key).
+    minimizing the resulting |dA| (ties broken by element order).
     anneal: Metropolis over add/remove moves with geometric cooling
     T_k = 1.0 * 0.995^k for the given number of steps, seeded.
     """
@@ -374,7 +361,7 @@ def profile_heuristic(group: GroupHandle, n_max: int, method: str = "greedy",
 
     def consider(A: frozenset):
         w = boundary(group, A)
-        if _beats(group, w, best.get(len(A))):
+        if _beats(w, best.get(len(A))):
             best[len(A)] = w
 
     if method == "greedy":
@@ -383,12 +370,11 @@ def profile_heuristic(group: GroupHandle, n_max: int, method: str = "greedy",
             w = boundary(group, A)
             if not w.boundary:
                 break
-            cand = sorted(w.boundary, key=group.sort_key)
+            cand = sorted(w.boundary)
 
             def score(u):
                 in_A = sum(1 for s in gens_ if group.multiply(u, s) in A)
-                return (len(boundary(group, A | {u}).boundary), -in_A,
-                        group.sort_key(u))
+                return (len(boundary(group, A | {u}).boundary), -in_A, u)
 
             pick = min(cand, key=score)
             A = A | {pick}
@@ -401,10 +387,10 @@ def profile_heuristic(group: GroupHandle, n_max: int, method: str = "greedy",
             T = 1.0 * (0.995 ** k)
             add = len(A) == 1 or rng.random() < 0.6
             if add and len(A) < n_max and cur.boundary:
-                u = rng.choice(sorted(cur.boundary, key=group.sort_key))
+                u = rng.choice(sorted(cur.boundary))
                 nxt = A | {u}
             elif len(A) > 1:
-                u = rng.choice(sorted(A - {e}, key=group.sort_key))
+                u = rng.choice(sorted(A - {e}))
                 nxt = A - {u}
             else:
                 continue
@@ -417,7 +403,7 @@ def profile_heuristic(group: GroupHandle, n_max: int, method: str = "greedy",
     else:
         raise ContractViolation(f"unknown heuristic method {method!r}")
 
-    return _carry_forward(group, best, n_max, method, False)
+    return _carry_forward(best, n_max, method, False)
 
 
 def folner_function(points: Sequence[ProfilePoint], target: Fraction):

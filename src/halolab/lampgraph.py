@@ -4,6 +4,7 @@ an exact graph-isomorphism check (degree refinement + backtracking).
 """
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
@@ -31,8 +32,9 @@ class FiniteGraph:
         if self.basepoint is not None and self.basepoint not in vset:
             raise ContractViolation("basepoint outside vertex set")
 
-    @property
+    @functools.cached_property
     def adjacency(self) -> Dict[Any, FrozenSet]:
+        """Each vertex's neighbours; built on first use and kept."""
         adj: Dict[Any, set] = {v: set() for v in self.vertices}
         for e in self.edges:
             u, v = tuple(e)
@@ -168,12 +170,25 @@ class SeparatedNet:
     def separation(self) -> int:
         return self.D + 2
 
+    @functools.cached_property
+    def graph(self) -> FiniteGraph:
+        """The net graph on X0, based at X0[0]: x ~ y iff x^-1 y is a bigstep
+        generator, i.e. 0 < d_group(x, y) <= 2D+5.  Built on first use and
+        kept; the relation is symmetric, as the bigstep set is closed under
+        inversion."""
+        g = self.group
+        big = set(self.bigstep)
+        X = self.X0
+        edges = frozenset(frozenset((x, y)) for i, x in enumerate(X) for y in X[i + 1:]
+                          if g.multiply(g.invert(x), y) in big)
+        return FiniteGraph(X, edges, X[0])
+
 
 def greedy_net(group: GroupHandle, radius: int, D: int) -> SeparatedNet:
     """Greedy (D+2)-separated net over Ball(radius), insertion in BFS order
-    (length, then sort key); maximal within the ball interior."""
+    (length, then element order); maximal within the ball interior."""
     b = ball(group, radius)
-    order = sorted(b.elements, key=lambda g: (b.lengths[g], group.sort_key(g)))
+    order = sorted(b.elements, key=lambda g: (b.lengths[g], g))
     sep = D + 2
     near = set(ball(group, sep - 1).elements)  # d(x,y) < sep  iff  x^-1 y here
     X0 = []
@@ -181,8 +196,7 @@ def greedy_net(group: GroupHandle, radius: int, D: int) -> SeparatedNet:
         vi = group.invert(v)
         if all(group.multiply(vi, x) not in near for x in X0):
             X0.append(v)
-    bigs = sorted((g for g in ball(group, 2 * D + 5).elements
-                   if g != group.identity()), key=group.sort_key)
+    bigs = sorted(g for g in ball(group, 2 * D + 5).elements if g != group.identity())
     return SeparatedNet(group, D, radius, tuple(X0), tuple(bigs))
 
 
@@ -211,15 +225,10 @@ def net_is_maximal_in_interior(net: SeparatedNet) -> bool:
 
 
 def _bigstep_distances(net: SeparatedNet) -> Dict[Tuple, int]:
-    """Graph distances between net points where x ~ y iff x^-1 y is a
-    bigstep generator (i.e. d_group(x, y) <= 2D+5), BFS per source."""
-    g = net.group
-    big = set(net.bigstep)
-    X = list(net.X0)
-    adj = {x: [y for y in X if y != x and g.multiply(g.invert(x), y) in big]
-           for x in X}
+    """Distances in the net graph (see SeparatedNet.graph), BFS per source."""
+    adj = net.graph.adjacency
     dist = {}
-    for src in X:
+    for src in net.X0:
         d = {src: 0}
         frontier = [src]
         while frontier:
@@ -352,9 +361,7 @@ def build_Ystar(halo: HaloGroup, net: SeparatedNet, s0, radius: int,
         raise BudgetError(f"Y* vertex budget exceeded ({n_vertices} > {budget})")
 
     idx_ranges = [range(s) for s in sizes]
-    big = set(net.bigstep)
-    moves = {x: [y for y in sites if y != x and
-                 base.multiply(base.invert(x), y) in big] for x in sites}
+    moves = net.graph.adjacency
     vertices = []
     edges = set()
     for rho in itertools.product(*idx_ranges):
@@ -389,12 +396,10 @@ def _refine(adj: Dict, colors: Dict) -> Dict:
 
 
 def check_iso_to_lamplighter(Y: FiniteGraph, B: FiniteGraph, A: FiniteGraph,
-                             support_cap: Optional[int] = None,
                              size_budget: int = 10 ** 4):
-    """Decide Y isomorphic-to lamplighter_graph(B, A, cap); returns
-    (True, mapping) or (False, None)."""
-    cap = len(A.vertices) if support_cap is None else support_cap
-    L = lamplighter_graph(B, A, cap)
+    """Decide Y isomorphic-to lamplighter_graph(B, A, |A|), the untruncated
+    lamplighter graph; returns (True, mapping) or (False, None)."""
+    L = lamplighter_graph(B, A, len(A.vertices))
     return graph_isomorphism(Y, L.graph, size_budget)
 
 

@@ -2,10 +2,10 @@
 
 The reference below is the lamp arithmetic as it stood before payloads
 were sorted by the points' own order: every payload helper sorts with an
-explicit site key (the base sort_key; (sort_key(x), i) for juggler
-points), permutations compose through two dicts over the union of the
-supports, and a product always translates and then composes.  halo.py
-must agree with it payload for payload.
+explicit site key (_site_key below, written out structurally; (key(x),
+i) for juggler points), permutations compose through two dicts over the
+union of the supports, and a product always translates and then
+composes.  halo.py must agree with it payload for payload.
 """
 import functools
 import itertools
@@ -18,10 +18,23 @@ from halolab.gf import GF
 from halolab.groups import (CyclicGroup, HeisenbergGroup, ProductGroup,
                             SymmetricGroup, ZdGroup, ball)
 from halolab import halo as halo_module
-from halolab.halo import enumerate_block, make_halo
+from halolab.halo import HaloGroup, enumerate_block, make_halo
 
 # ---------------------------------------------------------------------------
 # the keyed reference helpers
+
+
+def _site_key(base):
+    """The key the reference sorts base points by: a product's elements
+    componentwise, a halo's as (lamp, key of the cursor), every other
+    group's as the element itself."""
+    if isinstance(base, ProductGroup):
+        left, right = _site_key(base.left), _site_key(base.right)
+        return lambda a: (left(a[0]), right(a[1]))
+    if isinstance(base, HaloGroup):
+        cursor = _site_key(base.base)
+        return lambda a: (a[0], cursor(a[1]))
+    return lambda a: a
 
 
 def _perm_apply(p, x):
@@ -124,10 +137,11 @@ class Reference:
         self.halo = halo
         self.base = base = halo.base
         self.family = halo.family
+        self.site_key = site_key = _site_key(base)
         if self.family == "juggler":
-            self.key = lambda point: (base.sort_key(point[0]), point[1])
+            self.key = lambda point: (site_key(point[0]), point[1])
         else:
-            self.key = base.sort_key
+            self.key = site_key
 
     def _move(self, h, x):
         if self.family == "juggler":
@@ -188,7 +202,7 @@ class Reference:
 
     def block(self, sites):
         fam, key, halo = self.family, self.key, self.halo
-        sites = sorted(sites, key=self.base.sort_key)
+        sites = sorted(sites, key=self.site_key)
         if fam == "wreath":
             return [_map_canonical(dict(zip(sites, values)), halo.fiber, key)
                     for values in itertools.product(halo.fiber.elements(),
@@ -287,7 +301,7 @@ def test_enumerate_block_matches_keyed_reference(family, params, base):
     halo = make_halo(family, params, base)
     ref = Reference(halo)
     rng = random.Random(halo.spec)
-    window = sorted(ball(base, 2).elements, key=base.sort_key)
+    window = sorted(ball(base, 2).elements)
     for k in (1, 2, 3):
         if halo.growth(k) > 1500:
             continue
@@ -341,14 +355,15 @@ PARSED_SPECS = ["Z", "Z^2", "Z^3", "Z:lex", "Z^2:lex", "C2", "C5", "H3", "Z x C3
                 "upcloner(GF2, Z:lex)", "shuffler(Z x C2)"]
 
 
-def test_payload_order_is_sort_key_order_on_every_parsed_base():
-    """Payloads are sorted by the points' own order, which is sort_key
-    order exactly when sorted(xs) == sorted(xs, key=sort_key)."""
-    for spec in PARSED_SPECS:
-        g = parse_descriptor(spec).build()
+def test_ball_sorted_natively_is_strictly_increasing_on_every_parsed_group():
+    """The GroupHandle contract: distinct elements are strictly ordered by
+    <, which every tie-break and payload sort relies on."""
+    for g in [parse_descriptor(spec).build() for spec in PARSED_SPECS] + \
+            [make_halo(*h) for h in NESTED]:
         xs = list(ball(g, 2).elements)
-        random.Random(spec).shuffle(xs)
-        assert sorted(xs) == sorted(xs, key=g.sort_key), spec
+        random.Random(g.spec).shuffle(xs)
+        xs.sort()
+        assert all(a < b for a, b in zip(xs, xs[1:])), g.spec
 
 
 # ---------------------------------------------------------------------------
@@ -380,13 +395,12 @@ def _multiply_boundary(group, A):
                          + [make_halo(*h) for h in HALOS[2::4] + NESTED],
                          ids=lambda g: g.spec)
 def test_ball_and_boundary_by_step_equal_their_multiply_copies(group):
-    from halolab.isoperimetry import _NeighbourTable, boundary
+    from halolab.isoperimetry import boundary
 
-    _NeighbourTable(group, 1)  # sort_key strictly orders the window
     b = ball(group, 2)
     assert (b.lengths, b.parents) == _multiply_ball(group, 2)
     rng = random.Random(group.spec)
-    window = sorted(b.elements, key=group.sort_key)
+    window = sorted(b.elements)
     for _ in range(10):
         A = rng.sample(window, rng.randint(1, min(12, len(window))))
         assert boundary(group, A).boundary == _multiply_boundary(group, A)

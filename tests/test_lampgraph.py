@@ -70,6 +70,20 @@ def test_greedy_net_small_radius():
     assert net.X0 == ((0,),)
 
 
+def test_net_graph_joins_net_points_within_2D_plus_5_and_is_built_once():
+    for group, radius, D in ((Z, 12, 1), (Z2, 7, 1), (H3, 4, 0)):
+        net = greedy_net(group, radius, D)
+        near = ball(group, 2 * D + 5).lengths
+        G = net.graph
+        assert G.vertices == net.X0 and G.basepoint == net.X0[0]
+        assert G.edges == {frozenset((x, y)) for x in net.X0 for y in net.X0
+                           if x != y and group.multiply(group.invert(x), y) in near}
+        assert net.graph is G and G.adjacency is G.adjacency
+        # the cached map changes neither equality nor hashing
+        assert G == FiniteGraph(G.vertices, G.edges, G.basepoint)
+        assert hash(G) == hash(FiniteGraph(G.vertices, G.edges, G.basepoint))
+
+
 def test_net_metric_bounds_on_z_and_z2():
     for group, radius in ((Z, 6), (Z2, 6), (Z, 5), (Z2, 9)):
         for D in (0, 1):
