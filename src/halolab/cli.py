@@ -258,7 +258,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", parents=[group, seed])
     p.add_argument("--sites", required=True,
-                   help="semicolon-separated base points, e.g. '0;1' or '0,0;0,1'")
+                   help="semicolon-separated base points, e.g. '0;1' or '0,0;0,1'; "
+                        "a list that starts with a negative site needs the = form, "
+                        "--sites=-1;0;2")
     p.set_defaults(fn=cmd_decompose)
 
     p = sub.add_parser("net", parents=[group], help="greedy separated net")

@@ -38,8 +38,12 @@ DEFAULT_WORD_CAP = 10 ** 5
 
 
 def evaluate_word(halo: HaloGroup, word: Word):
-    """The product of the word's letters; a +1 letter is one halo.step."""
+    """The product of the word's letters, each one halo.step: a -1 letter
+    steps by the index of its generator's inverse, which the generator
+    list holds, as it is closed under inversion."""
     gens = halo.generators()
+    index = {g: i for i, g in enumerate(gens)}
+    inverse = [index[halo.invert(g)] for g in gens]
     out = halo.identity()
     for idx, exp in word:
         if not 0 <= idx < len(gens):
@@ -47,7 +51,7 @@ def evaluate_word(halo: HaloGroup, word: Word):
         if exp == 1:
             out = halo.step(out, idx)
         elif exp == -1:
-            out = halo.multiply(out, halo.invert(gens[idx]))
+            out = halo.step(out, inverse[idx])
         else:
             raise ContractViolation("word exponents must be +-1")
     return out
@@ -160,44 +164,47 @@ def _record_step(trace: Optional[list], parent, child):
         trace.append((parent, child))
 
 
-def _bfs_factor(halo: HaloGroup, target: Lamp, generator_lamps: List[Lamp]) -> List[Lamp]:
-    """Write target as an ordered product of the given lamps (BFS, shortest)."""
+def _lamp_bfs(halo: HaloGroup, moves: Sequence[Tuple[Lamp, list]],
+              target: Optional[Lamp] = None) -> Dict[Lamp, list]:
+    """Breadth-first search over products of the move lamps, from the
+    identity lamp.
+
+    A move is a pair (lamp, labels).  Returns {lamp: the labels of the
+    moves along the first path that reached it, concatenated}, in the order
+    the search reached them.  It stops as soon as ``target`` is reached;
+    with no target it visits the whole subgroup the moves generate.
+    """
     ident = halo.lamp_identity()
-    if target == ident:
-        return []
-    prev: Dict[Lamp, Tuple[Lamp, Lamp]] = {ident: None}
+    paths: Dict[Lamp, list] = {ident: []}
     frontier = [ident]
-    while frontier:
+    while frontier and target not in paths:
         new_frontier = []
         for state in frontier:
-            for g in generator_lamps:
-                nxt = halo.lamp_compose(state, g)
-                if nxt in prev:
-                    continue
-                prev[nxt] = (state, g)
-                if nxt == target:
-                    factors = []
-                    cur = nxt
-                    while prev[cur] is not None:
-                        cur, g = prev[cur]
-                        factors.append(g)
-                    factors.reverse()
-                    return factors
-                new_frontier.append(nxt)
+            for lamp, labels in moves:
+                nxt = halo.lamp_compose(state, lamp)
+                if nxt not in paths:
+                    paths[nxt] = paths[state] + labels
+                    if nxt == target:
+                        return paths
+                    new_frontier.append(nxt)
         frontier = new_frontier
-    raise UndecomposableError(
-        "target lamp is not in the subgroup generated by the provided blocks")
+    return paths
 
 
 def _factor_and_recurse(rec, halo: HaloGroup, lamp: Lamp, r1: Sequence, r2: Sequence,
                         measure, budget: _Budget, trace: Optional[list]) -> Word:
-    """Factor lamp over the non-identity elements of L(r1) and L(r2), then
-    decompose each factor by rec(halo, factor, measure, budget, trace)."""
+    """Factor lamp over the non-identity elements of L(r1) and L(r2) (the
+    shortest ordered product, by lamp BFS), then decompose each factor by
+    rec(halo, factor, measure, budget, trace)."""
     ident = halo.lamp_identity()
     blocks = [l for l in enumerate_block(halo, r1) if l != ident]
     blocks += [l for l in enumerate_block(halo, r2) if l != ident]
+    factors = _lamp_bfs(halo, [(l, [l]) for l in blocks], lamp).get(lamp)
+    if factors is None:
+        raise UndecomposableError(
+            "target lamp is not in the subgroup generated by the provided blocks")
     out: Word = []
-    for f in _bfs_factor(halo, lamp, blocks):
+    for f in factors:
         out += rec(halo, f, measure, budget, trace)
     return out
 
@@ -238,19 +245,7 @@ def _edge_table(halo: HaloGroup, p, q) -> Dict[Lamp, Word]:
             path = halo.base_word(t)
             candidates.append((moved, path + [(gi, 1)] + invert_word(path)))
     candidates.sort(key=lambda cw: len(cw[1]))
-
-    table: Dict[Lamp, Word] = {halo.lamp_identity(): []}
-    frontier = [halo.lamp_identity()]
-    while frontier:
-        new_frontier = []
-        for state in frontier:
-            for moved, w in candidates:
-                nxt = halo.lamp_compose(state, moved)
-                if nxt not in table:
-                    table[nxt] = table[state] + w
-                    new_frontier.append(nxt)
-        frontier = new_frontier
-    cache[ckey] = table
+    table = cache[ckey] = _lamp_bfs(halo, candidates)
     return table
 
 
@@ -399,10 +394,7 @@ def _transvection_word(halo: UpclonerHalo, a, b, lam: int, parent_len: Optional[
 
 def _upcloner_rec(halo: UpclonerHalo, lamp: Lamp, parent_measure, budget: _Budget,
                   trace: Optional[list]) -> Word:
-    import functools
-
-    base = halo.base
-    sites = sorted(halo.lamp_sites(lamp), key=functools.cmp_to_key(base.compare))
+    sites = sorted(halo.lamp_sites(lamp))
     if not sites:
         return []
     measure = _subset_measure(halo, sites)

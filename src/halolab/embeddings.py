@@ -205,16 +205,17 @@ def shuffler_endomorphism(H: GroupHandle, psi: Optional[BaseEndomorphism] = None
         return (bar, psi.map(h))
 
     # non-surjectivity witness: a transposition whose support leaves im(psi)
+    lengths = ball(shuffler, max(2, witness_radius)).lengths
     witness = None
-    for g in sorted(ball(shuffler, 2).elements):
+    for g in sorted(g for g, l in lengths.items() if l <= 2):
         sites = shuffler.lamp_sites(g[0])
         if sites and any(not psi.in_image(x) for x in sites):
             witness = g
             break
     if witness is not None:
         # certify by exhaustive preimage search
-        for g in ball(shuffler, witness_radius).elements:
-            if phi(g) == witness:
+        for g, l in lengths.items():
+            if l <= witness_radius and phi(g) == witness:
                 raise ContractViolation("claimed witness has a preimage")
 
     return GroupMorphism(shuffler, shuffler, phi,

@@ -51,7 +51,7 @@ def _validate(config: Dict) -> Dict:
     for key, (typ, default) in _SCHEMA.items():
         if key in config and config[key] is not None:
             v = config[key]
-            if typ is int and isinstance(v, bool) or not isinstance(v, typ):
+            if typ is not bool and isinstance(v, bool) or not isinstance(v, typ):
                 raise ContractViolation(
                     f"config field '{key}': expected {typ}, got {type(v).__name__}")
             out[key] = v
@@ -65,6 +65,8 @@ def _validate(config: Dict) -> Dict:
     for key in ("n_max", "budget"):
         if out[key] < 1:
             raise ContractViolation(f"config field '{key}': must be >= 1")
+    if not out["p"] >= 1:
+        raise ContractViolation("config field 'p': must be >= 1")
     if out["method"] not in ("exact", "greedy", "anneal"):
         raise ContractViolation("config field 'method': must be exact|greedy|anneal")
     for b in out["bounds"]:

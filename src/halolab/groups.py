@@ -4,8 +4,9 @@ Groups are exposed through :class:`GroupHandle`: identity / multiply /
 invert / generators plus canonical, hashable element encodings.  Concrete
 groups: Z^d (optionally with the lexicographic total order), finite cyclic
 C_m, the discrete Heisenberg group H3(Z), finite symmetric groups, and
-direct products.  Cayley balls are computed by breadth-first search and
-carry exact word lengths plus parent pointers for geodesic words.
+direct products.  Cayley balls come from one resumable breadth-first
+search (:class:`Ball`) and carry exact word lengths plus parent pointers
+for geodesic words.
 """
 from __future__ import annotations
 
@@ -33,6 +34,9 @@ class GroupHandle:
     generators()[i])`` exactly.  The default calls multiply on a generator
     list fetched once per handle; a subclass may override it with a
     cheaper edit of ``a`` (halo products do).
+
+    ``has_total_order`` says that ``<`` is also translation-invariant:
+    a < b exactly when t*a < t*b, for every t.
     """
 
     spec: str = "?"
@@ -59,10 +63,6 @@ class GroupHandle:
         """a * generators()[i], for 0 <= i < len(generators())."""
         return self.multiply(a, self._step_generators[i])
 
-    def compare(self, a: Element, b: Element) -> int:
-        """Translation-invariant total order; only on ordered groups."""
-        raise ContractViolation(f"group {self.spec} has no total order")
-
     def element_str(self, a: Element) -> str:
         return repr(a)
 
@@ -77,7 +77,10 @@ class GroupHandle:
 
 
 class ZdGroup(GroupHandle):
-    """Z^d with generating set {+-e_i}; elements are int d-tuples."""
+    """Z^d with generating set {+-e_i}; elements are int d-tuples.
+
+    With ``lex`` the group is marked as totally ordered: tuple ``<`` is
+    the lexicographic order, which translations preserve."""
 
     def __init__(self, d: int = 1, lex: bool = False):
         if d < 1:
@@ -106,13 +109,6 @@ class ZdGroup(GroupHandle):
 
     def generators(self):
         return list(self._gens)  # a copy, so no caller can edit the shared list
-
-    def compare(self, a, b):
-        if not self.lex:
-            return super().compare(a, b)
-        if a == b:
-            return 0
-        return -1 if a < b else 1  # tuple comparison is lexicographic
 
     def element_str(self, a):
         return ",".join(str(x) for x in a)
@@ -263,24 +259,68 @@ class ProductGroup(GroupHandle):
 
 
 class Ball:
-    """BFS closure of {identity} with exact word lengths and parents.
+    """Breadth-first Cayley ball of {identity}, with exact word lengths and
+    parents, that can be grown to a larger radius.
 
     ``parents[g] = (h, i)`` means ``g = h * generators[i]`` with
     ``lengths[g] = lengths[h] + 1``; the identity has no parent.
+    ``lengths`` holds the elements in BFS order and ``elements`` is a live
+    view of its keys.  The ball keeps its last sphere, and ``grow`` resumes
+    the search from it, taking each g * s as group.step(g, i): a ball grown
+    in steps equals a fresh ``ball(group, r)``, with the same lengths in the
+    same insertion order and the same parents.
     """
 
-    def __init__(self, group: GroupHandle, radius: int,
-                 lengths: Dict[Element, int], parents: Dict[Element, Tuple[Element, int]]):
+    def __init__(self, group: GroupHandle):
+        e = group.identity()
         self.group = group
-        self.radius = radius
-        self.lengths = lengths
-        self.parents = parents
-        self.elements = set(lengths)
+        self.radius = 0
+        self.lengths: Dict[Element, int] = {e: 0}
+        self.parents: Dict[Element, Tuple[Element, int]] = {}
+        self.elements = self.lengths.keys()
+        self.sphere: List[Element] = [e]  # the elements of length radius
+        self._steps = range(len(group.generators()))
+        self._per_element = max(64, sys.getsizeof(e) + 64)
 
     def __len__(self):
         return len(self.lengths)
 
     def __contains__(self, g):
+        return g in self.lengths
+
+    def grow(self, radius: int, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> "Ball":
+        """Extend the ball to the given radius, one sphere at a time.
+
+        Raises BudgetError naming the radius reached if the (estimated)
+        memory footprint of the element set exceeds ``memory_budget``
+        bytes; the ball stays a complete ball of that radius.
+        """
+        lengths, parents, step, steps = self.lengths, self.parents, self.group.step, self._steps
+        while self.radius < radius:
+            if not self.sphere:  # the ball is the whole (finite) group
+                self.radius = radius
+                break
+            r = self.radius + 1
+            sphere = []
+            for g in self.sphere:
+                for i in steps:
+                    h = step(g, i)
+                    if h not in lengths:
+                        lengths[h] = r
+                        parents[h] = (g, i)
+                        sphere.append(h)
+            self.sphere, self.radius = sphere, r
+            if len(lengths) * self._per_element > memory_budget:
+                raise BudgetError(
+                    f"ball memory budget exceeded at radius {r} "
+                    f"({len(lengths)} elements, ~{len(lengths) * self._per_element} bytes)")
+        return self
+
+    def reach(self, g: Element, max_radius: int) -> bool:
+        """Grow sphere by sphere until g is in the ball, the radius is
+        max_radius or the group is exhausted; whether g is in the ball."""
+        while g not in self.lengths and self.radius < max_radius and self.sphere:
+            self.grow(self.radius + 1)
         return g in self.lengths
 
     def word_to(self, g: Element) -> List[Tuple[int, int]]:
@@ -300,50 +340,22 @@ class Ball:
 
 
 def ball(group: GroupHandle, radius: int, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> Ball:
-    """Breadth-first Cayley ball of the given radius; each g * s is
-    group.step(g, i).
+    """Breadth-first Cayley ball of the given radius: a new Ball grown to it.
 
     Raises BudgetError naming the radius reached if the (estimated) memory
     footprint of the element set exceeds ``memory_budget`` bytes.
     """
     if radius < 0:
         raise ContractViolation("radius must be >= 0")
-    steps = range(len(group.generators()))
-    step = group.step
-    e = group.identity()
-    lengths: Dict[Element, int] = {e: 0}
-    parents: Dict[Element, Tuple[Element, int]] = {}
-    frontier = [e]
-    per_element = max(64, sys.getsizeof(e) + 64)
-    for r in range(1, radius + 1):
-        new_frontier = []
-        for g in frontier:
-            for i in steps:
-                h = step(g, i)
-                if h not in lengths:
-                    lengths[h] = r
-                    parents[h] = (g, i)
-                    new_frontier.append(h)
-        if len(lengths) * per_element > memory_budget:
-            raise BudgetError(
-                f"ball memory budget exceeded at radius {r} "
-                f"({len(lengths)} elements, ~{len(lengths) * per_element} bytes)")
-        frontier = new_frontier
-        if not frontier:
-            break
-    return Ball(group, radius, lengths, parents)
+    return Ball(group).grow(radius, memory_budget)
 
 
 def word_length(group: GroupHandle, g: Element, max_radius: int = 64) -> int:
-    """Exact word length of g, found by growing BFS balls."""
-    r = 1
-    while r <= max_radius:
-        b = ball(group, r)
-        if g in b:
-            return b.lengths[g]
-        if len(b) == len(ball(group, r - 1)) and r > 1:
-            break
-        r += 1
+    """Exact word length of g, found by growing one BFS ball until it
+    holds g (or stops growing)."""
+    b = Ball(group)
+    if b.reach(g, max_radius):
+        return b.lengths[g]
     raise ContractViolation(f"element {g!r} not within radius {max_radius}")
 
 

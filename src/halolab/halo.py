@@ -40,7 +40,6 @@ with no dict round-trip and no re-sort:
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from bisect import bisect_left, insort
@@ -277,7 +276,7 @@ class HaloGroup(GroupHandle):
         self._gens: Optional[List] = None
         self._base_gen_offset: Optional[int] = None
         self._translated: Dict = {}  # cursor h -> [lamp_act(h, t) for each lamp generator t]
-        self._base_balls: Dict[int, Ball] = {}
+        self._geodesic_ball = Ball(base)  # grown as far as base_word has needed
 
     # -- family interface ---------------------------------------------------
     def make_lamp(self, entries) -> Lamp:
@@ -372,21 +371,13 @@ class HaloGroup(GroupHandle):
         return f"lamp={lamp!r} cursor={self.base.element_str(cursor)}"
 
     # -- shared helpers -----------------------------------------------------
-    def base_ball(self, radius: int) -> Ball:
-        if radius not in self._base_balls:
-            self._base_balls[radius] = ball(self.base, radius)
-        return self._base_balls[radius]
-
     def base_word(self, h, max_radius: int = 64) -> List[Tuple[int, int]]:
-        """Geodesic word for the base move (1, h), as halo generator indices."""
-        r = 1
-        while r <= max_radius:
-            b = self.base_ball(r)
-            if h in b:
-                off = self.base_gen_offset
-                return [(off + i, 1) for i, _ in b.word_to(h)]
-            r += 1
-        raise ContractViolation(f"base element {h!r} not within radius {max_radius}")
+        """Geodesic word for the base move (1, h), as halo generator indices;
+        read off one base ball, grown until it holds h."""
+        if not self._geodesic_ball.reach(h, max_radius):
+            raise ContractViolation(f"base element {h!r} not within radius {max_radius}")
+        off = self.base_gen_offset
+        return [(off + i, 1) for i, _ in self._geodesic_ball.word_to(h)]
 
 
 class _FiberHalo(HaloGroup):
@@ -434,12 +425,7 @@ class WreathHalo(_FiberHalo):
 
     def lamp_generators(self):
         e = self.base.identity()
-        gens = []
-        for f in self.fiber.generators():
-            lamp = self.make_lamp({e: f})
-            if lamp and lamp not in gens:
-                gens.append(lamp)
-        return gens
+        return [self.make_lamp({e: f}) for f in self.fiber.generators()]
 
     def _step_lamp(self, a, t):
         ((x, f),) = t
@@ -494,12 +480,7 @@ class ShufflerHalo(_PermutationHalo):
 
     def lamp_generators(self):
         e = self.base.identity()
-        gens = []
-        for s in self.base.generators():
-            lamp = self.make_lamp({e: s, s: e})
-            if lamp not in gens:
-                gens.append(lamp)
-        return gens
+        return [self.make_lamp({e: s, s: e}) for s in self.base.generators()]
 
     def block_elements(self, sites):
         sites = sorted(sites)
@@ -530,15 +511,9 @@ class JugglerHalo(_PermutationHalo):
 
     def lamp_generators(self):
         e = self.base.identity()
-        gens = []
-        for s in self.base.generators():
-            for i in range(self.tracks):
-                for j in range(self.tracks):
-                    p, q = (e, i), (s, j)
-                    lamp = self.make_lamp({p: q, q: p})
-                    if lamp not in gens:
-                        gens.append(lamp)
-        return gens
+        return [self.make_lamp({(e, i): (s, j), (s, j): (e, i)})
+                for s in self.base.generators()
+                for i in range(self.tracks) for j in range(self.tracks)]
 
     def block_elements(self, sites):
         points = [(x, i) for x in sorted(sites)
@@ -598,16 +573,8 @@ class DesignerHalo(_FiberHalo):
 
     def lamp_generators(self):
         e = self.base.identity()
-        gens = []
-        for f in self.fiber.generators():
-            lamp = self.make_lamp(({e: f}, {}))
-            if lamp[0] and lamp not in gens:
-                gens.append(lamp)
-        for s in self.base.generators():
-            lamp = self.make_lamp(({}, {e: s, s: e}))
-            if lamp not in gens:
-                gens.append(lamp)
-        return gens
+        return ([self.make_lamp(({e: f}, {})) for f in self.fiber.generators()]
+                + [self.make_lamp(({}, {e: s, s: e})) for s in self.base.generators()])
 
     def block_elements(self, sites):
         sites = sorted(sites)
@@ -731,7 +698,7 @@ class UpclonerHalo(_MatrixHalo):
 
     def _check_unitriangular(self, lamp: Lamp):
         for (p, q), _v in lamp:
-            if p == q or self.base.compare(p, q) >= 0:
+            if not p < q:
                 raise ContractViolation(
                     "upcloner lamp must be unitriangular: entry (p,q) requires p < q")
 
@@ -739,14 +706,14 @@ class UpclonerHalo(_MatrixHalo):
         e = self.base.identity()
         gens = []
         for s in self.base.generators():
-            if self.base.compare(e, s) < 0:
+            if e < s:
                 for lam in self.gf.units:
                     gens.append(self.make_lamp({(e, s): lam}))
         return gens
 
     def block_elements(self, sites):
         # order positions by the base total order so (p,q) with p<q is upper
-        ordered = sorted(sites, key=functools.cmp_to_key(self.base.compare))
+        ordered = sorted(sites)
         pairs = [(ordered[i], ordered[j])
                  for i in range(len(ordered)) for j in range(i + 1, len(ordered))]
         out = []
@@ -821,8 +788,8 @@ def commutativity_constant(halo: HaloGroup, radius: int,
     distance between subsets is min over point pairs of the word metric.
     """
     base = halo.base
-    window = sorted(ball(base, radius).elements)
     metric = ball(base, 2 * radius).lengths
+    window = sorted(g for g, l in metric.items() if l <= radius)
 
     def dist(a, b):
         return metric[base.multiply(base.invert(a), b)]

@@ -186,17 +186,20 @@ class SeparatedNet:
 
 def greedy_net(group: GroupHandle, radius: int, D: int) -> SeparatedNet:
     """Greedy (D+2)-separated net over Ball(radius), insertion in BFS order
-    (length, then element order); maximal within the ball interior."""
-    b = ball(group, radius)
-    order = sorted(b.elements, key=lambda g: (b.lengths[g], g))
+    (length, then element order); maximal within the ball interior.  One
+    ball, of radius max(radius, 2D+5), serves the net, the separation test
+    and the bigstep set."""
+    lengths = ball(group, max(radius, 2 * D + 5)).lengths
+    order = sorted((g for g, l in lengths.items() if l <= radius),
+                   key=lambda g: (lengths[g], g))
     sep = D + 2
-    near = set(ball(group, sep - 1).elements)  # d(x,y) < sep  iff  x^-1 y here
     X0 = []
     for v in order:
         vi = group.invert(v)
-        if all(group.multiply(vi, x) not in near for x in X0):
+        # d(v, x) < sep iff v^-1 x is in the ball with length < sep
+        if all(lengths.get(group.multiply(vi, x), sep) >= sep for x in X0):
             X0.append(v)
-    bigs = sorted(g for g in ball(group, 2 * D + 5).elements if g != group.identity())
+    bigs = sorted(g for g, l in lengths.items() if 0 < l <= 2 * D + 5)
     return SeparatedNet(group, D, radius, tuple(X0), tuple(bigs))
 
 
@@ -212,14 +215,14 @@ def net_is_maximal_in_interior(net: SeparatedNet) -> bool:
     """Every ball point at distance <= radius - (D+2) from the identity is
     within D+2 of some net point."""
     g = net.group
-    b = ball(g, net.radius)
-    interior_r = net.radius - net.separation
-    close = set(ball(g, net.separation).elements)
-    for v in b.elements:
-        if b.lengths[v] > interior_r:
+    sep = net.separation
+    lengths = ball(g, max(net.radius, sep)).lengths
+    interior_r = net.radius - sep
+    for v, l in lengths.items():
+        if l > interior_r:
             continue
         vi = g.invert(v)
-        if not any(g.multiply(vi, x) in close for x in net.X0):
+        if not any(lengths.get(g.multiply(vi, x), sep + 1) <= sep for x in net.X0):
             return False
     return True
 
@@ -258,9 +261,11 @@ def _net_metric_pairs(net: SeparatedNet
     """
     g = net.group
     L = 2 * net.D + 5
-    b = ball(g, net.radius)
     interior_r = net.radius - net.separation
-    pts = [x for x in net.X0 if b.lengths[x] <= interior_r]
+    # the window of the BFS below; it contains Ball(net.radius), as
+    # 2 r_int + L = 2 radius + 1
+    window = ball(g, 2 * interior_r + L).lengths
+    pts = [x for x in net.X0 if window[x] <= interior_r]
     dX = _bigstep_distances(net)
     pairs = {}  # (x, y) -> x^-1 y, for the pairs the net graph joins
     for x in pts:
@@ -271,7 +276,6 @@ def _net_metric_pairs(net: SeparatedNet
     e = g.identity()
     d = {e: 0}
     todo = set(pairs.values()) - {e}
-    window = ball(g, 2 * interior_r + L).elements
     frontier = [e]
     depth = 0
     while frontier and todo and depth < len(pts) + 2:

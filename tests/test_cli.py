@@ -55,6 +55,17 @@ def test_decompose(capsys):
     assert "round-trip ok: True" in capsys.readouterr().out
 
 
+def test_decompose_sites_starting_with_a_negative_site(capsys):
+    # as a separate word "-1;0;2" reads as an option; the = form is the way
+    with pytest.raises(SystemExit):
+        main(["decompose", "--group", "shuffler(Z)", "--sites", "-1;0;2"])
+    assert "expected one argument" in capsys.readouterr().err
+    assert main(["decompose", "--group", "shuffler(Z)", "--sites=-1;0;2",
+                 "--seed", "4"]) == 0
+    out = capsys.readouterr().out
+    assert "block size 6;" in out and "round-trip ok: True" in out
+
+
 def test_net(capsys):
     assert main(["net", "--group", "Z", "--radius", "12", "--D", "1"]) == 0
     out = capsys.readouterr().out
@@ -155,6 +166,10 @@ def test_run_experiment_schema_errors(tmp_path):
         ({"group": "Zz", "n_max": 4}, ParseError, "position"),
         ({"group": "Z", "n_max": 4, "radius": -1}, ContractViolation,
          "radius must be >= 0"),
+        ({"group": "Z", "n_max": 3, "p": True}, ContractViolation,
+         "config field 'p': expected"),
+        ({"group": "Z", "n_max": 3, "p": 0.5}, ContractViolation,
+         "config field 'p': must be >= 1"),
     ]
     for i, (config, error, message) in enumerate(cases):
         out = tmp_path / f"run{i}"

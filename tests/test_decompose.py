@@ -1,11 +1,12 @@
+import itertools
 import random
 
 import pytest
 
-from halolab.decompose import (certify_commutator_form, certified_form,
-                               commutator_transvection, decompose_gluing,
-                               decompose_upcloner, evaluate_word,
-                               simplify_word)
+from halolab.decompose import (_edge_table, _lamp_bfs, certify_commutator_form,
+                               certified_form, commutator_transvection,
+                               decompose_gluing, decompose_upcloner,
+                               evaluate_word, invert_word, simplify_word)
 from halolab.errors import (ContractViolation, UndecomposableError,
                             UnsupportedFamilyError)
 from halolab.gf import GF
@@ -181,3 +182,129 @@ def test_evaluate_word_rejects_out_of_range_indices():
         for exp in (1, -1):
             with pytest.raises(ContractViolation, match="out of range"):
                 evaluate_word(sh, [(idx, exp)])
+
+
+# ---------------------------------------------------------------------------
+# evaluate_word steps every letter; this copy multiplies and inverts instead
+
+def _multiply_evaluate(halo, word):
+    gens = halo.generators()
+    out = halo.identity()
+    for idx, exp in word:
+        out = halo.multiply(out, gens[idx] if exp == 1 else halo.invert(gens[idx]))
+    return out
+
+
+@pytest.mark.parametrize("family, params, base", [
+    ("wreath", CyclicGroup(3), Z), ("shuffler", None, ZdGroup(2)), ("juggler", 2, Z),
+    ("designer", CyclicGroup(3), Z), ("cloner", GF(3), Z), ("upcloner", GF(3), Z2LEX),
+    ("shuffler", None, make_halo("wreath", CyclicGroup(3), Z))],
+    ids=["wreath", "shuffler", "juggler", "designer", "cloner", "upcloner", "nested"])
+def test_evaluate_word_equals_a_multiply_invert_evaluator(family, params, base):
+    halo = make_halo(family, params, base)
+    n = len(halo.generators())
+    rng = random.Random(halo.spec)
+    for length in list(range(6)) + [20] * 30:
+        word = [(rng.randrange(n), rng.choice((1, -1))) for _ in range(length)]
+        assert evaluate_word(halo, word) == _multiply_evaluate(halo, word), word
+    for i in range(n):  # every generator's inverse letter
+        assert evaluate_word(halo, [(i, -1)]) == halo.invert(halo.generators()[i])
+
+
+# ---------------------------------------------------------------------------
+# one lamp BFS behind edge tables and factorizations; these are the two
+# searches it replaced
+
+def _old_factor_search(halo, target, generator_lamps):
+    ident = halo.lamp_identity()
+    if target == ident:
+        return []
+    prev = {ident: None}
+    frontier = [ident]
+    while frontier:
+        new_frontier = []
+        for state in frontier:
+            for g in generator_lamps:
+                nxt = halo.lamp_compose(state, g)
+                if nxt in prev:
+                    continue
+                prev[nxt] = (state, g)
+                if nxt == target:
+                    factors = []
+                    cur = nxt
+                    while prev[cur] is not None:
+                        cur, g = prev[cur]
+                        factors.append(g)
+                    factors.reverse()
+                    return factors
+                new_frontier.append(nxt)
+        frontier = new_frontier
+    raise UndecomposableError("target lamp is not in the generated subgroup")
+
+
+def _old_edge_table(halo, p, q):
+    base = halo.base
+    sites = {p, q}
+    gens = halo.generators()
+    candidates = []
+    seen = set()
+    for gi, (lg, _cursor) in enumerate(gens[: halo.base_gen_offset]):
+        ts = set()
+        for u in halo.lamp_sites(lg):
+            for site in (p, q):
+                ts.add(base.multiply(site, base.invert(u)))
+        for t in sorted(ts):
+            moved = halo.lamp_act(t, lg)
+            if not halo.lamp_sites(moved) <= sites or (moved, gi) in seen:
+                continue
+            seen.add((moved, gi))
+            path = halo.base_word(t)
+            candidates.append((moved, path + [(gi, 1)] + invert_word(path)))
+    candidates.sort(key=lambda cw: len(cw[1]))
+    table = {halo.lamp_identity(): []}
+    frontier = [halo.lamp_identity()]
+    while frontier:
+        new_frontier = []
+        for state in frontier:
+            for moved, w in candidates:
+                nxt = halo.lamp_compose(state, moved)
+                if nxt not in table:
+                    table[nxt] = table[state] + w
+                    new_frontier.append(nxt)
+        frontier = new_frontier
+    return table
+
+
+GLUING_HALOS = [("wreath", CyclicGroup(2)), ("shuffler", None), ("juggler", 2),
+                ("designer", CyclicGroup(2)), ("cloner", GF(2))]
+
+
+@pytest.mark.parametrize("family, params", GLUING_HALOS, ids=[f for f, _ in GLUING_HALOS])
+def test_lamp_bfs_equals_the_searches_it_replaced(family, params):
+    """On every 1-3-subset R of {-2..2}: the edge tables the recursion
+    reads for R's sites (with their order), and the factor lists of
+    full-support elements of L(R) over the blocks the recursion splits R
+    into (three seeded picks per set)."""
+    halo = make_halo(family, params, Z)
+    ident = halo.lamp_identity()
+    rng = random.Random(family)
+    for p in range(-2, 3):
+        new = _edge_table(halo, (p,), (p + 1,))
+        assert list(new.items()) == list(_old_edge_table(halo, (p,), (p + 1,)).items())
+    for k in (2, 3):
+        for R in itertools.combinations([(s,) for s in range(-2, 3)], k):
+            if k == 2:
+                (a,), (b,) = R
+                if b - a == 1:
+                    continue  # an edge block, solved by the table above
+                c = ((a + b) // 2,)
+                r1, r2 = [R[0], c], [c, R[1]]
+            else:
+                r1, r2 = R[:2], R[1:]
+            blocks = [l for l in enumerate_block(halo, r1) if l != ident]
+            blocks += [l for l in enumerate_block(halo, r2) if l != ident]
+            full = [l for l in enumerate_block(halo, R) if halo.lamp_sites(l) == set(R)]
+            for target in rng.sample(full, min(3, len(full))):
+                paths = _lamp_bfs(halo, [(l, [l]) for l in blocks], target)
+                assert list(paths)[-1] == target  # the search stops there
+                assert paths[target] == _old_factor_search(halo, target, blocks)

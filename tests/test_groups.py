@@ -1,7 +1,7 @@
 import pytest
 
 from halolab.errors import BudgetError, ContractViolation
-from halolab.groups import (CyclicGroup, HeisenbergGroup, ProductGroup,
+from halolab.groups import (Ball, CyclicGroup, HeisenbergGroup, ProductGroup,
                             SymmetricGroup, ZdGroup, ball, make_group,
                             word_length)
 
@@ -97,22 +97,51 @@ def test_word_length():
     assert word_length(Z2, (3, -2)) == 5
 
 
+@pytest.mark.parametrize("spec", ["Z^2", "H3", "Z x C3", "C5", "wreath(C2, Z)"])
+def test_word_length_equals_the_ball_lengths(spec):
+    g = make_group(spec)
+    b = ball(g, 4)
+    for x in b.elements:
+        assert word_length(g, x) == b.lengths[x], x
+
+
+def test_word_length_raises_past_max_radius():
+    Z2 = ZdGroup(2, False)
+    assert word_length(Z2, (3, -2), max_radius=5) == 5
+    with pytest.raises(ContractViolation, match=r"element \(3, -2\) not within radius 4"):
+        word_length(Z2, (3, -2), max_radius=4)
+
+
+def test_word_length_stops_once_a_finite_ball_stops_growing(monkeypatch):
+    grown = []
+    grow = Ball.grow
+
+    def counting_grow(self, radius, *args):
+        grown.append(radius)
+        return grow(self, radius, *args)
+
+    monkeypatch.setattr(Ball, "grow", counting_grow)
+    with pytest.raises(ContractViolation, match="element 7 not within radius 64"):
+        word_length(CyclicGroup(5), 7)  # residues are 0..4
+    # spheres {1, 4}, {2, 3}, then the empty one: no growth up to radius 64
+    assert grown == [1, 2, 3]
+
+
 def test_lex_order_on_zd():
     g = ZdGroup(2, True)
-    assert g.has_total_order
-    assert g.compare((0, 1), (1, -5)) == -1
-    assert g.compare((1, 0), (1, 0)) == 0
-    assert g.compare((2, -1), (2, -3)) == 1
+    assert g.has_total_order and not ZdGroup(2).has_total_order
+    assert (0, 1) < (1, -5) and (2, -3) < (2, -1)
+    assert not (1, 0) < (1, 0)
 
 
 def test_lex_order_translation_invariant():
+    """has_total_order means that < is translation-invariant."""
     g = ZdGroup(2, True)
     pts = [(0, 0), (1, -2), (-1, 3), (2, 2), (0, -1)]
     for a in pts:
         for b in pts:
             for t in pts:
-                assert g.compare(a, b) == g.compare(g.multiply(t, a),
-                                                    g.multiply(t, b))
+                assert (a < b) == (g.multiply(t, a) < g.multiply(t, b))
 
 
 def test_symmetric_group():

@@ -131,6 +131,19 @@ def test_commutativity_constants():
         assert halo.multiply(a, b) != halo.multiply(b, a)
 
 
+def test_commutativity_constant_reads_the_whole_window():
+    """The window is all of Ball(radius): at radius 1 the transpositions
+    at {-1, 0} and {-1, 1} already fail to commute.  Witnesses are the
+    first pair found, in element order."""
+    sh = make_halo("shuffler", None, Z)
+
+    def swap(x, y):
+        return (sh.make_lamp({(x,): (y,), (y,): (x,)}), (0,))
+
+    assert commutativity_constant(sh, 1) == (1, (swap(-1, 0), swap(-1, 1)))
+    assert commutativity_constant(sh, 2) == (1, (swap(-2, -1), swap(-2, 0)))
+
+
 def test_upcloner_requires_ordered_base():
     with pytest.raises(ContractViolation):
         make_halo("upcloner", GF(2), ZdGroup(2, False))

@@ -7,15 +7,16 @@ i) for juggler points), permutations compose through two dicts over the
 union of the supports, and a product always translates and then
 composes.  halo.py must agree with it payload for payload.
 """
-import functools
 import itertools
 import random
+import re
 
 import pytest
 
 from halolab.descriptor import parse_descriptor
 from halolab.gf import GF
-from halolab.groups import (CyclicGroup, HeisenbergGroup, ProductGroup,
+from halolab.errors import ContractViolation
+from halolab.groups import (Ball, CyclicGroup, HeisenbergGroup, ProductGroup,
                             SymmetricGroup, ZdGroup, ball)
 from halolab import halo as halo_module
 from halolab.halo import HaloGroup, enumerate_block, make_halo
@@ -221,7 +222,7 @@ class Reference:
                     for p in perms]
         gf = halo.gf
         if fam == "upcloner":
-            ordered = sorted(sites, key=functools.cmp_to_key(self.base.compare))
+            ordered = sorted(sites)
             pairs = list(itertools.combinations(ordered, 2))
             return [_mat_canonical(dict(zip(pairs, values)), key)
                     for values in itertools.product(gf.elements, repeat=len(pairs))]
@@ -364,6 +365,54 @@ def test_ball_sorted_natively_is_strictly_increasing_on_every_parsed_group():
         random.Random(g.spec).shuffle(xs)
         xs.sort()
         assert all(a < b for a, b in zip(xs, xs[1:])), g.spec
+
+
+def test_generator_lists_are_duplicate_free_and_closed_under_inversion():
+    """evaluate_word steps a -1 letter by the index of the generator's
+    inverse, so every list must hold each inverse, once."""
+    groups = [parse_descriptor(spec).build() for spec in PARSED_SPECS]
+    groups += [make_halo(*h) for h in HALOS + NESTED]
+    for g in groups:
+        gens = g.generators()
+        assert len(set(gens)) == len(gens), g.spec
+        assert g.identity() not in gens, g.spec
+        assert {g.invert(s) for s in gens} <= set(gens), g.spec
+
+
+# Ball(9) of these two would hold millions of elements
+GROWN_STOPS = {"juggler(2, Z)": (1, 3, 5), "shuffler(Z x C2)": (1, 3, 5)}
+
+
+@pytest.mark.parametrize("spec", PARSED_SPECS)
+def test_ball_grown_in_steps_equals_a_fresh_ball(spec):
+    g = parse_descriptor(spec).build()
+    grown = Ball(g)
+    for r in GROWN_STOPS.get(spec, (2, 5, 9)):
+        grown.grow(r)
+    fresh = ball(g, r)
+    assert grown.radius == fresh.radius == r
+    assert list(grown.lengths.items()) == list(fresh.lengths.items())
+    assert grown.parents == fresh.parents
+    assert set(grown.elements) == set(fresh.elements) == set(fresh.lengths)
+    assert grown.sphere == [x for x, l in fresh.lengths.items() if l == r]
+
+
+@pytest.mark.parametrize("family, params, base", [("shuffler", None, Z2), ("wreath", C2, H3),
+                                                  ("juggler", 2, ZxC3)])
+def test_base_word_after_growth_equals_a_fresh_balls_word(family, params, base):
+    halo = make_halo(family, params, base)
+    fresh = ball(base, 4)
+    off = halo.base_gen_offset
+    xs = sorted(fresh.elements)
+    random.Random(halo.spec).shuffle(xs)  # the halo's one ball grows in uneven steps
+    for x in xs:
+        assert halo.base_word(x) == [(off + i, 1) for i, _ in fresh.word_to(x)], x
+    far = max(xs)
+    far = base.multiply(far, far)
+    message = f"base element {far!r} not within radius 1"
+    with pytest.raises(ContractViolation, match=re.escape(message)):
+        halo.base_word(far, max_radius=1)
+    assert len(halo.base_word(far)) == ball(base, 8).lengths[far]
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,15 @@ def test_greedy_net_d0_alternating():
     assert net_is_separated(net) and net_is_maximal_in_interior(net)
 
 
+def test_net_maximality_counts_points_at_distance_exactly_D_plus_2():
+    # hand-built D = 0 nets in Z (separation 2), interior Ball(4)
+    def net(*X0):
+        return replace(greedy_net(Z, 6, 0), X0=tuple((x,) for x in X0))
+
+    assert net_is_maximal_in_interior(net(0, 4, -4))  # 2 and -2 at distance 2
+    assert not net_is_maximal_in_interior(net(0, 6, -6))  # 3 at distance 3
+
+
 def test_greedy_net_small_radius():
     net = greedy_net(Z, 1, 1)
     assert net.X0 == ((0,),)
