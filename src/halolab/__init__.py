@@ -42,7 +42,7 @@ from .decompose import (
     certify_commutator_form,
     evaluate_word,
 )
-from .descriptor import GroupDescriptor, parse_descriptor
+from .descriptor import parse_descriptor
 from .bounds import (
     BoundExpr,
     bound_report,

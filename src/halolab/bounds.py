@@ -4,8 +4,7 @@ phi_inverse, and least-squares bound-comparison reports.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 from .errors import ContractViolation, NotInDomainError
@@ -38,12 +37,6 @@ class BoundExpr:
         return self.fn(x)
 
     # combinators -----------------------------------------------------------
-    def compose(self, inner: "BoundExpr", name: Optional[str] = None) -> "BoundExpr":
-        return BoundExpr(name or f"{self.name}({inner.name})",
-                         lambda x: self.fn(max(inner(x), self.domain_min)),
-                         inner.domain_min,
-                         self.conditional or inner.conditional)
-
     def over(self, denom: "BoundExpr", name: Optional[str] = None) -> "BoundExpr":
         return BoundExpr(name or f"{self.name}/{denom.name}",
                          lambda x: self.fn(x) / denom(x),

@@ -17,9 +17,8 @@ from .bounds import phi, phi_inverse
 from .decompose import decompose_gluing, decompose_upcloner, evaluate_word
 from .errors import HalolabError
 from .gf import GF
-from .groups import ball, make_group
-from .halo import (HaloGroup, UpclonerHalo, commutativity_constant,
-                   enumerate_block, lamp_growth)
+from .groups import ZdGroup, ball, make_group
+from .halo import HaloGroup, UpclonerHalo, enumerate_block, lamp_growth
 from .isoperimetry import (FiniteFunction, folner_function, gradient_ratio,
                            almost_invariant_lift, profile_exact,
                            profile_heuristic)
@@ -103,9 +102,13 @@ def cmd_lift(args) -> int:
     if not isinstance(halo, HaloGroup):
         print("lift requires a halo-product group", file=sys.stderr)
         return 2
+    base = halo.base
+    if not (isinstance(base, ZdGroup) and base.d == 1):
+        print(f"lift requires a halo over Z; the base of {halo.spec} is {base.spec}",
+              file=sys.stderr)
+        return 2
     lo, _, hi = args.support.partition(":")
     lo, hi = int(lo), int(hi or lo)
-    base = halo.base
     one = Fraction(1) if args.p == 1 else 1.0
     f = FiniteFunction({(i,): one for i in range(lo, hi + 1)}, args.p)
     g = almost_invariant_lift(halo, f)

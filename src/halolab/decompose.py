@@ -6,8 +6,7 @@ gluing recursion; upcloner block elements over Z^d-lex decompose by the
 three-case transvection recursion built on the commutator identity.
 
 Words are lists of (generator index, exponent +-1) over the halo's
-natural generating set, produced unreduced; ``simplify_word`` optionally
-cancels adjacent inverse pairs.
+natural generating set, produced unreduced.
 
 The commutator identity is never assumed: ``certify_commutator_form``
 computes the four-transvection product by matrix multiplication and
@@ -59,17 +58,6 @@ def evaluate_word(halo: HaloGroup, word: Word):
 
 def invert_word(word: Word) -> Word:
     return [(idx, -exp) for idx, exp in reversed(word)]
-
-
-def simplify_word(word: Word) -> Word:
-    """Free reduction: cancel adjacent (i, e)(i, -e) pairs."""
-    out: Word = []
-    for letter in word:
-        if out and out[-1][0] == letter[0] and out[-1][1] == -letter[1]:
-            out.pop()
-        else:
-            out.append(letter)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -10,71 +10,21 @@
                   juggler:         int "," descriptor
                   cloner/upcloner: "GF" int "," descriptor
 
-Nesting is allowed anywhere a descriptor is.  Parse errors carry the byte
-offset of the offending token.  print(parse(text)) == text on canonical
-forms (commas followed by one space, " x " around products).
+Nesting is allowed anywhere a descriptor is.  The parser builds each group
+as soon as its text is read, so a construction fault (C1, a wreath fiber
+that is not finite) is reported before a later syntax fault.  Parse errors
+carry the byte offset of the offending token.
+``parse_descriptor(text).spec == text`` on canonical forms (commas followed
+by one space, " x " around products).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Tuple
-
-from .errors import ContractViolation, ParseError
+from .errors import ParseError
 from .gf import GF
+from .groups import CyclicGroup, GroupHandle, HeisenbergGroup, ProductGroup, ZdGroup
+from .halo import make_halo
 
 FAMILIES = ("wreath", "shuffler", "juggler", "designer", "cloner", "upcloner")
-
-
-@dataclass(frozen=True)
-class GroupDescriptor:
-    kind: str          # "Z" | "C" | "H3" | "product" | family name
-    args: Tuple = ()   # ints/GF-order/child descriptors per kind
-    lex: bool = False
-
-    def canonical(self) -> str:
-        if self.kind == "Z":
-            d = self.args[0]
-            out = "Z" if d == 1 else f"Z^{d}"
-            return out + (":lex" if self.lex else "")
-        if self.kind == "C":
-            return f"C{self.args[0]}"
-        if self.kind == "H3":
-            return "H3"
-        if self.kind == "product":
-            return " x ".join(c.canonical() for c in self.args)
-        if self.kind == "shuffler":
-            return f"shuffler({self.args[0].canonical()})"
-        if self.kind == "juggler":
-            return f"juggler({self.args[0]}, {self.args[1].canonical()})"
-        if self.kind in ("cloner", "upcloner"):
-            return f"{self.kind}(GF{self.args[0]}, {self.args[1].canonical()})"
-        return f"{self.kind}({self.args[0].canonical()}, {self.args[1].canonical()})"
-
-    def build(self):
-        from .groups import CyclicGroup, HeisenbergGroup, ProductGroup, ZdGroup
-        from .halo import make_halo
-
-        if self.kind == "Z":
-            return ZdGroup(self.args[0], self.lex)
-        if self.kind == "C":
-            return CyclicGroup(self.args[0])
-        if self.kind == "H3":
-            return HeisenbergGroup()
-        if self.kind == "product":
-            out = self.args[0].build()
-            for child in self.args[1:]:
-                out = ProductGroup(out, child.build())
-            return out
-        if self.kind == "shuffler":
-            return make_halo("shuffler", None, self.args[0].build())
-        if self.kind == "juggler":
-            return make_halo("juggler", self.args[0], self.args[1].build())
-        if self.kind in ("cloner", "upcloner"):
-            return make_halo(self.kind, GF(self.args[0]), self.args[1].build())
-        return make_halo(self.kind, self.args[0].build(), self.args[1].build())
-
-    def __str__(self):
-        return self.canonical()
 
 
 class _Scanner:
@@ -118,93 +68,80 @@ class _Scanner:
         return value
 
 
-def parse_descriptor(text: str) -> GroupDescriptor:
+def parse_descriptor(text: str) -> GroupHandle:
+    """The group a descriptor names; its ``spec`` is the canonical text."""
     sc = _Scanner(text)
-    desc = _parse(sc)
+    group = _parse(sc)
     sc.skip_ws()
     if sc.pos != len(text):
         raise ParseError("trailing input", sc.pos)
-    return desc
+    return group
 
 
-def _parse(sc: _Scanner) -> GroupDescriptor:
+def _parse(sc: _Scanner) -> GroupHandle:
     word = sc.peek_word()
     if word in FAMILIES:
         return _parse_halo(sc, word)
     return _parse_product(sc)
 
 
-def _parse_halo(sc: _Scanner, family: str) -> GroupDescriptor:
+def _parse_halo(sc: _Scanner, family: str) -> GroupHandle:
     start = sc.pos
     sc.take(family)
     sc.take("(")
     if family == "shuffler":
-        base = _parse(sc)
-        sc.take(")")
-        return GroupDescriptor("shuffler", (base,))
-    if family == "juggler":
-        tracks = sc.take_int()
-        if tracks < 1:
+        params = None
+    elif family == "juggler":
+        params = sc.take_int()
+        if params < 1:
             raise ParseError("juggler needs at least one track", start)
         sc.take(",")
-        base = _parse(sc)
-        sc.take(")")
-        return GroupDescriptor("juggler", (tracks, base))
-    if family in ("cloner", "upcloner"):
+    elif family in ("cloner", "upcloner"):
         gf_pos = sc.pos
         sc.take("GF")
         q = sc.take_int()
         if q not in GF.SUPPORTED:
             raise ParseError(f"GF({q}) not supported; q must be one of {GF.SUPPORTED}",
                              gf_pos)
+        params = GF(q)
         sc.take(",")
-        sc.skip_ws()
-        base_pos = sc.pos
-        base = _parse(sc)
-        sc.take(")")
-        if family == "upcloner" and not _is_ordered(base):
-            hint = base.canonical().replace(":lex", "")
-            if hint == "Z":
-                hint = "Z^1"
-            raise ParseError(f"order required: use {hint}:lex", base_pos)
-        return GroupDescriptor(family, (q, base))
-    # wreath / designer
-    fiber = _parse(sc)
-    sc.take(",")
+    else:  # wreath / designer: the fiber
+        params = _parse(sc)
+        sc.take(",")
+    sc.skip_ws()
+    base_pos = sc.pos
     base = _parse(sc)
     sc.take(")")
-    return GroupDescriptor(family, (fiber, base))
+    if family == "upcloner" and not (isinstance(base, ZdGroup) and base.lex):
+        hint = base.spec.replace(":lex", "")
+        if hint == "Z":
+            hint = "Z^1"
+        raise ParseError(f"order required: use {hint}:lex", base_pos)
+    return make_halo(family, params, base)
 
 
-def _is_ordered(desc: GroupDescriptor) -> bool:
-    return desc.kind == "Z" and desc.lex
-
-
-def _parse_product(sc: _Scanner) -> GroupDescriptor:
-    atoms = [_parse_atom(sc)]
+def _parse_product(sc: _Scanner) -> GroupHandle:
+    group = _parse_atom(sc)
     while sc.try_take("x"):
-        atoms.append(_parse_atom(sc))
-    if len(atoms) == 1:
-        return atoms[0]
-    return GroupDescriptor("product", tuple(atoms))
+        group = ProductGroup(group, _parse_atom(sc))
+    return group
 
 
-def _parse_atom(sc: _Scanner) -> GroupDescriptor:
+def _parse_atom(sc: _Scanner) -> GroupHandle:
     sc.skip_ws()
     pos = sc.pos
     if sc.try_take("Z"):
         d = sc.take_int() if sc.try_take("^") else 1
         if d < 1:
             raise ParseError("Z^d requires d >= 1", pos)
-        lex = sc.try_take(":lex")
-        return GroupDescriptor("Z", (d,), lex)
+        return ZdGroup(d, sc.try_take(":lex"))
     if sc.try_take("H3"):
-        return GroupDescriptor("H3")
+        return HeisenbergGroup()
     if sc.try_take("C"):
         m = sc.take_int()
         if m < 1:
             raise ParseError("C m requires m >= 1", pos)
-        return GroupDescriptor("C", (m,))
+        return CyclicGroup(m)
     word = sc.peek_word()
     raise ParseError(f"expected an atom or halo family, found {word or 'end of input'!r}",
                      pos)

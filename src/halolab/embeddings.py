@@ -5,13 +5,14 @@ cloner products.
 """
 from __future__ import annotations
 
+import functools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .errors import ContractViolation, NotInDomainError, UnsupportedFamilyError
 from .gf import GF
-from .groups import CyclicGroup, GroupHandle, SymmetricGroup, ZdGroup, ball
+from .groups import Ball, CyclicGroup, GroupHandle, SymmetricGroup, ZdGroup, ball
 from .halo import make_halo
 
 
@@ -20,37 +21,23 @@ class CosetSystem:
     """A subgroup K of H with a transversal S: every h factors uniquely as
     k*s with k in K, s in S."""
 
-    ambient: GroupHandle
     member: Callable[[Any], bool]           # k in K?
     transversal: Tuple                      # coset representatives S
     decompose: Callable[[Any], Tuple]       # h -> (k, s)
     k_to_base: Callable[[Any], Any]         # K -> codomain base group element
-    base_to_k: Callable[[Any], Any]
     index: int                              # m = [H:K]
     K_group: GroupHandle = None             # abstract copy of K
-
-    def check_factorization(self, radius: int = 4) -> bool:
-        H = self.ambient
-        sset = set(self.transversal)
-        for h in ball(H, radius).elements:
-            k, s = self.decompose(h)
-            if not (self.member(k) and s in sset and H.multiply(k, s) == h):
-                return False
-        return True
 
 
 def coset_system_mZ(m: int) -> CosetSystem:
     """mZ inside Z with transversal {0, ..., m-1}."""
     if m < 2:
         raise ContractViolation("index m must be >= 2")
-    Z = ZdGroup(1, False)
     return CosetSystem(
-        ambient=Z,
         member=lambda k: k[0] % m == 0,
         transversal=tuple((i,) for i in range(m)),
         decompose=lambda h: ((h[0] - h[0] % m,), (h[0] % m,)),
         k_to_base=lambda k: (k[0] // m,),
-        base_to_k=lambda b: (b[0] * m,),
         index=m,
         K_group=ZdGroup(1, False),
     )
@@ -68,11 +55,15 @@ class GroupMorphism:
     member: Optional[Callable[[Any], bool]] = None  # restricts the domain
     not_surjective_witness: Any = None
 
+    @functools.cached_property
+    def _ball(self) -> Ball:
+        """One domain ball per morphism, grown as far as the checks need."""
+        return Ball(self.domain)
+
     def _domain_ball(self, radius: int) -> List:
-        elems = ball(self.domain, radius).elements
-        if self.member is not None:
-            elems = [g for g in elems if self.member(g)]
-        return sorted(elems)
+        lengths = self._ball.grow(radius).lengths
+        return sorted(g for g, l in lengths.items()
+                      if l <= radius and (self.member is None or self.member(g)))
 
     def preserves_identity(self) -> bool:
         return self.map(self.domain.identity()) == self.codomain.identity()
@@ -164,7 +155,6 @@ class BaseEndomorphism:
     group: GroupHandle
     map: Callable[[Any], Any]
     in_image: Callable[[Any], bool]
-    preimage: Callable[[Any], Any]
     name: str = "psi"
 
 
@@ -174,7 +164,6 @@ def doubling(d: int, lex: bool = False) -> BaseEndomorphism:
         group=ZdGroup(d, lex),
         map=lambda v: tuple(2 * c for c in v),
         in_image=lambda v: all(c % 2 == 0 for c in v),
-        preimage=lambda v: tuple(c // 2 for c in v),
         name="doubling",
     )
 

@@ -12,15 +12,13 @@ import json
 import math
 import os
 import platform
-from fractions import Fraction
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
-from .bounds import (BoundExpr, bound_report, identity_bound, iterated_log,
+from .bounds import (bound_report, identity_bound, iterated_log,
                      log_over_loglog, power)
-from .errors import BudgetError, ContractViolation
+from .errors import ContractViolation
 from .groups import make_group
-from .isoperimetry import (ProfilePoint, SubsetWitness, profile_exact,
-                           profile_heuristic)
+from .isoperimetry import ProfilePoint, profile_exact, profile_heuristic
 
 _REQUIRED = object()
 
@@ -82,14 +80,9 @@ def _validate(config: Dict) -> Dict:
 def _csv_row(pt: ProfilePoint) -> List[str]:
     if pt.value is None:
         num, den = "", "inf"
-    elif isinstance(pt.value, Fraction):
-        num, den = str(pt.value.numerator), str(pt.value.denominator)
     else:
-        num, den = "", repr(float(pt.value))
-    wsize = ""
-    if isinstance(pt.witness, SubsetWitness):
-        wsize = str(len(pt.witness.A))
-    return [str(pt.n), num, den, pt.method, str(pt.exact).lower(), wsize]
+        num, den = str(pt.value.numerator), str(pt.value.denominator)
+    return [str(pt.n), num, den, pt.method, str(pt.exact).lower(), str(len(pt.witness.A))]
 
 
 def write_profile_csv(path: str, points: Sequence[ProfilePoint]) -> None:
@@ -102,11 +95,9 @@ def write_profile_csv(path: str, points: Sequence[ProfilePoint]) -> None:
 
 
 def _witness_json(group, pt: ProfilePoint) -> Dict[str, Any]:
-    out: Dict[str, Any] = {"n": pt.n, "method": pt.method, "exact": pt.exact}
-    if isinstance(pt.witness, SubsetWitness):
-        out["A"] = sorted(group.element_str(g) for g in pt.witness.A)
-        out["boundary_size"] = len(pt.witness.boundary)
-    return out
+    return {"n": pt.n, "method": pt.method, "exact": pt.exact,
+            "A": sorted(group.element_str(g) for g in pt.witness.A),
+            "boundary_size": len(pt.witness.boundary)}
 
 
 def _plot_svg(points: Sequence[ProfilePoint], fits) -> str:

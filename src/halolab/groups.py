@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import operator
 import sys
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from .errors import BudgetError, ContractViolation
 
@@ -360,7 +360,8 @@ def word_length(group: GroupHandle, g: Element, max_radius: int = 64) -> int:
 
 
 def make_group(spec: str) -> GroupHandle:
-    """Build a GroupHandle from a descriptor string (see cli grammar)."""
+    """The GroupHandle a descriptor string names (grammar in
+    ``halolab.descriptor``); its ``spec`` is the canonical form."""
     from .descriptor import parse_descriptor
 
-    return parse_descriptor(spec).build()
+    return parse_descriptor(spec)

@@ -66,16 +66,12 @@ class SubsetWitness:
     boundary: FrozenSet
     ratio: Optional[Fraction]
 
-    @property
-    def ratio_value(self) -> float:
-        return math.inf if self.ratio is None else float(self.ratio)
-
 
 @dataclass(frozen=True)
 class ProfilePoint:
     n: int
     value: Optional[Fraction]  # None encodes +infinity
-    witness: Any
+    witness: SubsetWitness
     method: str
     exact: bool
 
@@ -415,8 +411,6 @@ def folner_function(points: Sequence[ProfilePoint], target: Fraction):
     best: Optional[int] = None
     for pt in points:
         w = pt.witness
-        if not isinstance(w, SubsetWitness):
-            continue
         qualifies = (not w.boundary) or Fraction(len(w.boundary), len(w.A)) <= target
         if qualifies and (best is None or len(w.A) < best):
             best = len(w.A)

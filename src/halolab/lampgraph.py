@@ -7,7 +7,7 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .errors import BudgetError, ContractViolation
 from .groups import GroupHandle, ball

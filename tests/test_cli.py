@@ -49,6 +49,15 @@ def test_lift(capsys):
     assert "|supp g| = 6" in out and "equal: True" in out
 
 
+@pytest.mark.parametrize("group, base", [("shuffler(Z^2)", "Z^2"),
+                                         ("wreath(C2, H3)", "H3")])
+def test_lift_needs_a_base_of_z(group, base, capsys):
+    assert main(["lift", "--group", group, "--support", "0:1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"lift requires a halo over Z; the base of {group} is {base}\n"
+
+
 def test_decompose(capsys):
     assert main(["decompose", "--group", "shuffler(Z)", "--sites", "0;1;2",
                  "--seed", "4"]) == 0

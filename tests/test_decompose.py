@@ -6,7 +6,7 @@ import pytest
 from halolab.decompose import (_edge_table, _lamp_bfs, certify_commutator_form,
                                certified_form, commutator_transvection,
                                decompose_gluing, decompose_upcloner,
-                               evaluate_word, invert_word, simplify_word)
+                               evaluate_word, invert_word)
 from halolab.errors import (ContractViolation, UndecomposableError,
                             UnsupportedFamilyError)
 from halolab.gf import GF
@@ -168,10 +168,6 @@ def test_upcloner_obstruction_is_structural():
     # while the target violates it
     bad = up.make_lamp({((0, 0), (1, -1)): 1})
     assert not displacements_natural(bad)
-
-
-def test_simplify_word_cancels_inverses():
-    assert simplify_word([(0, 1), (0, -1), (2, 1)]) == [(2, 1)]
 
 
 def test_evaluate_word_rejects_out_of_range_indices():

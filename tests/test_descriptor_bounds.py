@@ -5,8 +5,8 @@ import pytest
 from halolab.bounds import (bound_report, identity_bound, iterated_log,
                             log_over_loglog, phi, phi_inverse, power)
 from halolab.descriptor import parse_descriptor
-from halolab.errors import NotInDomainError, ParseError
-from halolab.groups import ZdGroup
+from halolab.errors import ContractViolation, NotInDomainError, ParseError
+from halolab.groups import ZdGroup, make_group
 from halolab.isoperimetry import profile_exact
 
 CORPUS = [
@@ -33,32 +33,46 @@ CORPUS = [
 def test_parser_round_trip_corpus():
     assert len(CORPUS) == 50
     for text in CORPUS:
-        d = parse_descriptor(text)
-        assert d.canonical() == text
-        assert parse_descriptor(d.canonical()) == d
+        assert parse_descriptor(text).spec == text
 
 
-def test_parser_builds_groups():
-    for text in CORPUS[:20]:
-        parse_descriptor(text).build()
+# One fault each: (text, exception type, message, position or None).
+INVALID = [
+    ("C0", ParseError, "C m requires m >= 1", 0),
+    ("C1", ContractViolation, "C_m requires m >= 2", None),
+    ("C2 x C1", ContractViolation, "C_m requires m >= 2", None),
+    ("Z^0", ParseError, "Z^d requires d >= 1", 0),
+    ("Z^", ParseError, "expected an integer", 2),
+    ("Z^2:lex x C0", ParseError, "C m requires m >= 1", 10),
+    ("juggler(0, Z)", ParseError, "juggler needs at least one track", 0),
+    ("juggler(2 Z)", ParseError, "expected ','", 10),
+    ("cloner(GF7, Z)", ParseError,
+     "GF(7) not supported; q must be one of (2, 3, 4, 5)", 7),
+    ("upcloner(GF2, Z)", ParseError, "order required: use Z^1:lex", 14),
+    ("upcloner(GF2, Z^2)", ParseError, "order required: use Z^2:lex", 14),
+    ("upcloner(GF2, H3)", ParseError, "order required: use H3:lex", 14),
+    ("wreath(Z, Z)", ContractViolation, "wreath fiber must be a finite group", None),
+    ("designer(H3, Z)", ContractViolation, "designer fiber must be a finite group", None),
+    ("wreath(C2)", ParseError, "expected ','", 9),
+    ("shuffler(Z", ParseError, "expected ')'", 10),
+    ("wreath(C2, Z) trailing", ParseError, "trailing input", 14),
+    ("", ParseError, "expected an atom or halo family, found 'end of input'", 0),
+    ("Z x", ParseError, "expected an atom or halo family, found 'end of input'", 3),
+    ("nonsense(", ParseError, "expected an atom or halo family, found 'nonsense'", 0),
+]
 
 
-def test_parse_errors_carry_positions():
-    with pytest.raises(ParseError) as exc:
-        parse_descriptor("upcloner(GF2, Z^2)")
-    assert "order required: use Z^2:lex" in str(exc.value)
-    assert exc.value.position == 14
-
-    with pytest.raises(ParseError) as exc:
-        parse_descriptor("wreath(C2)")
-    assert exc.value.position == 9
-
-    with pytest.raises(ParseError):
-        parse_descriptor("cloner(GF7, Z)")
-    with pytest.raises(ParseError):
-        parse_descriptor("Z^")
-    with pytest.raises(ParseError):
-        parse_descriptor("wreath(C2, Z) trailing")
+@pytest.mark.parametrize("text, error, message, position", INVALID,
+                         ids=[row[0] or "empty" for row in INVALID])
+def test_invalid_descriptors(text, error, message, position):
+    with pytest.raises(error) as exc:
+        make_group(text)
+    assert type(exc.value) is error
+    if position is None:
+        assert str(exc.value) == message
+    else:
+        assert str(exc.value) == f"{message} (at position {position})"
+        assert exc.value.position == position
 
 
 def test_phi_inverse_examples():

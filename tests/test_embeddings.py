@@ -1,5 +1,6 @@
 import pytest
 
+from halolab import embeddings, groups
 from halolab.errors import (ContractViolation, NotInDomainError,
                             UnsupportedFamilyError)
 from halolab.groups import CyclicGroup, ZdGroup, ball
@@ -17,8 +18,13 @@ def _assert_all_checks_pass(morphism, pairs=500, radius=3):
 
 
 def test_coset_system_factorization():
+    # every h in Ball(6) of Z factors as k * s with k in mZ, s in the transversal
     for m in (2, 3, 4):
-        assert coset_system_mZ(m).check_factorization(6)
+        cosets = coset_system_mZ(m)
+        transversal = set(cosets.transversal)
+        for h in ball(Z, 6).elements:
+            k, s = cosets.decompose(h)
+            assert cosets.member(k) and s in transversal and Z.multiply(k, s) == h
 
 
 def test_wreath_in_shuffler_closed_form():
@@ -70,6 +76,29 @@ def test_shuffler_endomorphism_iterates():
     assert end.not_surjective_witness not in seen
 
 
+def test_check_builds_one_domain_ball(monkeypatch):
+    expected = lamplighter_in_halo("juggler", 2, Z).check(pairs=200, radius=2)
+    morphism = lamplighter_in_halo("juggler", 2, Z)
+    built = []
+
+    class SpyBall(groups.Ball):
+        def __init__(self, group):
+            built.append(group)
+            super().__init__(group)
+
+    def spy_ball(group, *args, **kwargs):
+        built.append(group)
+        return groups.ball(group, *args, **kwargs)
+
+    monkeypatch.setattr(embeddings, "Ball", SpyBall)
+    monkeypatch.setattr(embeddings, "ball", spy_ball)
+    assert morphism.check(pairs=200, radius=3)["injective_on_ball"] == (True, None)
+    assert built == [morphism.domain]
+    # a smaller radius reads the same ball, cut to that radius
+    assert morphism.check(pairs=200, radius=2) == expected
+    assert built == [morphism.domain]
+
+
 def test_lamplighter_in_juggler():
     _assert_all_checks_pass(lamplighter_in_halo("juggler", 2, Z))
 
@@ -98,4 +127,3 @@ def test_doubling_endomorphism():
     psi = doubling(2)
     assert psi.map((1, -3)) == (2, -6)
     assert psi.in_image((2, 4)) and not psi.in_image((1, 2))
-    assert psi.preimage((2, -6)) == (1, -3)

@@ -13,11 +13,10 @@ import re
 
 import pytest
 
-from halolab.descriptor import parse_descriptor
 from halolab.gf import GF
 from halolab.errors import ContractViolation
 from halolab.groups import (Ball, CyclicGroup, HeisenbergGroup, ProductGroup,
-                            SymmetricGroup, ZdGroup, ball)
+                            SymmetricGroup, ZdGroup, ball, make_group)
 from halolab import halo as halo_module
 from halolab.halo import HaloGroup, enumerate_block, make_halo
 
@@ -359,7 +358,7 @@ PARSED_SPECS = ["Z", "Z^2", "Z^3", "Z:lex", "Z^2:lex", "C2", "C5", "H3", "Z x C3
 def test_ball_sorted_natively_is_strictly_increasing_on_every_parsed_group():
     """The GroupHandle contract: distinct elements are strictly ordered by
     <, which every tie-break and payload sort relies on."""
-    for g in [parse_descriptor(spec).build() for spec in PARSED_SPECS] + \
+    for g in [make_group(spec) for spec in PARSED_SPECS] + \
             [make_halo(*h) for h in NESTED]:
         xs = list(ball(g, 2).elements)
         random.Random(g.spec).shuffle(xs)
@@ -370,7 +369,7 @@ def test_ball_sorted_natively_is_strictly_increasing_on_every_parsed_group():
 def test_generator_lists_are_duplicate_free_and_closed_under_inversion():
     """evaluate_word steps a -1 letter by the index of the generator's
     inverse, so every list must hold each inverse, once."""
-    groups = [parse_descriptor(spec).build() for spec in PARSED_SPECS]
+    groups = [make_group(spec) for spec in PARSED_SPECS]
     groups += [make_halo(*h) for h in HALOS + NESTED]
     for g in groups:
         gens = g.generators()
@@ -385,7 +384,7 @@ GROWN_STOPS = {"juggler(2, Z)": (1, 3, 5), "shuffler(Z x C2)": (1, 3, 5)}
 
 @pytest.mark.parametrize("spec", PARSED_SPECS)
 def test_ball_grown_in_steps_equals_a_fresh_ball(spec):
-    g = parse_descriptor(spec).build()
+    g = make_group(spec)
     grown = Ball(g)
     for r in GROWN_STOPS.get(spec, (2, 5, 9)):
         grown.grow(r)
@@ -440,7 +439,7 @@ def _multiply_boundary(group, A):
                      for b in [group.multiply(a, s)] if b not in A)
 
 
-@pytest.mark.parametrize("group", [parse_descriptor(spec).build() for spec in PARSED_SPECS]
+@pytest.mark.parametrize("group", [make_group(spec) for spec in PARSED_SPECS]
                          + [make_halo(*h) for h in HALOS[2::4] + NESTED],
                          ids=lambda g: g.spec)
 def test_ball_and_boundary_by_step_equal_their_multiply_copies(group):
