@@ -6,7 +6,7 @@ from halolab.bounds import (bound_report, identity_bound, iterated_log,
                             log_over_loglog, phi, phi_inverse, power)
 from halolab.descriptor import parse_descriptor
 from halolab.errors import ContractViolation, NotInDomainError, ParseError
-from halolab.groups import ZdGroup, make_group
+from halolab.groups import GroupHandle, ZdGroup, make_group
 from halolab.isoperimetry import profile_exact
 
 CORPUS = [
@@ -34,6 +34,15 @@ def test_parser_round_trip_corpus():
     assert len(CORPUS) == 50
     for text in CORPUS:
         assert parse_descriptor(text).spec == text
+
+
+def test_parser_builds_groups():
+    for text in CORPUS[:20]:
+        group = parse_descriptor(text)
+        assert isinstance(group, GroupHandle)
+        e = group.identity()
+        for g in group.generators():
+            assert group.multiply(g, group.invert(g)) == e
 
 
 # One fault each: (text, exception type, message, position or None).
