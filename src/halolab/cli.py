@@ -27,8 +27,25 @@ from .lampgraph import (build_Ystar, check_iso_to_lamplighter, complete_graph,
                         net_is_separated)
 
 
-def _parse_point(text: str):
-    return tuple(int(c) for c in text.split(","))
+# argparse turns an ArgumentTypeError into one error line and exit status 2
+
+def _parse_interval(text: str):
+    """--support: "lo" or "lo:hi", the base interval lo..hi of Z."""
+    lo, _, hi = text.partition(":")
+    try:
+        return int(lo), int(hi or lo)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"interval {text!r} is not lo or lo:hi "
+                                         "with integers lo, hi") from None
+
+
+def _parse_sites(text: str):
+    """--sites: semicolon-separated points, each comma-separated integers."""
+    try:
+        return [tuple(int(c) for c in p.split(",")) for p in text.split(";")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"sites {text!r} are not points of "
+                                         "comma-separated integers") from None
 
 
 def _parse_params(text: Optional[str]):
@@ -107,8 +124,7 @@ def cmd_lift(args) -> int:
         print(f"lift requires a halo over Z; the base of {halo.spec} is {base.spec}",
               file=sys.stderr)
         return 2
-    lo, _, hi = args.support.partition(":")
-    lo, hi = int(lo), int(hi or lo)
+    lo, hi = args.support
     one = Fraction(1) if args.p == 1 else 1.0
     f = FiniteFunction({(i,): one for i in range(lo, hi + 1)}, args.p)
     g = almost_invariant_lift(halo, f)
@@ -125,8 +141,7 @@ def cmd_decompose(args) -> int:
     if not isinstance(halo, HaloGroup):
         print("decompose requires a halo-product group", file=sys.stderr)
         return 2
-    sites = [_parse_point(p) for p in args.sites.split(";")]
-    block = enumerate_block(halo, sites)
+    block = enumerate_block(halo, args.sites)
     rng = random.Random(args.seed)
     lamp = rng.choice(sorted(block, key=repr))
     decomposer = decompose_upcloner if isinstance(halo, UpclonerHalo) else decompose_gluing
@@ -255,12 +270,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lift", parents=[group],
                        help="almost-invariant lift of a base indicator")
-    p.add_argument("--support", default="0", help="base interval lo:hi")
+    p.add_argument("--support", type=_parse_interval, default="0",
+                   help="base interval lo:hi")
     p.add_argument("--p", type=int, default=1, help="norm exponent")
     p.set_defaults(fn=cmd_lift)
 
     p = sub.add_parser("decompose", parents=[group, seed])
-    p.add_argument("--sites", required=True,
+    p.add_argument("--sites", type=_parse_sites, required=True,
                    help="semicolon-separated base points, e.g. '0;1' or '0,0;0,1'; "
                         "a list that starts with a negative site needs the = form, "
                         "--sites=-1;0;2")

@@ -25,7 +25,8 @@ DEFAULT_MEMORY_BUDGET = 2 * 1024 ** 3  # bytes, per ball computation
 class GroupHandle:
     """A finitely generated group with canonical element encodings.
 
-    Subclasses must provide identity/multiply/invert/generators.  Elements
+    Subclasses must provide identity/multiply/invert/generators and
+    is_element, which tells an element from any other value.  Elements
     are immutable values with structural equality (tuples, ints), totally
     ordered by ``<``; that order breaks every tie deterministically.
 
@@ -35,8 +36,14 @@ class GroupHandle:
     list fetched once per handle; a subclass may override it with a
     cheaper edit of ``a`` (halo products do).
 
-    ``has_total_order`` says that ``<`` is also translation-invariant:
-    a < b exactly when t*a < t*b, for every t.
+    ``has_total_order`` says that ``<`` is also left-invariant: a < b
+    exactly when t*a < t*b, for every t.  It is True on Z^d, H3 and
+    products of ordered groups; a group with torsion has no such order,
+    so it is False on cyclic and symmetric groups and halos.  Left translation is an automorphism of the right
+    Cayley graph, so every connected set has a translate whose least
+    element under ``<`` is the identity; ``profile_exact`` roots its
+    search on that (see there), and the upcloner's lamps are triangular
+    with respect to ``<``.
     """
 
     spec: str = "?"
@@ -53,6 +60,10 @@ class GroupHandle:
 
     def generators(self) -> List[Element]:
         """Ordered list of non-identity generators, closed under inversion."""
+        raise NotImplementedError
+
+    def is_element(self, a: Any) -> bool:
+        """Whether a is an element in this handle's encoding."""
         raise NotImplementedError
 
     @functools.cached_property
@@ -76,18 +87,25 @@ class GroupHandle:
         return f"<group {self.spec}>"
 
 
+def _is_int_tuple(a: Any, length: int) -> bool:
+    return type(a) is tuple and len(a) == length and all(type(x) is int for x in a)
+
+
 class ZdGroup(GroupHandle):
     """Z^d with generating set {+-e_i}; elements are int d-tuples.
 
-    With ``lex`` the group is marked as totally ordered: tuple ``<`` is
-    the lexicographic order, which translations preserve."""
+    Tuple ``<`` is the lexicographic order, which translations preserve,
+    so every Z^d is ordered.  ``lex`` only names the order in the spec
+    (``Z^d:lex``), which the descriptor grammar asks of an upcloner
+    base."""
+
+    has_total_order = True
 
     def __init__(self, d: int = 1, lex: bool = False):
         if d < 1:
             raise ContractViolation("Z^d requires d >= 1")
         self.d = d
         self.lex = lex
-        self.has_total_order = lex
         self.spec = ("Z" if d == 1 else f"Z^{d}") + (":lex" if lex else "")
         self._gens = []
         for i in range(d):
@@ -109,6 +127,9 @@ class ZdGroup(GroupHandle):
 
     def generators(self):
         return list(self._gens)  # a copy, so no caller can edit the shared list
+
+    def is_element(self, a):
+        return _is_int_tuple(a, self.d)
 
     def element_str(self, a):
         return ",".join(str(x) for x in a)
@@ -137,6 +158,9 @@ class CyclicGroup(GroupHandle):
             return [1]
         return [1, self.m - 1]
 
+    def is_element(self, a):
+        return type(a) is int and 0 <= a < self.m
+
     def is_finite(self):
         return True
 
@@ -153,9 +177,14 @@ class HeisenbergGroup(GroupHandle):
     Elements are triples (x, y, z) encoding the upper unitriangular
     integer matrix [[1, x, z], [0, 1, y], [0, 0, 1]]; the product law is
     (x,y,z)(x',y',z') = (x+x', y+y', z+z'+x*y').  Generators: +-x, +-y.
+
+    Tuple ``<`` is left-invariant: a left factor (a, b, c) adds a and b to
+    the first two coordinates, and when those agree it adds the same
+    c + a*y to the third.
     """
 
     spec = "H3"
+    has_total_order = True
 
     def identity(self):
         return (0, 0, 0)
@@ -179,6 +208,9 @@ class HeisenbergGroup(GroupHandle):
 
     def generators(self):
         return [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)]
+
+    def is_element(self, a):
+        return _is_int_tuple(a, 3)
 
     def element_str(self, a):
         return ",".join(str(x) for x in a)
@@ -214,6 +246,9 @@ class SymmetricGroup(GroupHandle):
             gens.append(tuple(img))
         return gens
 
+    def is_element(self, a):
+        return _is_int_tuple(a, self.m) and sorted(a) == list(range(self.m))
+
     def is_finite(self):
         return True
 
@@ -227,11 +262,13 @@ class SymmetricGroup(GroupHandle):
 
 
 class ProductGroup(GroupHandle):
-    """Direct product with the union generating set."""
+    """Direct product with the union generating set.  Pairs compare
+    lexicographically, so the product of two ordered groups is ordered."""
 
     def __init__(self, left: GroupHandle, right: GroupHandle):
         self.left = left
         self.right = right
+        self.has_total_order = left.has_total_order and right.has_total_order
         self.spec = f"{left.spec} x {right.spec}"
 
     def identity(self):
@@ -247,6 +284,10 @@ class ProductGroup(GroupHandle):
         gens = [(s, self.right.identity()) for s in self.left.generators()]
         gens += [(self.left.identity(), s) for s in self.right.generators()]
         return gens
+
+    def is_element(self, a):
+        return (type(a) is tuple and len(a) == 2
+                and self.left.is_element(a[0]) and self.right.is_element(a[1]))
 
     def is_finite(self):
         return self.left.is_finite() and self.right.is_finite()

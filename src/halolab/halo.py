@@ -366,6 +366,23 @@ class HaloGroup(GroupHandle):
                                            for t, _ in self._gens[:off]]
         return (self._step_lamp(lamp, moved[i]), h)
 
+    def is_element(self, a):
+        """A (lamp, cursor) pair whose cursor is a base element and whose
+        lamp is a payload make_lamp gives back from its own entries, with
+        every site a base element: as strict as make_lamp's checks."""
+        if not (type(a) is tuple and len(a) == 2 and self.base.is_element(a[1])):
+            return False
+        lamp = a[0]
+        try:
+            return (self.make_lamp(self._lamp_entries(lamp)) == lamp
+                    and all(self.base.is_element(x) for x in self.lamp_sites(lamp)))
+        except (ContractViolation, TypeError, ValueError):
+            return False
+
+    def _lamp_entries(self, lamp: Lamp):
+        """The mapping make_lamp takes for a payload (its inverse)."""
+        return dict(lamp)
+
     def element_str(self, a):
         lamp, cursor = a
         return f"lamp={lamp!r} cursor={self.base.element_str(cursor)}"
@@ -535,6 +552,10 @@ class DesignerHalo(_FiberHalo):
         lamp = _perm_canonical(perm)
         _perm_check(lamp)
         return (self._map_lamp(mapping), lamp)
+
+    def _lamp_entries(self, lamp):
+        mapping, perm = lamp
+        return (dict(mapping), dict(perm))
 
     def lamp_identity(self):
         return ((), ())
@@ -769,8 +790,12 @@ def lamp_growth(family: str, params, n: int) -> int:
 
 def enumerate_block(halo: HaloGroup, sites: Iterable,
                     budget: int = DEFAULT_ENUM_BUDGET) -> List[Lamp]:
-    """Complete duplicate-free list of the block L(sites)."""
+    """Complete duplicate-free list of the block L(sites); every site must
+    be a base element."""
     sites = list(sites)
+    for x in sites:
+        if not halo.base.is_element(x):
+            raise ContractViolation(f"site {x!r} is not an element of {halo.base.spec}")
     size = halo.growth(len(sites))
     if size > budget:
         raise BudgetError(

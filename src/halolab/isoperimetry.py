@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import ContractViolation
 from .groups import GroupHandle, ProductGroup, ball
@@ -138,6 +138,20 @@ def gradient_ratio(group: GroupHandle, f: FiniteFunction) -> Value:
 # ---------------------------------------------------------------------------
 # exact profile: connected, basepoint-containing subsets of a ball
 
+def _ordered_image(group: GroupHandle) -> Optional[Callable[[Any], Any]]:
+    """A homomorphism pi from the group onto an ordered group (one whose
+    ``<`` is left-invariant), or None: the identity on an ordered group,
+    the base's pi of the cursor on a halo whose base has one (nested halos
+    recurse)."""
+    if group.has_total_order:
+        return lambda x: x
+    if isinstance(group, HaloGroup):
+        inner = _ordered_image(group.base)
+        if inner is not None:
+            return lambda x: inner(x[1])
+    return None
+
+
 class _NeighbourTable:
     """Ball(radius + 1) indexed by integers.
 
@@ -146,9 +160,15 @@ class _NeighbourTable:
     lists.  targets[i] lists the distinct indices of elements[i] * s over
     the generators s, in generator order, and adj[i] those inside the
     window, in index order; both exist for window vertices only.
+
+    With a root map pi, adj keeps only the window vertices x with
+    pi(x) >= pi(identity), so a search over adj is rooted (see
+    profile_exact); targets are never filtered, as boundaries are taken in
+    the whole group.
     """
 
-    def __init__(self, group: GroupHandle, radius: int):
+    def __init__(self, group: GroupHandle, radius: int,
+                 root: Optional[Callable[[Any], Any]] = None):
         b = ball(group, radius + 1)
         self.elements = sorted(b.elements, key=lambda g: (b.lengths[g] > radius, g))
         index = {g: i for i, g in enumerate(self.elements)}
@@ -157,7 +177,11 @@ class _NeighbourTable:
         steps = range(len(group.generators()))
         self.targets = [list(dict.fromkeys(index[step(g, i)] for i in steps))
                         for g in self.elements[:window]]
-        self.adj = [sorted(j for j in row if j < window) for row in self.targets]
+        keep = [True] * window
+        if root is not None:
+            floor = root(group.identity())
+            keep = [not root(g) < floor for g in self.elements[:window]]
+        self.adj = [sorted(j for j in row if j < window and keep[j]) for row in self.targets]
 
 
 def _exact_search(table: _NeighbourTable, v0: int, n_max: int,
@@ -307,6 +331,19 @@ def profile_exact(group: GroupHandle, n_max: int, radius: int,
     radius >= n_max - 1, since a connected set of size n containing the
     identity lies in Ball(n-1); points are flagged exact accordingly.
 
+    Under that same condition the search is rooted.  Left translation is
+    an automorphism of the right Cayley graph, so g*A has the boundary
+    size of A.  Let pi be a homomorphism onto a group whose ``<`` is
+    left-invariant (_ordered_image: the identity on an ordered group, the
+    cursor's on a halo over one).  Translating a connected A by a^-1, for
+    an a in A of least pi(a), gives a set that contains the identity and
+    has pi(x) >= pi(identity) for all its x; it lies in Ball(n-1) again.
+    So the search drops from the window every x with pi(x) < pi(identity)
+    and still meets every translation class.  On an ordered group it
+    meets each class once, at the translate whose least element is the
+    identity.  Below radius n_max - 1 a translate can leave the window,
+    and the search stays unrooted.
+
     The search builds Ball(radius + 1) once, indexes it by integers and
     tabulates each window element's right multiples by the generators
     (|window| * |generators| steps).  The enumeration, _exact_search, does
@@ -322,10 +359,10 @@ def profile_exact(group: GroupHandle, n_max: int, radius: int,
     size, for the final witness.
 
     budget caps the number of subsets visited, each visited set counting
-    once.  The visit order is fixed, so a truncated search always reaches
-    the same sets.  A search that runs out keeps the best witnesses found
-    so far and marks every point exact=False: each value is then a lower
-    bound.
+    once; a rooted search visits only rooted sets.  The visit order is
+    fixed, so a truncated search always reaches the same sets.  A search
+    that runs out keeps the best witnesses found so far and marks every
+    point exact=False: each value is then a lower bound.
     """
     if n_max < 1:
         raise ContractViolation("n_max must be >= 1")
@@ -333,7 +370,8 @@ def profile_exact(group: GroupHandle, n_max: int, radius: int,
         raise ContractViolation("budget must be >= 1")
     if radius < 0:
         raise ContractViolation("radius must be >= 0")
-    table = _NeighbourTable(group, radius)
+    root = _ordered_image(group) if radius >= n_max - 1 else None
+    table = _NeighbourTable(group, radius, root)
     elements = table.elements
     found, complete = _exact_search(table, elements.index(group.identity()), n_max, budget)
     best = {k: boundary(group, [elements[i] for i in S]) for k, (_, S) in found.items()}
@@ -351,7 +389,7 @@ def profile_heuristic(group: GroupHandle, n_max: int, method: str = "greedy",
     """
     import random as _random
 
-    gens_ = group.generators()
+    indices = range(len(group.generators()))
     e = group.identity()
     best: Dict[int, SubsetWitness] = {1: boundary(group, [e])}
 
@@ -369,7 +407,7 @@ def profile_heuristic(group: GroupHandle, n_max: int, method: str = "greedy",
             cand = sorted(w.boundary)
 
             def score(u):
-                in_A = sum(1 for s in gens_ if group.multiply(u, s) in A)
+                in_A = sum(1 for i in indices if group.step(u, i) in A)
                 return (len(boundary(group, A | {u}).boundary), -in_A, u)
 
             pick = min(cand, key=score)

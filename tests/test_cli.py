@@ -75,6 +75,29 @@ def test_decompose_sites_starting_with_a_negative_site(capsys):
     assert "block size 6;" in out and "round-trip ok: True" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["lift", "--group", "shuffler(Z)", "--support", "a:b"],
+    ["lift", "--group", "shuffler(Z)", "--support", "0:1:2"],
+    ["decompose", "--group", "shuffler(Z)", "--sites", "0;x"],
+    ["decompose", "--group", "shuffler(Z)", "--sites", "0;;1"],
+])
+def test_malformed_numbers_are_one_error_line_and_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and repr(argv[-1]) in errors[0] and "integers" in errors[0]
+
+
+def test_decompose_rejects_sites_that_are_not_base_elements(capsys):
+    assert main(["decompose", "--group", "wreath(C2, Z)", "--sites", "0,1;2,3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: site (0, 1) is not an element of Z\n"
+
+
 def test_net(capsys):
     assert main(["net", "--group", "Z", "--radius", "12", "--D", "1"]) == 0
     out = capsys.readouterr().out

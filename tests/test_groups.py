@@ -129,7 +129,9 @@ def test_word_length_stops_once_a_finite_ball_stops_growing(monkeypatch):
 
 def test_lex_order_on_zd():
     g = ZdGroup(2, True)
-    assert g.has_total_order and not ZdGroup(2).has_total_order
+    # tuple < is lex with or without :lex, which only names it in the spec
+    assert g.has_total_order and ZdGroup(2).has_total_order
+    assert g.spec == "Z^2:lex" and ZdGroup(2).spec == "Z^2"
     assert (0, 1) < (1, -5) and (2, -3) < (2, -1)
     assert not (1, 0) < (1, 0)
 

@@ -7,7 +7,7 @@ import pytest
 import halolab
 from halolab.errors import BudgetError, ContractViolation
 from halolab.gf import GF
-from halolab.groups import CyclicGroup, ZdGroup, ball
+from halolab.groups import Ball, CyclicGroup, ZdGroup, ball, make_group
 from halolab.halo import (commutativity_constant, enumerate_block,
                           lamp_growth, make_halo)
 
@@ -144,9 +144,24 @@ def test_commutativity_constant_reads_the_whole_window():
     assert commutativity_constant(sh, 2) == (1, (swap(-2, -1), swap(-2, 0)))
 
 
+def test_enumerate_block_rejects_sites_that_are_not_base_elements(monkeypatch):
+    grown = []
+    monkeypatch.setattr(Ball, "grow", lambda self, *a, **k: grown.append(a))
+    wr = make_halo("wreath", CyclicGroup(2), Z)
+    for sites in ([(0, 1), (2, 3)], [(0,), 1], [(0,), (True,)], [(0,), (0.5,)]):
+        with pytest.raises(ContractViolation, match="is not an element of Z"):
+            enumerate_block(wr, sites)
+    assert grown == []  # rejected before any ball is grown
+    nested = make_halo("shuffler", None, wr)
+    with pytest.raises(ContractViolation, match=r"is not an element of wreath\(C2, Z\)"):
+        enumerate_block(nested, [wr.identity(), (0,)])
+    assert len(enumerate_block(nested, [wr.identity(), wr.generators()[0]])) == 2
+
+
 def test_upcloner_requires_ordered_base():
-    with pytest.raises(ContractViolation):
-        make_halo("upcloner", GF(2), ZdGroup(2, False))
+    for base in (CyclicGroup(5), make_group("Z x C3")):
+        with pytest.raises(ContractViolation, match="order required"):
+            make_halo("upcloner", GF(2), base)
 
 
 def test_cloner_rejects_singular_lamp():

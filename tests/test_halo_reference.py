@@ -366,6 +366,74 @@ def test_ball_sorted_natively_is_strictly_increasing_on_every_parsed_group():
         assert all(a < b for a, b in zip(xs, xs[1:])), g.spec
 
 
+ORDERED_SPECS = {"Z", "Z^2", "Z^3", "Z:lex", "Z^2:lex", "H3", "Z^2 x H3"}
+
+
+def _left_invariance_violation(g):
+    """A (t, a, b) in Ball(3) x Ball(2) x Ball(2) with a < b but not
+    t*a < t*b, or None.  Ball(2) sorted is a strictly increasing chain, so
+    t preserves < on it iff the translated chain still increases."""
+    chain = sorted(ball(g, 2).elements)
+    for t in sorted(ball(g, 3).elements):
+        images = [g.multiply(t, x) for x in chain]
+        for i in range(len(chain) - 1):
+            if not images[i] < images[i + 1]:
+                return t, chain[i], chain[i + 1]
+    return None
+
+
+@pytest.mark.parametrize("spec", PARSED_SPECS)
+def test_has_total_order_holds_exactly_when_the_order_is_left_invariant(spec):
+    """The flag is True on the torsion-free groups, where < is
+    left-invariant on small balls, and False on every group with torsion,
+    where a translation that breaks < is found in the same balls."""
+    g = make_group(spec)
+    assert g.has_total_order == (spec in ORDERED_SPECS)
+    violation = _left_invariance_violation(g)
+    assert (violation is None) == g.has_total_order, violation
+
+
+def test_has_total_order_is_false_on_every_group_with_torsion():
+    groups = [CyclicGroup(m) for m in (2, 3, 7)] + [SymmetricGroup(m) for m in (1, 3, 4)]
+    groups += [make_halo(*h) for h in HALOS + NESTED]
+    for g in groups:
+        assert not g.has_total_order, g.spec
+
+
+def test_is_element_accepts_ball_elements_and_rejects_malformed_values():
+    groups = [make_group(spec) for spec in PARSED_SPECS] + [S3, SymmetricGroup(4)]
+    groups += [make_halo(*h) for h in HALOS + NESTED]
+    for g in groups:
+        xs = list(ball(g, 2).elements)
+        assert all(g.is_element(x) for x in xs), g.spec
+        for x in xs[:8]:
+            assert not g.is_element((x,)) and not g.is_element([x]), (g.spec, x)
+    bad = {"Z": [(0, 0), (True,), (0.0,), 0], "Z^2": [(0,), (0, "1")],
+           "C5": [5, -1, (0,), True], "H3": [(0, 0), (0, 0, 0.5)],
+           "Z x C3": [((0,), 3), ((0,),)],
+           "wreath(C2, Z)": [((((0,), 2),), (0,)), ((((0, 0), 1),), (0,)), ((), 0)],
+           "shuffler(Z)": [((((0,), (1,)),), (0,)), ((((0,), (0,)),), (0,))],
+           "cloner(GF2, Z)": [(((((0,), (0,)), 0),), (0,))],
+           "upcloner(GF2, Z:lex)": [(((((1,), (0,)), 1),), (0,))],
+           "designer(C2, Z)": [(((), (((0,), (1,)),)), (0,))]}
+    for spec, values in bad.items():
+        g = make_group(spec)
+        for x in values:
+            assert not g.is_element(x), (spec, x)
+    assert not SymmetricGroup(3).is_element((0, 0, 1))
+
+
+def test_upcloner_over_h3_builds_and_multiplies_associatively():
+    """H3 is ordered, so the upcloner takes it as a base (the descriptor
+    grammar still asks for a :lex atom)."""
+    up = make_halo("upcloner", GF(2), H3)
+    assert len(up.lamp_generators()) == 2  # one per generator above the identity
+    xs = sorted(ball(up, 1).elements)
+    assert len(xs) == 7
+    for a, b, c in itertools.product(xs, repeat=3):
+        assert up.multiply(up.multiply(a, b), c) == up.multiply(a, up.multiply(b, c))
+
+
 def test_generator_lists_are_duplicate_free_and_closed_under_inversion():
     """evaluate_word steps a -1 letter by the index of the generator's
     inverse, so every list must hold each inverse, once."""

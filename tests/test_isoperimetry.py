@@ -7,8 +7,9 @@ import pytest
 
 from halolab.errors import BudgetError, ContractViolation
 from halolab.gf import GF
-from halolab.groups import CyclicGroup, SymmetricGroup, ZdGroup, ball, make_group
-from halolab.halo import make_halo
+from halolab.groups import (CyclicGroup, HeisenbergGroup, SymmetricGroup, ZdGroup,
+                            ball, make_group)
+from halolab.halo import HaloGroup, make_halo
 from halolab.isoperimetry import (FiniteFunction, SubsetWitness,
                                   _NeighbourTable, _beats, _carry_forward,
                                   _exact_search, almost_invariant_lift, boundary,
@@ -159,26 +160,34 @@ def test_profile_exact_truncated_keeps_witnesses_as_lower_bounds():
             Fraction(5, 8), Fraction(2, 3), Fraction(7, 10)]
     assert [(pt.value, pt.exact) for pt in profile_exact(Z2, 7, 6)] == \
         [(v, True) for v in full]
-    pts = profile_exact(Z2, 7, 6, budget=5000)
+    pts = profile_exact(Z2, 7, 6, budget=500)
     assert [pt.n for pt in pts] == list(range(1, 8))
     for pt, true_value in zip(pts, full):
         assert not pt.exact and pt.witness is not None
         A = pt.witness.A
         assert (0, 0) in A and len(A) <= pt.n
-        reached, frontier = {(0, 0)}, [(0, 0)]
-        while frontier:
-            g = frontier.pop()
-            for s in Z2.generators():
-                h = Z2.multiply(g, s)
-                if h in A and h not in reached:
-                    reached.add(h)
-                    frontier.append(h)
-        assert reached == A
+        assert _connected_from_identity(Z2, A)
         assert boundary(Z2, A).ratio == pt.value <= true_value
 
 
+def _connected_from_identity(group, A):
+    """Whether A is connected and holds the identity, by multiply."""
+    e = group.identity()
+    reached, frontier = {e}, [e]
+    while frontier:
+        g = frontier.pop()
+        for s in group.generators():
+            h = group.multiply(g, s)
+            if h in A and h not in reached:
+                reached.add(h)
+                frontier.append(h)
+    return reached == A
+
+
 # Reference search: frozenset subsets and boundary() per visited set, no
-# counters.  profile_exact must match it, truncated searches included.
+# counters.  profile_exact must match it, truncated searches included: the
+# rooted reference where profile_exact roots its search, and the unrooted
+# one, the value oracle, everywhere.
 
 def _reference_connected_subsets(adj, v0, n_max, budget):
     count = 0
@@ -202,16 +211,39 @@ def _reference_connected_subsets(adj, v0, n_max, budget):
     yield from rec(frozenset([v0]), list(adj[v0]), frozenset())
 
 
-def _reference_window_adjacency(group, radius):
+def _reference_root(group):
+    """pi written out per group: the element itself on Z^d and H3, the
+    base's pi of the cursor on a halo; None on every other group."""
+    if isinstance(group, (ZdGroup, HeisenbergGroup)):
+        return lambda x: x
+    if isinstance(group, HaloGroup):
+        inner = _reference_root(group.base)
+        if inner is not None:
+            return lambda x: inner(x[1])
+    return None
+
+
+def _reference_window_adjacency(group, radius, root=None):
+    """Window neighbours of each window vertex; with root, only those w
+    with root(w) >= root(identity)."""
     window = sorted(ball(group, radius).elements)
     wset = set(window)
+    if root is not None:
+        floor = root(group.identity())
+        wset = {w for w in wset if root(w) >= floor}
     return {v: [w for w in sorted({group.multiply(v, s) for s in group.generators()})
                 if w in wset]
             for v in window}
 
 
-def _reference_profile_exact(group, n_max, radius, budget):
-    adj = _reference_window_adjacency(group, radius)
+def _reference_profile_root(group, n_max, radius):
+    """The root profile_exact uses: pi when radius >= n_max - 1, else none."""
+    return _reference_root(group) if radius >= n_max - 1 else None
+
+
+def _reference_profile_exact(group, n_max, radius, budget, rooted=True):
+    root = _reference_profile_root(group, n_max, radius) if rooted else None
+    adj = _reference_window_adjacency(group, radius, root)
     best = {}
     exact = radius >= n_max - 1
     try:
@@ -287,10 +319,12 @@ class _RepeatedGeneratorZd(ZdGroup):
 
 
 # (group, n_max, radius); the finite groups' windows are the whole group,
-# so the search reaches a set with empty boundary (ratio +infinity).
+# so the search reaches a set with empty boundary (ratio +infinity).  The
+# ordered groups and wreath(C2, Z) are searched rooted, except Z^2 at
+# radius 3 < n_max - 1.
 SEARCH_CASES = [("Z^2", 6, 5), ("H3", 6, 5), ("wreath(C2, Z)", 5, 4),
                 ("C5", 6, 2), ("Sym3", 7, 3), ("Z, -1 twice", 6, 6),
-                ("Z^2, -e1 twice", 5, 4)]
+                ("Z^2, -e1 twice", 5, 4), ("Z^2", 6, 3)]
 
 
 def _search_group(spec):
@@ -303,20 +337,29 @@ def _search_group(spec):
     return make_group(spec)
 
 
-@pytest.mark.parametrize("spec, n_max, radius", SEARCH_CASES)
-def test_boundary_counters_match_boundary_on_every_visited_set(spec, n_max, radius):
+# each case on the plain table, and on the rooted one where the group has pi
+TABLE_CASES = [pytest.param(*case, rooted,
+                            id="-".join(map(str, case)) + ("-rooted" if rooted else ""))
+               for rooted in (False, True) for case in SEARCH_CASES
+               if not rooted or _reference_root(_search_group(case[0])) is not None]
+
+
+@pytest.mark.parametrize("spec, n_max, radius, rooted", TABLE_CASES)
+def test_boundary_counters_match_boundary_on_every_visited_set(spec, n_max, radius, rooted):
     group = _search_group(spec)
-    table = _NeighbourTable(group, radius)
+    root = _reference_root(group) if rooted else None
+    table = _NeighbourTable(group, radius, root)
     v0 = table.elements.index(group.identity())
     reference = _reference_connected_subsets(
-        _reference_window_adjacency(group, radius), group.identity(), n_max, 10 ** 6)
+        _reference_window_adjacency(group, radius, root), group.identity(), n_max, 10 ** 6)
     visited = [(frozenset(table.elements[i] for i in S), bnd)
                for S, bnd in _connected_subsets(table, v0, n_max, 10 ** 6)]
     assert [A for A, _ in visited] == list(reference)  # same sets, same order
     assert len(set(A for A, _ in visited)) == len(visited)  # each set once
     for A, bnd in visited:
         assert bnd == len(boundary(group, A).boundary)
-    assert len(visited) > n_max
+    # rooted, Z has one class per size: the interval that starts at 0
+    assert len(visited) >= n_max if rooted else len(visited) > n_max
     assert sum(bnd == 0 for _, bnd in visited) == (1 if group.is_finite() else 0)
 
 
@@ -331,11 +374,12 @@ def test_profile_exact_equals_reference_search(spec, n_max, radius, budget):
 @pytest.mark.parametrize("spec, n_max, radius", SEARCH_CASES)
 def test_profile_exact_budget_sweep_pins_the_visit_order(spec, n_max, radius):
     """A search cut at budget b keeps the best sets among the first b of
-    the reference order: every b on small cases, 45 spread ones, the
-    ends among them, on the others."""
+    the reference order, rooted as profile_exact roots it: every b on
+    small cases, 45 spread ones, the ends among them, on the others."""
     group = _search_group(spec)
+    root = _reference_profile_root(group, n_max, radius)
     visited = list(_reference_connected_subsets(
-        _reference_window_adjacency(group, radius), group.identity(), n_max, 10 ** 6))
+        _reference_window_adjacency(group, radius, root), group.identity(), n_max, 10 ** 6))
     total = len(visited)
     if total <= 500:
         budgets = set(range(1, total + 1))
@@ -355,16 +399,18 @@ def test_profile_exact_budget_sweep_pins_the_visit_order(spec, n_max, radius):
         profile_exact(group, n_max, radius, budget=total)
 
 
-@pytest.mark.parametrize("spec, n_max, radius", SEARCH_CASES)
+@pytest.mark.parametrize("spec, n_max, radius, rooted", TABLE_CASES)
 @pytest.mark.parametrize("budget", [7, 100, 10 ** 6])
-def test_exact_search_scores_each_best_set_by_its_boundary(spec, n_max, radius, budget):
+def test_exact_search_scores_each_best_set_by_its_boundary(spec, n_max, radius, budget, rooted):
     """The search's own |dS| for each size's best set, leaves included,
-    is the boundary() size, and the set is the reference's best.  Every
-    size bound up to n_max is tried, so leaves are scored at every depth,
-    {v0} + u (whose target v0 has cnt 0) among them."""
+    is the boundary() size, and the set is the reference's best, on the
+    unrooted and the rooted table.  Every size bound up to n_max is tried,
+    so leaves are scored at every depth, {v0} + u (whose target v0 has
+    cnt 0) among them."""
     group = _search_group(spec)
-    table = _NeighbourTable(group, radius)
-    adj = _reference_window_adjacency(group, radius)
+    root = _reference_root(group) if rooted else None
+    table = _NeighbourTable(group, radius, root)
+    adj = _reference_window_adjacency(group, radius, root)
     for n in range(1, n_max + 1):
         found, complete = _exact_search(table, table.elements.index(group.identity()),
                                         n, budget)
@@ -380,6 +426,34 @@ def test_exact_search_scores_each_best_set_by_its_boundary(spec, n_max, radius, 
             A = frozenset(table.elements[i] for i in S)
             assert list(S) == sorted(S) and len(S) == k
             assert A == best[k].A and bnd == len(best[k].boundary), (n, k)
+
+
+# The value oracle's cases: SEARCH_CASES, the configs of criteria 5 and 13,
+# the benchmark's two, and halos rooted at the cursor (one nested).
+ORACLE_CASES = SEARCH_CASES + [("Z", 10, 12), ("Z^2", 6, 6), ("Z^2", 9, 8), ("H3", 8, 7),
+                               ("Z^3", 5, 4), ("shuffler(Z)", 5, 4), ("juggler(2, Z)", 4, 3),
+                               ("designer(C2, Z)", 4, 3), ("wreath(C2, Z^2)", 4, 3),
+                               ("wreath(C2, shuffler(Z))", 4, 3)]
+
+
+@pytest.mark.parametrize("spec, n_max, radius", ORACLE_CASES)
+def test_rooted_profile_exact_values_equal_the_unrooted_oracle(spec, n_max, radius):
+    """Rooting keeps every value and exact flag of the unrooted reference;
+    its witnesses are connected rooted sets with the stated ratio, and a
+    search that is not rooted equals the unrooted reference outright."""
+    group = _search_group(spec)
+    pts = profile_exact(group, n_max, radius)
+    oracle = _reference_profile_exact(group, n_max, radius, 2 * 10 ** 6, rooted=False)
+    assert [(pt.value, pt.exact) for pt in pts] == [(pt.value, pt.exact) for pt in oracle]
+    root = _reference_profile_root(group, n_max, radius)
+    if root is None:
+        assert pts == oracle
+        return
+    floor = root(group.identity())
+    for pt in pts:
+        A = pt.witness.A
+        assert all(root(x) >= floor for x in A), pt.n
+        assert _connected_from_identity(group, A) and boundary(group, A) == pt.witness, pt.n
 
 
 def test_neighbour_table_targets_are_the_distinct_neighbours():
@@ -422,6 +496,36 @@ def test_profile_heuristic_witnesses_are_valid():
         for pt in pts:
             w = boundary(Z2, pt.witness.A)
             assert w.ratio == pt.value
+
+
+def _greedy_by_multiply(group, n_max):
+    """profile_heuristic's greedy growth with in-set neighbours counted by
+    multiply: the oracle for its count by step."""
+    e = group.identity()
+    best = {1: boundary(group, [e])}
+    A = frozenset([e])
+    while len(A) < n_max:
+        w = boundary(group, A)
+        if not w.boundary:
+            break
+
+        def score(u):
+            in_A = sum(1 for s in group.generators() if group.multiply(u, s) in A)
+            return (len(boundary(group, A | {u}).boundary), -in_A, u)
+
+        A = A | {min(sorted(w.boundary), key=score)}
+        w = boundary(group, A)
+        if _beats(w, best.get(len(A))):
+            best[len(A)] = w
+    return _carry_forward(best, n_max, "greedy", False)
+
+
+@pytest.mark.parametrize("spec", ["Z^2", "shuffler(Z)"])
+def test_greedy_by_step_equals_greedy_by_multiply(spec):
+    group = make_group(spec)
+    pts = profile_heuristic(group, 30, "greedy")
+    assert pts == _greedy_by_multiply(group, 30)
+    assert len(pts[-1].witness.A) > 20  # the growth ran far
 
 
 def test_heuristic_matches_exact_at_n1():
