@@ -2,7 +2,7 @@
 
 Every block element of a gluing family (wreath, shuffler, juggler,
 designer, cloner) decomposes into conjugated natural generators by the
-gluing recursion; upcloner block elements over Z^d-lex decompose by the
+gluing recursion; upcloner block elements over Z^d decompose by the
 three-case transvection recursion built on the commutator identity.
 
 Words are lists of (generator index, exponent +-1) over the halo's
@@ -306,12 +306,12 @@ def _gluing_rec(halo: HaloGroup, lamp: Lamp, parent_measure, budget: _Budget,
 
 def decompose_upcloner(halo: UpclonerHalo, lamp: Lamp, word_cap: int = DEFAULT_WORD_CAP,
                        trace: Optional[list] = None) -> Word:
-    """Three-case transvection recursion over Z^d with the lex order."""
+    """Three-case transvection recursion over Z^d, ordered by tuple < (the
+    lexicographic order, whether or not the spec names it ``:lex``)."""
     if not isinstance(halo, UpclonerHalo):
         raise UnsupportedFamilyError("decompose_upcloner requires an upcloner halo")
-    if not isinstance(halo.base, ZdGroup) or not halo.base.lex:
-        raise UnsupportedFamilyError(
-            "decompose_upcloner is implemented for Z^d with the lexicographic order")
+    if not isinstance(halo.base, ZdGroup):
+        raise UnsupportedFamilyError("decompose_upcloner is implemented for Z^d bases")
     halo._check_unitriangular(lamp)
     budget = _Budget(word_cap)
     return _upcloner_rec(halo, lamp, None, budget, trace)

@@ -10,10 +10,13 @@
                   juggler:         int "," descriptor
                   cloner/upcloner: "GF" int "," descriptor
 
+``:lex`` only names the order of Z^d, which is lexicographic either way.
 Nesting is allowed anywhere a descriptor is.  The parser builds each group
-as soon as its text is read, so a construction fault (C1, a wreath fiber
-that is not finite) is reported before a later syntax fault.  Parse errors
-carry the byte offset of the offending token.
+as soon as its text is read, through ``halo.make_halo`` for a halo, so a
+construction fault (C1, a wreath fiber that is not finite, an upcloner
+over a base that is not ordered) is reported, without a position, before
+a later syntax fault.  Parse errors carry the byte offset of the offending
+token.
 ``parse_descriptor(text).spec == text`` on canonical forms (commas followed
 by one space, " x " around products).
 """
@@ -22,9 +25,7 @@ from __future__ import annotations
 from .errors import ParseError
 from .gf import GF
 from .groups import CyclicGroup, GroupHandle, HeisenbergGroup, ProductGroup, ZdGroup
-from .halo import make_halo
-
-FAMILIES = ("wreath", "shuffler", "juggler", "designer", "cloner", "upcloner")
+from .halo import FAMILIES, make_halo
 
 
 class _Scanner:
@@ -108,15 +109,8 @@ def _parse_halo(sc: _Scanner, family: str) -> GroupHandle:
     else:  # wreath / designer: the fiber
         params = _parse(sc)
         sc.take(",")
-    sc.skip_ws()
-    base_pos = sc.pos
     base = _parse(sc)
     sc.take(")")
-    if family == "upcloner" and not (isinstance(base, ZdGroup) and base.lex):
-        hint = base.spec.replace(":lex", "")
-        if hint == "Z":
-            hint = "Z^1"
-        raise ParseError(f"order required: use {hint}:lex", base_pos)
     return make_halo(family, params, base)
 
 

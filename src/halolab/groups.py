@@ -87,6 +87,15 @@ class GroupHandle:
         return f"<group {self.spec}>"
 
 
+def _deep_size(a: Any) -> int:
+    """sys.getsizeof of a, plus that of its items when a is a tuple,
+    recursively."""
+    size = sys.getsizeof(a)
+    if type(a) is tuple:
+        size += sum(map(_deep_size, a))
+    return size
+
+
 def _is_int_tuple(a: Any, length: int) -> bool:
     return type(a) is tuple and len(a) == length and all(type(x) is int for x in a)
 
@@ -95,9 +104,8 @@ class ZdGroup(GroupHandle):
     """Z^d with generating set {+-e_i}; elements are int d-tuples.
 
     Tuple ``<`` is the lexicographic order, which translations preserve,
-    so every Z^d is ordered.  ``lex`` only names the order in the spec
-    (``Z^d:lex``), which the descriptor grammar asks of an upcloner
-    base."""
+    so every Z^d is ordered.  ``lex`` only names that order in the spec
+    (``Z^d:lex``); it changes nothing else."""
 
     has_total_order = True
 
@@ -310,6 +318,8 @@ class Ball:
     the search from it, taking each g * s as group.step(g, i): a ball grown
     in steps equals a fresh ``ball(group, r)``, with the same lengths in the
     same insertion order and the same parents.
+    Memory is estimated per sphere, each element priced like the sphere's
+    last one: its recursive tuple size plus 64 bytes of dict entries.
     """
 
     def __init__(self, group: GroupHandle):
@@ -321,7 +331,7 @@ class Ball:
         self.elements = self.lengths.keys()
         self.sphere: List[Element] = [e]  # the elements of length radius
         self._steps = range(len(group.generators()))
-        self._per_element = max(64, sys.getsizeof(e) + 64)
+        self._bytes = _deep_size(e) + 64  # the estimated footprint
 
     def __len__(self):
         return len(self.lengths)
@@ -351,10 +361,12 @@ class Ball:
                         parents[h] = (g, i)
                         sphere.append(h)
             self.sphere, self.radius = sphere, r
-            if len(lengths) * self._per_element > memory_budget:
+            if sphere:
+                self._bytes += len(sphere) * (_deep_size(sphere[-1]) + 64)
+            if self._bytes > memory_budget:
                 raise BudgetError(
                     f"ball memory budget exceeded at radius {r} "
-                    f"({len(lengths)} elements, ~{len(lengths) * self._per_element} bytes)")
+                    f"({len(lengths)} elements, ~{self._bytes} bytes)")
         return self
 
     def reach(self, g: Element, max_radius: int) -> bool:

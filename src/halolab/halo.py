@@ -43,7 +43,7 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left, insort
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from .errors import BudgetError, ContractViolation
 from .gf import GF
@@ -97,6 +97,12 @@ def _perm_swap(a: Lamp, P, Q) -> Lamp:
     image_q = a[i][1] if has_p else P
     return (a[:i] + (((P, image_p),) if image_p != P else ()) + a[i + has_p:j]
             + (((Q, image_q),) if image_q != Q else ()) + a[j + has_q:])
+
+
+def _perm_block(points: Sequence) -> List[Lamp]:
+    """Every permutation of the points, in itertools.permutations order."""
+    return [_perm_canonical(dict(zip(points, images)))
+            for images in itertools.permutations(points)]
 
 
 def _perm_check(a: Lamp):
@@ -270,13 +276,18 @@ class HaloGroup(GroupHandle):
 
     family: str = "?"
 
-    def __init__(self, base: GroupHandle, params):
+    def __init__(self, params, base: GroupHandle):
+        """Shared set-up, which each family calls last, once the fields its
+        lamp_generators reads are set.  It fixes the generator list: the
+        lamp generators at the identity cursor, then the base generators
+        with no lamp, from index base_gen_offset on."""
         self.base = base
         self.params = params  # the family parameter, as make_halo and lamp_growth take it
-        self._gens: Optional[List] = None
-        self._base_gen_offset: Optional[int] = None
         self._translated: Dict = {}  # cursor h -> [lamp_act(h, t) for each lamp generator t]
         self._geodesic_ball = Ball(base)  # grown as far as base_word has needed
+        lamp_part = [(g, base.identity()) for g in self.lamp_generators()]
+        self._gens = lamp_part + [(self.lamp_identity(), s) for s in base.generators()]
+        self.base_gen_offset = len(lamp_part)
 
     # -- family interface ---------------------------------------------------
     def make_lamp(self, entries) -> Lamp:
@@ -335,27 +346,14 @@ class HaloGroup(GroupHandle):
         return (self.lamp_invert(self.lamp_act(hinv, sa)), hinv)
 
     def generators(self):
-        if self._gens is None:
-            lamp_part = [(g, self.base.identity()) for g in self.lamp_generators()]
-            base_part = [(self.lamp_identity(), s) for s in self.base.generators()]
-            self._gens = lamp_part + base_part
-            self._base_gen_offset = len(lamp_part)
         return list(self._gens)  # a copy, so no caller can edit the shared list
-
-    @property
-    def base_gen_offset(self) -> int:
-        if self._gens is None:
-            self.generators()
-        return self._base_gen_offset
 
     def step(self, a, i):
         """a * generators()[i] as a local edit: a base generator moves the
         cursor only, a lamp generator edits the payload where its translate
         to the cursor acts (see the module docstring)."""
         lamp, h = a
-        off = self._base_gen_offset
-        if off is None:
-            off = self.base_gen_offset
+        off = self.base_gen_offset
         if i >= off:
             return (lamp, self.base.step(h, i - off))
         moved = self._translated.get(h)
@@ -403,10 +401,10 @@ class _FiberHalo(HaloGroup):
     def __init__(self, fiber: GroupHandle, base: GroupHandle):
         if not fiber.is_finite():
             raise ContractViolation(f"{self.family} fiber must be a finite group")
-        super().__init__(base, fiber)
         self.fiber = fiber
         self._fiber_elements = fiber.elements()
         self.spec = f"{self.family}({fiber.spec}, {base.spec})"
+        super().__init__(fiber, base)
 
     def _canonical(self, mapping: Dict) -> Lamp:
         return _map_canonical(mapping, self.fiber)
@@ -417,6 +415,12 @@ class _FiberHalo(HaloGroup):
             raise ContractViolation(f"{self.family} lamp value is not an element of "
                                     f"{self.fiber.spec}")
         return self._canonical(mapping)
+
+    def block_elements(self, sites):
+        """The maps sites -> fiber, in itertools.product order."""
+        sites = sorted(sites)
+        return [self._canonical(dict(zip(sites, values)))
+                for values in itertools.product(self._fiber_elements, repeat=len(sites))]
 
 
 class WreathHalo(_FiberHalo):
@@ -448,13 +452,6 @@ class WreathHalo(_FiberHalo):
         ((x, f),) = t
         return _map_times_at(a, x, f, self.fiber)
 
-    def block_elements(self, sites):
-        sites = sorted(sites)
-        out = []
-        for values in itertools.product(self._fiber_elements, repeat=len(sites)):
-            out.append(self._canonical(dict(zip(sites, values))))
-        return out
-
 
 class _PermutationHalo(HaloGroup):
     """Shared lamp arithmetic of the permutation families: lamps are finitely
@@ -485,9 +482,10 @@ class ShufflerHalo(_PermutationHalo):
 
     family = "shuffler"
 
-    def __init__(self, base: GroupHandle):
-        super().__init__(base, None)
+    def __init__(self, params, base: GroupHandle):
+        """params is ignored: the shuffler has no family parameter."""
         self.spec = f"shuffler({base.spec})"
+        super().__init__(None, base)
 
     def _move(self, h, x):
         return self.base.multiply(h, x)
@@ -500,11 +498,7 @@ class ShufflerHalo(_PermutationHalo):
         return [self.make_lamp({e: s, s: e}) for s in self.base.generators()]
 
     def block_elements(self, sites):
-        sites = sorted(sites)
-        out = []
-        for images in itertools.permutations(sites):
-            out.append(_perm_canonical(dict(zip(sites, images))))
-        return out
+        return _perm_block(sorted(sites))
 
 
 class JugglerHalo(_PermutationHalo):
@@ -515,9 +509,9 @@ class JugglerHalo(_PermutationHalo):
     def __init__(self, tracks: int, base: GroupHandle):
         if tracks < 1:
             raise ContractViolation("juggler requires at least one track")
-        super().__init__(base, tracks)
         self.tracks = tracks
         self.spec = f"juggler({tracks}, {base.spec})"
+        super().__init__(tracks, base)
 
     def _move(self, h, point):
         x, i = point
@@ -533,12 +527,7 @@ class JugglerHalo(_PermutationHalo):
                 for i in range(self.tracks) for j in range(self.tracks)]
 
     def block_elements(self, sites):
-        points = [(x, i) for x in sorted(sites)
-                  for i in range(self.tracks)]
-        out = []
-        for images in itertools.permutations(points):
-            out.append(_perm_canonical(dict(zip(points, images))))
-        return out
+        return _perm_block([(x, i) for x in sorted(sites) for i in range(self.tracks)])
 
 
 class DesignerHalo(_FiberHalo):
@@ -598,24 +587,19 @@ class DesignerHalo(_FiberHalo):
                 + [self.make_lamp(({}, {e: s, s: e})) for s in self.base.generators()])
 
     def block_elements(self, sites):
-        sites = sorted(sites)
-        perms = [_perm_canonical(dict(zip(sites, images)))
-                 for images in itertools.permutations(sites)]
-        out = []
-        for values in itertools.product(self._fiber_elements, repeat=len(sites)):
-            wpart = self._canonical(dict(zip(sites, values)))
-            for p in perms:
-                out.append((wpart, p))
-        return out
+        perms = _perm_block(sorted(sites))
+        return [(w, p) for w in super().block_elements(sites) for p in perms]
 
 
 class _MatrixHalo(HaloGroup):
     """Shared lamp arithmetic of the matrix families over GF(q)."""
 
-    def __init__(self, gf: GF, base: GroupHandle):
-        super().__init__(base, gf)
+    def __init__(self, gf, base: GroupHandle):
+        """gf: a GF instance or its order q."""
+        gf = gf if isinstance(gf, GF) else GF(gf)
         self.gf = gf
         self.spec = f"{self.family}(GF{gf.q}, {base.spec})"
+        super().__init__(gf, base)
 
     def lamp_compose(self, a, b):
         return _mat_compose(a, b, self.gf)
@@ -702,11 +686,15 @@ class ClonerHalo(_MatrixHalo):
 
 
 class UpclonerHalo(_MatrixHalo):
-    """FU(H) |x H: unitriangular matrices w.r.t. the base total order."""
+    """FU(H) |x H: unitriangular matrices w.r.t. the base total order.
+
+    The base must be ordered (``has_total_order``), as every Z^d, H3 and
+    product of ordered groups is; this constructor is the one place that
+    checks it, for ``make_halo`` and descriptors alike."""
 
     family = "upcloner"
 
-    def __init__(self, gf: GF, base: GroupHandle):
+    def __init__(self, gf, base: GroupHandle):
         if not base.has_total_order:
             raise ContractViolation("order required: upcloner needs a totally ordered base")
         super().__init__(gf, base)
@@ -744,25 +732,20 @@ class UpclonerHalo(_MatrixHalo):
         return out
 
 
+FAMILIES = {cls.family: cls for cls in (WreathHalo, ShufflerHalo, JugglerHalo,
+                                         DesignerHalo, ClonerHalo, UpclonerHalo)}
+
+
 def make_halo(family: str, params, base: GroupHandle) -> HaloGroup:
-    """Factory for the six families.
+    """The halo FAMILIES[family](params, base), generators built.
 
     params: wreath/designer -> fiber GroupHandle; juggler -> track count;
-    cloner/upcloner -> GF instance (or int q); shuffler -> None.
+    cloner/upcloner -> GF instance or int q; shuffler -> ignored (None).
     """
-    if family == "wreath":
-        return WreathHalo(params, base)
-    if family == "shuffler":
-        return ShufflerHalo(base)
-    if family == "juggler":
-        return JugglerHalo(params, base)
-    if family == "designer":
-        return DesignerHalo(params, base)
-    if family == "cloner":
-        return ClonerHalo(params if isinstance(params, GF) else GF(params), base)
-    if family == "upcloner":
-        return UpclonerHalo(params if isinstance(params, GF) else GF(params), base)
-    raise ContractViolation(f"unknown halo family {family!r}")
+    cls = FAMILIES.get(family)
+    if cls is None:
+        raise ContractViolation(f"unknown halo family {family!r}")
+    return cls(params, base)
 
 
 def lamp_growth(family: str, params, n: int) -> int:

@@ -383,7 +383,9 @@ def profile_heuristic(group: GroupHandle, n_max: int, method: str = "greedy",
     """Witness-certified lower bounds on the profile.
 
     greedy: grow A from the identity, always adding the boundary vertex
-    minimizing the resulting |dA| (ties broken by element order).
+    minimizing the resulting |dA| = |dA| - 1 + #{distinct u * s outside
+    A and dA}, scored as _exact_search scores a leaf (ties broken by more
+    neighbours in A, then by element order).
     anneal: Metropolis over add/remove moves with geometric cooling
     T_k = 1.0 * 0.995^k for the given number of steps, seeded.
     """
@@ -393,26 +395,24 @@ def profile_heuristic(group: GroupHandle, n_max: int, method: str = "greedy",
     e = group.identity()
     best: Dict[int, SubsetWitness] = {1: boundary(group, [e])}
 
-    def consider(A: frozenset):
-        w = boundary(group, A)
-        if _beats(w, best.get(len(A))):
-            best[len(A)] = w
+    def consider(w: SubsetWitness):
+        if _beats(w, best.get(len(w.A))):
+            best[len(w.A)] = w
 
     if method == "greedy":
         A = frozenset([e])
-        while len(A) < n_max:
-            w = boundary(group, A)
-            if not w.boundary:
-                break
-            cand = sorted(w.boundary)
+        w = best[1]
+        while len(A) < n_max and w.boundary:
+            closed = A | w.boundary
 
             def score(u):
-                in_A = sum(1 for i in indices if group.step(u, i) in A)
-                return (len(boundary(group, A | {u}).boundary), -in_A, u)
+                targets = [group.step(u, i) for i in indices]
+                grown = len(w.boundary) - 1 + len({t for t in targets if t not in closed})
+                return (grown, -sum(1 for t in targets if t in A), u)
 
-            pick = min(cand, key=score)
-            A = A | {pick}
-            consider(A)
+            A = A | {min(w.boundary, key=score)}
+            w = boundary(group, A)
+            consider(w)
     elif method == "anneal":
         rng = _random.Random(seed)
         A = frozenset([e])
@@ -433,7 +433,7 @@ def profile_heuristic(group: GroupHandle, n_max: int, method: str = "greedy",
             nxt_cost = len(wn.boundary) / len(nxt)
             if nxt_cost <= cur_cost or rng.random() < math.exp((cur_cost - nxt_cost) / max(T, 1e-9)):
                 A, cur = nxt, wn
-                consider(A)
+                consider(wn)
     else:
         raise ContractViolation(f"unknown heuristic method {method!r}")
 

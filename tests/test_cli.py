@@ -127,7 +127,7 @@ def test_bounds(capsys):
 
 
 def test_error_reporting(capsys):
-    assert main(["ball", "--group", "upcloner(GF2, Z^2)", "--radius", "1"]) == 1
+    assert main(["ball", "--group", "upcloner(GF2, C5)", "--radius", "1"]) == 1
     assert "order required" in capsys.readouterr().err
 
 

@@ -10,7 +10,7 @@ from halolab.decompose import (_edge_table, _lamp_bfs, certify_commutator_form,
 from halolab.errors import (ContractViolation, UndecomposableError,
                             UnsupportedFamilyError)
 from halolab.gf import GF
-from halolab.groups import CyclicGroup, ZdGroup
+from halolab.groups import CyclicGroup, HeisenbergGroup, ZdGroup
 from halolab.halo import enumerate_block, make_halo
 
 Z = ZdGroup(1, False)
@@ -122,6 +122,26 @@ def test_upcloner_roundtrips_on_natural_displacements():
         for _ in range(6):
             lamp = rng.choice(sorted(block, key=repr))
             _roundtrip(up, lamp, decompose_upcloner)
+
+
+def test_upcloner_decomposes_over_z2_not_named_lex():
+    """Tuple < is the lexicographic order on every Z^d, so decompose_upcloner
+    takes Z^2 as it takes Z^2:lex, word for word; a base that is no Z^d
+    stays unsupported."""
+    up = make_halo("upcloner", GF(2), ZdGroup(2))
+    up_lex = make_halo("upcloner", GF(2), Z2LEX)
+    site_sets = [
+        [(0, 0), (0, 1)],
+        [(0, 0), (2, 1)],
+        [(0, 0), (1, 0), (2, 1)],
+        [(-1, -1), (0, 0), (1, 2)],
+    ]
+    for sites in site_sets:
+        for lamp in enumerate_block(up, sites):
+            assert _roundtrip(up, lamp, decompose_upcloner) == decompose_upcloner(up_lex, lamp)
+    over_h3 = make_halo("upcloner", GF(2), HeisenbergGroup())
+    with pytest.raises(UnsupportedFamilyError, match="Z\\^d bases"):
+        decompose_upcloner(over_h3, over_h3.make_lamp({((0, 0, 0), (0, 1, 0)): 1}))
 
 
 def test_upcloner_roundtrip_on_z1():

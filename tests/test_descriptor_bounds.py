@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -7,6 +8,7 @@ from halolab.bounds import (bound_report, identity_bound, iterated_log,
 from halolab.descriptor import parse_descriptor
 from halolab.errors import ContractViolation, NotInDomainError, ParseError
 from halolab.groups import GroupHandle, ZdGroup, make_group
+from halolab.halo import HaloGroup, enumerate_block
 from halolab.isoperimetry import profile_exact
 
 CORPUS = [
@@ -45,6 +47,82 @@ def test_parser_builds_groups():
             assert group.multiply(g, group.invert(g)) == e
 
 
+def test_upcloner_parses_over_every_ordered_base():
+    """The upcloner's order rule is its constructor's has_total_order
+    check, so every ordered base parses, named ``:lex`` or not."""
+    for text in ("upcloner(GF2, H3)", "upcloner(GF2, Z^2)", "upcloner(GF3, Z x Z)"):
+        group = parse_descriptor(text)
+        assert group.family == "upcloner" and group.base.has_total_order
+        assert group.spec == text
+        assert parse_descriptor(group.spec).spec == text
+
+
+def _first_use_generators(halo):
+    """The generator list and base offset as the halo once built them on
+    the first call to generators(): lamp generators, then base ones."""
+    lamp_part = [(g, halo.base.identity()) for g in halo.lamp_generators()]
+    base_part = [(halo.lamp_identity(), s) for s in halo.base.generators()]
+    return lamp_part + base_part, len(lamp_part)
+
+
+def _family_block(halo, sites):
+    """L(sites) as each family's own loop once listed it, in order, with
+    every lamp built by make_lamp."""
+    family, sites = halo.family, sorted(sites)
+    values = halo.fiber.elements() if family in ("wreath", "designer") else ()
+    maps = [dict(zip(sites, v)) for v in itertools.product(values, repeat=len(sites))]
+    perms = [dict(zip(sites, images)) for images in itertools.permutations(sites)]
+    if family == "wreath":
+        return [halo.make_lamp(m) for m in maps]
+    if family == "shuffler":
+        return [halo.make_lamp(p) for p in perms]
+    if family == "designer":
+        return [halo.make_lamp((m, p)) for m in maps for p in perms]
+    if family == "juggler":
+        points = [(x, i) for x in sites for i in range(halo.tracks)]
+        return [halo.make_lamp(dict(zip(points, images)))
+                for images in itertools.permutations(points)]
+    gf, n = halo.gf, len(sites)
+    if family == "upcloner":
+        pairs = list(itertools.combinations(sites, 2))
+        return [halo.make_lamp(dict(zip(pairs, values)))
+                for values in itertools.product(gf.elements, repeat=len(pairs))]
+    # cloner: rows top to bottom, each outside the span of the rows above,
+    # every choice in the lexicographic order of GF(q)^n
+    vectors = list(itertools.product(range(gf.q), repeat=n))
+    out = []
+
+    def extend(rows):
+        if len(rows) == n:
+            out.append(halo.make_lamp({(p, q): x for p, row in zip(sites, rows)
+                                       for q, x in zip(sites, row)}))
+            return
+        span = set()
+        for coeffs in itertools.product(range(gf.q), repeat=len(rows)):
+            v = (0,) * n
+            for c, row in zip(coeffs, rows):
+                v = tuple(gf.add(a, gf.mul(c, b)) for a, b in zip(v, row))
+            span.add(v)
+        for v in vectors:
+            if v not in span:
+                extend(rows + [v])
+
+    extend([])
+    return out
+
+
+def test_generators_and_blocks_equal_the_first_use_builds_on_every_corpus_halo():
+    halos = [g for g in map(parse_descriptor, CORPUS) if isinstance(g, HaloGroup)]
+    assert len(halos) == 38
+    for halo in halos:
+        gens, offset = _first_use_generators(halo)
+        assert halo.generators() == gens, halo.spec
+        assert halo.base_gen_offset == offset, halo.spec
+        e, s = halo.base.identity(), halo.base.generators()[0]
+        for sites in ([s], [s, e]):
+            assert enumerate_block(halo, sites) == _family_block(halo, sites), halo.spec
+
+
 # One fault each: (text, exception type, message, position or None).
 INVALID = [
     ("C0", ParseError, "C m requires m >= 1", 0),
@@ -57,9 +135,12 @@ INVALID = [
     ("juggler(2 Z)", ParseError, "expected ','", 10),
     ("cloner(GF7, Z)", ParseError,
      "GF(7) not supported; q must be one of (2, 3, 4, 5)", 7),
-    ("upcloner(GF2, Z)", ParseError, "order required: use Z^1:lex", 14),
-    ("upcloner(GF2, Z^2)", ParseError, "order required: use Z^2:lex", 14),
-    ("upcloner(GF2, H3)", ParseError, "order required: use H3:lex", 14),
+    ("upcloner(GF2, C5)", ContractViolation,
+     "order required: upcloner needs a totally ordered base", None),
+    ("upcloner(GF2, Z x C3)", ContractViolation,
+     "order required: upcloner needs a totally ordered base", None),
+    ("upcloner(GF2, wreath(C2, Z))", ContractViolation,
+     "order required: upcloner needs a totally ordered base", None),
     ("wreath(Z, Z)", ContractViolation, "wreath fiber must be a finite group", None),
     ("designer(H3, Z)", ContractViolation, "designer fiber must be a finite group", None),
     ("wreath(C2)", ParseError, "expected ','", 9),

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from halolab.errors import BudgetError, ContractViolation
@@ -90,6 +92,22 @@ def test_ball_words_are_geodesic():
 def test_ball_memory_budget():
     with pytest.raises(BudgetError):
         ball(ZdGroup(2, False), 30, memory_budget=1000)
+
+
+def test_ball_memory_estimate_is_at_least_half_the_traced_size():
+    """Each sphere is priced by its own elements, which grow with their
+    length; priced like the identity, this ball read 0.37 of its size."""
+    halo = make_group("juggler(2, Z)")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        b = ball(halo, 5)
+        traced = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(b) == 9368
+    with pytest.raises(BudgetError):
+        ball(halo, 5, memory_budget=traced // 2)
 
 
 def test_word_length():

@@ -8,7 +8,7 @@ import halolab
 from halolab.errors import BudgetError, ContractViolation
 from halolab.gf import GF
 from halolab.groups import Ball, CyclicGroup, ZdGroup, ball, make_group
-from halolab.halo import (commutativity_constant, enumerate_block,
+from halolab.halo import (FAMILIES, commutativity_constant, enumerate_block,
                           lamp_growth, make_halo)
 
 Z = ZdGroup(1, False)
@@ -156,6 +156,17 @@ def test_enumerate_block_rejects_sites_that_are_not_base_elements(monkeypatch):
     with pytest.raises(ContractViolation, match=r"is not an element of wreath\(C2, Z\)"):
         enumerate_block(nested, [wr.identity(), (0,)])
     assert len(enumerate_block(nested, [wr.identity(), wr.generators()[0]])) == 2
+
+
+def test_make_halo_builds_each_family_from_its_table_entry():
+    for family, params in [("wreath", CyclicGroup(2)), ("shuffler", 3), ("juggler", 2),
+                           ("designer", CyclicGroup(2)), ("cloner", 3), ("upcloner", 2)]:
+        halo = make_halo(family, params, Z)
+        assert type(halo) is FAMILIES[family] and halo.family == family
+    assert make_halo("shuffler", 3, Z).params is None  # the shuffler has no parameter
+    assert make_halo("cloner", 3, Z).gf == GF(3)
+    with pytest.raises(ContractViolation, match="^unknown halo family 'nope'$"):
+        make_halo("nope", None, Z)
 
 
 def test_upcloner_requires_ordered_base():
