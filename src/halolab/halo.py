@@ -18,6 +18,10 @@ is private to this module:
 payloads are built only by each family's ``make_lamp`` (from a mapping,
 checked) and by the family methods (``lamp_compose``, ``lamp_act``,
 ``block_elements``, ...); other modules go through those.
+``block_elements`` builds each distinct entry of a block once and
+assembles the payloads from those objects, so the payloads of a block
+share one object per entry (a Lambda(n)-element block holds only the
+O(n^2) entries of its sites).
 
 ``step(a, i)`` is a * generators()[i] without a general product.  A base
 generator moves only the cursor: (sigma, base.step(h, j)), so halos over
@@ -43,6 +47,7 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left, insort
+from operator import getitem
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from .errors import BudgetError, ContractViolation
@@ -100,9 +105,13 @@ def _perm_swap(a: Lamp, P, Q) -> Lamp:
 
 
 def _perm_block(points: Sequence) -> List[Lamp]:
-    """Every permutation of the points, in itertools.permutations order."""
-    return [_perm_canonical(dict(zip(points, images)))
-            for images in itertools.permutations(points)]
+    """Every permutation of the sorted, distinct points, in
+    itertools.permutations order.  pairs[i][j] is the entry
+    (points[i], points[j]), built once; a fixed point (None) is dropped,
+    and the points are sorted, so each payload comes out canonical."""
+    pairs = [[(x, y) if x != y else None for y in points] for x in points]
+    return [tuple(filter(None, map(getitem, pairs, images)))
+            for images in itertools.permutations(range(len(points)))]
 
 
 def _perm_check(a: Lamp):
@@ -111,6 +120,13 @@ def _perm_check(a: Lamp):
     images = dict(a)
     if images.keys() != set(images.values()):
         raise ContractViolation("permutation payload is not a bijection on its support")
+
+
+def _entry_block(table: Sequence[Sequence]) -> List[Lamp]:
+    """Every payload that picks one item from each row of table, in
+    itertools.product order; a None item adds no entry.  The rows are in
+    payload order and each entry object is built once, in its row."""
+    return [tuple(filter(None, choice)) for choice in itertools.product(*table)]
 
 
 # ---------------------------------------------------------------------------
@@ -418,9 +434,9 @@ class _FiberHalo(HaloGroup):
 
     def block_elements(self, sites):
         """The maps sites -> fiber, in itertools.product order."""
-        sites = sorted(sites)
-        return [self._canonical(dict(zip(sites, values)))
-                for values in itertools.product(self._fiber_elements, repeat=len(sites))]
+        e = self.fiber.identity()
+        return _entry_block([[(x, v) if v != e else None for v in self._fiber_elements]
+                             for x in sorted(sites)])
 
 
 class WreathHalo(_FiberHalo):
@@ -666,9 +682,9 @@ class ClonerHalo(_MatrixHalo):
         add = [[code[tuple(map(gf.add, u, v))] for v in vectors] for u in vectors]
         multiples = [[code[tuple(gf.mul(c, x) for x in v)] for c in range(q)]
                      for v in vectors]
-        row_entries = [[tuple(((p, sites[j]), x) for j, x in enumerate(v)
-                              if x != (1 if j == i else 0)) for v in vectors]
-                       for i, p in enumerate(sites)]
+        row_entries = [_entry_block([[((p, r), x) if x != (1 if p == r else 0) else None
+                                      for x in range(q)] for r in sites])
+                       for p in sites]
         out: List[Lamp] = []
 
         def extend(i, prefix, span):
@@ -721,15 +737,10 @@ class UpclonerHalo(_MatrixHalo):
         return gens
 
     def block_elements(self, sites):
-        # order positions by the base total order so (p,q) with p<q is upper
-        ordered = sorted(sites)
-        pairs = [(ordered[i], ordered[j])
-                 for i in range(len(ordered)) for j in range(i + 1, len(ordered))]
-        out = []
-        for values in itertools.product(self.gf.elements, repeat=len(pairs)):
-            entries = {pq: v for pq, v in zip(pairs, values)}
-            out.append(_mat_canonical(entries))
-        return out
+        # positions (p, q) with p < q in the base order, in payload order
+        pairs = itertools.combinations(sorted(sites), 2)
+        return _entry_block([[(pq, v) if v else None for v in self.gf.elements]
+                             for pq in pairs])
 
 
 FAMILIES = {cls.family: cls for cls in (WreathHalo, ShufflerHalo, JugglerHalo,
@@ -774,11 +785,12 @@ def lamp_growth(family: str, params, n: int) -> int:
 def enumerate_block(halo: HaloGroup, sites: Iterable,
                     budget: int = DEFAULT_ENUM_BUDGET) -> List[Lamp]:
     """Complete duplicate-free list of the block L(sites); every site must
-    be a base element."""
+    be a base element, and repeated sites count once."""
     sites = list(sites)
     for x in sites:
         if not halo.base.is_element(x):
             raise ContractViolation(f"site {x!r} is not an element of {halo.base.spec}")
+    sites = set(sites)  # L(V) depends on the set V: a repeated site adds nothing
     size = halo.growth(len(sites))
     if size > budget:
         raise BudgetError(

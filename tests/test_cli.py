@@ -98,6 +98,13 @@ def test_decompose_rejects_sites_that_are_not_base_elements(capsys):
     assert captured.err == "error: site (0, 1) is not an element of Z\n"
 
 
+@pytest.mark.parametrize("group", ["shuffler(Z)", "cloner(GF2, Z)", "upcloner(GF2, Z)"])
+def test_decompose_counts_a_repeated_site_once(group, capsys):
+    assert main(["decompose", "--group", group, "--sites", "0;0", "--seed", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "block size 1;" in out and "round-trip ok: True" in out
+
+
 def test_net(capsys):
     assert main(["net", "--group", "Z", "--radius", "12", "--D", "1"]) == 0
     out = capsys.readouterr().out

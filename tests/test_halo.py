@@ -120,6 +120,43 @@ def test_enumeration_budget():
         enumerate_block(sh, [(i,) for i in range(8)], budget=1000)
 
 
+def test_repeated_sites_give_the_block_of_the_distinct_sites():
+    """L(V) depends on the set V: a repeated site changes neither the list
+    nor the budget check, and every payload stays a lamp of the halo."""
+    for halo in _families():
+        distinct = enumerate_block(halo, [(1,), (0,)])
+        repeated = [(0,), (1,), (0,), (1,), (1,)]
+        assert enumerate_block(halo, repeated, budget=halo.growth(2)) == distinct
+        single = enumerate_block(halo, [(0,), (0,)])
+        assert single == enumerate_block(halo, [(0,)]), halo.family
+        assert len(single) == halo.growth(1), halo.family
+        assert all(halo.is_element((lamp, (0,))) for lamp in single + distinct)
+
+
+def _entries(halo, payload):
+    """The entries of a payload; a designer payload holds those of both parts."""
+    return payload[0] + payload[1] if halo.family == "designer" else payload
+
+
+@pytest.mark.parametrize("base", [Z, make_group("H3")], ids=lambda g: g.spec)
+def test_block_payloads_share_one_object_per_distinct_entry(base):
+    params = {"wreath": CyclicGroup(2), "shuffler": None, "juggler": 2,
+              "designer": CyclicGroup(2), "cloner": GF(2), "upcloner": GF(2)}
+    cases = [(make_halo(family, p, base), 3) for family, p in params.items()]
+    cases.append((make_halo("juggler", 2, base), 4))
+    cases.append((make_halo("shuffler", None, base), 5))
+    window = sorted(ball(base, 2).elements)
+    counts = {}
+    for halo, n in cases:
+        block = enumerate_block(halo, window[:n])
+        objects = {id(e) for payload in block for e in _entries(halo, payload)}
+        distinct = {e for payload in block for e in _entries(halo, payload)}
+        assert len(objects) == len(distinct), (halo.spec, n)
+        counts[halo.family, n] = len(distinct)
+    # every (point, image) pair of distinct points: 8 * 7 and 5 * 4
+    assert counts["juggler", 4] == 56 and counts["shuffler", 5] == 20
+
+
 def test_commutativity_constants():
     wr = make_halo("wreath", CyclicGroup(2), Z)
     D, witness = commutativity_constant(wr, 3, 10 ** 5)

@@ -338,14 +338,24 @@ def test_step_cursor_cache_is_bounded(monkeypatch):
             assert len(halo._translated) <= 2
 
 
-@pytest.mark.parametrize("q, sites", [(2, [(1,), (-1,), (2,), (0,)]),
-                                      (3, [(0,), (1,), (-1,)])])
-def test_cloner_blocks_of_the_lift_match_keyed_reference(q, sites):
-    # GL(4, 2) and GL(3, 3), the blocks the lift workload enumerates; the
-    # list order is part of the contract
-    halo = make_halo("cloner", GF(q), Z)
+# the blocks L(V) the lift enumerates, V = U union U.S_H with |U| = 2 or 3;
+# the list order is part of the contract
+LIFT_BLOCKS = [("juggler", 2, [(1,), (-1,), (2,), (0,)], 40320),
+               ("designer", C2, [(2,), (0,), (-2,), (1,), (-1,)], 3840),
+               ("wreath", C2, [(2,), (0,), (-2,), (1,), (-1,)], 32),
+               ("shuffler", None, [(2,), (0,), (-2,), (1,), (-1,)], 120),
+               ("upcloner", GF(2), [(2,), (0,), (-2,), (1,), (-1,)], 1024),
+               ("cloner", GF(2), [(1,), (-1,), (2,), (0,)], 20160),
+               ("cloner", GF(3), [(0,), (1,), (-1,)], 11232)]
+
+
+@pytest.mark.parametrize("family, params, sites, size", LIFT_BLOCKS,
+                         ids=[f"{fam}-{getattr(p, 'spec', p)}-{len(sites)}"
+                              for fam, p, sites, _ in LIFT_BLOCKS])
+def test_blocks_of_the_lift_match_keyed_reference(family, params, sites, size):
+    halo = make_halo(family, params, Z)
     block = enumerate_block(halo, sites)
-    assert len(block) == halo.growth(len(sites)) == {2: 20160, 3: 11232}[q]
+    assert len(block) == halo.growth(len(sites)) == size
     assert block == Reference(halo).block(sites)
 
 
