@@ -15,9 +15,9 @@ from typing import List, Optional
 
 from .bounds import phi, phi_inverse
 from .decompose import decompose_gluing, decompose_upcloner, evaluate_word
-from .errors import HalolabError
+from .errors import ContractViolation, HalolabError
 from .gf import GF
-from .groups import ZdGroup, ball, make_group
+from .groups import CyclicGroup, HeisenbergGroup, ZdGroup, ball, make_group
 from .halo import HaloGroup, UpclonerHalo, enumerate_block, lamp_growth
 from .isoperimetry import (FiniteFunction, folner_function, gradient_ratio,
                            almost_invariant_lift, profile_exact,
@@ -39,13 +39,36 @@ def _parse_interval(text: str):
                                          "with integers lo, hi") from None
 
 
+def _parse_exponent(text: str) -> int:
+    """--p: the norm exponent, an integer p >= 1."""
+    try:
+        p = int(text)
+    except ValueError:
+        p = None
+    if p is None or p < 1:
+        raise argparse.ArgumentTypeError(f"norm exponent {text!r} is not an integer >= 1")
+    return p
+
+
 def _parse_sites(text: str):
-    """--sites: semicolon-separated points, each comma-separated integers."""
+    """--sites: semicolon-separated points, each comma-separated integers;
+    _base_site reads them as base elements once the group is known."""
     try:
         return [tuple(int(c) for c in p.split(",")) for p in text.split(";")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"sites {text!r} are not points of "
                                          "comma-separated integers") from None
+
+
+def _base_site(base, point):
+    """A --sites point in the element syntax of base: a bare residue for
+    C_m, a tuple of integers for Z^d and H3 (as element_str writes them)."""
+    if isinstance(base, CyclicGroup) and len(point) == 1:
+        return point[0]
+    if isinstance(base, (CyclicGroup, ZdGroup, HeisenbergGroup)):
+        return point
+    raise ContractViolation(f"--sites has no syntax for elements of the base {base.spec}; "
+                            "sites can be given over C_m, Z^d and H3")
 
 
 def _parse_params(text: Optional[str]):
@@ -141,7 +164,7 @@ def cmd_decompose(args) -> int:
     if not isinstance(halo, HaloGroup):
         print("decompose requires a halo-product group", file=sys.stderr)
         return 2
-    block = enumerate_block(halo, args.sites)
+    block = enumerate_block(halo, [_base_site(halo.base, p) for p in args.sites])
     rng = random.Random(args.seed)
     lamp = rng.choice(sorted(block, key=repr))
     decomposer = decompose_upcloner if isinstance(halo, UpclonerHalo) else decompose_gluing
@@ -272,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="almost-invariant lift of a base indicator")
     p.add_argument("--support", type=_parse_interval, default="0",
                    help="base interval lo:hi")
-    p.add_argument("--p", type=int, default=1, help="norm exponent")
+    p.add_argument("--p", type=_parse_exponent, default=1, help="norm exponent, an integer >= 1")
     p.set_defaults(fn=cmd_lift)
 
     p = sub.add_parser("decompose", parents=[group, seed])

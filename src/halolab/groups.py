@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import operator
 import sys
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .errors import BudgetError, ContractViolation
 
@@ -35,6 +35,10 @@ class GroupHandle:
     generators()[i])`` exactly.  The default calls multiply on a generator
     list fetched once per handle; a subclass may override it with a
     cheaper edit of ``a`` (halo products do).
+
+    ``step_rows(values)`` serves the neighbour values of a finitely
+    supported function in rows, one generator at a time; halo products
+    group the support by cursor (see HaloGroup.step_rows).
 
     ``has_total_order`` says that ``<`` is also left-invariant: a < b
     exactly when t*a < t*b, for every t.  It is True on Z^d, H3 and
@@ -73,6 +77,20 @@ class GroupHandle:
     def step(self, a: Element, i: int) -> Element:
         """a * generators()[i], for 0 <= i < len(generators())."""
         return self.multiply(a, self._step_generators[i])
+
+    def step_rows(self, values: Dict[Element, Any]) -> Iterator[Tuple[Sequence, Iterable]]:
+        """Rows (vs, ws) over the support of values (element -> nonzero
+        value): the sequence vs holds the values of a run of support
+        elements g, and the iterable ws (read once) the values at g * s
+        beside them, for one generator s, 0 where g * s is outside the
+        support.  Each pair (g, s) appears in exactly one row.  The rows
+        carry the value objects of values themselves and the int 0, so a
+        caller may convert them by identity.  Here one row per generator
+        covers the whole support, each neighbour by step."""
+        vs = list(values.values())
+        get, step = values.get, self.step
+        for i in range(len(self._step_generators)):
+            yield vs, [get(step(g, i), 0) for g in values]
 
     def element_str(self, a: Element) -> str:
         return repr(a)

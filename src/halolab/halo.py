@@ -40,7 +40,18 @@ with no dict round-trip and no re-sort:
 - cloner / upcloner: t_h = I + lam E_PQ adds lam * column P to column Q;
   a diagonal cloner generator (P = Q) scales column P by lam.
 
-``multiply`` stays the general product and the oracle for ``step``.
+``step_rows(values)`` serves the neighbour values of a function on the
+halo for ``gradient_ratio``, one cursor at a time: the support is grouped
+by cursor h, a base generator's row looks up (lamp, h s) for each lamp at
+h, and the lamp generators' rows come from ``_lamp_rows``, which applies
+``_step_lamp`` to each payload.  The permutation families (shuffler,
+juggler) code each lamp at h once, as bytes over the points seen at h, so
+sigma o (P Q) is one ``bytes.translate`` of sigma's code and its lookup
+hashes flat bytes, not a nested payload; only one cursor's codes are
+alive at a time.
+
+``multiply`` stays the general product and the oracle for ``step`` and
+``step_rows``.
 """
 from __future__ import annotations
 
@@ -372,13 +383,47 @@ class HaloGroup(GroupHandle):
         off = self.base_gen_offset
         if i >= off:
             return (lamp, self.base.step(h, i - off))
+        moved = self._translated.get(h) or self._translates(h)
+        return (self._step_lamp(lamp, moved[i]), h)
+
+    def _translates(self, h) -> List[Lamp]:
+        """The lamp generators translated to cursor h, lamp_act(h, t) in
+        generator order; kept for at most _STEP_CACHE_CURSORS cursors."""
         moved = self._translated.get(h)
         if moved is None:
             if len(self._translated) >= _STEP_CACHE_CURSORS:
                 self._translated.clear()
             moved = self._translated[h] = [self.lamp_act(h, t)
-                                           for t, _ in self._gens[:off]]
-        return (self._step_lamp(lamp, moved[i]), h)
+                                           for t, _ in self._gens[:self.base_gen_offset]]
+        return moved
+
+    def step_rows(self, values):
+        """GroupHandle.step_rows one cursor at a time: the support is
+        grouped by cursor h, each base generator s gives one row that looks
+        up (lamp, h s) for the lamps at h, and _lamp_rows gives the rows of
+        the lamp generators."""
+        runs: Dict = {}  # cursor -> (its lamps, their values)
+        for (lamp, h), v in values.items():
+            run = runs.get(h)
+            if run is None:
+                run = runs[h] = ([], [])
+            run[0].append(lamp)
+            run[1].append(v)
+        get, base_step = values.get, self.base.step
+        base_steps = range(len(self._gens) - self.base_gen_offset)
+        for h, (lamps, vals) in runs.items():
+            yield from zip(itertools.repeat(vals), self._lamp_rows(h, lamps, vals, get))
+            for j in base_steps:
+                yield vals, map(get, zip(lamps, itertools.repeat(base_step(h, j))),
+                                itertools.repeat(0))
+
+    def _lamp_rows(self, h, lamps: List[Lamp], vals: List, get) -> Iterable[Iterable]:
+        """For each lamp generator t, in generator order, the row of
+        get((lamp * t_h, h), 0) over the lamps at cursor h, whose values
+        are vals; here each product is taken by _step_lamp."""
+        step_lamp = self._step_lamp
+        for t in self._translates(h):
+            yield [get((step_lamp(lamp, t), h), 0) for lamp in lamps]
 
     def is_element(self, a):
         """A (lamp, cursor) pair whose cursor is a base element and whose
@@ -491,6 +536,36 @@ class _PermutationHalo(HaloGroup):
     def _step_lamp(self, a, t):
         (P, _), (Q, _) = t  # a transposition, P < Q
         return _perm_swap(a, P, Q)
+
+    def _lamp_rows(self, h, lamps, vals, get):
+        """The rows of HaloGroup._lamp_rows from codes.  With points[k] the
+        points moved at h, by a lamp there or by a translated generator, a
+        lamp sigma is coded once as the bytes whose k-th is the index of
+        sigma^-1(points[k]); the code is the identity's plus one shifted
+        difference per entry, each computed once per distinct entry.
+        sigma o (P Q) has the inverse (P Q) o sigma^-1, so its code is
+        sigma's with the byte values index(P) and index(Q) traded (one
+        bytes.translate), and the lookup hashes flat bytes.  A byte holds
+        at most 256 indices; a cursor with more points steps each lamp
+        instead."""
+        swaps = [(P, Q) for (P, _), (Q, _) in self._translates(h)]
+        entries = set(itertools.chain.from_iterable(lamps))
+        points = set(itertools.chain.from_iterable(swaps))
+        points.update(itertools.chain.from_iterable(entries))
+        n = len(points)
+        if n > 256:
+            yield from super()._lamp_rows(h, lamps, vals, get)
+            return
+        index = {x: k for k, x in enumerate(sorted(points))}
+        identity = int.from_bytes(bytes(range(n)), "little")
+        shift = {(x, y): (index[x] - index[y]) << (8 * index[y]) for x, y in entries}
+        codes = {(identity + sum(map(shift.__getitem__, lamp))).to_bytes(n, "little"): v
+                 for lamp, v in zip(lamps, vals)}  # code -> value, in the order of lamps
+        for P, Q in swaps:
+            trade = bytearray(range(256))
+            trade[index[P]], trade[index[Q]] = index[Q], index[P]
+            yield map(codes.get, map(bytes.translate, codes, itertools.repeat(trade)),
+                      itertools.repeat(0))
 
 
 class ShufflerHalo(_PermutationHalo):

@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, compress, repeat, starmap
+from operator import not_, sub
 from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import ContractViolation
@@ -36,6 +38,8 @@ class FiniteFunction:
     p: Rational = 1
 
     def __post_init__(self):
+        if not self.p >= 1:
+            raise ContractViolation(f"norm exponent p must be >= 1, not {self.p!r}")
         object.__setattr__(self, "entries",
                            {g: v for g, v in self.entries.items() if v != 0})
 
@@ -101,38 +105,50 @@ def boundary(group: GroupHandle, A: Iterable) -> SubsetWitness:
 def gradient_ratio(group: GroupHandle, f: FiniteFunction) -> Value:
     """||grad f||_p / ||f||_p, summed over ordered (g, s) pairs.
 
-    Only pairs with g or gs in supp f contribute; the sum iterates
-    supp f x generators once, adding the mirrored term |f(g)|^p whenever
-    gs leaves the support (that term is the (gs, s^-1) contribution).
-    Each gs is group.step(g, i), a local edit on halo products.
+    Only pairs with g or gs in supp f contribute; the sum runs once over
+    the rows of group.step_rows(f.entries), which hold each (g, s) with g
+    in supp f once, adding the mirrored term |f(g)|^p whenever gs leaves
+    the support (that term is the (gs, s^-1) contribution).  The rows carry
+    f's own value objects, so each distinct object is scaled to an integer
+    (or made a float) once, and rows are converted through that map by
+    identity; the float terms stream into math.fsum, whose correctly
+    rounded sum does not depend on their order.
     """
     if not f.entries:
         raise ContractViolation("gradient_ratio of the empty function")
     p = f.p
-    steps = range(len(group.generators()))
-    step = group.step
-    entries = f.entries
-    if p == 1 and all(isinstance(v, (int, Fraction)) for v in entries.values()):
-        scale = math.lcm(*{v.denominator for v in entries.values()})
-        ints = {g: v.numerator * (scale // v.denominator) for g, v in entries.items()}
-        grad = 0
-        for g, v in ints.items():
-            for i in steps:
-                w = ints.get(step(g, i), 0)
-                grad += abs(v - w)
-                if w == 0:
-                    grad += abs(v)
-        return Fraction(grad, sum(map(abs, ints.values())))
+    distinct = {id(v): v for v in f.entries.values()}
+    exact = p == 1 and all(isinstance(v, (int, Fraction)) for v in distinct.values())
+    if exact:
+        scale = math.lcm(*{v.denominator for v in distinct.values()})
+        value = {i: v.numerator * (scale // v.denominator) for i, v in distinct.items()}
+    else:
+        value = {i: float(v) for i, v in distinct.items()}
+    value[id(0)] = 0  # what a row holds for a neighbour outside the support
+    convert = value.__getitem__
+
+    def rows():
+        last = a = None
+        for vs, ws in group.step_rows(f.entries):
+            if vs is not last:  # a run's values may come back with each of its rows
+                last, a = vs, list(map(convert, map(id, vs)))
+            yield a, list(map(convert, map(id, ws)))
+
+    if exact:
+        grad = sum(starmap(_exact_row_sum, rows()))
+        return Fraction(grad, sum(map(abs, map(convert, map(id, f.entries.values())))))
     pf = float(p)
-    terms = []
-    for g, v in entries.items():
-        v = float(v)
-        for i in steps:
-            w = float(entries.get(step(g, i), 0))
-            terms.append(abs(v - w) ** pf)
-            if w == 0.0:
-                terms.append(abs(v) ** pf)
-    return math.fsum(terms) ** (1.0 / pf) / f.norm()
+
+    def terms(a, b):
+        return chain(map(pow, map(abs, map(sub, a, b)), repeat(pf)),
+                     map(pow, map(abs, compress(a, map(not_, b))), repeat(pf)))
+
+    return math.fsum(chain.from_iterable(starmap(terms, rows()))) ** (1.0 / pf) / f.norm()
+
+
+def _exact_row_sum(a, b) -> int:
+    """sum |a - b|, plus |a| wherever b is 0, over one row of integers."""
+    return sum(map(abs, map(sub, a, b))) + sum(map(abs, compress(a, map(not_, b))))
 
 
 # ---------------------------------------------------------------------------

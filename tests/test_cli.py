@@ -91,6 +91,48 @@ def test_malformed_numbers_are_one_error_line_and_exit_2(argv, capsys):
     assert len(errors) == 1 and repr(argv[-1]) in errors[0] and "integers" in errors[0]
 
 
+@pytest.mark.parametrize("p", ["0", "-1"])
+def test_lift_norm_exponent_below_one_is_one_error_line_and_exit_2(p, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["lift", "--group", "shuffler(Z)", "--support", "0:1", f"--p={p}"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and repr(p) in errors[0] and ">= 1" in errors[0]
+
+
+def test_lift_at_p_2_compares_float_ratios(capsys):
+    assert main(["lift", "--group", "shuffler(Z)", "--support", "0:1", "--p=2"]) == 0
+    out = capsys.readouterr().out
+    assert "|supp g| = 48" in out and "equal: True" in out
+
+
+@pytest.mark.parametrize("group, sites, size", [("wreath(C2, C5)", "0;1", 4),
+                                                ("shuffler(C5)", "4;0;1", 6),
+                                                ("shuffler(H3)", "0,0,0;1,0,0", 2),
+                                                ("juggler(2, Z^2)", "0,0;0,1", 24)])
+def test_decompose_reads_sites_in_the_base_element_syntax(group, sites, size, capsys):
+    assert main(["decompose", "--group", group, "--sites", sites, "--seed", "1"]) == 0
+    out = capsys.readouterr().out
+    assert f"block size {size};" in out and "round-trip ok: True" in out
+
+
+def test_decompose_site_outside_a_cyclic_base_is_reported(capsys):
+    assert main(["decompose", "--group", "wreath(C2, C5)", "--sites", "0;7"]) == 1
+    assert capsys.readouterr().err == "error: site 7 is not an element of C5\n"
+
+
+@pytest.mark.parametrize("group, base", [("wreath(C2, Z x C3)", "Z x C3"),
+                                         ("shuffler(wreath(C2, Z))", "wreath(C2, Z)")])
+def test_decompose_sites_over_a_base_without_text_syntax_name_the_base(group, base, capsys):
+    assert main(["decompose", "--group", group, "--sites", "0;1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = captured.err.splitlines()
+    assert len(errors) == 1 and errors[0].startswith("error: ") and f"base {base};" in errors[0]
+
+
 def test_decompose_rejects_sites_that_are_not_base_elements(capsys):
     assert main(["decompose", "--group", "wreath(C2, Z)", "--sites", "0,1;2,3"]) == 1
     captured = capsys.readouterr()

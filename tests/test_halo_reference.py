@@ -10,6 +10,8 @@ composes.  halo.py must agree with it payload for payload.
 import itertools
 import random
 import re
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -530,3 +532,110 @@ def test_ball_and_boundary_by_step_equal_their_multiply_copies(group):
     for _ in range(10):
         A = rng.sample(window, rng.randint(1, min(12, len(window))))
         assert boundary(group, A).boundary == _multiply_boundary(group, A)
+
+
+# ---------------------------------------------------------------------------
+# gradient rows: step_rows against a multiply copy, coded rows against steps
+
+
+def _multiply_row_pairs(group, values):
+    """Counter of (f(g), f(g s)) over g in the support and every generator
+    s, each g s taken by multiply; 0 outside the support."""
+    return Counter((v, values.get(group.multiply(g, s), 0))
+                   for g, v in values.items() for s in group.generators())
+
+
+def _row_pairs(rows):
+    pairs = Counter()
+    for vs, ws in rows:
+        ws = list(ws)
+        assert len(ws) == len(vs)
+        pairs.update(zip(vs, ws))
+    return pairs
+
+
+def _random_values(rng, support):
+    """Mixed-sign Fractions, nearly all distinct, so a pair (f(g), f(g s))
+    names the edge it comes from."""
+    return {g: Fraction(rng.choice((-1, 1)) * rng.randint(1, 10 ** 6), rng.randint(1, 9))
+            for g in support}
+
+
+@pytest.mark.parametrize("group", [make_group(spec) for spec in PARSED_SPECS]
+                         + [make_halo(*h) for h in NESTED], ids=lambda g: g.spec)
+def test_step_rows_pair_each_element_with_its_multiply_neighbours(group):
+    """Part of a ball of radius 3 as the support: on a halo its lamps sit at
+    several cursors, and steps from the sphere and from the dropped
+    elements leave the support."""
+    rng = random.Random(group.spec)
+    window = sorted(ball(group, 3).elements)
+    for _ in range(3):
+        support = rng.sample(window, rng.randint(1, min(400, len(window))))
+        values = _random_values(rng, support)
+        assert _row_pairs(group.step_rows(values)) == _multiply_row_pairs(group, values)
+
+
+def _by_cursor(values):
+    runs = {}
+    for (lamp, h), v in values.items():
+        lamps, vals = runs.setdefault(h, ([], []))
+        lamps.append(lamp)
+        vals.append(v)
+    return runs
+
+
+def _coded_and_stepped_rows(halo, values):
+    """For every cursor of the support, the rows of the permutation
+    families' coded _lamp_rows and of HaloGroup's stepping one."""
+    get = values.get
+    for h, (lamps, vals) in _by_cursor(values).items():
+        coded = [list(ws) for ws in halo._lamp_rows(h, lamps, vals, get)]
+        stepped = [list(ws) for ws in HaloGroup._lamp_rows(halo, h, lamps, vals, get)]
+        yield h, coded, stepped
+
+
+PERMUTATION_HALOS = [("shuffler", None, Z), ("juggler", 2, Z), ("juggler", 3, Z),
+                     ("shuffler", None, ProductGroup(Z, C2)),
+                     ("shuffler", None, make_halo("wreath", C2, Z))]
+
+
+@pytest.mark.parametrize("family, params, base", PERMUTATION_HALOS,
+                         ids=["shuffler-Z", "juggler-2-Z", "juggler-3-Z",
+                              "shuffler-Z x C2", "shuffler-wreath(C2, Z)"])
+def test_coded_lamp_rows_equal_the_stepped_rows(family, params, base):
+    """Random lamps at a few cursors, each with some of its lamp-generator
+    neighbours, so lookups both hit and miss."""
+    halo = make_halo(family, params, base)
+    rng = random.Random(halo.spec)
+    gens = halo.generators()
+    cursors = [x[1] for x in _reference_elements(halo, Reference(halo), rng)[:4]]
+    support = set()
+    for h in cursors:
+        for _ in range(30):
+            x = (halo.identity()[0], h)
+            for _ in range(rng.randint(0, 8)):
+                x = halo.multiply(x, rng.choice(gens[:halo.base_gen_offset]))
+            support.add(x)
+    values = _random_values(rng, support)
+    seen = 0
+    for h, coded, stepped in _coded_and_stepped_rows(halo, values):
+        assert coded == stepped, h
+        seen += sum(w != 0 for ws in coded for w in ws)
+    assert seen > 0, "some lamp-generator neighbours should lie in the support"
+
+
+@pytest.mark.parametrize("length", [255, 256, 300])
+def test_coded_lamp_rows_at_a_cursor_of_many_points(length):
+    """A cycle through the points 0 .. length - 1 of Z at the cursors 0 and
+    1, with its lamp-generator neighbours.  Cursor 0 also sees the point -1
+    of a translated generator, so the cursors see 255 to 301 points, around
+    the 256 indices a byte holds."""
+    halo = make_halo("shuffler", None, Z)
+    cycle = halo.make_lamp({(i,): ((i + 1) % length,) for i in range(length)})
+    support = {(cycle, (0,)), (cycle, (1,))}
+    for x in list(support):
+        support.update(halo.step(x, i) for i in range(halo.base_gen_offset))
+    values = _random_values(random.Random(length), support)
+    for h, coded, stepped in _coded_and_stepped_rows(halo, values):
+        assert coded == stepped, h
+        assert sum(w != 0 for ws in coded for w in ws) > 0

@@ -126,6 +126,71 @@ def test_gradient_ratio_p1_float_values_agree_with_the_exact_ratio():
         assert abs(r - exact) <= 1e-12 * exact
 
 
+def _stepwise_gradient_ratio(group, f):
+    """gradient_ratio as it stood before rows: every neighbour by step, an
+    integer copy of the support at p = 1, a list of float terms."""
+    p = f.p
+    steps = range(len(group.generators()))
+    entries = f.entries
+    if p == 1 and all(isinstance(v, (int, Fraction)) for v in entries.values()):
+        scale = math.lcm(*{v.denominator for v in entries.values()})
+        ints = {g: v.numerator * (scale // v.denominator) for g, v in entries.items()}
+        grad = 0
+        for g, v in ints.items():
+            for i in steps:
+                w = ints.get(group.step(g, i), 0)
+                grad += abs(v - w)
+                if w == 0:
+                    grad += abs(v)
+        return Fraction(grad, sum(map(abs, ints.values())))
+    pf = float(p)
+    terms = []
+    for g, v in entries.items():
+        v = float(v)
+        for i in steps:
+            w = float(entries.get(group.step(g, i), 0))
+            terms.append(abs(v - w) ** pf)
+            if w == 0.0:
+                terms.append(abs(v) ** pf)
+    return math.fsum(terms) ** (1.0 / pf) / f.norm()
+
+
+def test_gradient_ratio_by_rows_equals_the_stepwise_loop_bit_for_bit():
+    """Fractions equal and floats bit-identical at p = 1 (exact and float
+    values), 2 and 3, on lifts to halos and on random functions on Z^2."""
+    rng = random.Random(13)
+    cases = []
+    for spec, U in (("shuffler(Z)", [(0,), (1,)]), ("juggler(2, Z)", [(0,)]),
+                    ("wreath(C2, Z)", [(0,), (2,)]),
+                    ("designer(C2, Z)", [(0,)]), ("cloner(GF2, Z)", [(0,)]),
+                    ("upcloner(GF2, Z)", [(0,), (1,)]), ("shuffler(Z x C2)", [((0,), 0)])):
+        halo = make_group(spec)
+        exact = _mixed_values(rng, U)
+        for p, values in ((1, exact), (1, {u: rng.uniform(-5, 5) for u in U}),
+                          (2, exact), (3, {u: rng.uniform(0.1, 5) for u in U})):
+            cases.append((halo, almost_invariant_lift(halo, FiniteFunction(values, p))))
+    window = sorted(ball(Z2, 3).elements)
+    for p in (1, 2, 3):
+        supp = rng.sample(window, 12)
+        cases.append((Z2, FiniteFunction(_mixed_values(rng, supp), p)))
+        cases.append((Z2, FiniteFunction({x: rng.uniform(-5, 5) for x in supp}, p)))
+    for group, f in cases:
+        r, old = gradient_ratio(group, f), _stepwise_gradient_ratio(group, f)
+        assert type(r) is type(old), (group.spec, f.p)
+        if type(r) is float:
+            assert r.hex() == old.hex(), (group.spec, f.p, r, old)
+        else:
+            assert r == old and r == _reference_gradient_ratio(group, f), (group.spec, f.p)
+
+
+def test_norm_exponents_below_one_are_rejected():
+    with pytest.raises(ContractViolation, match="p must be >= 1"):
+        gradient_ratio(Z, FiniteFunction({(0,): 1.0, (1,): 1.0}, 0.5))
+    for p in (0, -1, Fraction(1, 2)):
+        with pytest.raises(ContractViolation):
+            FiniteFunction({(0,): Fraction(1)}, p)
+
+
 def test_profile_exact_on_z():
     pts = profile_exact(Z, 10, 11)
     for pt in pts:
