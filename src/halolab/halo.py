@@ -47,8 +47,12 @@ h, and the lamp generators' rows come from ``_lamp_rows``, which applies
 ``_step_lamp`` to each payload.  The permutation families (shuffler,
 juggler) code each lamp at h once, as bytes over the points seen at h, so
 sigma o (P Q) is one ``bytes.translate`` of sigma's code and its lookup
-hashes flat bytes, not a nested payload; only one cursor's codes are
-alive at a time.
+hashes flat bytes, not a nested payload.  Over GF(2) the matrix families
+(cloner, upcloner) code each lamp at h once as an int, its 0/1 matrix over
+the points seen at h column by column, so a generator step I + E_PQ is
+one shift and XOR of column P into column Q and its lookup hashes one
+int; over the other fields they step each payload.  Only one cursor's
+codes are alive at a time.
 
 ``multiply`` stays the general product and the oracle for ``step`` and
 ``step_rows``.
@@ -711,6 +715,37 @@ class _MatrixHalo(HaloGroup):
         if P == Q:
             return _mat_scale_column(a, P, lam, self.gf)
         return _mat_add_column(a, P, Q, lam, self.gf)
+
+    def _lamp_rows(self, h, lamps, vals, get):
+        """The rows of HaloGroup._lamp_rows, from codes over GF(2).  With
+        points[k] the n points seen at h (its lamps' sites and the
+        translated generators'), a lamp is coded once as the int holding
+        its 0/1 matrix over the points column by column: entry
+        (points[r], points[c]) is bit c n + r.  The code is the identity's
+        XOR one term per entry, each computed once per distinct entry.
+        GF(2) has the one unit 1, so every generator is I + E_PQ with
+        P != Q: it adds column P to column Q, one shift and XOR of the
+        code, and the lookup hashes one int.  Other fields step each lamp."""
+        if self.gf.q != 2:
+            yield from super()._lamp_rows(h, lamps, vals, get)
+            return
+        moves = [(P, Q) for (((P, Q), _),) in self._translates(h)]
+        entries = set(itertools.chain.from_iterable(lamps))
+        points = set(itertools.chain.from_iterable(moves))
+        points.update(itertools.chain.from_iterable(pq for pq, _ in entries))
+        n = len(points)
+        index = {x: k for k, x in enumerate(sorted(points))}
+        identity = sum(1 << k * (n + 1) for k in range(n))
+        # the identity's code holds 1 on the diagonal: a diagonal entry v adds v ^ 1
+        term = {((p, q), v): (v ^ (p == q)) << (index[q] * n + index[p])
+                for (p, q), v in entries}
+        codes = {identity ^ sum(map(term.__getitem__, lamp)): v
+                 for lamp, v in zip(lamps, vals)}  # code -> value, in the order of lamps
+        mask = (1 << n) - 1
+        for P, Q in moves:
+            sp, sq = index[P] * n, index[Q] * n
+            yield map(codes.get, [c ^ (c >> sp & mask) << sq for c in codes],
+                      itertools.repeat(0))
 
 
 class ClonerHalo(_MatrixHalo):

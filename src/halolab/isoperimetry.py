@@ -31,7 +31,9 @@ class FiniteFunction:
     """Finitely supported map group element -> value, with norm exponent p.
 
     Values are exact Fractions when p = 1 workflows demand exactness;
-    floats are accepted for p > 1 pipelines.  Zero entries are not stored.
+    floats are accepted for p > 1 pipelines.  Zero entries are not stored;
+    the entries are a copy of the caller's mapping, and each distinct value
+    object is compared with 0 once.
     """
 
     entries: Dict[Any, Value]
@@ -40,8 +42,14 @@ class FiniteFunction:
     def __post_init__(self):
         if not self.p >= 1:
             raise ContractViolation(f"norm exponent p must be >= 1, not {self.p!r}")
-        object.__setattr__(self, "entries",
-                           {g: v for g, v in self.entries.items() if v != 0})
+        values = self.entries.values()
+        distinct = dict(zip(map(id, values), values))
+        zeros = {i for i, v in distinct.items() if v == 0}
+        if zeros:
+            entries = {g: v for g, v in self.entries.items() if id(v) not in zeros}
+        else:
+            entries = dict(self.entries)
+        object.__setattr__(self, "entries", entries)
 
     @property
     def support(self):

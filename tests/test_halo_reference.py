@@ -585,8 +585,9 @@ def _by_cursor(values):
 
 
 def _coded_and_stepped_rows(halo, values):
-    """For every cursor of the support, the rows of the permutation
-    families' coded _lamp_rows and of HaloGroup's stepping one."""
+    """For every cursor of the support, the rows of the family's own
+    _lamp_rows (coded for the permutation and matrix families) and of
+    HaloGroup's stepping one."""
     get = values.get
     for h, (lamps, vals) in _by_cursor(values).items():
         coded = [list(ws) for ws in halo._lamp_rows(h, lamps, vals, get)]
@@ -597,11 +598,16 @@ def _coded_and_stepped_rows(halo, values):
 PERMUTATION_HALOS = [("shuffler", None, Z), ("juggler", 2, Z), ("juggler", 3, Z),
                      ("shuffler", None, ProductGroup(Z, C2)),
                      ("shuffler", None, make_halo("wreath", C2, Z))]
+# over GF(2) the matrix rows come from codes, over GF(3), GF(4) (which adds
+# by XOR) and GF(5) from stepping each lamp
+MATRIX_HALOS = ([("cloner", GF(q), base) for q in (2, 3, 4) for base in (Z, Z2, H3)]
+                + [("upcloner", GF(q), base) for q in (2, 3, 5) for base in (ZLEX, Z2LEX)])
 
 
-@pytest.mark.parametrize("family, params, base", PERMUTATION_HALOS,
+@pytest.mark.parametrize("family, params, base", PERMUTATION_HALOS + MATRIX_HALOS,
                          ids=["shuffler-Z", "juggler-2-Z", "juggler-3-Z",
-                              "shuffler-Z x C2", "shuffler-wreath(C2, Z)"])
+                              "shuffler-Z x C2", "shuffler-wreath(C2, Z)"]
+                         + [f"{fam}-GF{gf.q}-{base.spec}" for fam, gf, base in MATRIX_HALOS])
 def test_coded_lamp_rows_equal_the_stepped_rows(family, params, base):
     """Random lamps at a few cursors, each with some of its lamp-generator
     neighbours, so lookups both hit and miss."""
@@ -622,6 +628,21 @@ def test_coded_lamp_rows_equal_the_stepped_rows(family, params, base):
         assert coded == stepped, h
         seen += sum(w != 0 for ws in coded for w in ws)
     assert seen > 0, "some lamp-generator neighbours should lie in the support"
+
+
+def test_coded_matrix_lamp_rows_at_a_cursor_of_many_points():
+    """A GF(2) cloner lamp I + E_{0,1} + ... + E_{0,299} at the cursors 0
+    and 1 of Z, with its lamp-generator neighbours: columns of 301 and 300
+    bits, past one machine word, code as well as short ones."""
+    halo = make_halo("cloner", GF(2), Z)
+    lamp = halo.make_lamp({((0,), (i,)): 1 for i in range(1, 300)})
+    support = {(lamp, (0,)), (lamp, (1,))}
+    for x in list(support):
+        support.update(halo.step(x, i) for i in range(halo.base_gen_offset))
+    values = _random_values(random.Random(300), support)
+    for h, coded, stepped in _coded_and_stepped_rows(halo, values):
+        assert coded == stepped, h
+        assert sum(w != 0 for ws in coded for w in ws) > 0
 
 
 @pytest.mark.parametrize("length", [255, 256, 300])

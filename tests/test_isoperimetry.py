@@ -9,7 +9,7 @@ from halolab.errors import BudgetError, ContractViolation
 from halolab.gf import GF
 from halolab.groups import (CyclicGroup, HeisenbergGroup, SymmetricGroup, ZdGroup,
                             ball, make_group)
-from halolab.halo import HaloGroup, make_halo
+from halolab.halo import HaloGroup, enumerate_block, make_halo
 from halolab.isoperimetry import (FiniteFunction, SubsetWitness,
                                   _NeighbourTable, _beats, _carry_forward,
                                   _exact_search, almost_invariant_lift, boundary,
@@ -163,7 +163,8 @@ def test_gradient_ratio_by_rows_equals_the_stepwise_loop_bit_for_bit():
     for spec, U in (("shuffler(Z)", [(0,), (1,)]), ("juggler(2, Z)", [(0,)]),
                     ("wreath(C2, Z)", [(0,), (2,)]),
                     ("designer(C2, Z)", [(0,)]), ("cloner(GF2, Z)", [(0,)]),
-                    ("upcloner(GF2, Z)", [(0,), (1,)]), ("shuffler(Z x C2)", [((0,), 0)])):
+                    ("upcloner(GF2, Z)", [(0,), (1,)]), ("shuffler(Z x C2)", [((0,), 0)]),
+                    ("upcloner(GF3, Z)", [(0,)])):
         halo = make_group(spec)
         exact = _mixed_values(rng, U)
         for p, values in ((1, exact), (1, {u: rng.uniform(-5, 5) for u in U}),
@@ -189,6 +190,37 @@ def test_norm_exponents_below_one_are_rejected():
     for p in (0, -1, Fraction(1, 2)):
         with pytest.raises(ContractViolation):
             FiniteFunction({(0,): Fraction(1)}, p)
+
+
+def test_finite_function_drops_every_zero_and_copies_the_callers_entries():
+    shared_zero = Fraction(0)
+    given = {(i,): shared_zero for i in range(50)}
+    given.update({(50,): 0, (51,): Fraction(0), (52,): 0.0, (53,): -0.0,
+                  (54,): Fraction(1, 3), (55,): 2.5, (56,): -1})
+    before = dict(given)
+    f = FiniteFunction(given, 2)
+    assert f.entries == {(54,): Fraction(1, 3), (55,): 2.5, (56,): -1}
+    assert given == before and given is not f.entries
+    assert all(type(a) is type(b) for a, b in zip(given.values(), before.values()))
+    nonzero = {(0,): Fraction(1), (1,): Fraction(1)}
+    g = FiniteFunction(nonzero, 1)
+    assert g.entries == nonzero and g.entries is not nonzero
+    nonzero[(2,)] = Fraction(1)
+    assert len(g.entries) == 2
+    assert FiniteFunction({(0,): 0, (1,): 0.0}, 1).entries == {}
+
+
+@pytest.mark.parametrize("family, params", [("juggler", 2), ("cloner", GF(2)),
+                                            ("upcloner", GF(3)), ("designer", CyclicGroup(2))])
+def test_lift_entries_are_the_keyed_products_of_the_block(family, params):
+    halo = make_halo(family, params, ZdGroup(1, True) if family == "upcloner" else Z)
+    f = FiniteFunction({(0,): Fraction(2, 3), (1,): Fraction(-1, 5)}, 1)
+    g = almost_invariant_lift(halo, f)
+    V = [(-1,), (0,), (1,), (2,)]
+    block = enumerate_block(halo, V)
+    assert len(block) == halo.growth(len(V))
+    assert g.entries == {(lamp, h): v for h, v in f.entries.items() for lamp in block}
+    assert len(g.entries) == len(f.entries) * halo.growth(len(V))
 
 
 def test_profile_exact_on_z():
