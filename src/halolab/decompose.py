@@ -24,7 +24,7 @@ raises UndecomposableError for it.
 """
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import (BudgetError, ContractViolation, UndecomposableError,
                      UnsupportedFamilyError)
@@ -153,30 +153,45 @@ def _record_step(trace: Optional[list], parent, child):
 
 
 def _lamp_bfs(halo: HaloGroup, moves: Sequence[Tuple[Lamp, list]],
-              target: Optional[Lamp] = None) -> Dict[Lamp, list]:
+              target: Optional[Lamp] = None) -> Tuple[Callable, Dict]:
     """Breadth-first search over products of the move lamps, from the
     identity lamp.
 
-    A move is a pair (lamp, labels).  Returns {lamp: the labels of the
-    moves along the first path that reached it, concatenated}, in the order
-    the search reached them.  It stops as soon as ``target`` is reached;
-    with no target it visits the whole subgroup the moves generate.
+    A move is a pair (lamp, labels).  The search steps the codes of
+    ``halo._lamp_codes``: shuffler and juggler lamps are bytes, and a step
+    is one bytes.translate; the other families step their payloads by
+    lamp_compose.  Returns (encode, paths), where paths maps encode(lamp)
+    to the labels of the moves along the first path that reached the lamp,
+    concatenated, in the order the search reached them.  It stops as soon
+    as ``target`` is reached, and raises UndecomposableError if it cannot
+    be; with no target it visits the whole subgroup the moves generate.
     """
-    ident = halo.lamp_identity()
-    paths: Dict[Lamp, list] = {ident: []}
-    frontier = [ident]
-    while frontier and target not in paths:
+    encode, operands, step = halo._lamp_codes([lamp for lamp, _ in moves])
+    steps = list(zip(operands, [labels for _, labels in moves]))
+    start = encode(halo.lamp_identity())
+    paths: Dict = {start: []}
+    frontier = [start]
+    goal = None
+    if target is not None:
+        try:
+            goal = encode(target)
+        except KeyError:  # the target moves a point that no move touches
+            frontier = []
+    while frontier and goal not in paths:
         new_frontier = []
         for state in frontier:
-            for lamp, labels in moves:
-                nxt = halo.lamp_compose(state, lamp)
+            for operand, labels in steps:
+                nxt = step(state, operand)
                 if nxt not in paths:
                     paths[nxt] = paths[state] + labels
-                    if nxt == target:
-                        return paths
+                    if nxt == goal:
+                        return encode, paths
                     new_frontier.append(nxt)
         frontier = new_frontier
-    return paths
+    if target is not None and goal not in paths:
+        raise UndecomposableError(
+            "target lamp is not in the subgroup generated by the provided blocks")
+    return encode, paths
 
 
 def _factor_and_recurse(rec, halo: HaloGroup, lamp: Lamp, r1: Sequence, r2: Sequence,
@@ -187,18 +202,16 @@ def _factor_and_recurse(rec, halo: HaloGroup, lamp: Lamp, r1: Sequence, r2: Sequ
     ident = halo.lamp_identity()
     blocks = [l for l in enumerate_block(halo, r1) if l != ident]
     blocks += [l for l in enumerate_block(halo, r2) if l != ident]
-    factors = _lamp_bfs(halo, [(l, [l]) for l in blocks], lamp).get(lamp)
-    if factors is None:
-        raise UndecomposableError(
-            "target lamp is not in the subgroup generated by the provided blocks")
+    encode, paths = _lamp_bfs(halo, [(l, [l]) for l in blocks], lamp)
     out: Word = []
-    for f in factors:
+    for f in paths[encode(lamp)]:
         out += rec(halo, f, measure, budget, trace)
     return out
 
 
-def _edge_table(halo: HaloGroup, p, q) -> Dict[Lamp, Word]:
-    """Word table for the block L({p, q}), q adjacent to p.
+def _edge_table(halo: HaloGroup, p, q) -> Tuple[Callable, Dict[object, Word]]:
+    """Word table for the block L({p, q}), q adjacent to p, as the
+    (encode, paths) of _lamp_bfs: the word of a lamp is paths[encode(lamp)].
 
     Candidate generators are the conjugates act(t, g) of natural lamp
     generators g whose translated support lands inside {p, q}; each comes
@@ -238,12 +251,13 @@ def _edge_table(halo: HaloGroup, p, q) -> Dict[Lamp, Word]:
 
 
 def _edge_word(halo: HaloGroup, p, q, lamp: Lamp, budget: _Budget) -> Word:
-    table = _edge_table(halo, p, q)
-    if lamp not in table:
+    encode, table = _edge_table(halo, p, q)
+    try:
+        word = table[encode(lamp)]
+    except KeyError:
         raise UndecomposableError(
             f"block element on {{{p!r}, {q!r}}} is outside the subgroup generated "
-            "by conjugated natural generators")
-    word = table[lamp]
+            "by conjugated natural generators") from None
     budget.spend(len(word))
     return word
 
@@ -318,14 +332,21 @@ def decompose_upcloner(halo: UpclonerHalo, lamp: Lamp, word_cap: int = DEFAULT_W
 
 
 def _gen_index(halo: UpclonerHalo, i: int, lam: int) -> int:
-    """Index of the natural generator tau_{0, e_i}(lam)."""
-    e = halo.base.identity()
-    ei = tuple(1 if j == i else 0 for j in range(halo.base.d))
-    target = halo.make_lamp({(e, ei): lam})
-    for gi, (lg, _c) in enumerate(halo.generators()[: halo.base_gen_offset]):
-        if lg == target:
-            return gi
-    raise AssertionError("elementary transvection missing from the generator list")
+    """Index of the natural generator tau_{0, e_i}(lam), looked up once per
+    (i, lam) and kept on the halo."""
+    cache = getattr(halo, "_gen_indices", None)
+    if cache is None:
+        cache = halo._gen_indices = {}
+    gi = cache.get((i, lam))
+    if gi is None:
+        e = halo.base.identity()
+        ei = tuple(1 if j == i else 0 for j in range(halo.base.d))
+        target = halo.make_lamp({(e, ei): lam})
+        lamp_gens = [lg for lg, _c in halo.generators()[: halo.base_gen_offset]]
+        if target not in lamp_gens:
+            raise AssertionError("elementary transvection missing from the generator list")
+        gi = cache[(i, lam)] = lamp_gens.index(target)
+    return gi
 
 
 def _transvection_word(halo: UpclonerHalo, a, b, lam: int, parent_len: Optional[int],

@@ -54,6 +54,12 @@ one shift and XOR of column P into column Q and its lookup hashes one
 int; over the other fields they step each payload.  Only one cursor's
 codes are alive at a time.
 
+``_lamp_codes(moves)`` serves the lamp searches of ``decompose`` (its
+factor BFS and edge tables) the same way: shuffler and juggler code each
+lamp as bytes over the points the moves move, so a product with a move is
+one ``bytes.translate`` and a lookup hashes flat bytes; the other
+families search over the payloads themselves with ``lamp_compose``.
+
 ``multiply`` stays the general product and the oracle for ``step`` and
 ``step_rows``.
 """
@@ -350,6 +356,14 @@ class HaloGroup(GroupHandle):
         edit of a."""
         raise NotImplementedError
 
+    def _lamp_codes(self, moves: Sequence[Lamp]):
+        """(encode, operands, step) for a search over products of the move
+        lamps: encode is injective on the lamps the moves generate, and
+        step(encode(a), operands[i]) == encode(lamp_compose(a, moves[i])).
+        encode may raise KeyError for a lamp outside that subgroup.  Here
+        the codes are the payloads themselves."""
+        return (lambda a: a), moves, self.lamp_compose
+
     def block_elements(self, sites: Sequence) -> List[Lamp]:
         """Complete list of L(sites); call via enumerate_block for budgeting."""
         raise NotImplementedError
@@ -570,6 +584,30 @@ class _PermutationHalo(HaloGroup):
             trade[index[P]], trade[index[Q]] = index[Q], index[P]
             yield map(codes.get, map(bytes.translate, codes, itertools.repeat(trade)),
                       itertools.repeat(0))
+
+    def _lamp_codes(self, moves):
+        """HaloGroup._lamp_codes by bytes.  With points[k] the sorted points
+        the moves move, a lamp sigma is coded as the bytes whose k-th is the
+        index of sigma^-1(points[k]); encode raises KeyError for a lamp that
+        moves another point.  (sigma o tau)^-1 = tau^-1 o sigma^-1, so
+        sigma o tau has the code of sigma translated by the 256-byte table
+        of tau^-1, one bytes.translate.  A byte holds at most 256 indices:
+        ContractViolation for more points."""
+        points = sorted({x for lamp in moves for x, _ in lamp})
+        n = len(points)
+        if n > 256:
+            raise ContractViolation(f"{n} points moved: lamp codes hold at most 256")
+        index = {x: k for k, x in enumerate(points)}
+        identity = bytes(range(n))
+
+        def encode(a):
+            code = bytearray(identity)
+            for x, y in a:
+                code[index[y]] = index[x]
+            return bytes(code)
+
+        pad = bytes(range(n, 256))  # a table maps the bytes no point uses to themselves
+        return encode, [encode(t) + pad for t in moves], bytes.translate
 
 
 class ShufflerHalo(_PermutationHalo):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -11,7 +12,7 @@ from halolab.errors import (ContractViolation, UndecomposableError,
                             UnsupportedFamilyError)
 from halolab.gf import GF
 from halolab.groups import CyclicGroup, HeisenbergGroup, ZdGroup
-from halolab.halo import enumerate_block, make_halo
+from halolab.halo import HaloGroup, enumerate_block, make_halo
 
 Z = ZdGroup(1, False)
 ZLEX = ZdGroup(1, True)
@@ -305,8 +306,9 @@ def test_lamp_bfs_equals_the_searches_it_replaced(family, params):
     ident = halo.lamp_identity()
     rng = random.Random(family)
     for p in range(-2, 3):
-        new = _edge_table(halo, (p,), (p + 1,))
-        assert list(new.items()) == list(_old_edge_table(halo, (p,), (p + 1,)).items())
+        encode, new = _edge_table(halo, (p,), (p + 1,))
+        old = _old_edge_table(halo, (p,), (p + 1,))
+        assert list(new.items()) == [(encode(l), w) for l, w in old.items()]
     for k in (2, 3):
         for R in itertools.combinations([(s,) for s in range(-2, 3)], k):
             if k == 2:
@@ -321,6 +323,132 @@ def test_lamp_bfs_equals_the_searches_it_replaced(family, params):
             blocks += [l for l in enumerate_block(halo, r2) if l != ident]
             full = [l for l in enumerate_block(halo, R) if halo.lamp_sites(l) == set(R)]
             for target in rng.sample(full, min(3, len(full))):
-                paths = _lamp_bfs(halo, [(l, [l]) for l in blocks], target)
-                assert list(paths)[-1] == target  # the search stops there
-                assert paths[target] == _old_factor_search(halo, target, blocks)
+                encode, paths = _lamp_bfs(halo, [(l, [l]) for l in blocks], target)
+                assert list(paths)[-1] == encode(target)  # the search stops there
+                assert paths[encode(target)] == _old_factor_search(halo, target, blocks)
+
+
+# ---------------------------------------------------------------------------
+# coded lamps: shuffler and juggler searches step bytes by bytes.translate;
+# the payloads and lamp_compose of HaloGroup._lamp_codes stay the oracle
+
+def _search_sites(halo):
+    """Sites e, s and a neighbour of s for a base generator s (e, s when a
+    3-site block would exceed 1,000 lamps), split as the recursion splits
+    them."""
+    base = halo.base
+    e, s = base.identity(), base.generators()[0]
+    sites = [e, s, next(x for x in (base.multiply(s, t) for t in base.generators())
+                        if x not in (e, s))]
+    if halo.growth(3) > 1000:
+        sites = sites[:2]
+    return sites, sites[:-1], sites[1:]
+
+
+CODED_HALOS = [("shuffler", None, Z), ("juggler", 2, Z), ("juggler", 3, Z),
+               ("shuffler", None, ZdGroup(2)), ("juggler", 2, ZdGroup(2)),
+               ("shuffler", None, HeisenbergGroup())]
+
+
+@pytest.mark.parametrize("family, params, base", CODED_HALOS,
+                         ids=[f"{f}-{p}-{b.spec}" for f, p, b in CODED_HALOS])
+def test_lamp_codes_step_as_lamp_compose(family, params, base):
+    """encode is injective on the block the moves generate, and decoding
+    step(encode(a), operand) gives lamp_compose(a, move), for 40 random
+    lamps a of that block against every move."""
+    halo = make_halo(family, params, base)
+    sites, r1, r2 = _search_sites(halo)
+    ident = halo.lamp_identity()
+    moves = [l for l in enumerate_block(halo, r1) if l != ident]
+    moves += [l for l in enumerate_block(halo, r2) if l != ident]
+    encode, operands, step = halo._lamp_codes(moves)
+    block = enumerate_block(halo, sites)
+    decode = {encode(l): l for l in block}
+    assert len(decode) == len(block)
+    rng = random.Random(halo.spec)
+    for a in rng.sample(block, min(40, len(block))):
+        code = encode(a)
+        for m, op in zip(moves, operands):
+            assert decode[step(code, op)] == halo.lamp_compose(a, m)
+
+
+def test_lamp_codes_hold_at_most_256_points():
+    """Adjacent transpositions of Z over 256 points code and step; over 257
+    points both the hook and the search refuse them."""
+    halo = make_halo("shuffler", None, Z)
+
+    def swaps(points):
+        return [halo.make_lamp({(i,): (i + 1,), (i + 1,): (i,)}) for i in range(points - 1)]
+
+    moves = swaps(256)
+    encode, operands, step = halo._lamp_codes(moves)
+    a = halo.make_lamp({(i,): ((i + 1) % 256,) for i in range(256)})  # a 256-cycle
+    for m, op in zip(moves, operands):
+        assert step(encode(a), op) == encode(halo.lamp_compose(a, m))
+    with pytest.raises(ContractViolation):
+        halo._lamp_codes(swaps(257))
+    with pytest.raises(ContractViolation):
+        _lamp_bfs(halo, [(m, [m]) for m in swaps(257)], a)
+
+
+@pytest.mark.parametrize("coded", [True, False], ids=["codes", "payloads"])
+def test_lamp_bfs_target_outside_the_moves_is_undecomposable(coded):
+    """A target that moves a point no move touches, and one inside the
+    moves' points but outside the subgroup they generate, raise the same
+    UndecomposableError through codes as through payloads."""
+    halo = make_halo("shuffler", None, Z)
+    if not coded:
+        _search_payloads(halo)
+
+    def swap(i, j):
+        return halo.make_lamp({(i,): (j,), (j,): (i,)})
+
+    moves = [(swap(0, 1), ["a"]), (swap(2, 3), ["b"])]
+    for target in (swap(1, 4), swap(1, 2)):
+        with pytest.raises(UndecomposableError, match="not in the subgroup"):
+            _lamp_bfs(halo, moves, target)
+    encode, paths = _lamp_bfs(halo, moves, halo.lamp_compose(swap(0, 1), swap(2, 3)))
+    assert list(paths.values())[-1] == ["a", "b"]
+
+
+def _search_payloads(halo):
+    """Force the halo's searches onto HaloGroup's payload hook."""
+    halo._lamp_codes = functools.partial(HaloGroup._lamp_codes, halo)
+    return halo
+
+
+def _coded_and_payload_words(family, params, base, site_sets, picks):
+    """decompose_gluing through codes and through payloads, on every
+    full-support element of each site set, or on `picks` seeded ones where
+    there are more."""
+    fast = make_halo(family, params, base)
+    slow = _search_payloads(make_halo(family, params, base))
+    rng = random.Random(fast.spec)
+    checked = 0
+    for R in site_sets:
+        full = [l for l in enumerate_block(fast, R) if fast.lamp_sites(l) == set(R)]
+        for lamp in (full if len(full) <= picks else rng.sample(full, picks)):
+            assert decompose_gluing(fast, lamp) == decompose_gluing(slow, lamp), (R, lamp)
+            checked += 1
+    return checked
+
+
+@pytest.mark.parametrize("family, params", [("shuffler", None), ("juggler", 2)])
+def test_coded_factor_searches_give_the_payload_words_over_z(family, params):
+    """Every 1-3-subset of {-2..2}: all full-support shuffler elements and
+    all juggler(2) elements on a single site; three seeded juggler(2)
+    elements per larger set, whose payload searches take about 30 ms
+    each."""
+    sets = [R for k in (1, 2, 3)
+            for R in itertools.combinations([(s,) for s in range(-2, 3)], k)]
+    checked = _coded_and_payload_words(family, params, Z, sets, picks=3)
+    assert checked == (30 if family == "shuffler" else 5 + 20 * 3)
+
+
+@pytest.mark.parametrize("family, params", [("shuffler", None), ("juggler", 2)])
+def test_coded_factor_searches_give_the_payload_words_over_z2(family, params):
+    """Every 3-site set in the radius-1 window of Z^2, as over Z."""
+    window = [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)]
+    sets = [sorted(R) for R in itertools.combinations(window, 3)]
+    checked = _coded_and_payload_words(family, params, ZdGroup(2), sets, picks=3)
+    assert checked == (20 if family == "shuffler" else 10 * 3)
