@@ -38,14 +38,12 @@ DEFAULT_WORD_CAP = 10 ** 5
 
 def evaluate_word(halo: HaloGroup, word: Word):
     """The product of the word's letters, each one halo.step: a -1 letter
-    steps by the index of its generator's inverse, which the generator
-    list holds, as it is closed under inversion."""
-    gens = halo.generators()
-    index = {g: i for i, g in enumerate(gens)}
-    inverse = [index[halo.invert(g)] for g in gens]
+    steps by the index of its generator's inverse, halo.inverse_index[idx]
+    (the generator list is closed under inversion)."""
+    inverse = halo.inverse_index
     out = halo.identity()
     for idx, exp in word:
-        if not 0 <= idx < len(gens):
+        if not 0 <= idx < len(inverse):
             raise ContractViolation(f"generator index {idx} out of range")
         if exp == 1:
             out = halo.step(out, idx)
@@ -145,6 +143,13 @@ def _subset_measure(halo: HaloGroup, sites) -> Tuple[int, int]:
     return (total, len(sites))
 
 
+def _check_lamp(halo: HaloGroup, lamp: Lamp):
+    """ContractViolation unless lamp is a canonical lamp payload of halo,
+    checked before any search reads it."""
+    if not halo.is_element((lamp, halo.base.identity())):
+        raise ContractViolation(f"{lamp!r} is not a lamp of {halo.spec}")
+
+
 def _record_step(trace: Optional[list], parent, child):
     if parent is not None:
         assert child < parent, f"recursion measure did not decrease: {parent} -> {child}"
@@ -159,12 +164,14 @@ def _lamp_bfs(halo: HaloGroup, moves: Sequence[Tuple[Lamp, list]],
 
     A move is a pair (lamp, labels).  The search steps the codes of
     ``halo._lamp_codes``: shuffler and juggler lamps are bytes, and a step
-    is one bytes.translate; the other families step their payloads by
-    lamp_compose.  Returns (encode, paths), where paths maps encode(lamp)
-    to the labels of the moves along the first path that reached the lamp,
-    concatenated, in the order the search reached them.  It stops as soon
-    as ``target`` is reached, and raises UndecomposableError if it cannot
-    be; with no target it visits the whole subgroup the moves generate.
+    is one bytes.translate; GF(2) cloner and upcloner lamps are ints, and a
+    step is one shift and XOR per column the move adds; the other families
+    step their payloads by lamp_compose.  Returns (encode, paths), where
+    paths maps encode(lamp) to the labels of the moves along the first path
+    that reached the lamp, concatenated, in the order the search reached
+    them.  It stops as soon as ``target`` is reached, and raises
+    UndecomposableError if it cannot be; with no target it visits the whole
+    subgroup the moves generate.
     """
     encode, operands, step = halo._lamp_codes([lamp for lamp, _ in moves])
     steps = list(zip(operands, [labels for _, labels in moves]))
@@ -276,6 +283,7 @@ def decompose_gluing(halo: HaloGroup, lamp: Lamp, word_cap: int = DEFAULT_WORD_C
     if isinstance(halo, UpclonerHalo):
         raise UnsupportedFamilyError(
             "upcloner lacks the gluing property; use decompose_upcloner")
+    _check_lamp(halo, lamp)
     budget = _Budget(word_cap)
     word = _gluing_rec(halo, lamp, None, budget, trace)
     return word
@@ -326,7 +334,7 @@ def decompose_upcloner(halo: UpclonerHalo, lamp: Lamp, word_cap: int = DEFAULT_W
         raise UnsupportedFamilyError("decompose_upcloner requires an upcloner halo")
     if not isinstance(halo.base, ZdGroup):
         raise UnsupportedFamilyError("decompose_upcloner is implemented for Z^d bases")
-    halo._check_unitriangular(lamp)
+    _check_lamp(halo, lamp)
     budget = _Budget(word_cap)
     return _upcloner_rec(halo, lamp, None, budget, trace)
 

@@ -57,8 +57,12 @@ codes are alive at a time.
 ``_lamp_codes(moves)`` serves the lamp searches of ``decompose`` (its
 factor BFS and edge tables) the same way: shuffler and juggler code each
 lamp as bytes over the points the moves move, so a product with a move is
-one ``bytes.translate`` and a lookup hashes flat bytes; the other
-families search over the payloads themselves with ``lamp_compose``.
+one ``bytes.translate`` and a lookup hashes flat bytes; over GF(2) cloner
+and upcloner code each lamp as the int of ``_lamp_rows`` over the sites of
+the moves (one layout, ``_gf2_layout``), so a product with a move I + N is
+one shift and XOR per entry of N, a column added to a column, and a lookup
+hashes one int; the other families search over the payloads themselves
+with ``lamp_compose``.
 
 ``multiply`` stays the general product and the oracle for ``step`` and
 ``step_rows``.
@@ -69,7 +73,7 @@ import itertools
 import math
 from bisect import bisect_left, insort
 from operator import getitem
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from .errors import BudgetError, ContractViolation
 from .gf import GF
@@ -272,6 +276,24 @@ def _mat_scale_column(a: Lamp, P, lam: int, gf: GF) -> Lamp:
     return tuple(out)
 
 
+def _gf2_layout(points) -> Tuple[Dict, int, Callable]:
+    """The int code of 0/1 matrices over the sorted points: entry
+    (points[r], points[c]) is bit c n + r, so column c is the n bits from
+    c n on.  Returns (index, identity, term): index maps a point to its
+    position, identity is the identity matrix's code, and term(entry) is
+    what a canonical payload entry ((p, q), v) XORs into it; the identity
+    holds 1 on the diagonal, so a diagonal entry adds v ^ 1.  term raises
+    KeyError for an entry at a site outside the points."""
+    index = {x: k for k, x in enumerate(sorted(points))}
+    n = len(index)
+
+    def term(entry):
+        (p, q), v = entry
+        return (v ^ (p == q)) << (index[q] * n + index[p])
+
+    return index, sum(1 << k * (n + 1) for k in range(n)), term
+
+
 def _mat_rows(a: Lamp, sites: Sequence) -> List[List[int]]:
     d = dict(a)
     return [[_mat_entry(d, p, q) for q in sites] for p in sites]
@@ -317,7 +339,9 @@ class HaloGroup(GroupHandle):
         """Shared set-up, which each family calls last, once the fields its
         lamp_generators reads are set.  It fixes the generator list: the
         lamp generators at the identity cursor, then the base generators
-        with no lamp, from index base_gen_offset on."""
+        with no lamp, from index base_gen_offset on, and inverse_index:
+        entry i is the index of the inverse of generator i (the list is
+        closed under inversion)."""
         self.base = base
         self.params = params  # the family parameter, as make_halo and lamp_growth take it
         self._translated: Dict = {}  # cursor h -> [lamp_act(h, t) for each lamp generator t]
@@ -325,6 +349,8 @@ class HaloGroup(GroupHandle):
         lamp_part = [(g, base.identity()) for g in self.lamp_generators()]
         self._gens = lamp_part + [(self.lamp_identity(), s) for s in base.generators()]
         self.base_gen_offset = len(lamp_part)
+        index = {g: i for i, g in enumerate(self._gens)}
+        self.inverse_index = tuple(index[self.invert(g)] for g in self._gens)
 
     # -- family interface ---------------------------------------------------
     def make_lamp(self, entries) -> Lamp:
@@ -734,6 +760,14 @@ class _MatrixHalo(HaloGroup):
         self.spec = f"{self.family}(GF{gf.q}, {base.spec})"
         super().__init__(gf, base)
 
+    def _mat_lamp(self, entries: Dict) -> Lamp:
+        """The canonical matrix payload of a (p, q) -> entry mapping, each
+        entry checked to be an element of GF(q)."""
+        q = self.gf.q
+        if not all(type(v) is int and 0 <= v < q for v in entries.values()):
+            raise ContractViolation(f"{self.family} lamp entry is not an element of GF({q})")
+        return _mat_canonical(entries)
+
     def lamp_compose(self, a, b):
         return _mat_compose(a, b, self.gf)
 
@@ -756,14 +790,13 @@ class _MatrixHalo(HaloGroup):
 
     def _lamp_rows(self, h, lamps, vals, get):
         """The rows of HaloGroup._lamp_rows, from codes over GF(2).  With
-        points[k] the n points seen at h (its lamps' sites and the
-        translated generators'), a lamp is coded once as the int holding
-        its 0/1 matrix over the points column by column: entry
-        (points[r], points[c]) is bit c n + r.  The code is the identity's
-        XOR one term per entry, each computed once per distinct entry.
-        GF(2) has the one unit 1, so every generator is I + E_PQ with
-        P != Q: it adds column P to column Q, one shift and XOR of the
-        code, and the lookup hashes one int.  Other fields step each lamp."""
+        points the n points seen at h (its lamps' sites and the translated
+        generators'), a lamp is coded once by _gf2_layout, its 0/1 matrix
+        over the points column by column: the identity's code XOR one term
+        per entry, each computed once per distinct entry.  GF(2) has the
+        one unit 1, so every generator is I + E_PQ with P != Q: it adds
+        column P to column Q, one shift and XOR of the code, and the lookup
+        hashes one int.  Other fields step each lamp."""
         if self.gf.q != 2:
             yield from super()._lamp_rows(h, lamps, vals, get)
             return
@@ -771,12 +804,9 @@ class _MatrixHalo(HaloGroup):
         entries = set(itertools.chain.from_iterable(lamps))
         points = set(itertools.chain.from_iterable(moves))
         points.update(itertools.chain.from_iterable(pq for pq, _ in entries))
-        n = len(points)
-        index = {x: k for k, x in enumerate(sorted(points))}
-        identity = sum(1 << k * (n + 1) for k in range(n))
-        # the identity's code holds 1 on the diagonal: a diagonal entry v adds v ^ 1
-        term = {((p, q), v): (v ^ (p == q)) << (index[q] * n + index[p])
-                for (p, q), v in entries}
+        index, identity, term_of = _gf2_layout(points)
+        n = len(index)
+        term = {entry: term_of(entry) for entry in entries}
         codes = {identity ^ sum(map(term.__getitem__, lamp)): v
                  for lamp, v in zip(lamps, vals)}  # code -> value, in the order of lamps
         mask = (1 << n) - 1
@@ -784,6 +814,35 @@ class _MatrixHalo(HaloGroup):
             sp, sq = index[P] * n, index[Q] * n
             yield map(codes.get, [c ^ (c >> sp & mask) << sq for c in codes],
                       itertools.repeat(0))
+
+    def _lamp_codes(self, moves):
+        """HaloGroup._lamp_codes by ints over GF(2).  A lamp is coded by
+        _gf2_layout over the sorted sites of the moves; encode raises
+        KeyError for a lamp with another site.  A move m is I + N, and
+        a m = a + a N adds column k of a to column j for each entry (k, j)
+        of N.  Over GF(2) each stored entry of a canonical payload differs
+        from the identity's by 1, so N's entries are the move's entries: its
+        operand is the tuple of their column shifts (k n, j n), and a step
+        XORs each shifted column of the code, all read from the code before
+        the step.  Other fields search over the payloads."""
+        if self.gf.q != 2:
+            return super()._lamp_codes(moves)
+        index, identity, term = _gf2_layout({x for move in moves for pq, _ in move for x in pq})
+        n = len(index)
+        mask = (1 << n) - 1
+
+        def encode(a):
+            return identity ^ sum(map(term, a))
+
+        def step(code, shifts):
+            out = code
+            for sk, sj in shifts:
+                out ^= (code >> sk & mask) << sj
+            return out
+
+        operands = [tuple((index[p] * n, index[q] * n) for (p, q), _ in move)
+                    for move in moves]
+        return encode, operands, step
 
 
 class ClonerHalo(_MatrixHalo):
@@ -794,7 +853,7 @@ class ClonerHalo(_MatrixHalo):
     def make_lamp(self, entries: Dict) -> Lamp:
         """entries: (p, q) -> matrix entry; unlisted entries are those of
         the identity.  The matrix must be invertible."""
-        lamp = _mat_canonical(entries)
+        lamp = self._mat_lamp(entries)
         if lamp:
             try:
                 _mat_invert(lamp, self.gf)
@@ -865,15 +924,11 @@ class UpclonerHalo(_MatrixHalo):
 
     def make_lamp(self, entries: Dict) -> Lamp:
         """entries: (p, q) -> matrix entry with p < q in the base order."""
-        lamp = _mat_canonical(entries)
-        self._check_unitriangular(lamp)
+        lamp = self._mat_lamp(entries)
+        if not all(p < q for (p, q), _ in lamp):
+            raise ContractViolation(
+                "upcloner lamp must be unitriangular: entry (p,q) requires p < q")
         return lamp
-
-    def _check_unitriangular(self, lamp: Lamp):
-        for (p, q), _v in lamp:
-            if not p < q:
-                raise ContractViolation(
-                    "upcloner lamp must be unitriangular: entry (p,q) requires p < q")
 
     def lamp_generators(self):
         e = self.base.identity()

@@ -145,6 +145,23 @@ def test_upcloner_decomposes_over_z2_not_named_lex():
         decompose_upcloner(over_h3, over_h3.make_lamp({((0, 0, 0), (0, 1, 0)): 1}))
 
 
+@pytest.mark.parametrize("family, payload", [
+    ("upcloner", ((((0,), (1,)), 0),)),                      # a stored identity entry
+    ("upcloner", ((((0,), (1,)), 5),)),                      # 5 is not in GF(2)
+    ("upcloner", ((((1,), (2,)), 1), (((0,), (1,)), 1))),   # entries out of order
+    ("cloner", ((((0,), (0,)), 0),)),                        # a singular matrix
+], ids=["zero-entry", "outside-gf2", "unsorted", "singular"])
+def test_decompositions_reject_a_payload_that_is_no_lamp(family, payload):
+    """Neither decomposer searches for a payload that is no canonical lamp:
+    each raises ContractViolation before any search, where a zero entry
+    used to give the empty word, 5 an AssertionError and the other two
+    UndecomposableError."""
+    halo = make_halo(family, GF(2), Z)
+    decompose = decompose_upcloner if family == "upcloner" else decompose_gluing
+    with pytest.raises(ContractViolation, match="is not a lamp of"):
+        decompose(halo, payload)
+
+
 def test_upcloner_roundtrip_on_z1():
     rng = random.Random(37)
     up = make_halo("upcloner", GF(3), ZLEX)
@@ -329,8 +346,9 @@ def test_lamp_bfs_equals_the_searches_it_replaced(family, params):
 
 
 # ---------------------------------------------------------------------------
-# coded lamps: shuffler and juggler searches step bytes by bytes.translate;
-# the payloads and lamp_compose of HaloGroup._lamp_codes stay the oracle
+# coded lamps: shuffler and juggler searches step bytes by bytes.translate,
+# GF(2) cloner and upcloner searches step ints by column shifts; the payloads
+# and lamp_compose of HaloGroup._lamp_codes stay the oracle
 
 def _search_sites(halo):
     """Sites e, s and a neighbour of s for a base generator s (e, s when a
@@ -347,15 +365,19 @@ def _search_sites(halo):
 
 CODED_HALOS = [("shuffler", None, Z), ("juggler", 2, Z), ("juggler", 3, Z),
                ("shuffler", None, ZdGroup(2)), ("juggler", 2, ZdGroup(2)),
-               ("shuffler", None, HeisenbergGroup())]
+               ("shuffler", None, HeisenbergGroup()),
+               ("cloner", GF(2), Z), ("cloner", GF(2), ZdGroup(2)),
+               ("cloner", GF(2), HeisenbergGroup()),
+               ("upcloner", GF(2), Z), ("upcloner", GF(2), ZdGroup(2))]
 
 
 @pytest.mark.parametrize("family, params, base", CODED_HALOS,
                          ids=[f"{f}-{p}-{b.spec}" for f, p, b in CODED_HALOS])
 def test_lamp_codes_step_as_lamp_compose(family, params, base):
-    """encode is injective on the block the moves generate, and decoding
-    step(encode(a), operand) gives lamp_compose(a, move), for 40 random
-    lamps a of that block against every move."""
+    """The moves are whole 2-site blocks.  encode is injective on the block
+    the moves generate, decoding step(encode(a), operand) gives
+    lamp_compose(a, move), for 40 random lamps a of that block against
+    every move, and encode raises KeyError for a lamp on other sites."""
     halo = make_halo(family, params, base)
     sites, r1, r2 = _search_sites(halo)
     ident = halo.lamp_identity()
@@ -370,6 +392,21 @@ def test_lamp_codes_step_as_lamp_compose(family, params, base):
         code = encode(a)
         for m, op in zip(moves, operands):
             assert decode[step(code, op)] == halo.lamp_compose(a, m)
+    far = halo.base.identity()
+    for _ in range(5):
+        far = halo.base.multiply(far, halo.base.generators()[0])
+    with pytest.raises(KeyError):
+        encode(halo.lamp_act(far, moves[-1]))
+
+
+def test_cloner_over_gf3_searches_payloads():
+    """Only GF(2) matrices are coded: over GF(3) the searches keep the
+    payload hook of HaloGroup."""
+    halo = make_halo("cloner", GF(3), Z)
+    moves = [l for l in enumerate_block(halo, [(0,), (1,)]) if l][:5]
+    encode, operands, step = halo._lamp_codes(moves)
+    assert operands == moves and step == halo.lamp_compose
+    assert all(encode(m) is m for m in moves)
 
 
 def test_lamp_codes_hold_at_most_256_points():
@@ -418,37 +455,56 @@ def _search_payloads(halo):
 
 
 def _coded_and_payload_words(family, params, base, site_sets, picks):
-    """decompose_gluing through codes and through payloads, on every
-    full-support element of each site set, or on `picks` seeded ones where
-    there are more."""
+    """decompose_gluing (decompose_upcloner for upcloner) through codes and
+    through payloads, on every full-support element of each site set, or on
+    `picks` seeded ones where there are more."""
     fast = make_halo(family, params, base)
     slow = _search_payloads(make_halo(family, params, base))
+    decompose = decompose_upcloner if family == "upcloner" else decompose_gluing
     rng = random.Random(fast.spec)
     checked = 0
     for R in site_sets:
         full = [l for l in enumerate_block(fast, R) if fast.lamp_sites(l) == set(R)]
         for lamp in (full if len(full) <= picks else rng.sample(full, picks)):
-            assert decompose_gluing(fast, lamp) == decompose_gluing(slow, lamp), (R, lamp)
+            assert decompose(fast, lamp) == decompose(slow, lamp), (R, lamp)
             checked += 1
     return checked
 
 
-@pytest.mark.parametrize("family, params", [("shuffler", None), ("juggler", 2)])
+GLUING_CODED = [("shuffler", None), ("juggler", 2), ("cloner", GF(2))]
+
+
+@pytest.mark.parametrize("family, params", GLUING_CODED,
+                         ids=[f"{f}-{p}" for f, p in GLUING_CODED])
 def test_coded_factor_searches_give_the_payload_words_over_z(family, params):
     """Every 1-3-subset of {-2..2}: all full-support shuffler elements and
-    all juggler(2) elements on a single site; three seeded juggler(2)
-    elements per larger set, whose payload searches take about 30 ms
-    each."""
+    all juggler(2) elements on a single site; three seeded juggler(2) and
+    cloner(GF2) elements per larger set (GL(1, 2) is trivial), as juggler(2)
+    payload searches take about 30 ms each."""
     sets = [R for k in (1, 2, 3)
             for R in itertools.combinations([(s,) for s in range(-2, 3)], k)]
     checked = _coded_and_payload_words(family, params, Z, sets, picks=3)
-    assert checked == (30 if family == "shuffler" else 5 + 20 * 3)
+    assert checked == {"shuffler": 30, "juggler": 5 + 20 * 3, "cloner": 20 * 3}[family]
 
 
-@pytest.mark.parametrize("family, params", [("shuffler", None), ("juggler", 2)])
+@pytest.mark.parametrize("family, params", GLUING_CODED,
+                         ids=[f"{f}-{p}" for f, p in GLUING_CODED])
 def test_coded_factor_searches_give_the_payload_words_over_z2(family, params):
     """Every 3-site set in the radius-1 window of Z^2, as over Z."""
     window = [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)]
     sets = [sorted(R) for R in itertools.combinations(window, 3)]
     checked = _coded_and_payload_words(family, params, ZdGroup(2), sets, picks=3)
     assert checked == (20 if family == "shuffler" else 10 * 3)
+
+
+@pytest.mark.parametrize("base", [ZLEX, ZdGroup(2)], ids=["Z:lex", "Z^2"])
+def test_coded_upcloner_searches_give_the_payload_words(base):
+    """Every 2- and 3-site chain in the window {0..2}^d whose consecutive
+    displacements lie in N^d (where upcloner elements decompose): all
+    full-support upcloner(GF2) elements of each, one per pair and four per
+    triple."""
+    window = sorted(itertools.product(range(3), repeat=base.d))
+    chains = [list(c) for k in (2, 3) for c in itertools.combinations(window, k)
+              if all(all(x <= y for x, y in zip(a, b)) for a, b in zip(c, c[1:]))]
+    checked = _coded_and_payload_words("upcloner", GF(2), base, chains, picks=8)
+    assert checked == (3 + 4 * 1 if base.d == 1 else 27 + 4 * 37)

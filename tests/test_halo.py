@@ -323,6 +323,9 @@ def test_make_lamp_rejects_non_lamps():
         (de, ({}, {(0,): (1,)})),
         (de, ({(0,): 2}, {})),
         (wr, {(0,): 2}),
+        (make_halo("cloner", GF(2), Z), {((0,), (1,)): 5}),
+        (make_halo("cloner", GF(3), Z), {((0,), (0,)): -1}),
+        (make_halo("upcloner", GF(2), Z), {((0,), (1,)): 2}),
     ]
     for halo, entries in bad:
         with pytest.raises(ContractViolation):

@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import pytest
 
+from halolab.decompose import evaluate_word
 from halolab.gf import GF
 from halolab.errors import ContractViolation
 from halolab.groups import (Ball, CyclicGroup, HeisenbergGroup, ProductGroup,
@@ -425,8 +426,9 @@ def test_is_element_accepts_ball_elements_and_rejects_malformed_values():
            "Z x C3": [((0,), 3), ((0,),)],
            "wreath(C2, Z)": [((((0,), 2),), (0,)), ((((0, 0), 1),), (0,)), ((), 0)],
            "shuffler(Z)": [((((0,), (1,)),), (0,)), ((((0,), (0,)),), (0,))],
-           "cloner(GF2, Z)": [(((((0,), (0,)), 0),), (0,))],
-           "upcloner(GF2, Z:lex)": [(((((1,), (0,)), 1),), (0,))],
+           "cloner(GF2, Z)": [(((((0,), (0,)), 0),), (0,)), (((((0,), (1,)), 5),), (0,))],
+           "upcloner(GF2, Z:lex)": [(((((1,), (0,)), 1),), (0,)),
+                                    (((((0,), (1,)), 2),), (0,))],
            "designer(C2, Z)": [(((), (((0,), (1,)),)), (0,))]}
     for spec, values in bad.items():
         g = make_group(spec)
@@ -456,6 +458,23 @@ def test_generator_lists_are_duplicate_free_and_closed_under_inversion():
         assert len(set(gens)) == len(gens), g.spec
         assert g.identity() not in gens, g.spec
         assert {g.invert(s) for s in gens} <= set(gens), g.spec
+
+
+def test_inverse_index_is_built_once_per_halo():
+    """inverse_index[i] is the index of generator i's inverse, and
+    evaluate_word reads it without inverting a generator."""
+    for g in [make_group(spec) for spec in PARSED_SPECS]:
+        if not isinstance(g, HaloGroup):
+            continue
+        gens = g.generators()
+        index = {s: i for i, s in enumerate(gens)}
+        assert list(g.inverse_index) == [index[g.invert(s)] for s in gens], g.spec
+        calls = []
+        invert = g.invert
+        g.invert = lambda a: calls.append(a) or invert(a)
+        word = [(i, exp) for i in range(len(gens)) for exp in (1, -1)]
+        assert evaluate_word(g, word) == g.identity(), g.spec
+        assert calls == [], g.spec
 
 
 # Ball(9) of these two would hold millions of elements
