@@ -162,18 +162,22 @@ def _lamp_bfs(halo: HaloGroup, moves: Sequence[Tuple[Lamp, list]],
     """Breadth-first search over products of the move lamps, from the
     identity lamp.
 
-    A move is a pair (lamp, labels).  The search steps the codes of
-    ``halo._lamp_codes``: shuffler and juggler lamps are bytes, and a step
-    is one bytes.translate; GF(2) cloner and upcloner lamps are ints, and a
-    step is one shift and XOR per column the move adds; the other families
-    step their payloads by lamp_compose.  Returns (encode, paths), where
-    paths maps encode(lamp) to the labels of the moves along the first path
-    that reached the lamp, concatenated, in the order the search reached
-    them.  It stops as soon as ``target`` is reached, and raises
-    UndecomposableError if it cannot be; with no target it visits the whole
-    subgroup the moves generate.
+    A move is a pair (lamp, labels).  The search steps the lamp codes of
+    ``halo._lamp_codes`` (shuffler and juggler lamps as bytes, one
+    bytes.translate per step; GF(2) cloner and upcloner lamps as ints, one
+    shift and XOR per column the move adds), or, where the hook returns
+    None, the payloads themselves by lamp_compose.  Returns (encode,
+    paths), where paths maps encode(lamp) to the labels of the moves along
+    the first path that reached the lamp, concatenated, in the order the
+    search reached them.  It stops as soon as ``target`` is reached, and
+    raises UndecomposableError if it cannot be; with no target it visits
+    the whole subgroup the moves generate.
     """
-    encode, operands, step = halo._lamp_codes([lamp for lamp, _ in moves])
+    lamps = [lamp for lamp, _ in moves]
+    codes = halo._lamp_codes(lamps)
+    if codes is None:  # search the payloads themselves
+        codes = (lambda a: a), lamps, halo.lamp_compose
+    encode, operands, step = codes
     steps = list(zip(operands, [labels for _, labels in moves]))
     start = encode(halo.lamp_identity())
     paths: Dict = {start: []}
@@ -340,8 +344,10 @@ def decompose_upcloner(halo: UpclonerHalo, lamp: Lamp, word_cap: int = DEFAULT_W
 
 
 def _gen_index(halo: UpclonerHalo, i: int, lam: int) -> int:
-    """Index of the natural generator tau_{0, e_i}(lam), looked up once per
-    (i, lam) and kept on the halo."""
+    """Index of the natural generator tau_{0, e_i}(lam), looked up in
+    halo.generator_index once per (i, lam) and kept on the halo: the lookup
+    builds the lamp by make_lamp, too slow to repeat at every leaf of the
+    transvection recursion."""
     cache = getattr(halo, "_gen_indices", None)
     if cache is None:
         cache = halo._gen_indices = {}
@@ -349,11 +355,10 @@ def _gen_index(halo: UpclonerHalo, i: int, lam: int) -> int:
     if gi is None:
         e = halo.base.identity()
         ei = tuple(1 if j == i else 0 for j in range(halo.base.d))
-        target = halo.make_lamp({(e, ei): lam})
-        lamp_gens = [lg for lg, _c in halo.generators()[: halo.base_gen_offset]]
-        if target not in lamp_gens:
+        gi = halo.generator_index.get((halo.make_lamp({(e, ei): lam}), e))
+        if gi is None:
             raise AssertionError("elementary transvection missing from the generator list")
-        gi = cache[(i, lam)] = lamp_gens.index(target)
+        cache[(i, lam)] = gi
     return gi
 
 

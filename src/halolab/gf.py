@@ -21,8 +21,8 @@ class GF:
     SUPPORTED = (2, 3, 4, 5)
 
     def __init__(self, q: int):
-        if q not in self.SUPPORTED:
-            raise ContractViolation(f"GF({q}) not supported; q must be one of {self.SUPPORTED}")
+        if type(q) is not int or q not in self.SUPPORTED:  # 2.0 == 2, but 2.0 is no order
+            raise ContractViolation(f"GF({q!r}) not supported; q must be one of {self.SUPPORTED}")
         self.q = q
 
     def __repr__(self):

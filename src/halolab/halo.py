@@ -40,29 +40,24 @@ with no dict round-trip and no re-sort:
 - cloner / upcloner: t_h = I + lam E_PQ adds lam * column P to column Q;
   a diagonal cloner generator (P = Q) scales column P by lam.
 
-``step_rows(values)`` serves the neighbour values of a function on the
-halo for ``gradient_ratio``, one cursor at a time: the support is grouped
-by cursor h, a base generator's row looks up (lamp, h s) for each lamp at
-h, and the lamp generators' rows come from ``_lamp_rows``, which applies
-``_step_lamp`` to each payload.  The permutation families (shuffler,
-juggler) code each lamp at h once, as bytes over the points seen at h, so
-sigma o (P Q) is one ``bytes.translate`` of sigma's code and its lookup
-hashes flat bytes, not a nested payload.  Over GF(2) the matrix families
-(cloner, upcloner) code each lamp at h once as an int, its 0/1 matrix over
-the points seen at h column by column, so a generator step I + E_PQ is
-one shift and XOR of column P into column Q and its lookup hashes one
-int; over the other fields they step each payload.  Only one cursor's
-codes are alive at a time.
-
-``_lamp_codes(moves)`` serves the lamp searches of ``decompose`` (its
-factor BFS and edge tables) the same way: shuffler and juggler code each
-lamp as bytes over the points the moves move, so a product with a move is
-one ``bytes.translate`` and a lookup hashes flat bytes; over GF(2) cloner
-and upcloner code each lamp as the int of ``_lamp_rows`` over the sites of
-the moves (one layout, ``_gf2_layout``), so a product with a move I + N is
-one shift and XOR per entry of N, a column added to a column, and a lookup
-hashes one int; the other families search over the payloads themselves
-with ``lamp_compose``.
+``_lamp_codes(moves, lamps)`` is the one lamp code of a family, for
+products of lamps with the moves: shuffler and juggler code a lamp as
+bytes over the points of the moves and the lamps (at most 256), so a
+product with a move is one ``bytes.translate`` and a lookup hashes flat
+bytes; over GF(2) cloner and upcloner code a lamp as an int, its 0/1
+matrix over those points column by column, so a product with a move I + N
+is one shift and XOR per entry of N, a column added to a column, and a
+lookup hashes one int.  The other families, matrices over other fields
+and permutations of more than 256 points have no code.  Two readers use
+it.  ``step_rows(values)`` serves the neighbour values of a function on
+the halo for ``gradient_ratio``, one cursor at a time: the support is
+grouped by cursor h, a base generator's row looks up (lamp, h s) for each
+lamp at h, and ``_lamp_rows`` gives the lamp generators' rows, coding the
+lamps at h once with the translated generators as moves (only one
+cursor's codes are alive at a time), or applying ``_step_lamp`` to each
+payload where there is no code.  ``decompose``'s lamp BFS (its factor
+searches and edge tables) steps codes the same way, or the payloads
+themselves by ``lamp_compose``.
 
 ``multiply`` stays the general product and the oracle for ``step`` and
 ``step_rows``.
@@ -276,24 +271,6 @@ def _mat_scale_column(a: Lamp, P, lam: int, gf: GF) -> Lamp:
     return tuple(out)
 
 
-def _gf2_layout(points) -> Tuple[Dict, int, Callable]:
-    """The int code of 0/1 matrices over the sorted points: entry
-    (points[r], points[c]) is bit c n + r, so column c is the n bits from
-    c n on.  Returns (index, identity, term): index maps a point to its
-    position, identity is the identity matrix's code, and term(entry) is
-    what a canonical payload entry ((p, q), v) XORs into it; the identity
-    holds 1 on the diagonal, so a diagonal entry adds v ^ 1.  term raises
-    KeyError for an entry at a site outside the points."""
-    index = {x: k for k, x in enumerate(sorted(points))}
-    n = len(index)
-
-    def term(entry):
-        (p, q), v = entry
-        return (v ^ (p == q)) << (index[q] * n + index[p])
-
-    return index, sum(1 << k * (n + 1) for k in range(n)), term
-
-
 def _mat_rows(a: Lamp, sites: Sequence) -> List[List[int]]:
     d = dict(a)
     return [[_mat_entry(d, p, q) for q in sites] for p in sites]
@@ -328,6 +305,25 @@ def _mat_invert(a: Lamp, gf: GF) -> Lamp:
 
 
 # ---------------------------------------------------------------------------
+# lamp code helpers (see HaloGroup._lamp_codes)
+
+class _TermTable(dict):
+    """entry -> term(entry) of a lamp code, built over the distinct entries
+    of the lamps a code is made for.  Of equal entries the table keeps a
+    lamp's own object, which the lamps of a block share, so a lookup by it
+    finds its key by identity and compares no tuples.  Any other entry (a
+    move's, a searched lamp's) is computed on its first lookup."""
+
+    def __init__(self, term: Callable, entries: set):
+        super().__init__(zip(entries, map(term, entries)))
+        self.term = term
+
+    def __missing__(self, entry):
+        value = self[entry] = self.term(entry)
+        return value
+
+
+# ---------------------------------------------------------------------------
 # the halo handle
 
 class HaloGroup(GroupHandle):
@@ -339,9 +335,10 @@ class HaloGroup(GroupHandle):
         """Shared set-up, which each family calls last, once the fields its
         lamp_generators reads are set.  It fixes the generator list: the
         lamp generators at the identity cursor, then the base generators
-        with no lamp, from index base_gen_offset on, and inverse_index:
-        entry i is the index of the inverse of generator i (the list is
-        closed under inversion)."""
+        with no lamp, from index base_gen_offset on; generator_index, which
+        maps each generator to its index; and inverse_index, whose entry i
+        is the index of the inverse of generator i (the list is closed
+        under inversion)."""
         self.base = base
         self.params = params  # the family parameter, as make_halo and lamp_growth take it
         self._translated: Dict = {}  # cursor h -> [lamp_act(h, t) for each lamp generator t]
@@ -349,7 +346,7 @@ class HaloGroup(GroupHandle):
         lamp_part = [(g, base.identity()) for g in self.lamp_generators()]
         self._gens = lamp_part + [(self.lamp_identity(), s) for s in base.generators()]
         self.base_gen_offset = len(lamp_part)
-        index = {g: i for i, g in enumerate(self._gens)}
+        index = self.generator_index = {g: i for i, g in enumerate(self._gens)}
         self.inverse_index = tuple(index[self.invert(g)] for g in self._gens)
 
     # -- family interface ---------------------------------------------------
@@ -382,13 +379,14 @@ class HaloGroup(GroupHandle):
         edit of a."""
         raise NotImplementedError
 
-    def _lamp_codes(self, moves: Sequence[Lamp]):
-        """(encode, operands, step) for a search over products of the move
-        lamps: encode is injective on the lamps the moves generate, and
+    def _lamp_codes(self, moves: Sequence[Lamp], lamps: Sequence[Lamp] = ()):
+        """The family's lamp code for products of lamps with the moves:
+        (encode, operands, step), where encode is injective on the lamps
+        given and on the lamps the moves generate, and
         step(encode(a), operands[i]) == encode(lamp_compose(a, moves[i])).
-        encode may raise KeyError for a lamp outside that subgroup.  Here
-        the codes are the payloads themselves."""
-        return (lambda a: a), moves, self.lamp_compose
+        encode may raise KeyError for a lamp at points outside the moves'
+        and the lamps'.  None here: this family has no code."""
+        return None
 
     def block_elements(self, sites: Sequence) -> List[Lamp]:
         """Complete list of L(sites); call via enumerate_block for budgeting."""
@@ -464,10 +462,22 @@ class HaloGroup(GroupHandle):
     def _lamp_rows(self, h, lamps: List[Lamp], vals: List, get) -> Iterable[Iterable]:
         """For each lamp generator t, in generator order, the row of
         get((lamp * t_h, h), 0) over the lamps at cursor h, whose values
-        are vals; here each product is taken by _step_lamp."""
-        step_lamp = self._step_lamp
-        for t in self._translates(h):
-            yield [get((step_lamp(lamp, t), h), 0) for lamp in lamps]
+        are vals.  The lamps are coded once by _lamp_codes, with the
+        translated generators as moves, so each product is one step of a
+        code and each lookup hashes a code; with no code each product is
+        taken by _step_lamp."""
+        moves = self._translates(h)
+        codes = self._lamp_codes(moves, lamps)
+        if codes is None:
+            step_lamp = self._step_lamp
+            for t in moves:
+                yield [get((step_lamp(lamp, t), h), 0) for lamp in lamps]
+            return
+        encode, operands, step = codes
+        coded = dict(zip(map(encode, lamps), vals))  # code -> value, in the order of lamps
+        for operand in operands:
+            yield map(coded.get, map(step, coded, itertools.repeat(operand)),
+                      itertools.repeat(0))
 
     def is_element(self, a):
         """A (lamp, cursor) pair whose cursor is a base element and whose
@@ -581,56 +591,32 @@ class _PermutationHalo(HaloGroup):
         (P, _), (Q, _) = t  # a transposition, P < Q
         return _perm_swap(a, P, Q)
 
-    def _lamp_rows(self, h, lamps, vals, get):
-        """The rows of HaloGroup._lamp_rows from codes.  With points[k] the
-        points moved at h, by a lamp there or by a translated generator, a
-        lamp sigma is coded once as the bytes whose k-th is the index of
-        sigma^-1(points[k]); the code is the identity's plus one shifted
-        difference per entry, each computed once per distinct entry.
-        sigma o (P Q) has the inverse (P Q) o sigma^-1, so its code is
-        sigma's with the byte values index(P) and index(Q) traded (one
-        bytes.translate), and the lookup hashes flat bytes.  A byte holds
-        at most 256 indices; a cursor with more points steps each lamp
-        instead."""
-        swaps = [(P, Q) for (P, _), (Q, _) in self._translates(h)]
-        entries = set(itertools.chain.from_iterable(lamps))
-        points = set(itertools.chain.from_iterable(swaps))
-        points.update(itertools.chain.from_iterable(entries))
-        n = len(points)
-        if n > 256:
-            yield from super()._lamp_rows(h, lamps, vals, get)
-            return
-        index = {x: k for k, x in enumerate(sorted(points))}
-        identity = int.from_bytes(bytes(range(n)), "little")
-        shift = {(x, y): (index[x] - index[y]) << (8 * index[y]) for x, y in entries}
-        codes = {(identity + sum(map(shift.__getitem__, lamp))).to_bytes(n, "little"): v
-                 for lamp, v in zip(lamps, vals)}  # code -> value, in the order of lamps
-        for P, Q in swaps:
-            trade = bytearray(range(256))
-            trade[index[P]], trade[index[Q]] = index[Q], index[P]
-            yield map(codes.get, map(bytes.translate, codes, itertools.repeat(trade)),
-                      itertools.repeat(0))
-
-    def _lamp_codes(self, moves):
+    def _lamp_codes(self, moves, lamps=()):
         """HaloGroup._lamp_codes by bytes.  With points[k] the sorted points
-        the moves move, a lamp sigma is coded as the bytes whose k-th is the
-        index of sigma^-1(points[k]); encode raises KeyError for a lamp that
-        moves another point.  (sigma o tau)^-1 = tau^-1 o sigma^-1, so
+        that the moves and the lamps move, a lamp sigma is coded as the
+        bytes whose k-th is the index of sigma^-1(points[k]): the
+        identity's code plus one shifted difference per entry, computed
+        once per distinct entry.  (sigma o tau)^-1 = tau^-1 o sigma^-1, so
         sigma o tau has the code of sigma translated by the 256-byte table
         of tau^-1, one bytes.translate.  A byte holds at most 256 indices:
-        ContractViolation for more points."""
-        points = sorted({x for lamp in moves for x, _ in lamp})
+        None for more points."""
+        entries = set(itertools.chain.from_iterable(lamps))
+        # a permutation's images are its points
+        points = {x for x, _ in entries.union(itertools.chain.from_iterable(moves))}
         n = len(points)
         if n > 256:
-            raise ContractViolation(f"{n} points moved: lamp codes hold at most 256")
-        index = {x: k for k, x in enumerate(points)}
-        identity = bytes(range(n))
+            return None
+        index = {x: k for k, x in enumerate(sorted(points))}
+        identity = int.from_bytes(bytes(range(n)), "little")
+
+        def shift(entry):
+            x, y = entry
+            return (index[x] - index[y]) << (8 * index[y])
+
+        get = _TermTable(shift, entries).__getitem__
 
         def encode(a):
-            code = bytearray(identity)
-            for x, y in a:
-                code[index[y]] = index[x]
-            return bytes(code)
+            return (identity + sum(map(get, a))).to_bytes(n, "little")
 
         pad = bytes(range(n, 256))  # a table maps the bytes no point uses to themselves
         return encode, [encode(t) + pad for t in moves], bytes.translate
@@ -666,6 +652,8 @@ class JugglerHalo(_PermutationHalo):
     family = "juggler"
 
     def __init__(self, tracks: int, base: GroupHandle):
+        if type(tracks) is not int:  # a bool or 2.0 would give a spec that does not parse
+            raise ContractViolation(f"juggler track count must be an int, not {tracks!r}")
         if tracks < 1:
             raise ContractViolation("juggler requires at least one track")
         self.tracks = tracks
@@ -788,51 +776,36 @@ class _MatrixHalo(HaloGroup):
             return _mat_scale_column(a, P, lam, self.gf)
         return _mat_add_column(a, P, Q, lam, self.gf)
 
-    def _lamp_rows(self, h, lamps, vals, get):
-        """The rows of HaloGroup._lamp_rows, from codes over GF(2).  With
-        points the n points seen at h (its lamps' sites and the translated
-        generators'), a lamp is coded once by _gf2_layout, its 0/1 matrix
-        over the points column by column: the identity's code XOR one term
-        per entry, each computed once per distinct entry.  GF(2) has the
-        one unit 1, so every generator is I + E_PQ with P != Q: it adds
-        column P to column Q, one shift and XOR of the code, and the lookup
-        hashes one int.  Other fields step each lamp."""
+    def _lamp_codes(self, moves, lamps=()):
+        """HaloGroup._lamp_codes by ints over GF(2).  With points the n
+        sorted sites of the moves and the lamps, a lamp's 0/1 matrix is
+        coded column by column: entry (points[r], points[c]) is bit c n + r,
+        so the code is the identity's XOR one term per stored entry,
+        computed once per distinct entry (the identity holds 1 on the
+        diagonal, so a diagonal entry v adds v ^ 1).  A move m is I + N,
+        and a m = a + a N adds column k of a to column j for each entry
+        (k, j) of N.  Over GF(2) each stored entry of a canonical payload
+        differs from the identity's by 1, so N's entries are the move's
+        entries: its operand is the tuple of their column shifts (k n, j n),
+        and a step XORs each shifted column of the code, all read from the
+        code before the step.  None over other fields."""
         if self.gf.q != 2:
-            yield from super()._lamp_rows(h, lamps, vals, get)
-            return
-        moves = [(P, Q) for (((P, Q), _),) in self._translates(h)]
+            return None
         entries = set(itertools.chain.from_iterable(lamps))
-        points = set(itertools.chain.from_iterable(moves))
-        points.update(itertools.chain.from_iterable(pq for pq, _ in entries))
-        index, identity, term_of = _gf2_layout(points)
+        sites = {x for pq, _ in entries.union(itertools.chain.from_iterable(moves)) for x in pq}
+        index = {x: k for k, x in enumerate(sorted(sites))}
         n = len(index)
-        term = {entry: term_of(entry) for entry in entries}
-        codes = {identity ^ sum(map(term.__getitem__, lamp)): v
-                 for lamp, v in zip(lamps, vals)}  # code -> value, in the order of lamps
         mask = (1 << n) - 1
-        for P, Q in moves:
-            sp, sq = index[P] * n, index[Q] * n
-            yield map(codes.get, [c ^ (c >> sp & mask) << sq for c in codes],
-                      itertools.repeat(0))
+        identity = sum(1 << k * (n + 1) for k in range(n))
 
-    def _lamp_codes(self, moves):
-        """HaloGroup._lamp_codes by ints over GF(2).  A lamp is coded by
-        _gf2_layout over the sorted sites of the moves; encode raises
-        KeyError for a lamp with another site.  A move m is I + N, and
-        a m = a + a N adds column k of a to column j for each entry (k, j)
-        of N.  Over GF(2) each stored entry of a canonical payload differs
-        from the identity's by 1, so N's entries are the move's entries: its
-        operand is the tuple of their column shifts (k n, j n), and a step
-        XORs each shifted column of the code, all read from the code before
-        the step.  Other fields search over the payloads."""
-        if self.gf.q != 2:
-            return super()._lamp_codes(moves)
-        index, identity, term = _gf2_layout({x for move in moves for pq, _ in move for x in pq})
-        n = len(index)
-        mask = (1 << n) - 1
+        def term(entry):
+            (p, q), v = entry
+            return (v ^ (p == q)) << (index[q] * n + index[p])
+
+        get = _TermTable(term, entries).__getitem__
 
         def encode(a):
-            return identity ^ sum(map(term, a))
+            return identity ^ sum(map(get, a))
 
         def step(code, shifts):
             out = code

@@ -1,4 +1,5 @@
-"""Shared test plumbing: acceptance-criterion result recording.
+"""Shared test plumbing: acceptance-criterion result recording, and the
+payload oracle of the lamp codes.
 
 Acceptance tests call ``record_criterion`` so a single PASS/FAIL line per
 criterion is printed in the terminal summary regardless of output capture.
@@ -20,3 +21,11 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         ok, detail = _RESULTS[number]
         status = "PASS" if ok else "FAIL"
         terminalreporter.write_line(f"CRITERION {number:2d}: {status} — {detail}")
+
+
+def search_payloads(halo):
+    """Take the halo's lamp code away (its _lamp_codes returns None), so
+    its lamp rows step each payload by _step_lamp and its lamp searches
+    step payloads by lamp_compose: the oracle for the codes."""
+    halo._lamp_codes = lambda moves, lamps=(): None
+    return halo

@@ -1,9 +1,9 @@
-import functools
 import itertools
 import random
 
 import pytest
 
+from conftest import search_payloads
 from halolab.decompose import (_edge_table, _lamp_bfs, certify_commutator_form,
                                certified_form, commutator_transvection,
                                decompose_gluing, decompose_upcloner,
@@ -12,7 +12,7 @@ from halolab.errors import (ContractViolation, UndecomposableError,
                             UnsupportedFamilyError)
 from halolab.gf import GF
 from halolab.groups import CyclicGroup, HeisenbergGroup, ZdGroup
-from halolab.halo import HaloGroup, enumerate_block, make_halo
+from halolab.halo import enumerate_block, make_halo
 
 Z = ZdGroup(1, False)
 ZLEX = ZdGroup(1, True)
@@ -348,7 +348,7 @@ def test_lamp_bfs_equals_the_searches_it_replaced(family, params):
 # ---------------------------------------------------------------------------
 # coded lamps: shuffler and juggler searches step bytes by bytes.translate,
 # GF(2) cloner and upcloner searches step ints by column shifts; the payloads
-# and lamp_compose of HaloGroup._lamp_codes stay the oracle
+# and lamp_compose of a search with no code (search_payloads) stay the oracle
 
 def _search_sites(halo):
     """Sites e, s and a neighbour of s for a base generator s (e, s when a
@@ -400,18 +400,19 @@ def test_lamp_codes_step_as_lamp_compose(family, params, base):
 
 
 def test_cloner_over_gf3_searches_payloads():
-    """Only GF(2) matrices are coded: over GF(3) the searches keep the
-    payload hook of HaloGroup."""
+    """Only GF(2) matrices are coded: over GF(3) the hook returns None and
+    the search keys its paths by the payloads themselves."""
     halo = make_halo("cloner", GF(3), Z)
     moves = [l for l in enumerate_block(halo, [(0,), (1,)]) if l][:5]
-    encode, operands, step = halo._lamp_codes(moves)
-    assert operands == moves and step == halo.lamp_compose
-    assert all(encode(m) is m for m in moves)
+    assert halo._lamp_codes(moves) is None
+    encode, paths = _lamp_bfs(halo, [(m, [m]) for m in moves])
+    assert all(encode(m) is m and paths[m] == [m] for m in moves)
 
 
 def test_lamp_codes_hold_at_most_256_points():
     """Adjacent transpositions of Z over 256 points code and step; over 257
-    points both the hook and the search refuse them."""
+    points the hook returns None, and the search reaches a one-swap target
+    through payloads, on the paths of a search forced onto payloads."""
     halo = make_halo("shuffler", None, Z)
 
     def swaps(points):
@@ -422,10 +423,13 @@ def test_lamp_codes_hold_at_most_256_points():
     a = halo.make_lamp({(i,): ((i + 1) % 256,) for i in range(256)})  # a 256-cycle
     for m, op in zip(moves, operands):
         assert step(encode(a), op) == encode(halo.lamp_compose(a, m))
-    with pytest.raises(ContractViolation):
-        halo._lamp_codes(swaps(257))
-    with pytest.raises(ContractViolation):
-        _lamp_bfs(halo, [(m, [m]) for m in swaps(257)], a)
+    moves = swaps(257)
+    assert halo._lamp_codes(moves) is None
+    target = moves[128]
+    encode, paths = _lamp_bfs(halo, [(m, [m]) for m in moves], target)
+    forced = search_payloads(make_halo("shuffler", None, Z))
+    assert paths == _lamp_bfs(forced, [(m, [m]) for m in moves], target)[1]
+    assert list(paths)[-1] == encode(target) and paths[encode(target)] == [target]
 
 
 @pytest.mark.parametrize("coded", [True, False], ids=["codes", "payloads"])
@@ -435,7 +439,8 @@ def test_lamp_bfs_target_outside_the_moves_is_undecomposable(coded):
     UndecomposableError through codes as through payloads."""
     halo = make_halo("shuffler", None, Z)
     if not coded:
-        _search_payloads(halo)
+        search_payloads(halo)
+    assert (halo._lamp_codes([]) is not None) == coded
 
     def swap(i, j):
         return halo.make_lamp({(i,): (j,), (j,): (i,)})
@@ -448,18 +453,13 @@ def test_lamp_bfs_target_outside_the_moves_is_undecomposable(coded):
     assert list(paths.values())[-1] == ["a", "b"]
 
 
-def _search_payloads(halo):
-    """Force the halo's searches onto HaloGroup's payload hook."""
-    halo._lamp_codes = functools.partial(HaloGroup._lamp_codes, halo)
-    return halo
-
-
 def _coded_and_payload_words(family, params, base, site_sets, picks):
     """decompose_gluing (decompose_upcloner for upcloner) through codes and
     through payloads, on every full-support element of each site set, or on
     `picks` seeded ones where there are more."""
     fast = make_halo(family, params, base)
-    slow = _search_payloads(make_halo(family, params, base))
+    assert fast._lamp_codes(enumerate_block(fast, site_sets[0])) is not None
+    slow = search_payloads(make_halo(family, params, base))
     decompose = decompose_upcloner if family == "upcloner" else decompose_gluing
     rng = random.Random(fast.spec)
     checked = 0

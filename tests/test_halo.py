@@ -1,5 +1,6 @@
 import ast
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -204,6 +205,32 @@ def test_make_halo_builds_each_family_from_its_table_entry():
     assert make_halo("cloner", 3, Z).gf == GF(3)
     with pytest.raises(ContractViolation, match="^unknown halo family 'nope'$"):
         make_halo("nope", None, Z)
+
+
+# A family parameter of the wrong type: (family, params, message).  A bool
+# or a float equal to an int would otherwise give a spec that does not
+# parse back, or a bare TypeError later.
+BAD_PARAMS = [
+    ("juggler", True, "juggler track count must be an int, not True"),
+    ("juggler", 2.0, "juggler track count must be an int, not 2.0"),
+    ("juggler", "2", "juggler track count must be an int, not '2'"),
+    ("juggler", 0, "juggler requires at least one track"),
+    ("cloner", 2.0, "GF(2.0) not supported; q must be one of (2, 3, 4, 5)"),
+    ("cloner", True, "GF(True) not supported; q must be one of (2, 3, 4, 5)"),
+    ("upcloner", "2", "GF('2') not supported; q must be one of (2, 3, 4, 5)"),
+    ("cloner", 7, "GF(7) not supported; q must be one of (2, 3, 4, 5)"),
+]
+
+
+@pytest.mark.parametrize("family, params, message", BAD_PARAMS,
+                         ids=[f"{f}-{p!r}" for f, p, _ in BAD_PARAMS])
+def test_make_halo_rejects_family_parameters(family, params, message):
+    with pytest.raises(ContractViolation) as exc:
+        make_halo(family, params, Z)
+    assert str(exc.value) == message
+    if family != "juggler":
+        with pytest.raises(ContractViolation, match=re.escape(message)):
+            GF(params)
 
 
 def test_upcloner_requires_ordered_base():
