@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 from .errors import ContractViolation, NotInDomainError
-from .gf import GF
+from .halo import log_lamp_growth
 
 _LN_SAFETY = 1.000001  # margin over the iterated-exponential domain floor
 
@@ -74,38 +74,7 @@ def log_over_loglog() -> BoundExpr:
 
 
 # ---------------------------------------------------------------------------
-# continuous lamp growth and phi_inverse
-
-def log_lamp_growth(family: str, params, t: float) -> float:
-    """ln Lambda(t) continued to real t >= 0: log-Gamma for factorial
-    families, closed forms for exponential ones, piecewise-linear
-    interpolation of ln Lambda on integers for the cloner."""
-    if t < 0:
-        raise NotInDomainError("lamp growth needs t >= 0")
-    if family == "wreath" or family == "designer":
-        size = params if isinstance(params, int) else len(params.elements())
-        out = t * math.log(size)
-        if family == "designer":
-            out += math.lgamma(t + 1)
-        return out
-    if family == "shuffler":
-        return math.lgamma(t + 1)
-    if family == "juggler":
-        return math.lgamma(params * t + 1)
-    q = params.q if isinstance(params, GF) else params
-    if family == "upcloner":
-        return t * (t - 1) / 2 * math.log(q)
-    if family == "cloner":
-        def ln_at(n: int) -> float:
-            return math.fsum(math.log(q ** n - q ** i) for i in range(n))
-
-        lo = math.floor(t)
-        if t == lo:
-            return ln_at(int(t))
-        frac = t - lo
-        return (1 - frac) * ln_at(int(lo)) + frac * ln_at(int(lo) + 1)
-    raise ContractViolation(f"unknown halo family {family!r}")
-
+# phi(t) = t Lambda(t) and phi_inverse, over halo.log_lamp_growth
 
 def phi(family: str, params, t: float) -> float:
     """phi(t) = t * Lambda(t), continuously in t >= 1."""

@@ -74,7 +74,7 @@ def _base_site(base, point):
 def _parse_params(text: Optional[str]):
     if text is None:
         return None
-    if text.upper().startswith("GF"):
+    if text.upper().startswith("GF") and text[2:].isdigit():
         return GF(int(text[2:]))
     if text.isdigit():
         return int(text)

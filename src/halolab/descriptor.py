@@ -22,7 +22,7 @@ by one space, " x " around products).
 """
 from __future__ import annotations
 
-from .errors import ParseError
+from .errors import ContractViolation, ParseError
 from .gf import GF
 from .groups import CyclicGroup, GroupHandle, HeisenbergGroup, ProductGroup, ZdGroup
 from .halo import FAMILIES, make_halo
@@ -100,11 +100,10 @@ def _parse_halo(sc: _Scanner, family: str) -> GroupHandle:
     elif family in ("cloner", "upcloner"):
         gf_pos = sc.pos
         sc.take("GF")
-        q = sc.take_int()
-        if q not in GF.SUPPORTED:
-            raise ParseError(f"GF({q}) not supported; q must be one of {GF.SUPPORTED}",
-                             gf_pos)
-        params = GF(q)
+        try:
+            params = GF(sc.take_int())
+        except ContractViolation as exc:  # GF's own check, reported at the GF
+            raise ParseError(str(exc), gf_pos) from None
         sc.take(",")
     else:  # wreath / designer: the fiber
         params = _parse(sc)

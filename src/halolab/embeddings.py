@@ -83,13 +83,8 @@ class GroupMorphism:
         return None
 
     def injective_on_ball(self, radius: int = 4) -> bool:
-        seen = {}
-        for g in self._domain_ball(radius):
-            img = self.map(g)
-            if img in seen and seen[img] != g:
-                return False
-            seen[img] = g
-        return True
+        images = [self.map(g) for g in self._domain_ball(radius)]  # distinct elements
+        return len(set(images)) == len(images)
 
     def check(self, pairs: int = 1000, radius: int = 4, seed: int = 0) -> Dict[str, Tuple[bool, Any]]:
         cex = self.homomorphism_counterexample(pairs, radius, seed)
@@ -181,12 +176,9 @@ def shuffler_endomorphism(H: GroupHandle, psi: Optional[BaseEndomorphism] = None
     shuffler = make_halo("shuffler", None, H)
 
     # injectivity of psi on the working ball
-    seen = {}
-    for h in ball(H, witness_radius).elements:
-        img = psi.map(h)
-        if img in seen:
-            raise ContractViolation("psi is not injective on the working ball")
-        seen[img] = h
+    images = [psi.map(h) for h in ball(H, witness_radius).elements]
+    if len(set(images)) < len(images):
+        raise ContractViolation("psi is not injective on the working ball")
 
     def phi(g):
         sigma, h = g
@@ -217,11 +209,14 @@ def lamplighter_in_halo(family: str, params, H: GroupHandle) -> GroupMorphism:
     juggler hosts Sym(tracks) wreath H via track permutations, designer
     hosts F wreath H via its wreath part, cloner over GF(q), q >= 3, hosts
     the unit-group wreath product via diagonal matrices."""
+    if family not in ("juggler", "designer", "cloner"):
+        raise UnsupportedFamilyError(
+            f"no lamplighter embedding implemented for family {family!r}")
+    codomain = make_halo(family, params, H)
     if family == "juggler":
-        r = int(params)
+        r = codomain.tracks
         if r < 2:
             raise ContractViolation("juggler embedding needs >= 2 tracks")
-        codomain = make_halo("juggler", r, H)
         domain = make_halo("wreath", SymmetricGroup(r), H)
 
         def phi(g):
@@ -237,41 +232,34 @@ def lamplighter_in_halo(family: str, params, H: GroupHandle) -> GroupMorphism:
                              name=f"Sym({r}) wreath base inside {codomain.spec}")
 
     if family == "designer":
-        fiber = params
-        codomain = make_halo("designer", fiber, H)
-        domain = make_halo("wreath", fiber, H)
+        domain = make_halo("wreath", codomain.fiber, H)
 
         def phi(g):
             lamp, h = g
             return (codomain.make_lamp((dict(lamp), {})), h)
 
         return GroupMorphism(domain, codomain, phi,
-                             name=f"{fiber.spec} wreath base inside {codomain.spec}")
+                             name=f"{codomain.fiber.spec} wreath base inside {codomain.spec}")
 
-    if family == "cloner":
-        gf = params if isinstance(params, GF) else GF(params)
-        if gf.q == 2:
-            raise UnsupportedFamilyError(
-                "cloner over GF(2) has a trivial unit group; the diagonal "
-                "subgroup degenerates — use q >= 3")
-        codomain = make_halo("cloner", gf, H)
-        gen = _primitive_element(gf)
-        order = gf.q - 1
-        domain = make_halo("wreath", CyclicGroup(order), H)
-        powers = [1]
-        for _ in range(order - 1):
-            powers.append(gf.mul(powers[-1], gen))
+    gf = codomain.gf  # the cloner
+    if gf.q == 2:
+        raise UnsupportedFamilyError(
+            "cloner over GF(2) has a trivial unit group; the diagonal "
+            "subgroup degenerates — use q >= 3")
+    gen = _primitive_element(gf)
+    order = gf.q - 1
+    domain = make_halo("wreath", CyclicGroup(order), H)
+    powers = [1]
+    for _ in range(order - 1):
+        powers.append(gf.mul(powers[-1], gen))
 
-        def phi(g):
-            lamp, h = g
-            entries = {(x, x): powers[c] for x, c in lamp}
-            return (codomain.make_lamp(entries), h)
+    def phi(g):
+        lamp, h = g
+        entries = {(x, x): powers[c] for x, c in lamp}
+        return (codomain.make_lamp(entries), h)
 
-        return GroupMorphism(domain, codomain, phi,
-                             name=f"C{order} wreath base inside {codomain.spec}")
-
-    raise UnsupportedFamilyError(
-        f"no lamplighter embedding implemented for family {family!r}")
+    return GroupMorphism(domain, codomain, phi,
+                         name=f"C{order} wreath base inside {codomain.spec}")
 
 
 def _primitive_element(gf: GF):

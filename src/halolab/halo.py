@@ -70,7 +70,7 @@ from bisect import bisect_left, insort
 from operator import getitem
 from typing import Callable, Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
-from .errors import BudgetError, ContractViolation
+from .errors import BudgetError, ContractViolation, NotInDomainError
 from .gf import GF
 from .groups import Ball, GroupHandle, ball
 
@@ -514,9 +514,7 @@ class _FiberHalo(HaloGroup):
     """Shared set-up of the families whose lamps carry a map H -> F."""
 
     def __init__(self, fiber: GroupHandle, base: GroupHandle):
-        if not fiber.is_finite():
-            raise ContractViolation(f"{self.family} fiber must be a finite group")
-        self.fiber = fiber
+        self.fiber = _fiber(self.family, fiber)
         self._fiber_elements = fiber.elements()
         self.spec = f"{self.family}({fiber.spec}, {base.spec})"
         super().__init__(fiber, base)
@@ -652,11 +650,7 @@ class JugglerHalo(_PermutationHalo):
     family = "juggler"
 
     def __init__(self, tracks: int, base: GroupHandle):
-        if type(tracks) is not int:  # a bool or 2.0 would give a spec that does not parse
-            raise ContractViolation(f"juggler track count must be an int, not {tracks!r}")
-        if tracks < 1:
-            raise ContractViolation("juggler requires at least one track")
-        self.tracks = tracks
+        self.tracks = _track_count(self.family, tracks)
         self.spec = f"juggler({tracks}, {base.spec})"
         super().__init__(tracks, base)
 
@@ -742,9 +736,7 @@ class _MatrixHalo(HaloGroup):
     """Shared lamp arithmetic of the matrix families over GF(q)."""
 
     def __init__(self, gf, base: GroupHandle):
-        """gf: a GF instance or its order q."""
-        gf = gf if isinstance(gf, GF) else GF(gf)
-        self.gf = gf
+        self.gf = gf = _field(gf)
         self.spec = f"{self.family}(GF{gf.q}, {base.spec})"
         super().__init__(gf, base)
 
@@ -926,36 +918,89 @@ FAMILIES = {cls.family: cls for cls in (WreathHalo, ShufflerHalo, JugglerHalo,
 def make_halo(family: str, params, base: GroupHandle) -> HaloGroup:
     """The halo FAMILIES[family](params, base), generators built.
 
-    params: wreath/designer -> fiber GroupHandle; juggler -> track count;
+    params: wreath/designer -> finite fiber GroupHandle; juggler -> track count;
     cloner/upcloner -> GF instance or int q; shuffler -> ignored (None).
     """
-    cls = FAMILIES.get(family)
-    if cls is None:
+    return _of_family(FAMILIES, family)(params, base)
+
+
+def _of_family(table: Dict, family: str):
+    if family not in table:
         raise ContractViolation(f"unknown halo family {family!r}")
-    return cls(params, base)
+    return table[family]
+
+
+# ---------------------------------------------------------------------------
+# the family parameter, read by one check per family, and the lamp growth
+
+def _fiber(family: str, fiber) -> GroupHandle:
+    if not isinstance(fiber, GroupHandle):
+        raise ContractViolation(f"{family} fiber must be a group, not {fiber!r}")
+    if not fiber.is_finite():
+        raise ContractViolation(f"{family} fiber must be a finite group")
+    return fiber
+
+
+def _fiber_order(family: str, params) -> int:
+    """|F| from the fiber F, or given as an int >= 1 (not a bool)."""
+    if type(params) is int and params >= 1:
+        return params
+    return len(_fiber(family, params).elements())
+
+
+def _track_count(family: str, tracks) -> int:
+    if type(tracks) is not int:  # a bool or 2.0 would give a spec that does not parse
+        raise ContractViolation(f"{family} track count must be an int, not {tracks!r}")
+    if tracks < 1:
+        raise ContractViolation(f"{family} requires at least one track")
+    return tracks
+
+
+def _field(gf) -> GF:
+    return gf if isinstance(gf, GF) else GF(gf)
+
+
+def _log_gl_order(q: int, t: float) -> float:
+    """ln |GL_t(q)|, linear in t between integers."""
+    def ln_at(n: int) -> float:
+        return math.fsum(math.log(q ** n - q ** i) for i in range(n))
+
+    lo = math.floor(t)
+    frac = t - lo
+    return ln_at(lo) if frac == 0 else (1 - frac) * ln_at(lo) + frac * ln_at(lo + 1)
+
+
+# family -> (check reading k from the parameter, Lambda(n) as an int, ln Lambda(t) for
+# real t >= 0); k: |F| for wreath and designer, tracks for juggler, q for the matrices
+LAMP_GROWTH = {
+    "wreath": (_fiber_order, lambda k, n: k ** n, lambda k, t: t * math.log(k)),
+    "shuffler": (lambda *_: None, lambda k, n: math.factorial(n),
+                 lambda k, t: math.lgamma(t + 1)),
+    "juggler": (_track_count, lambda k, n: math.factorial(k * n),
+                lambda k, t: math.lgamma(k * t + 1)),
+    "designer": (_fiber_order, lambda k, n: k ** n * math.factorial(n),
+                 lambda k, t: t * math.log(k) + math.lgamma(t + 1)),
+    "cloner": (lambda family, gf: _field(gf).q,
+               lambda q, n: math.prod(q ** n - q ** i for i in range(n)), _log_gl_order),
+    "upcloner": (lambda family, gf: _field(gf).q, lambda q, n: q ** (n * (n - 1) // 2),
+                 lambda q, t: t * (t - 1) / 2 * math.log(q)),
+}
 
 
 def lamp_growth(family: str, params, n: int) -> int:
-    """Closed-form lamp growth value, exact integer arithmetic."""
+    """Lambda(n) = |L(F)| for an n-site set F, in exact integer arithmetic."""
     if n < 0:
         raise ContractViolation("n must be >= 0")
-    if family == "wreath" or family == "designer":
-        size = params if isinstance(params, int) else len(params.elements())
-        out = size ** n
-        return out * math.factorial(n) if family == "designer" else out
-    if family == "shuffler":
-        return math.factorial(n)
-    if family == "juggler":
-        return math.factorial(params * n)
-    q = params.q if isinstance(params, GF) else params
-    if family == "cloner":
-        out = 1
-        for i in range(n):
-            out *= q ** n - q ** i
-        return out
-    if family == "upcloner":
-        return q ** (n * (n - 1) // 2)
-    raise ContractViolation(f"unknown halo family {family!r}")
+    check, exact, _ = _of_family(LAMP_GROWTH, family)
+    return exact(check(family, params), n)
+
+
+def log_lamp_growth(family: str, params, t: float) -> float:
+    """ln Lambda(t), continued to real t >= 0."""
+    if t < 0:
+        raise NotInDomainError("lamp growth needs t >= 0")
+    check, _, log = _of_family(LAMP_GROWTH, family)
+    return log(check(family, params), t)
 
 
 def enumerate_block(halo: HaloGroup, sites: Iterable,
@@ -1003,14 +1048,10 @@ def commutativity_constant(halo: HaloGroup, radius: int,
             d = min(dist(a, b) for a in R for b in S)
             if d <= worst:
                 continue
-            for la in blocks[R]:
-                for lb in blocks[S]:
-                    if halo.lamp_compose(la, lb) != halo.lamp_compose(lb, la):
-                        worst = d
-                        witness = ((la, base.identity()), (lb, base.identity()))
-                        break
-                else:
-                    continue
-                break
+            pair = next(((la, lb) for la in blocks[R] for lb in blocks[S]
+                         if halo.lamp_compose(la, lb) != halo.lamp_compose(lb, la)), None)
+            if pair is not None:
+                worst = d
+                witness = tuple((lamp, base.identity()) for lamp in pair)
     D = worst + 1
     return D, (witness if D >= 1 else None)

@@ -434,13 +434,16 @@ def graph_isomorphism(G1: FiniteGraph, G2: FiniteGraph,
     used = set()
 
     def fits(v, w) -> bool:
+        # the mapping is injective: non-neighbours miss N(w) iff no other used vertex is in it
         if w in used:
             return False
+        nw, mapped = a2[w], 0
         for u in a1[v]:
-            if u in mapping and mapping[u] not in a2[w]:
-                return False
-        # also: mapped non-neighbors must stay non-neighbors
-        return all((u in a1[v]) == (mu in a2[w]) for u, mu in mapping.items())
+            if u in mapping:
+                if mapping[u] not in nw:
+                    return False
+                mapped += 1
+        return len(used.intersection(nw)) == mapped
 
     # depth-first backtracking without recursion: tried[i] counts the
     # candidates already tried for order[i], in by_color2 order

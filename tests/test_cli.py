@@ -175,6 +175,31 @@ def test_bounds(capsys):
     assert "phi_inverse=3" in capsys.readouterr().out
 
 
+# A missing or wrong --params: the family's parameter check rejects it.
+BAD_PARAMS_ARGV = [
+    (["growth", "--family", "cloner"],
+     "GF(None) not supported; q must be one of (2, 3, 4, 5)"),
+    (["bounds", "--family", "juggler", "--params", "0", "--x", "10"],
+     "juggler requires at least one track"),
+    (["embed", "--construction", "lamplighter", "--family", "juggler", "--params", "C2"],
+     "juggler track count must be an int, not <group C2>"),
+    (["embed", "--construction", "lamplighter", "--family", "designer", "--params", "2"],
+     "designer fiber must be a group, not 2"),
+    (["growth", "--family", "cloner", "--params", "GFx"],
+     "expected an atom or halo family, found 'GFx' (at position 0)"),
+]
+
+
+@pytest.mark.parametrize("argv, message", BAD_PARAMS_ARGV,
+                         ids=["growth-no-params", "bounds-juggler-0", "embed-juggler-C2",
+                              "embed-designer-2", "growth-GFx"])
+def test_bad_params_are_one_error_line_and_exit_1(argv, message, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_error_reporting(capsys):
     assert main(["ball", "--group", "upcloner(GF2, C5)", "--radius", "1"]) == 1
     assert "order required" in capsys.readouterr().err

@@ -8,7 +8,7 @@ from halolab.decompose import (_edge_table, _lamp_bfs, certify_commutator_form,
                                certified_form, commutator_transvection,
                                decompose_gluing, decompose_upcloner,
                                evaluate_word, invert_word)
-from halolab.errors import (ContractViolation, UndecomposableError,
+from halolab.errors import (BudgetError, ContractViolation, UndecomposableError,
                             UnsupportedFamilyError)
 from halolab.gf import GF
 from halolab.groups import CyclicGroup, HeisenbergGroup, ZdGroup
@@ -160,6 +160,25 @@ def test_decompositions_reject_a_payload_that_is_no_lamp(family, payload):
     decompose = decompose_upcloner if family == "upcloner" else decompose_gluing
     with pytest.raises(ContractViolation, match="is not a lamp of"):
         decompose(halo, payload)
+
+
+@pytest.mark.parametrize("family, q, base, sites", [
+    ("juggler", None, Z, [(0,), (1,), (2,)]),
+    ("cloner", 3, Z, [(0,), (1,)]),
+    ("upcloner", 2, Z2LEX, [(0, 0), (1, 0), (2, 1)]),
+    ("upcloner", 3, ZLEX, [(-1,), (0,), (2,)]),
+], ids=["juggler-gluing", "cloner-gluing", "upcloner-z2", "upcloner-gf3"])
+def test_word_cap_is_the_word_length(family, q, base, sites):
+    """word_cap bounds the length of the returned word: a cap equal to it
+    returns the same word, one below it raises BudgetError naming the cap."""
+    halo = make_halo(family, 2 if family == "juggler" else q, base)
+    decompose = decompose_upcloner if family == "upcloner" else decompose_gluing
+    lamp = max(enumerate_block(halo, sites), key=lambda l: (len(repr(l)), repr(l)))
+    word = decompose(halo, lamp)
+    assert len(word) >= 2
+    assert decompose(halo, lamp, word_cap=len(word)) == word
+    with pytest.raises(BudgetError, match=rf"word length cap exceeded \(\d+ > {len(word) - 1}\)"):
+        decompose(halo, lamp, word_cap=len(word) - 1)
 
 
 def test_upcloner_roundtrip_on_z1():

@@ -170,6 +170,9 @@ def test_phi_inverse_examples():
     assert abs(phi_inverse("wreath", 2, 2.0) - 1.0) < 1e-6
     with pytest.raises(NotInDomainError):
         phi_inverse("wreath", 2, 1.0)
+    # juggler(0) has no lamps to shuffle: phi(t) = t made phi_inverse(10) = 10
+    with pytest.raises(ContractViolation, match="juggler requires at least one track"):
+        phi_inverse("juggler", 0, 10.0)
 
 
 def test_phi_round_trip_grid():

@@ -4,9 +4,10 @@ from halolab import embeddings, groups
 from halolab.errors import (ContractViolation, NotInDomainError,
                             UnsupportedFamilyError)
 from halolab.groups import CyclicGroup, ZdGroup, ball
-from halolab.embeddings import (coset_system_mZ, doubling,
+from halolab.embeddings import (GroupMorphism, coset_system_mZ, doubling,
                                 lamplighter_in_halo, shuffler_endomorphism,
                                 wreath_in_shuffler)
+from halolab.halo import make_halo
 
 Z = ZdGroup(1, False)
 
@@ -121,6 +122,47 @@ def test_cloner_gf2_rejected():
 def test_unknown_family_rejected():
     with pytest.raises(UnsupportedFamilyError):
         lamplighter_in_halo("shuffler", None, Z)
+
+
+def test_lamplighter_in_halo_rejects_family_parameters():
+    # the codomain is built by make_halo first, so its family check reads params
+    for family, params, message in (
+            ("juggler", 2.7, "juggler track count must be an int, not 2.7"),
+            ("juggler", CyclicGroup(2), "juggler track count must be an int, not <group C2>"),
+            ("designer", 2, "designer fiber must be a group, not 2"),
+            ("cloner", None, "GF(None) not supported; q must be one of (2, 3, 4, 5)")):
+        with pytest.raises(ContractViolation) as exc:
+            lamplighter_in_halo(family, params, Z)
+        assert str(exc.value) == message
+    with pytest.raises(ContractViolation, match="needs >= 2 tracks"):
+        lamplighter_in_halo("juggler", 1, Z)
+
+
+def test_check_reports_a_map_that_is_no_homomorphism():
+    # doubling the cursor but leaving the lamp where it is: (sigma, h)(tau, k)
+    # translates tau by h, the image translates it by 2h
+    shuffler = make_halo("shuffler", None, Z)
+    morphism = GroupMorphism(shuffler, shuffler, lambda g: (g[0], (2 * g[1][0],)),
+                             name="untranslated doubling")
+    results = morphism.check(pairs=200, radius=2)
+    ok, pair = results["homomorphism"]
+    assert not ok
+    a, b = pair
+    assert morphism.map(shuffler.multiply(a, b)) != \
+        shuffler.multiply(morphism.map(a), morphism.map(b))
+    assert results["identity"] == (True, None)
+    assert results["injective_on_ball"] == (True, None)
+
+
+def test_check_reports_a_map_that_is_not_injective():
+    # forgetting the lamp is a homomorphism onto the base, not injective
+    shuffler = make_halo("shuffler", None, Z)
+    morphism = GroupMorphism(shuffler, shuffler, lambda g: ((), g[1]),
+                             name="forget the lamp")
+    results = morphism.check(pairs=200, radius=2)
+    assert results["injective_on_ball"] == (False, None)
+    assert results["homomorphism"] == (True, None)
+    assert results["identity"] == (True, None)
 
 
 def test_doubling_endomorphism():

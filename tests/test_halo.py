@@ -1,4 +1,5 @@
 import ast
+import math
 import random
 import re
 from pathlib import Path
@@ -10,7 +11,7 @@ from halolab.errors import BudgetError, ContractViolation
 from halolab.gf import GF
 from halolab.groups import Ball, CyclicGroup, ZdGroup, ball, make_group
 from halolab.halo import (FAMILIES, commutativity_constant, enumerate_block,
-                          lamp_growth, make_halo)
+                          lamp_growth, log_lamp_growth, make_halo)
 
 Z = ZdGroup(1, False)
 ZLEX = ZdGroup(1, True)
@@ -38,12 +39,62 @@ GROWTH_TABLE = {
 }
 
 
+GROWTH_PARAMS = {"wreath": 2, "shuffler": None, "juggler": 2, "designer": 2,
+                 "cloner": GF(2), "upcloner": GF(2)}
+
+
 def test_lamp_growth_closed_forms():
-    params = {"wreath": 2, "shuffler": None, "juggler": 2, "designer": 2,
-              "cloner": GF(2), "upcloner": GF(2)}
     for family, values in GROWTH_TABLE.items():
         for n, expected in enumerate(values):
-            assert lamp_growth(family, params[family], n) == expected
+            assert lamp_growth(family, GROWTH_PARAMS[family], n) == expected
+
+
+def test_log_lamp_growth_is_the_log_of_lamp_growth():
+    for family, params in GROWTH_PARAMS.items():
+        for n in range(11):
+            exact = lamp_growth(family, params, n)
+            log = log_lamp_growth(family, params, n)
+            if exact == 1:
+                assert abs(log) <= 1e-12, (family, n, log)
+            else:
+                assert math.isclose(log, math.log(exact), rel_tol=1e-12), (family, n)
+
+
+def test_lamp_growth_reads_the_parameter_as_the_constructor_takes_it():
+    # a fiber group or its order, a GF or its order q: the same Lambda
+    for family, forms in (("wreath", (CyclicGroup(3), 3)), ("designer", (CyclicGroup(2), 2)),
+                          ("cloner", (GF(3), 3)), ("upcloner", (GF(4), 4))):
+        for n in range(6):
+            assert len({lamp_growth(family, p, n) for p in forms}) == 1, (family, n)
+    halo = make_halo("designer", CyclicGroup(3), Z)
+    assert [halo.growth(n) for n in range(5)] == [lamp_growth("designer", 3, n)
+                                                    for n in range(5)]
+
+
+# A parameter that the family's check rejects, in lamp_growth as in the
+# constructor: (family, params, message).  Each used to give a wrong value
+# (a float, juggler(1)'s or wreath(C1)'s Lambda) or a bare TypeError.
+BAD_GROWTH_PARAMS = [
+    ("cloner", 2.0, "GF(2.0) not supported; q must be one of (2, 3, 4, 5)"),
+    ("cloner", None, "GF(None) not supported; q must be one of (2, 3, 4, 5)"),
+    ("juggler", True, "juggler track count must be an int, not True"),
+    ("juggler", 0, "juggler requires at least one track"),
+    ("juggler", "2", "juggler track count must be an int, not '2'"),
+    ("juggler", None, "juggler track count must be an int, not None"),
+    ("wreath", True, "wreath fiber must be a group, not True"),
+    ("wreath", 0, "wreath fiber must be a group, not 0"),
+    ("wreath", Z, "wreath fiber must be a finite group"),
+    ("designer", None, "designer fiber must be a group, not None"),
+]
+
+
+@pytest.mark.parametrize("family, params, message", BAD_GROWTH_PARAMS,
+                         ids=[f"{f}-{p!r}" for f, p, _ in BAD_GROWTH_PARAMS])
+def test_lamp_growth_rejects_family_parameters(family, params, message):
+    for growth in (lamp_growth, log_lamp_growth):
+        with pytest.raises(ContractViolation) as exc:
+            growth(family, params, 2)
+        assert str(exc.value) == message
 
 
 def test_enumerate_block_matches_growth():
@@ -205,6 +256,16 @@ def test_make_halo_builds_each_family_from_its_table_entry():
     assert make_halo("cloner", 3, Z).gf == GF(3)
     with pytest.raises(ContractViolation, match="^unknown halo family 'nope'$"):
         make_halo("nope", None, Z)
+
+
+def test_make_halo_rejects_a_fiber_that_is_no_finite_group():
+    for family in ("wreath", "designer"):
+        for params, message in ((2, f"{family} fiber must be a group, not 2"),
+                                (None, f"{family} fiber must be a group, not None"),
+                                (Z, f"{family} fiber must be a finite group")):
+            with pytest.raises(ContractViolation) as exc:
+                make_halo(family, params, Z)
+            assert str(exc.value) == message
 
 
 # A family parameter of the wrong type: (family, params, message).  A bool
