@@ -1,9 +1,14 @@
 """Constructive natural-generation decompositions.
 
-Every block element of a gluing family (wreath, shuffler, juggler,
-designer, cloner) decomposes into conjugated natural generators by the
-gluing recursion; upcloner block elements over Z^d decompose by the
-three-case transvection recursion built on the commutator identity.
+Block elements decompose into conjugated natural generators by one
+recursion on their sites, ``_decompose``, which splits a lamp on three or
+more sites and hands what is left to its family's base case: the gluing
+families (wreath, shuffler, juggler, designer, cloner) read singletons and
+adjacent pairs from edge-block tables and factor a non-adjacent pair
+through its geodesic midpoint; an upcloner over Z^d solves a pair by the
+three-case transvection recursion built on the commutator identity.  Base
+words are geodesics of any length: the word cap and the base ball's
+memory budget are the only bounds.
 
 Words are lists of (generator index, exponent +-1) over the halo's
 natural generating set, produced unreduced.
@@ -205,21 +210,6 @@ def _lamp_bfs(halo: HaloGroup, moves: Sequence[Tuple[Lamp, list]],
     return encode, paths
 
 
-def _factor_and_recurse(rec, halo: HaloGroup, lamp: Lamp, r1: Sequence, r2: Sequence,
-                        measure, budget: _Budget, trace: Optional[list]) -> Word:
-    """Factor lamp over the non-identity elements of L(r1) and L(r2) (the
-    shortest ordered product, by lamp BFS), then decompose each factor by
-    rec(halo, factor, measure, budget, trace)."""
-    ident = halo.lamp_identity()
-    blocks = [l for l in enumerate_block(halo, r1) if l != ident]
-    blocks += [l for l in enumerate_block(halo, r2) if l != ident]
-    encode, paths = _lamp_bfs(halo, [(l, [l]) for l in blocks], lamp)
-    out: Word = []
-    for f in paths[encode(lamp)]:
-        out += rec(halo, f, measure, budget, trace)
-    return out
-
-
 def _edge_table(halo: HaloGroup, p, q) -> Tuple[Callable, Dict[object, Word]]:
     """Word table for the block L({p, q}), q adjacent to p, as the
     (encode, paths) of _lamp_bfs: the word of a lamp is paths[encode(lamp)].
@@ -251,7 +241,7 @@ def _edge_table(halo: HaloGroup, p, q) -> Tuple[Callable, Dict[object, Word]]:
             moved = halo.lamp_act(t, lg)
             if not halo.lamp_sites(moved) <= sites:
                 continue
-            if (moved, gi) in seen:
+            if (moved, gi) in seen:  # two translates agree, e.g. of the swap (e s), s = s^-1
                 continue
             seen.add((moved, gi))
             path = halo.base_word(t)
@@ -274,74 +264,88 @@ def _edge_word(halo: HaloGroup, p, q, lamp: Lamp, budget: _Budget) -> Word:
 
 
 # ---------------------------------------------------------------------------
-# gluing recursion
+# the decomposition recursion
 
-def decompose_gluing(halo: HaloGroup, lamp: Lamp, word_cap: int = DEFAULT_WORD_CAP,
-                     trace: Optional[list] = None) -> Word:
+def _decompose(halo: HaloGroup, lamp: Lamp, word_cap: int, trace: Optional[list]) -> Word:
     """Word over natural generators whose evaluation is (lamp, 1_H).
 
-    Recursion per the gluing property: |R| >= 3 splits off the two
-    lex-smallest sites; non-adjacent pairs insert a geodesic midpoint;
-    adjacent pairs and singletons are solved in closed edge-block tables.
+    One recursion on the sorted sites R of a lamp, recording the measure of
+    R at every step.  |R| >= 3 splits off the two least sites: the lamp is
+    factored over L(R[:2]) and L(R[1:]) and each factor recursed into.  What
+    is left is the family's base case: an upcloner pair is a transvection;
+    a gluing singleton or adjacent pair is read from its edge-block table,
+    and a non-adjacent gluing pair {a, b} is factored over L({a, c}) and
+    L({c, b}) for the geodesic midpoint c.
     """
-    if isinstance(halo, UpclonerHalo):
-        raise UnsupportedFamilyError(
-            "upcloner lacks the gluing property; use decompose_upcloner")
-    _check_lamp(halo, lamp)
-    budget = _Budget(word_cap)
-    word = _gluing_rec(halo, lamp, None, budget, trace)
-    return word
-
-
-def _gluing_rec(halo: HaloGroup, lamp: Lamp, parent_measure, budget: _Budget,
-                trace: Optional[list]) -> Word:
     base = halo.base
-    sites = sorted(halo.lamp_sites(lamp))
-    if not sites:
-        return []
-    measure = _subset_measure(halo, sites)
-    _record_step(trace, parent_measure, measure)
+    budget = _Budget(word_cap)
+    upcloner = isinstance(halo, UpclonerHalo)
+    ident = halo.lamp_identity()
 
-    if len(sites) == 1:
-        r = sites[0]
-        s0 = base.generators()[0]
-        return _edge_word(halo, r, base.multiply(r, s0), lamp, budget)
+    def factor(lamp: Lamp, r1: Sequence, r2: Sequence, measure) -> Word:
+        # the shortest ordered product of non-identity elements of L(r1) and
+        # L(r2), by lamp BFS, each factor decomposed in turn
+        blocks = [l for r in (r1, r2) for l in enumerate_block(halo, r) if l != ident]
+        encode, paths = _lamp_bfs(halo, [(l, [l]) for l in blocks], lamp)
+        word: Word = []
+        for f in paths[encode(lamp)]:
+            word += rec(f, measure)
+        return word
 
-    if len(sites) == 2:
-        a, b = sites
-        step = base.multiply(base.invert(a), b)
-        path = halo.base_word(step)
+    def rec(lamp: Lamp, parent) -> Word:
+        sites = sorted(halo.lamp_sites(lamp))
+        if not sites:
+            return []
+        measure = _subset_measure(halo, sites)
+        _record_step(trace, parent, measure)
+        if len(sites) >= 3:
+            return factor(lamp, sites[:2], sites[1:], measure)
+        if upcloner:
+            ((p, q), lam), = lamp
+            return _transvection_word(halo, p, q, lam, None, budget, trace)
+        a = sites[0]
+        if len(sites) == 1:
+            return _edge_word(halo, a, base.multiply(a, base.generators()[0]), lamp, budget)
+        b = sites[1]
+        path = halo.base_word(base.multiply(base.invert(a), b))
         if len(path) == 1:
             return _edge_word(halo, a, b, lamp, budget)
         # insert the geodesic midpoint c: L({a,b}) <= <L({a,c}), L({c,b})>
         gens = halo.generators()
-        mid = len(path) // 2
         c = a
-        for idx, _ in path[:mid]:
+        for idx, _ in path[: len(path) // 2]:
             c = base.multiply(c, gens[idx][1])
-        return _factor_and_recurse(_gluing_rec, halo, lamp, [a, c], [c, b],
-                                   measure, budget, trace)
+        return factor(lamp, [a, c], [c, b], measure)
 
-    # |R| >= 3: split off the two lex-smallest sites
-    return _factor_and_recurse(_gluing_rec, halo, lamp, sites[:2], sites[1:],
-                               measure, budget, trace)
+    return rec(lamp, None)
 
 
-# ---------------------------------------------------------------------------
-# upcloner recursion
+def decompose_gluing(halo: HaloGroup, lamp: Lamp, word_cap: int = DEFAULT_WORD_CAP,
+                     trace: Optional[list] = None) -> Word:
+    """Word over natural generators whose evaluation is (lamp, 1_H), for a
+    family with the gluing property (every family but upcloner)."""
+    if isinstance(halo, UpclonerHalo):
+        raise UnsupportedFamilyError(
+            "upcloner lacks the gluing property; use decompose_upcloner")
+    _check_lamp(halo, lamp)
+    return _decompose(halo, lamp, word_cap, trace)
+
 
 def decompose_upcloner(halo: UpclonerHalo, lamp: Lamp, word_cap: int = DEFAULT_WORD_CAP,
                        trace: Optional[list] = None) -> Word:
-    """Three-case transvection recursion over Z^d, ordered by tuple < (the
-    lexicographic order, whether or not the spec names it ``:lex``)."""
+    """Word over natural generators whose evaluation is (lamp, 1_H), for an
+    upcloner over Z^d, sites ordered by tuple < (the lexicographic order,
+    whether or not the spec names it ``:lex``)."""
     if not isinstance(halo, UpclonerHalo):
         raise UnsupportedFamilyError("decompose_upcloner requires an upcloner halo")
     if not isinstance(halo.base, ZdGroup):
         raise UnsupportedFamilyError("decompose_upcloner is implemented for Z^d bases")
     _check_lamp(halo, lamp)
-    budget = _Budget(word_cap)
-    return _upcloner_rec(halo, lamp, None, budget, trace)
+    return _decompose(halo, lamp, word_cap, trace)
 
+
+# ---------------------------------------------------------------------------
+# the upcloner base case: the three-case transvection recursion
 
 def _gen_index(halo: UpclonerHalo, i: int, lam: int) -> int:
     """Index of the natural generator tau_{0, e_i}(lam), looked up in
@@ -362,19 +366,17 @@ def _gen_index(halo: UpclonerHalo, i: int, lam: int) -> int:
     return gi
 
 
-def _transvection_word(halo: UpclonerHalo, a, b, lam: int, parent_len: Optional[int],
+def _transvection_word(halo: UpclonerHalo, a, b, lam: int, parent,
                        budget: _Budget, trace: Optional[list]) -> Word:
-    """Word for tau_{a,b}(lam); a < b lex, lam nonzero."""
+    """Word for tau_{a,b}(lam); a < b lex, lam nonzero.  Its recursion
+    measure is (|b - a|_1,), and parent is the caller's (None at the top)."""
     if lam == 0:
         return []
     base = halo.base
     gf = halo.gf
     v = tuple(y - x for x, y in zip(a, b))
-    mlen = sum(abs(x) for x in v)
-    if parent_len is not None:
-        assert mlen < parent_len, "transvection displacement did not shrink"
-        if trace is not None:
-            trace.append(((parent_len,), (mlen,)))
+    measure = (sum(abs(x) for x in v),)
+    _record_step(trace, parent, measure)
 
     i = next(j for j, x in enumerate(v) if x != 0)
     if v[i] < 0:
@@ -407,24 +409,9 @@ def _transvection_word(halo: UpclonerHalo, a, b, lam: int, parent_len: Optional[
     certified_form()
     mu = 1
     word: Word = []
-    word += _transvection_word(halo, a, f, gf.neg(lam), mlen, budget, trace)
-    word += _transvection_word(halo, f, b, gf.neg(mu), mlen, budget, trace)
-    word += _transvection_word(halo, a, f, lam, mlen, budget, trace)
-    word += _transvection_word(halo, f, b, mu, mlen, budget, trace)
+    word += _transvection_word(halo, a, f, gf.neg(lam), measure, budget, trace)
+    word += _transvection_word(halo, f, b, gf.neg(mu), measure, budget, trace)
+    word += _transvection_word(halo, a, f, lam, measure, budget, trace)
+    word += _transvection_word(halo, f, b, mu, measure, budget, trace)
     return word
 
-
-def _upcloner_rec(halo: UpclonerHalo, lamp: Lamp, parent_measure, budget: _Budget,
-                  trace: Optional[list]) -> Word:
-    sites = sorted(halo.lamp_sites(lamp))
-    if not sites:
-        return []
-    measure = _subset_measure(halo, sites)
-    _record_step(trace, parent_measure, measure)
-
-    if len(sites) == 2:
-        ((p, q), lam), = lamp
-        return _transvection_word(halo, p, q, lam, None, budget, trace)
-
-    return _factor_and_recurse(_upcloner_rec, halo, lamp, sites[:2], sites[1:],
-                               measure, budget, trace)

@@ -501,9 +501,10 @@ class HaloGroup(GroupHandle):
         return f"lamp={lamp!r} cursor={self.base.element_str(cursor)}"
 
     # -- shared helpers -----------------------------------------------------
-    def base_word(self, h, max_radius: int = 64) -> List[Tuple[int, int]]:
+    def base_word(self, h, max_radius: float = math.inf) -> List[Tuple[int, int]]:
         """Geodesic word for the base move (1, h), as halo generator indices;
-        read off one base ball, grown until it holds h."""
+        read off one base ball, grown until it holds h (by default with no
+        radius limit: the ball's memory budget bounds it)."""
         if not self._geodesic_ball.reach(h, max_radius):
             raise ContractViolation(f"base element {h!r} not within radius {max_radius}")
         off = self.base_gen_offset
@@ -736,7 +737,7 @@ class _MatrixHalo(HaloGroup):
     """Shared lamp arithmetic of the matrix families over GF(q)."""
 
     def __init__(self, gf, base: GroupHandle):
-        self.gf = gf = _field(gf)
+        self.gf = gf = _field(self.family, gf)
         self.spec = f"{self.family}(GF{gf.q}, {base.spec})"
         super().__init__(gf, base)
 
@@ -956,8 +957,19 @@ def _track_count(family: str, tracks) -> int:
     return tracks
 
 
-def _field(gf) -> GF:
-    return gf if isinstance(gf, GF) else GF(gf)
+def _field(family: str, gf) -> GF:
+    """A GF, or GF(q) from an order q that GF accepts."""
+    if isinstance(gf, GF):
+        return gf
+    try:
+        return GF(gf)
+    except ContractViolation:
+        raise ContractViolation(
+            f"{family} field must be a GF or an order in {GF.SUPPORTED}, not {gf!r}") from None
+
+
+def _field_order(family: str, gf) -> int:
+    return _field(family, gf).q
 
 
 def _log_gl_order(q: int, t: float) -> float:
@@ -980,9 +992,9 @@ LAMP_GROWTH = {
                 lambda k, t: math.lgamma(k * t + 1)),
     "designer": (_fiber_order, lambda k, n: k ** n * math.factorial(n),
                  lambda k, t: t * math.log(k) + math.lgamma(t + 1)),
-    "cloner": (lambda family, gf: _field(gf).q,
-               lambda q, n: math.prod(q ** n - q ** i for i in range(n)), _log_gl_order),
-    "upcloner": (lambda family, gf: _field(gf).q, lambda q, n: q ** (n * (n - 1) // 2),
+    "cloner": (_field_order, lambda q, n: math.prod(q ** n - q ** i for i in range(n)),
+               _log_gl_order),
+    "upcloner": (_field_order, lambda q, n: q ** (n * (n - 1) // 2),
                  lambda q, t: t * (t - 1) / 2 * math.log(q)),
 }
 

@@ -135,8 +135,11 @@ def test_criterion_03_decomposition_roundtrip():
             continue
         block = enumerate_block(up, sites)
         lamp = rng.choice(sorted(block, key=repr))
-        word = decompose_upcloner(up, lamp)
+        trace = []
+        word = decompose_upcloner(up, lamp, trace=trace)
         assert evaluate_word(up, word) == (lamp, up.base.identity())
+        for parent, child in trace:
+            assert child < parent
         count += 1
     record_criterion(3, False,
                      "200 shuffler/wreath and 200 N^2-displacement upcloner "

@@ -178,7 +178,7 @@ def test_bounds(capsys):
 # A missing or wrong --params: the family's parameter check rejects it.
 BAD_PARAMS_ARGV = [
     (["growth", "--family", "cloner"],
-     "GF(None) not supported; q must be one of (2, 3, 4, 5)"),
+     "cloner field must be a GF or an order in (2, 3, 4, 5), not None"),
     (["bounds", "--family", "juggler", "--params", "0", "--x", "10"],
      "juggler requires at least one track"),
     (["embed", "--construction", "lamplighter", "--family", "juggler", "--params", "C2"],

@@ -99,6 +99,32 @@ def test_gluing_trace_measure_strictly_decreases():
         assert child < parent
 
 
+def test_upcloner_trace_records_transvection_measure():
+    """A non-adjacent transvection recurses on its displacement length,
+    recording each step as ((parent length,), (child length,))."""
+    up = make_halo("upcloner", GF(2), Z2LEX)
+    lamp = up.make_lamp({((0, 0), (0, 2)): 1})
+    trace = []
+    word = decompose_upcloner(up, lamp, trace=trace)
+    assert evaluate_word(up, word) == (lamp, up.base.identity())
+    assert ((2,), (1,)) in trace
+    for parent, child in trace:
+        assert child < parent
+
+
+def test_gluing_decomposes_sites_more_than_64_apart():
+    wreath = make_halo("wreath", CyclicGroup(2), Z)
+    lamp = wreath.make_lamp({(0,): 1, (70,): 1})
+    assert len(_roundtrip(wreath, lamp, decompose_gluing)) == 142
+
+
+def test_long_transvection_meets_the_word_cap_not_a_radius():
+    up = make_halo("upcloner", GF(2), Z2LEX)
+    lamp = up.make_lamp({((0, 0), (0, 66)): 1})
+    with pytest.raises(BudgetError, match="word length cap exceeded"):
+        decompose_upcloner(up, lamp)
+
+
 def test_gluing_rejects_upcloner():
     up = make_halo("upcloner", GF(2), ZLEX)
     lamp = up.make_lamp({((0,), (1,)): 1})

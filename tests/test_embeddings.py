@@ -130,7 +130,7 @@ def test_lamplighter_in_halo_rejects_family_parameters():
             ("juggler", 2.7, "juggler track count must be an int, not 2.7"),
             ("juggler", CyclicGroup(2), "juggler track count must be an int, not <group C2>"),
             ("designer", 2, "designer fiber must be a group, not 2"),
-            ("cloner", None, "GF(None) not supported; q must be one of (2, 3, 4, 5)")):
+            ("cloner", None, "cloner field must be a GF or an order in (2, 3, 4, 5), not None")):
         with pytest.raises(ContractViolation) as exc:
             lamplighter_in_halo(family, params, Z)
         assert str(exc.value) == message
