@@ -11,6 +11,7 @@ from .errors import ContractViolation, NotInDomainError
 from .halo import log_lamp_growth
 
 _LN_SAFETY = 1.000001  # margin over the iterated-exponential domain floor
+_REL_TOL = 1e-9  # phi_inverse stops once its bracket is this narrow, relatively
 
 
 def _tower(n: int) -> float:
@@ -83,8 +84,9 @@ def phi(family: str, params, t: float) -> float:
     return math.exp(math.log(t) + log_lamp_growth(family, params, t))
 
 
-def phi_inverse(family: str, params, x: float, rel_tol: float = 1e-9) -> float:
-    """Inverse of the strictly increasing phi by bisection."""
+def phi_inverse(family: str, params, x: float) -> float:
+    """Inverse of the strictly increasing phi by bisection, to relative
+    width _REL_TOL."""
     lo = 1.0
     if x < phi(family, params, lo):
         raise NotInDomainError(
@@ -92,7 +94,7 @@ def phi_inverse(family: str, params, x: float, rel_tol: float = 1e-9) -> float:
     hi = 2.0
     while phi(family, params, hi) < x:
         lo, hi = hi, hi * 2
-    while (hi - lo) > rel_tol * hi:
+    while (hi - lo) > _REL_TOL * hi:
         mid = (lo + hi) / 2
         if phi(family, params, mid) < x:
             lo = mid

@@ -216,7 +216,10 @@ def _edge_table(halo: HaloGroup, p, q) -> Tuple[Callable, Dict[object, Word]]:
 
     Candidate generators are the conjugates act(t, g) of natural lamp
     generators g whose translated support lands inside {p, q}; each comes
-    with the word  path(t) g path(t)^-1.
+    with the word  path(t) g path(t)^-1.  Two translates can give the same
+    conjugate (the swap (e s) for an involution s); the stable sort by word
+    length puts the shorter word first, and _lamp_bfs keeps the first path
+    to each lamp.
     """
     cache = getattr(halo, "_edge_tables", None)
     if cache is None:
@@ -230,7 +233,6 @@ def _edge_table(halo: HaloGroup, p, q) -> Tuple[Callable, Dict[object, Word]]:
     gens = halo.generators()
     lamp_gens = gens[: halo.base_gen_offset]
     candidates: List[Tuple[Lamp, Word]] = []
-    seen = set()
     for gi, (lg, _cursor) in enumerate(lamp_gens):
         supp = halo.lamp_sites(lg)
         ts = set()
@@ -241,9 +243,6 @@ def _edge_table(halo: HaloGroup, p, q) -> Tuple[Callable, Dict[object, Word]]:
             moved = halo.lamp_act(t, lg)
             if not halo.lamp_sites(moved) <= sites:
                 continue
-            if (moved, gi) in seen:  # two translates agree, e.g. of the swap (e s), s = s^-1
-                continue
-            seen.add((moved, gi))
             path = halo.base_word(t)
             candidates.append((moved, path + [(gi, 1)] + invert_word(path)))
     candidates.sort(key=lambda cw: len(cw[1]))

@@ -15,6 +15,8 @@ from .gf import GF
 from .groups import Ball, CyclicGroup, GroupHandle, SymmetricGroup, ZdGroup, ball
 from .halo import make_halo
 
+_WITNESS_RADIUS = 4  # the working ball of shuffler_endomorphism's checks
+
 
 @dataclass(frozen=True)
 class CosetSystem:
@@ -163,11 +165,12 @@ def doubling(d: int, lex: bool = False) -> BaseEndomorphism:
     )
 
 
-def shuffler_endomorphism(H: GroupHandle, psi: Optional[BaseEndomorphism] = None,
-                          witness_radius: int = 4) -> GroupMorphism:
+def shuffler_endomorphism(H: GroupHandle, psi: Optional[BaseEndomorphism] = None
+                          ) -> GroupMorphism:
     """phi(sigma, g) = (sigma-bar, psi(g)) with sigma-bar = psi sigma psi^{-1}
     on the image of psi and the identity off it.  Injective, never surjective;
-    a concrete element without preimage is searched for and attached.
+    a concrete element without preimage is searched for and attached, and
+    certified by a preimage search over Ball(_WITNESS_RADIUS).
     """
     if psi is None:
         if not isinstance(H, ZdGroup):
@@ -176,7 +179,7 @@ def shuffler_endomorphism(H: GroupHandle, psi: Optional[BaseEndomorphism] = None
     shuffler = make_halo("shuffler", None, H)
 
     # injectivity of psi on the working ball
-    images = [psi.map(h) for h in ball(H, witness_radius).elements]
+    images = [psi.map(h) for h in ball(H, _WITNESS_RADIUS).elements]
     if len(set(images)) < len(images):
         raise ContractViolation("psi is not injective on the working ball")
 
@@ -186,7 +189,7 @@ def shuffler_endomorphism(H: GroupHandle, psi: Optional[BaseEndomorphism] = None
         return (bar, psi.map(h))
 
     # non-surjectivity witness: a transposition whose support leaves im(psi)
-    lengths = ball(shuffler, max(2, witness_radius)).lengths
+    lengths = ball(shuffler, max(2, _WITNESS_RADIUS)).lengths
     witness = None
     for g in sorted(g for g, l in lengths.items() if l <= 2):
         sites = shuffler.lamp_sites(g[0])
@@ -196,7 +199,7 @@ def shuffler_endomorphism(H: GroupHandle, psi: Optional[BaseEndomorphism] = None
     if witness is not None:
         # certify by exhaustive preimage search
         for g, l in lengths.items():
-            if l <= witness_radius and phi(g) == witness:
+            if l <= _WITNESS_RADIUS and phi(g) == witness:
                 raise ContractViolation("claimed witness has a preimage")
 
     return GroupMorphism(shuffler, shuffler, phi,

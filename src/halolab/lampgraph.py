@@ -247,82 +247,50 @@ def _bigstep_distances(net: SeparatedNet) -> Dict[Tuple, int]:
     return dist
 
 
-def _net_metric_pairs(net: SeparatedNet
-                      ) -> Tuple[Dict[Tuple, Optional[int]], Tuple[int, int, int]]:
+def _net_metric_pairs(net: SeparatedNet) -> Tuple[Dict[Tuple, int], Tuple[int, int, int]]:
     """The pairs behind :func:`net_metric_check`, with their counts.
 
     Returns ``(d_big, (checked, skipped, failed))``.  ``d_big`` maps every
     ordered pair (x, y) of interior net points that the net graph joins to
-    its bigstep distance, or to None when that distance exceeds the BFS
-    cutoff.  A pair is checked when both distances are known, and failed
-    when the bound breaks; every other interior pair (not joined by the
-    net graph, or beyond the cutoff) is skipped, so checked + skipped is
-    the number of ordered interior pairs.
+    its bigstep distance.  Those pairs are checked, and failed when the
+    bound breaks; the other interior pairs, which the net graph does not
+    join, are skipped, so checked + skipped is the number of ordered
+    interior pairs.
+
+    The bigstep distance has a closed form: d_big(x, y) = ceil(|x^-1 y| / L)
+    with L = 2D + 5.  The bigstep generators are Ball(L) minus the
+    identity, so k of them move at most kL.  Conversely, a geodesic word
+    for x^-1 y cut into pieces of length <= L is a bigstep word, as each
+    piece is itself a geodesic and so never the identity.  For interior
+    x, y, |x^-1 y| <= 2 r_int (r_int the interior radius), so one ball of
+    radius max(radius, 2 r_int) holds every length read here.
     """
     g = net.group
     L = 2 * net.D + 5
     interior_r = net.radius - net.separation
-    # the window of the BFS below; it contains Ball(net.radius), as
-    # 2 r_int + L = 2 radius + 1
-    window = ball(g, 2 * interior_r + L).lengths
-    pts = [x for x in net.X0 if window[x] <= interior_r]
+    lengths = ball(g, max(net.radius, 2 * interior_r)).lengths
+    pts = [x for x in net.X0 if lengths[x] <= interior_r]
     dX = _bigstep_distances(net)
-    pairs = {}  # (x, y) -> x^-1 y, for the pairs the net graph joins
+    d_big = {}
     for x in pts:
         xi = g.invert(x)
         for y in pts:
             if (x, y) in dX:
-                pairs[(x, y)] = g.multiply(xi, y)
-    e = g.identity()
-    d = {e: 0}
-    todo = set(pairs.values()) - {e}
-    frontier = [e]
-    depth = 0
-    while frontier and todo and depth < len(pts) + 2:
-        depth += 1
-        nxt = []
-        for u in frontier:
-            for s in net.bigstep:
-                w = g.multiply(u, s)
-                if w in window and w not in d:
-                    d[w] = depth
-                    nxt.append(w)
-                    todo.discard(w)
-        frontier = nxt
-    d_big = {xy: d.get(z) for xy, z in pairs.items()}
-    checked = failed = 0
-    for xy, dby in d_big.items():
-        if dby is None:
-            continue
-        checked += 1
-        dxy = dX[xy]
-        if not (dby <= dxy <= L * dby if dby else dxy == 0):
-            failed += 1
-    return d_big, (checked, len(pts) ** 2 - checked, failed)
+                d_big[(x, y)] = -(-lengths[g.multiply(xi, y)] // L)
+    failed = sum(1 for xy, dby in d_big.items() if not dby <= dX[xy] <= L * dby)
+    return d_big, (len(d_big), len(pts) ** 2 - len(d_big), failed)
 
 
 def net_metric_check(net: SeparatedNet) -> bool:
     """For net pairs (both in the ball interior): with d_big the bigstep
     word metric of the group and d_X0 the net-graph metric,
-    d_big <= d_X0 <= (2D+5) * d_big.  Pairs whose d_big lies beyond the
-    BFS cutoff below are skipped; :func:`_net_metric_pairs` counts them.
-
-    The bigstep metric is left-invariant, d_big(x, y) = d_big(e, x^-1 y),
-    so one BFS from the identity over the bigstep generators serves every
-    pair.  It stops as soon as every target x^-1 y has a distance, and
-    otherwise at depth len(pts) + 2 (the cutoff).  It stays inside the
-    window Ball(2 r_int + L), r_int the interior radius and L = 2D + 5,
-    which contains every bigstep geodesic from e to each target: for
-    interior x, y the target z = x^-1 y has |z| <= |x| + |y| <= 2 r_int;
-    cutting a geodesic word for z into pieces of length <= L gives
-    d_big(e, z) = k <= ceil(|z|/L) < |z|/L + 1, and the j-th vertex of a
-    bigstep geodesic from e to z has length at most jL <= kL < 2 r_int + L.
-    A BFS confined to the window therefore reaches each target at its true
-    d_big, and never earlier, since the window only removes paths.  So
-    the BFS returns the true d_big whenever it is within the cutoff, and
-    None otherwise.
+    d_big <= d_X0 <= (2D+5) * d_big.  A pair the net graph does not join
+    has d_X0 infinite and breaks the upper bound, so the check holds only
+    when every interior pair is joined and none fails;
+    :func:`_net_metric_pairs` counts them.
     """
-    return _net_metric_pairs(net)[1][2] == 0
+    _, (_, skipped, failed) = _net_metric_pairs(net)
+    return skipped == 0 and failed == 0
 
 
 # ---------------------------------------------------------------------------

@@ -354,6 +354,21 @@ def _old_edge_table(halo, p, q):
     return table
 
 
+def test_edge_table_keeps_the_shorter_of_two_equal_translates():
+    # Over wreath(C2, Z) two translates t of the swap generator give the
+    # same swap of p and q, with words path(t) g path(t)^-1 of 5 and 7
+    # letters; the table reads the 5-letter one.
+    wr = make_halo("wreath", CyclicGroup(2), Z)
+    sh = make_halo("shuffler", None, wr)
+    p = ((((0,), 1),), (-1,))
+    q = wr.multiply(p, ((((0,), 1),), (0,)))
+    encode, table = _edge_table(sh, p, q)
+    swap = sh.make_lamp({p: q, q: p})
+    word = table[encode(swap)]
+    assert len(word) == 5
+    assert evaluate_word(sh, word) == (swap, wr.identity())
+
+
 GLUING_HALOS = [("wreath", CyclicGroup(2)), ("shuffler", None), ("juggler", 2),
                 ("designer", CyclicGroup(2)), ("cloner", GF(2))]
 

@@ -1,3 +1,4 @@
+from collections import deque
 from dataclasses import replace
 
 import pytest
@@ -104,11 +105,13 @@ def test_net_metric_bounds_on_z_and_z2():
 
 
 def _per_source_d_big(net):
-    """Oracle: bigstep distances without left-invariance.  One BFS per
-    interior net point x, right-multiplying by bigstep generators from x
-    itself, inside the window Ball(3r + 3L) and to depth len(pts) + 2.  A
-    source stops once it has labelled every y it is asked for; BFS labels
-    are final, so this changes no distance."""
+    """Oracle: bigstep distances without left-invariance or the closed
+    form.  One BFS per interior net point x, right-multiplying by bigstep
+    generators from x itself, inside the window Ball(3r + 3L).  The window
+    holds every bigstep geodesic between interior points: d_big(x, y) is at
+    most k = ceil(2 r_int / L), so such a geodesic stays within kL < 2r + L
+    of x.  A source stops once it has labelled every y it is asked for; BFS
+    labels are final, so this changes no distance."""
     g = net.group
     L = 2 * net.D + 5
     b = ball(g, net.radius)
@@ -121,8 +124,7 @@ def _per_source_d_big(net):
         want = {y for y in pts if (x, y) in dX}
         d = {x: 0}
         frontier = [x]
-        while (frontier and not want <= d.keys()
-               and max(d[u] for u in frontier) < len(pts) + 2):
+        while frontier and not want <= d.keys():
             nxt = []
             for u in frontier:
                 for s in net.bigstep:
@@ -131,11 +133,9 @@ def _per_source_d_big(net):
                         d[w] = d[u] + 1
                         nxt.append(w)
             frontier = nxt
-        for y in pts:
-            if (x, y) in dX:
-                out[(x, y)] = d.get(y)
-    failed = sum(1 for xy, dby in out.items() if dby is not None and not (
-        dby <= dX[xy] <= L * dby if dby else dX[xy] == 0))
+        for y in want:
+            out[(x, y)] = d[y]
+    failed = sum(1 for xy, dby in out.items() if not dby <= dX[xy] <= L * dby)
     return out, len(pts), failed
 
 
@@ -143,10 +143,10 @@ def _assert_matches_oracle(net):
     d_big, (checked, skipped, failed) = _net_metric_pairs(net)
     want, n_pts, want_failed = _per_source_d_big(net)
     assert d_big == want
-    assert checked == sum(1 for dby in want.values() if dby is not None)
+    assert checked == len(want)
     assert checked + skipped == n_pts ** 2
     assert failed == want_failed
-    assert net_metric_check(net) == (want_failed == 0)
+    assert net_metric_check(net) == (len(want) == n_pts ** 2 and want_failed == 0)
     return checked, skipped, failed
 
 
@@ -165,17 +165,49 @@ def test_net_metric_pairs_z2_radius_7_counts():
     assert _assert_matches_oracle(greedy_net(Z2, 7, 1)) == (81, 0, 0)
 
 
-@pytest.mark.parametrize("r_int, want", [(10, (4, 0, 0)), (12, (2, 2, 0))])
-def test_net_metric_pairs_at_the_depth_cutoff(r_int, want):
+@pytest.mark.parametrize("r_int, want", [(10, (4, 0, 0)), (12, (4, 0, 0))])
+def test_net_metric_pairs_joined_only_through_the_rim(r_int, want):
     # Two interior points (r_int, 0) and (-r_int, 0), joined only through a
-    # chain of net points just outside the interior, so the cutoff is
-    # len(pts) + 2 = 4 while d_big = ceil(2 r_int / 5): 4 at r_int 10 (the
-    # last depth the BFS reaches), 5 at r_int 12 (one beyond: skipped).
+    # chain of net points just outside the interior, at d_big =
+    # ceil(2 r_int / 5): 4 at r_int 10, 5 at r_int 12.
     rim = [(r_int + 1 - k, k) for k in range(r_int + 2)]
     rim += [(-a, b) for a, b in rim if a]
     net = replace(greedy_net(Z2, 0, 0), radius=r_int + 2,
                   X0=((r_int, 0), (-r_int, 0), *rim))
     assert _assert_matches_oracle(net) == want
+    assert _net_metric_pairs(net)[0][((r_int, 0), (-r_int, 0))] == -(-2 * r_int // 5)
+
+
+def test_net_metric_check_fails_on_interior_points_the_net_graph_does_not_join():
+    # (5, 0) and (-5, 0) are interior (r_int = 6) but 10 > L = 5 apart, with
+    # no net point between them: d_X0 is infinite, so the upper bound fails.
+    net = replace(greedy_net(Z2, 0, 0), radius=8, X0=((5, 0), (-5, 0)))
+    assert _assert_matches_oracle(net) == (2, 2, 0)
+    assert net_metric_check(net) is False
+
+
+@pytest.mark.parametrize("group", [
+    Z2, H3, SymmetricGroup(4), make_halo("wreath", CyclicGroup(2), Z)])
+@pytest.mark.parametrize("L", [5, 7])
+def test_bigstep_distance_is_length_over_L_rounded_up(group, L):
+    # BFS from the identity over Ball(L) minus the identity, unconfined, in
+    # BFS order of the steps; it stops once Ball(L + 4) is labelled.
+    lengths = ball(group, L + 4).lengths
+    e = group.identity()
+    steps = [s for s in ball(group, L).elements if s != e]
+    assert sorted(steps) == list(greedy_net(group, 0, (L - 5) // 2).bigstep)
+    d = {e: 0}
+    queue = deque([e])
+    todo = set(lengths) - {e}
+    while todo and queue:
+        u = queue.popleft()
+        for s in steps:
+            w = group.multiply(u, s)
+            if w not in d:
+                d[w] = d[u] + 1
+                queue.append(w)
+                todo.discard(w)
+    assert all(d[z] == -(-n // L) for z, n in lengths.items())
 
 
 def test_net_metric_check_fails_on_a_long_detour():
