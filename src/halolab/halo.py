@@ -50,14 +50,18 @@ is one shift and XOR per entry of N, a column added to a column, and a
 lookup hashes one int.  The other families, matrices over other fields
 and permutations of more than 256 points have no code.  Two readers use
 it.  ``step_rows(values)`` serves the neighbour values of a function on
-the halo for ``gradient_ratio``, one cursor at a time: the support is
-grouped by cursor h, a base generator's row looks up (lamp, h s) for each
-lamp at h, and ``_lamp_rows`` gives the lamp generators' rows, coding the
-lamps at h once with the translated generators as moves (only one
-cursor's codes are alive at a time), or applying ``_step_lamp`` to each
-payload where there is no code.  ``decompose``'s lamp BFS (its factor
-searches and edge tables) steps codes the same way, or the payloads
-themselves by ``lamp_compose``.
+the halo for ``gradient_ratio``, with one code for the whole support:
+its moves are the translated generators of every cursor, and each
+distinct lamp object is coded once (the lamps of a lift share one
+block's objects at every cursor).  Each cursor h keeps a table code ->
+value; a lamp generator's row steps the codes at h, and a base
+generator's row looks them up in the table of h s, so no row hashes a
+payload.  Every cursor's table is alive until the rows are done, and a
+GF(2) code over the support's n sites has n^2 bits.  Where there is no
+code, each row applies ``_step_lamp`` to the payloads at h and looks up
+(lamp, cursor).  ``decompose``'s lamp BFS (its factor searches and edge
+tables) steps codes the same way, or the payloads themselves by
+``lamp_compose``.
 
 ``multiply`` stays the general product and the oracle for ``step`` and
 ``step_rows``.
@@ -385,7 +389,11 @@ class HaloGroup(GroupHandle):
         given and on the lamps the moves generate, and
         step(encode(a), operands[i]) == encode(lamp_compose(a, moves[i])).
         encode may raise KeyError for a lamp at points outside the moves'
-        and the lamps'.  None here: this family has no code."""
+        and the lamps'.  step_rows asks for one code per call, for a whole
+        support (every cursor's translated generators as moves, its
+        distinct lamps), so that lamps at different cursors compare by
+        their codes; the code grows with the support's points.  None here:
+        this family has no code."""
         return None
 
     def block_elements(self, sites: Sequence) -> List[Lamp]:
@@ -440,10 +448,16 @@ class HaloGroup(GroupHandle):
         return moved
 
     def step_rows(self, values):
-        """GroupHandle.step_rows one cursor at a time: the support is
-        grouped by cursor h, each base generator s gives one row that looks
-        up (lamp, h s) for the lamps at h, and _lamp_rows gives the rows of
-        the lamp generators."""
+        """GroupHandle.step_rows by cursor: the support is grouped by cursor
+        h, and each generator gives one row over the lamps at h, the lamp
+        generators first.  One _lamp_codes serves the whole call: its moves
+        are the translated generators of every cursor, and it codes each
+        distinct lamp object of the support once.  Each cursor keeps a
+        table code -> value in support order; a lamp generator's row steps
+        h's codes and looks them up in h's table, and a base generator s's
+        row looks the same codes up in the table of h s (empty outside the
+        support), so no row hashes a payload.  With no code each product
+        is taken by _step_lamp, and each row looks up (lamp, cursor)."""
         runs: Dict = {}  # cursor -> (its lamps, their values)
         for (lamp, h), v in values.items():
             run = runs.get(h)
@@ -451,33 +465,36 @@ class HaloGroup(GroupHandle):
                 run = runs[h] = ([], [])
             run[0].append(lamp)
             run[1].append(v)
-        get, base_step = values.get, self.base.step
+        moves = list(map(self._translates, runs))
+        distinct = {id(lamp): lamp for lamps, _ in runs.values() for lamp in lamps}
+        codes = self._lamp_codes(list(itertools.chain.from_iterable(moves)), distinct.values())
+        base_step = self.base.step
         base_steps = range(len(self._gens) - self.base_gen_offset)
-        for h, (lamps, vals) in runs.items():
-            yield from zip(itertools.repeat(vals), self._lamp_rows(h, lamps, vals, get))
-            for j in base_steps:
-                yield vals, map(get, zip(lamps, itertools.repeat(base_step(h, j))),
-                                itertools.repeat(0))
-
-    def _lamp_rows(self, h, lamps: List[Lamp], vals: List, get) -> Iterable[Iterable]:
-        """For each lamp generator t, in generator order, the row of
-        get((lamp * t_h, h), 0) over the lamps at cursor h, whose values
-        are vals.  The lamps are coded once by _lamp_codes, with the
-        translated generators as moves, so each product is one step of a
-        code and each lookup hashes a code; with no code each product is
-        taken by _step_lamp."""
-        moves = self._translates(h)
-        codes = self._lamp_codes(moves, lamps)
+        repeat = itertools.repeat
         if codes is None:
-            step_lamp = self._step_lamp
-            for t in moves:
-                yield [get((step_lamp(lamp, t), h), 0) for lamp in lamps]
+            get, step_lamp = values.get, self._step_lamp
+            for (h, (lamps, vals)), moved in zip(runs.items(), moves):
+                for t in moved:
+                    yield vals, [get((step_lamp(lamp, t), h), 0) for lamp in lamps]
+                for j in base_steps:
+                    yield vals, map(get, zip(lamps, repeat(base_step(h, j))), repeat(0))
             return
         encode, operands, step = codes
-        coded = dict(zip(map(encode, lamps), vals))  # code -> value, in the order of lamps
-        for operand in operands:
-            yield map(coded.get, map(step, coded, itertools.repeat(operand)),
-                      itertools.repeat(0))
+        for key, lamp in distinct.items():  # now id(lamp) -> its code
+            distinct[key] = encode(lamp)
+        for lamps, _ in runs.values():  # each run now lists its lamps' codes
+            lamps[:] = map(distinct.__getitem__, map(id, lamps))
+        del distinct
+        # cursor -> {code: value}, in support order; a run is dropped once tabled
+        tables = {h: dict(zip(*runs.pop(h))) for h in list(runs)}
+        empty: Dict = {}
+        operands = iter(operands)  # base_gen_offset of them per cursor, in cursor order
+        for h, table in tables.items():
+            vals = list(table.values())
+            for operand in itertools.islice(operands, self.base_gen_offset):
+                yield vals, map(table.get, map(step, table, repeat(operand)), repeat(0))
+            for j in base_steps:
+                yield vals, map(tables.get(base_step(h, j), empty).get, table, repeat(0))
 
     def is_element(self, a):
         """A (lamp, cursor) pair whose cursor is a base element and whose

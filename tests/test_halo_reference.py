@@ -23,6 +23,7 @@ from halolab.groups import (Ball, CyclicGroup, HeisenbergGroup, ProductGroup,
                             SymmetricGroup, ZdGroup, ball, make_group)
 from halolab import halo as halo_module
 from halolab.halo import HaloGroup, enumerate_block, make_halo
+from halolab.isoperimetry import FiniteFunction, almost_invariant_lift
 
 # ---------------------------------------------------------------------------
 # the keyed reference helpers
@@ -597,26 +598,29 @@ def test_step_rows_pair_each_element_with_its_multiply_neighbours(group):
         assert _row_pairs(group.step_rows(values)) == _multiply_row_pairs(group, values)
 
 
-def _by_cursor(values):
-    runs = {}
-    for (lamp, h), v in values.items():
-        lamps, vals = runs.setdefault(h, ([], []))
-        lamps.append(lamp)
-        vals.append(v)
-    return runs
-
-
 def _coded_and_stepped_rows(halo, values):
-    """For every cursor h of the support: whether the halo has a lamp code
-    for its lamps there, the rows of the halo's _lamp_rows, and the rows of
-    a copy of the halo with no code, which steps each payload."""
+    """Whether the halo has a lamp code for the whole support (every
+    cursor's translated generators as moves, the support's lamps), the
+    rows of its step_rows call, and the rows of a copy of the halo with no
+    code, which steps and looks up each payload; each row is read into a
+    pair of lists.  Every value a row holds is checked to be one of the
+    value objects of values, or the int 0."""
     stepped_halo = search_payloads(make_halo(halo.family, halo.params, halo.base))
-    get = values.get
-    for h, (lamps, vals) in _by_cursor(values).items():
-        coded = halo._lamp_codes(halo._translates(h), lamps) is not None
-        rows = [list(ws) for ws in halo._lamp_rows(h, lamps, vals, get)]
-        stepped = [list(ws) for ws in stepped_halo._lamp_rows(h, lamps, vals, get)]
-        yield h, coded, rows, stepped
+    moves = [t for h in dict.fromkeys(h for _, h in values) for t in halo._translates(h)]
+    coded = halo._lamp_codes(moves, [lamp for lamp, _ in values]) is not None
+    carried = {id(v) for v in values.values()} | {id(0)}
+
+    def read(rows):
+        out = [(list(vs), list(ws)) for vs, ws in rows]
+        assert all(id(w) in carried for _, ws in out for w in ws)
+        return out
+
+    return coded, read(halo.step_rows(values)), read(stepped_halo.step_rows(values))
+
+
+def _hits(rows):
+    """How many neighbours in the rows lie in the support."""
+    return sum(w != 0 for _, ws in rows for w in ws)
 
 
 PERMUTATION_HALOS = [("shuffler", None, Z), ("juggler", 2, Z), ("juggler", 3, Z),
@@ -647,43 +651,113 @@ def test_coded_lamp_rows_equal_the_stepped_rows(family, params, base):
                 x = halo.multiply(x, rng.choice(gens[:halo.base_gen_offset]))
             support.add(x)
     values = _random_values(rng, support)
-    seen = 0
-    for h, coded, rows, stepped in _coded_and_stepped_rows(halo, values):
-        assert coded == (family in ("shuffler", "juggler") or params == GF(2)), h
-        assert rows == stepped, h
-        seen += sum(w != 0 for ws in rows for w in ws)
-    assert seen > 0, "some lamp-generator neighbours should lie in the support"
+    coded, rows, stepped = _coded_and_stepped_rows(halo, values)
+    assert coded == (family in ("shuffler", "juggler") or params == GF(2))
+    assert rows == stepped
+    assert _hits(rows) > 0, "some lamp-generator neighbours should lie in the support"
+
+
+def _base_rows(halo, rows):
+    """The base generators' rows: step_rows gives each cursor the rows of
+    its lamp generators and then those of its base generators."""
+    per = len(halo.generators())
+    return [row for i, row in enumerate(rows) if i % per >= halo.base_gen_offset]
+
+
+# every lift of 1_U, U = {0, .., size - 1}, whose block L(V) fits the budget
+LIFTS = ([("shuffler", None, Z, size) for size in (1, 2, 3)]
+         + [("juggler", 2, Z, size) for size in (1, 2)]
+         + [("cloner", GF(2), Z, size) for size in (1, 2)]
+         + [("upcloner", GF(2), ZLEX, size) for size in (1, 2, 3)])
+
+
+@pytest.mark.parametrize("family, params, base, size", LIFTS,
+                         ids=[f"{fam}-{size}" for fam, _, _, size in LIFTS])
+def test_coded_rows_of_a_lift_equal_the_stepped_rows(family, params, base, size):
+    """The almost-invariant lift puts one block's payload objects at every
+    cursor of U: a base row from a cursor of U lands on the coded table of
+    its neighbour in U, whose lamps are all there (so the base rows hit
+    exactly 2 (|U| - 1) |L(V)| times), and at the ends of U on a cursor
+    outside the support."""
+    halo = make_halo(family, params, base)
+    lift = almost_invariant_lift(halo, FiniteFunction({(i,): 1 for i in range(size)}, 1))
+    values = _random_values(random.Random(f"{halo.spec} {size}"), lift.entries)
+    coded, rows, stepped = _coded_and_stepped_rows(halo, values)
+    assert coded and rows == stepped
+    assert _hits(_base_rows(halo, rows)) == 2 * (size - 1) * len(values) // size
+    assert _hits(rows) > _hits(_base_rows(halo, rows))
+
+
+CODED_HALOS = [("shuffler", None, Z), ("juggler", 2, Z), ("cloner", GF(2), Z),
+               ("upcloner", GF(2), ZLEX)]
+
+
+@pytest.mark.parametrize("family, params, base", CODED_HALOS,
+                         ids=[fam for fam, _, _ in CODED_HALOS])
+def test_coded_rows_of_equal_lamps_as_distinct_objects(family, params, base):
+    """The block L({0, 1, 2}) at cursor 0, and at cursor 1 a shuffled copy
+    of it rebuilt by make_lamp: equal lamps, but distinct objects with
+    distinct entries (bar the empty identity payload).  Equal lamps code
+    alike whatever object they come as, so every base row between the two
+    cursors hits."""
+    halo = make_halo(family, params, base)
+    block = enumerate_block(halo, [(0,), (1,), (2,)])
+    rng = random.Random(halo.spec)
+    copies = [halo.make_lamp(halo._lamp_entries(lamp)) for lamp in block]
+    assert copies == block
+    assert all(copy is not lamp for copy, lamp in zip(copies, block) if lamp)  # () is one object
+    rng.shuffle(copies)
+    support = [(lamp, (0,)) for lamp in block] + [(lamp, (1,)) for lamp in copies]
+    coded, rows, stepped = _coded_and_stepped_rows(halo, _random_values(rng, support))
+    assert coded and rows == stepped
+    assert _hits(_base_rows(halo, rows)) == 2 * len(block)
+
+
+@pytest.mark.parametrize("family, params, base", CODED_HALOS,
+                         ids=[fam for fam, _, _ in CODED_HALOS])
+def test_coded_rows_whose_base_neighbours_leave_the_support(family, params, base):
+    """The block L({0, 1, 2}) at the cursors 0 and 2: the cursors 1 and
+    +-3 between and beside them carry no lamp, so every base row looks
+    its codes up in an empty table and holds only 0, while lamp rows hit."""
+    halo = make_halo(family, params, base)
+    block = enumerate_block(halo, [(0,), (1,), (2,)])
+    support = [(lamp, (h,)) for h in (0, 2) for lamp in block]
+    values = _random_values(random.Random(halo.spec), support)
+    coded, rows, stepped = _coded_and_stepped_rows(halo, values)
+    assert coded and rows == stepped
+    assert _hits(_base_rows(halo, rows)) == 0 < _hits(rows)
 
 
 def test_coded_matrix_lamp_rows_at_a_cursor_of_many_points():
     """A GF(2) cloner lamp I + E_{0,1} + ... + E_{0,299} at the cursors 0
-    and 1 of Z, with its lamp-generator neighbours: columns of 301 and 300
-    bits, past one machine word, code as well as short ones."""
+    and 1 of Z, with its lamp-generator neighbours: the support's 301
+    sites give columns of 301 bits, past one machine word, which code as
+    well as short ones."""
     halo = make_halo("cloner", GF(2), Z)
     lamp = halo.make_lamp({((0,), (i,)): 1 for i in range(1, 300)})
     support = {(lamp, (0,)), (lamp, (1,))}
     for x in list(support):
         support.update(halo.step(x, i) for i in range(halo.base_gen_offset))
     values = _random_values(random.Random(300), support)
-    for h, coded, rows, stepped in _coded_and_stepped_rows(halo, values):
-        assert coded and rows == stepped, h
-        assert sum(w != 0 for ws in rows for w in ws) > 0
+    coded, rows, stepped = _coded_and_stepped_rows(halo, values)
+    assert coded and rows == stepped
+    assert _hits(rows) > _hits(_base_rows(halo, rows)) > 0
 
 
 @pytest.mark.parametrize("length", [255, 256, 300])
 def test_coded_lamp_rows_at_a_cursor_of_many_points(length):
     """A cycle through the points 0 .. length - 1 of Z at the cursors 0 and
-    1, with its lamp-generator neighbours.  Cursor 0 also sees the point -1
-    of a translated generator, so cursor h sees length + (h == 0) points,
-    255 to 301, around the 256 indices a byte holds: only up to 256 points
-    are coded."""
+    1, with its lamp-generator neighbours.  A translated generator at
+    cursor 0 also moves the point -1, so the whole support moves
+    length + 1 points, 256 to 301, around the 256 indices a byte holds:
+    the support is coded only up to 256 points, and stepped past that."""
     halo = make_halo("shuffler", None, Z)
     cycle = halo.make_lamp({(i,): ((i + 1) % length,) for i in range(length)})
     support = {(cycle, (0,)), (cycle, (1,))}
     for x in list(support):
         support.update(halo.step(x, i) for i in range(halo.base_gen_offset))
     values = _random_values(random.Random(length), support)
-    for h, coded, rows, stepped in _coded_and_stepped_rows(halo, values):
-        assert coded == (length + (h == (0,)) <= 256), h
-        assert rows == stepped, h
-        assert sum(w != 0 for ws in rows for w in ws) > 0
+    coded, rows, stepped = _coded_and_stepped_rows(halo, values)
+    assert coded == (length + 1 <= 256)
+    assert rows == stepped
+    assert _hits(rows) > _hits(_base_rows(halo, rows)) > 0

@@ -107,18 +107,23 @@ def test_net_metric_bounds_on_z_and_z2():
 def _per_source_d_big(net):
     """Oracle: bigstep distances without left-invariance or the closed
     form.  One BFS per interior net point x, right-multiplying by bigstep
-    generators from x itself, inside the window Ball(3r + 3L).  The window
-    holds every bigstep geodesic between interior points: d_big(x, y) is at
-    most k = ceil(2 r_int / L), so such a geodesic stays within kL < 2r + L
-    of x.  A source stops once it has labelled every y it is asked for; BFS
-    labels are final, so this changes no distance."""
+    generators from x itself, inside the window Ball(r_int + kL) with
+    k = ceil(2 r_int / L).  The window holds every bigstep geodesic between
+    interior points x and y.  A geodesic word for x^-1 y has length at most
+    |x| + |y| <= 2 r_int; cut into pieces of length at most L, each a
+    geodesic and so never the identity, it is a bigstep word of at most k
+    letters, so d_big(x, y) <= k.  Each bigstep moves at most L, so a
+    bigstep geodesic from x stays within kL of x, and x lies within r_int
+    of the identity.  A source stops once it has labelled every y it is
+    asked for; BFS labels are final, so this changes no distance."""
     g = net.group
     L = 2 * net.D + 5
     b = ball(g, net.radius)
     interior_r = net.radius - net.separation
     pts = [x for x in net.X0 if b.lengths[x] <= interior_r]
     dX = _bigstep_distances(net)
-    window = set(ball(g, 3 * net.radius + 3 * L).elements)
+    k = -(-2 * interior_r // L)
+    window = set(ball(g, interior_r + k * L).elements)
     out = {}
     for x in pts:
         want = {y for y in pts if (x, y) in dX}
