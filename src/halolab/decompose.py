@@ -8,7 +8,15 @@ adjacent pairs from edge-block tables and factor a non-adjacent pair
 through its geodesic midpoint; an upcloner over Z^d solves a pair by the
 three-case transvection recursion built on the commutator identity.  Base
 words are geodesics of any length: the word cap and the base ball's
-memory budget are the only bounds.
+memory budget are the only bounds.  Transvection words grow about 2.3x per
+unit of displacement (the recursion splits a displacement v with
+v[i] >= 2 as e_i + (v - e_i)): tau_{(0,0),(0,k)} over upcloner(GF2, Z^2)
+has 1, 8, 34, 110, 310 letters for k = 1..5, and k = 12 exceeds the
+default cap of 10^5 letters.
+
+Each halo keeps what its decompositions share: the edge-block tables, the
+factor blocks L(sites) and the transvection words.  A kept piece gives the
+same word, trace and budget use as computing it again.
 
 Words are lists of (generator index, exponent +-1) over the halo's
 natural generating set, produced unreduced.
@@ -262,6 +270,21 @@ def _edge_word(halo: HaloGroup, p, q, lamp: Lamp, budget: _Budget) -> Word:
     return word
 
 
+def _factor_block(halo: HaloGroup, sites: Sequence) -> List[Lamp]:
+    """The non-identity elements of L(sites), enumerated once per site set
+    and kept on the halo: factor searches ask for the same blocks again and
+    again, across the items of a run."""
+    cache = getattr(halo, "_factor_blocks", None)
+    if cache is None:
+        cache = halo._factor_blocks = {}
+    key = frozenset(sites)
+    block = cache.get(key)
+    if block is None:
+        ident = halo.lamp_identity()
+        block = cache[key] = [l for l in enumerate_block(halo, sites) if l != ident]
+    return block
+
+
 # ---------------------------------------------------------------------------
 # the decomposition recursion
 
@@ -279,12 +302,11 @@ def _decompose(halo: HaloGroup, lamp: Lamp, word_cap: int, trace: Optional[list]
     base = halo.base
     budget = _Budget(word_cap)
     upcloner = isinstance(halo, UpclonerHalo)
-    ident = halo.lamp_identity()
 
     def factor(lamp: Lamp, r1: Sequence, r2: Sequence, measure) -> Word:
         # the shortest ordered product of non-identity elements of L(r1) and
         # L(r2), by lamp BFS, each factor decomposed in turn
-        blocks = [l for r in (r1, r2) for l in enumerate_block(halo, r) if l != ident]
+        blocks = _factor_block(halo, r1) + _factor_block(halo, r2)
         encode, paths = _lamp_bfs(halo, [(l, [l]) for l in blocks], lamp)
         word: Word = []
         for f in paths[encode(lamp)]:
@@ -316,7 +338,8 @@ def _decompose(halo: HaloGroup, lamp: Lamp, word_cap: int, trace: Optional[list]
             c = base.multiply(c, gens[idx][1])
         return factor(lamp, [a, c], [c, b], measure)
 
-    return rec(lamp, None)
+    # a copy: base cases return the words kept on the halo
+    return list(rec(lamp, None))
 
 
 def decompose_gluing(halo: HaloGroup, lamp: Lamp, word_cap: int = DEFAULT_WORD_CAP,
@@ -334,7 +357,11 @@ def decompose_upcloner(halo: UpclonerHalo, lamp: Lamp, word_cap: int = DEFAULT_W
                        trace: Optional[list] = None) -> Word:
     """Word over natural generators whose evaluation is (lamp, 1_H), for an
     upcloner over Z^d, sites ordered by tuple < (the lexicographic order,
-    whether or not the spec names it ``:lex``)."""
+    whether or not the spec names it ``:lex``).
+
+    Words grow about 2.3x per unit of displacement between two sites: the
+    transvection tau_{(0,0),(0,k)} over Z^2 takes 1, 8, 34, 110, 310
+    letters for k = 1..5, so at k = 12 it exceeds the default word_cap."""
     if not isinstance(halo, UpclonerHalo):
         raise UnsupportedFamilyError("decompose_upcloner requires an upcloner halo")
     if not isinstance(halo.base, ZdGroup):
@@ -368,9 +395,28 @@ def _gen_index(halo: UpclonerHalo, i: int, lam: int) -> int:
 def _transvection_word(halo: UpclonerHalo, a, b, lam: int, parent,
                        budget: _Budget, trace: Optional[list]) -> Word:
     """Word for tau_{a,b}(lam); a < b lex, lam nonzero.  Its recursion
-    measure is (|b - a|_1,), and parent is the caller's (None at the top)."""
+    measure is (|b - a|_1,), and parent is the caller's (None at the top).
+
+    A word depends only on the halo and (a, b, lam), so each is built once
+    and kept on the halo with its measure and the keys of the subwords it
+    was built from (the four-factor step asks for each of its halves twice
+    over GF(2), where -lam = lam).  A kept word spends its whole length
+    from the budget, as building it did, and replays its recursion steps
+    into the trace in the order building it recorded them."""
     if lam == 0:
         return []
+    memo = getattr(halo, "_transvection_words", None)
+    if memo is None:
+        memo = halo._transvection_words = {}
+    entry = memo.get((a, b, lam))
+    if entry is not None:
+        word, measure, _ = entry
+        _record_step(trace, parent, measure)
+        if trace is not None:
+            _replay_steps(memo, entry, trace)
+        budget.spend(len(word))
+        return word
+
     base = halo.base
     gf = halo.gf
     v = tuple(y - x for x, y in zip(a, b))
@@ -386,6 +432,7 @@ def _transvection_word(halo: UpclonerHalo, a, b, lam: int, parent,
         path = halo.base_word(a)
         word = path + [(_gen_index(halo, i, lam), 1)] + invert_word(path)
         budget.spend(len(word))
+        memo[(a, b, lam)] = (word, measure, ())
         return word
 
     if any(x < 0 for x in v):
@@ -407,10 +454,19 @@ def _transvection_word(halo: UpclonerHalo, a, b, lam: int, parent,
     # forms give tau_{a,b}(lam)
     certified_form()
     mu = 1
+    children = ((a, f, gf.neg(lam)), (f, b, gf.neg(mu)), (a, f, lam), (f, b, mu))
     word: Word = []
-    word += _transvection_word(halo, a, f, gf.neg(lam), measure, budget, trace)
-    word += _transvection_word(halo, f, b, gf.neg(mu), measure, budget, trace)
-    word += _transvection_word(halo, a, f, lam, measure, budget, trace)
-    word += _transvection_word(halo, f, b, mu, measure, budget, trace)
+    for p, q, c in children:
+        word += _transvection_word(halo, p, q, c, measure, budget, trace)
+    memo[(a, b, lam)] = (word, measure, children)
     return word
 
+
+def _replay_steps(memo: Dict, entry, trace: list):
+    """Append the recursion steps below a kept word to the trace, depth
+    first in the order its subwords were built."""
+    _, measure, children = entry
+    for child in children:
+        sub = memo[child]
+        trace.append((measure, sub[1]))
+        _replay_steps(memo, sub, trace)

@@ -62,31 +62,47 @@ class GroupMorphism:
         """One domain ball per morphism, grown as far as the checks need."""
         return Ball(self.domain)
 
-    def _domain_ball(self, radius: int) -> List:
-        lengths = self._ball.grow(radius).lengths
-        return sorted(g for g, l in lengths.items()
-                      if l <= radius and (self.member is None or self.member(g)))
+    @functools.cached_property
+    def _images(self) -> Dict[int, Tuple[List, Dict]]:
+        """Per radius, what _domain_images returns, kept on the morphism."""
+        return {}
+
+    def _domain_images(self, radius: int) -> Tuple[List, Dict]:
+        """The sorted domain ball of this radius, cut to member, and the
+        image of each of its elements, mapped once per radius."""
+        if radius < 0:
+            raise ContractViolation(f"check radius must be >= 0, not {radius}")
+        if radius not in self._images:
+            lengths = self._ball.grow(radius).lengths
+            elems = sorted(g for g, l in lengths.items()
+                           if l <= radius and (self.member is None or self.member(g)))
+            self._images[radius] = elems, {g: self.map(g) for g in elems}
+        return self._images[radius]
 
     def preserves_identity(self) -> bool:
         return self.map(self.domain.identity()) == self.codomain.identity()
 
     def homomorphism_counterexample(self, pairs: int = 1000, radius: int = 4,
                                     seed: int = 0):
-        """None, or a pair (a, b) with phi(ab) != phi(a)phi(b)."""
-        elems = self._domain_ball(radius)
+        """None, or a pair (a, b) with phi(ab) != phi(a)phi(b), among pairs
+        drawn from the domain ball of this radius."""
+        if pairs < 1:
+            raise ContractViolation(f"a homomorphism check needs pairs >= 1, not {pairs}")
+        elems, image = self._domain_images(radius)
         rng = random.Random(seed)
         for _ in range(pairs):
             a, b = rng.choice(elems), rng.choice(elems)
             ab = self.domain.multiply(a, b)
             if self.member is not None and not self.member(ab):
                 continue
-            if self.map(ab) != self.codomain.multiply(self.map(a), self.map(b)):
+            phi_ab = image[ab] if ab in image else self.map(ab)
+            if phi_ab != self.codomain.multiply(image[a], image[b]):
                 return (a, b)
         return None
 
     def injective_on_ball(self, radius: int = 4) -> bool:
-        images = [self.map(g) for g in self._domain_ball(radius)]  # distinct elements
-        return len(set(images)) == len(images)
+        image = self._domain_images(radius)[1]
+        return len(set(image.values())) == len(image)
 
     def check(self, pairs: int = 1000, radius: int = 4, seed: int = 0) -> Dict[str, Tuple[bool, Any]]:
         cex = self.homomorphism_counterexample(pairs, radius, seed)

@@ -170,6 +170,19 @@ def test_embed(capsys):
     assert "homomorphism: pass" in out
 
 
+@pytest.mark.parametrize("option, message", [
+    (["--pairs", "0"], "a homomorphism check needs pairs >= 1, not 0"),
+    (["--check-radius", "-1"], "check radius must be >= 0, not -1"),
+], ids=["no-pairs", "negative-radius"])
+def test_embed_rejects_a_check_of_nothing(option, message, capsys):
+    """A check with no pairs used to print 'homomorphism: pass' and exit 0,
+    and a negative radius died in rng.choice([])."""
+    assert main(["embed", "--construction", "endomorphism", "--base", "Z"] + option) == 1
+    captured = capsys.readouterr()
+    assert "pass" not in captured.out
+    assert captured.err == f"error: {message}\n"
+
+
 def test_bounds(capsys):
     assert main(["bounds", "--family", "shuffler", "--x", "18"]) == 0
     assert "phi_inverse=3" in capsys.readouterr().out

@@ -125,6 +125,16 @@ def test_long_transvection_meets_the_word_cap_not_a_radius():
         decompose_upcloner(up, lamp)
 
 
+def test_upcloner_word_growth_is_pinned():
+    """tau_{(0,0),(0,k)} over upcloner(GF2, Z^2) grows about 2.3x per unit
+    of k, as the recursion splits a displacement v as e_i + (v - e_i); a
+    split nearer the midpoint would change these counts."""
+    up = make_halo("upcloner", GF(2), ZdGroup(2))
+    lengths = [len(_roundtrip(up, up.make_lamp({((0, 0), (0, k)): 1}), decompose_upcloner))
+               for k in range(1, 6)]
+    assert lengths == [1, 8, 34, 110, 310]
+
+
 def test_gluing_rejects_upcloner():
     up = make_halo("upcloner", GF(2), ZLEX)
     lamp = up.make_lamp({((0,), (1,)): 1})
@@ -568,3 +578,65 @@ def test_coded_upcloner_searches_give_the_payload_words(base):
               if all(all(x <= y for x, y in zip(a, b)) for a, b in zip(c, c[1:]))]
     checked = _coded_and_payload_words("upcloner", GF(2), base, chains, picks=8)
     assert checked == (3 + 4 * 1 if base.d == 1 else 27 + 4 * 37)
+
+
+# ---------------------------------------------------------------------------
+# transvection words and factor blocks are kept per halo; the oracle is a
+# fresh halo per element whose transvection memo keeps nothing
+
+class _KeepsNothing(dict):
+    def __setitem__(self, key, value):
+        pass
+
+
+@pytest.mark.parametrize("q", [2, 3], ids=["GF2", "GF3"])
+def test_kept_transvection_words_equal_words_built_afresh(q):
+    """One seeded full-support element per 2- and 3-chain of the 4x4 window
+    in upcloner(GFq, Z^2:lex): a halo that has decomposed the other chains,
+    first without a trace and then with one, gives the word and trace of a
+    fresh halo that builds every transvection word anew, and raises
+    BudgetError exactly below the word's length.  Over GF(3), -lam != lam,
+    so a memo that dropped lam from its key would give wrong words."""
+    window = [(i, j) for i in range(4) for j in range(4)]
+    chains = [list(c) for k in (2, 3) for c in itertools.combinations(window, k)
+              if all(all(x <= y for x, y in zip(a, b)) for a, b in zip(c, c[1:]))]
+    warm = make_halo("upcloner", GF(q), Z2LEX)
+    rng = random.Random(q)
+    lamps = [rng.choice(sorted(l for l in enumerate_block(warm, chain)
+                               if warm.lamp_sites(l) == set(chain)))
+             for chain in chains]
+    fresh = []
+    for lamp in lamps:
+        halo = make_halo("upcloner", GF(q), Z2LEX)
+        halo._transvection_words = _KeepsNothing()
+        trace = []
+        fresh.append((decompose_upcloner(halo, lamp, trace=trace), trace))
+    for lamp, (word, _) in zip(lamps, fresh):
+        assert decompose_upcloner(warm, lamp) == word
+    for lamp, (word, trace) in zip(lamps, fresh):
+        got = []
+        assert decompose_upcloner(warm, lamp, trace=got) == word
+        assert got == trace
+        assert decompose_upcloner(warm, lamp, word_cap=len(word)) == word
+        with pytest.raises(BudgetError):
+            decompose_upcloner(warm, lamp, word_cap=len(word) - 1)
+    assert len(chains) == 84 + 216
+
+
+def test_halos_keep_their_own_words():
+    """Each halo keeps its own transvection words and factor blocks, and a
+    returned word is the caller's to change."""
+    first, second = (make_halo("upcloner", GF(2), Z2LEX) for _ in range(2))
+    lamp = first.make_lamp({((0, 0), (1, 1)): 1, ((1, 1), (2, 3)): 1})
+    word = decompose_upcloner(first, lamp)
+    assert first._transvection_words and first._factor_blocks
+    assert not hasattr(second, "_transvection_words")
+    assert not hasattr(second, "_factor_blocks")
+    assert decompose_upcloner(second, lamp) == word
+    assert first._transvection_words is not second._transvection_words
+    word.clear()
+    assert decompose_upcloner(first, lamp) == decompose_upcloner(second, lamp) != []
+    wreath = make_halo("wreath", CyclicGroup(2), Z)
+    single = wreath.make_lamp({(0,): 1})
+    decompose_gluing(wreath, single).append((0, 1))
+    assert decompose_gluing(wreath, single) == [(0, 1)]

@@ -1,3 +1,6 @@
+import dataclasses
+import random
+
 import pytest
 
 from halolab import embeddings, groups
@@ -169,3 +172,89 @@ def test_doubling_endomorphism():
     psi = doubling(2)
     assert psi.map((1, -3)) == (2, -6)
     assert psi.in_image((2, 4)) and not psi.in_image((1, 2))
+
+
+# ---------------------------------------------------------------------------
+# check maps each domain-ball element once; the oracle maps a, b and ab at
+# every draw, from the same sorted ball and the same seed
+
+def _criterion_11_morphisms():
+    return [wreath_in_shuffler(Z, coset_system_mZ(2)), shuffler_endomorphism(Z),
+            lamplighter_in_halo("juggler", 2, Z),
+            lamplighter_in_halo("designer", CyclicGroup(2), Z),
+            lamplighter_in_halo("cloner", 3, Z)]
+
+
+def _filtered_ball(morphism, radius):
+    return sorted(g for g, l in ball(morphism.domain, radius).lengths.items()
+                  if l <= radius and (morphism.member is None or morphism.member(g)))
+
+
+def _per_draw_check(morphism, pairs, radius, seed):
+    domain, codomain, phi, member = (morphism.domain, morphism.codomain,
+                                     morphism.map, morphism.member)
+    elems = _filtered_ball(morphism, radius)
+    rng = random.Random(seed)
+    cex = None
+    for _ in range(pairs):
+        a, b = rng.choice(elems), rng.choice(elems)
+        ab = domain.multiply(a, b)
+        if member is not None and not member(ab):
+            continue
+        if phi(ab) != codomain.multiply(phi(a), phi(b)):
+            cex = (a, b)
+            break
+    images = [phi(g) for g in elems]
+    out = {"identity": (phi(domain.identity()) == codomain.identity(), None),
+           "homomorphism": (cex is None, cex),
+           "injective_on_ball": (len(set(images)) == len(images), None)}
+    if morphism.not_surjective_witness is not None:
+        out["not_surjective"] = (True, morphism.not_surjective_witness)
+    return out
+
+
+def test_check_equals_a_per_draw_loop():
+    for morphism in _criterion_11_morphisms():
+        for seed in (0, 7919):
+            assert morphism.check(pairs=1000, radius=4, seed=seed) == \
+                _per_draw_check(morphism, 1000, 4, seed), (morphism.name, seed)
+
+
+def test_counterexample_equals_the_per_draw_loop():
+    shuffler = make_halo("shuffler", None, Z)
+    morphism = GroupMorphism(shuffler, shuffler, lambda g: (g[0], (2 * g[1][0],)),
+                             name="untranslated doubling")
+    for seed in range(5):
+        cex = morphism.homomorphism_counterexample(pairs=200, radius=2, seed=seed)
+        assert cex is not None
+        assert (False, cex) == _per_draw_check(morphism, 200, 2, seed)["homomorphism"]
+
+
+def test_check_maps_each_ball_element_once():
+    """At most one map call per filtered ball element, one per drawn product
+    and one for preserves_identity; a second check at the same radius maps
+    only the products and the identity again."""
+    for morphism in _criterion_11_morphisms():
+        calls = []
+        counted = dataclasses.replace(morphism, map=lambda g, phi=morphism.map:
+                                      calls.append(g) or phi(g))
+        assert counted.check(pairs=300, radius=3) == morphism.check(pairs=300, radius=3)
+        ball_elements = _filtered_ball(morphism, 3)
+        assert set(ball_elements) <= set(calls)
+        assert len(calls) <= len(ball_elements) + 300 + 1, morphism.name
+        calls.clear()
+        counted.check(pairs=300, radius=3, seed=1)
+        assert len(calls) <= 300 + 1, morphism.name
+
+
+def test_check_rejects_no_pairs_and_a_negative_radius():
+    morphism = shuffler_endomorphism(Z)
+    for call in (lambda: morphism.check(pairs=0),
+                 lambda: morphism.homomorphism_counterexample(pairs=0)):
+        with pytest.raises(ContractViolation, match="pairs >= 1, not 0"):
+            call()
+    for call in (lambda: morphism.check(radius=-1),
+                 lambda: morphism.homomorphism_counterexample(radius=-1),
+                 lambda: morphism.injective_on_ball(radius=-1)):
+        with pytest.raises(ContractViolation, match="radius must be >= 0, not -1"):
+            call()
