@@ -383,10 +383,11 @@ class HaloGroup(GroupHandle):
         edit of a."""
         raise NotImplementedError
 
-    def _lamp_codes(self, moves: Sequence[Lamp], lamps: Sequence[Lamp] = ()):
+    def _lamp_codes(self, moves: Sequence[Lamp], lamps: Iterable[Lamp] = ()):
         """The family's lamp code for products of lamps with the moves:
         (encode, operands, step), where encode is injective on the lamps
-        given and on the lamps the moves generate, and
+        given (an iterable, read at most once, and not at all by a family
+        with no code) and on the lamps the moves generate, and
         step(encode(a), operands[i]) == encode(lamp_compose(a, moves[i])).
         encode may raise KeyError for a lamp at points outside the moves'
         and the lamps'.  step_rows asks for one code per call, for a whole
@@ -466,8 +467,14 @@ class HaloGroup(GroupHandle):
             run[0].append(lamp)
             run[1].append(v)
         moves = list(map(self._translates, runs))
-        distinct = {id(lamp): lamp for lamps, _ in runs.values() for lamp in lamps}
-        codes = self._lamp_codes(list(itertools.chain.from_iterable(moves)), distinct.values())
+        distinct: Dict = {}  # id(lamp) -> lamp, filled only if _lamp_codes reads the lamps
+
+        def distinct_lamps():
+            for lamps, _ in runs.values():
+                distinct.update(zip(map(id, lamps), lamps))
+            yield from distinct.values()
+
+        codes = self._lamp_codes(list(itertools.chain.from_iterable(moves)), distinct_lamps())
         base_step = self.base.step
         base_steps = range(len(self._gens) - self.base_gen_offset)
         repeat = itertools.repeat

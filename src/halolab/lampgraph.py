@@ -378,7 +378,26 @@ def check_iso_to_lamplighter(Y: FiniteGraph, B: FiniteGraph, A: FiniteGraph,
 def graph_isomorphism(G1: FiniteGraph, G2: FiniteGraph,
                       size_budget: int = 10 ** 4):
     """Exact isomorphism by iterated degree refinement then backtracking.
-    Returns (True, dict vertex1 -> vertex2) or (False, None)."""
+    Returns (True, dict vertex1 -> vertex2) or (False, None).
+
+    The search visits G1 breadth-first.  Its roots are taken in key order
+    (rarest colour first, then highest degree, then ``str``), each unseen
+    root starting a new component, and each vertex's neighbours are
+    visited in the same key order; so every vertex but a root has a
+    parent mapped before it.  A root tries its whole colour class of G2;
+    any other vertex v tries only the neighbours of its parent's image
+    that have v's colour, in G2's vertex order.  The search is exact:
+    an isomorphism extending the partial map sends v to a neighbour of
+    its parent's image, and it preserves the refined colours, which are
+    canonical; so no extension is skipped.
+
+    A candidate w fits v when w is unused and the image of each mapped
+    neighbour of v is a neighbour of w.  Every edge of G1 is tested when
+    its later endpoint is mapped, so a full map is an injection sending
+    edges to edges.  The vertex counts are equal, so it is a bijection;
+    the edge counts are equal, so it sends the edges onto the edges and
+    the non-edges onto the non-edges: it is an isomorphism.
+    """
     if len(G1.vertices) > size_budget or len(G2.vertices) > size_budget:
         raise BudgetError(f"isomorphism size budget exceeded ({size_budget}): "
                           f"the graphs have {len(G1.vertices)} and "
@@ -393,28 +412,43 @@ def graph_isomorphism(G1: FiniteGraph, G2: FiniteGraph,
         return False, None
 
     by_color2: Dict[int, List] = {}
-    for v, c in c2.items():
-        by_color2.setdefault(c, []).append(v)
-    # match rarest colors first, then most-constrained (highest degree)
-    order = sorted(G1.vertices,
+    # w -> colour -> w's neighbours of that colour, each in by_color2 order
+    near2: Dict[Any, Dict[int, List]] = {w: {} for w in a2}
+    for u, c in c2.items():
+        by_color2.setdefault(c, []).append(u)
+        for w in a2[u]:
+            near2[w].setdefault(c, []).append(u)
+    # rarest colours first, then most-constrained (highest degree)
+    keyed = sorted(G1.vertices,
                    key=lambda v: (len(by_color2[c1[v]]), -len(a1[v]), str(v)))
+    rank = {v: i for i, v in enumerate(keyed)}
+    order: List = []
+    parent: Dict = {}
+    for root in keyed:
+        if root in parent:
+            continue
+        parent[root] = None
+        head = len(order)
+        order.append(root)
+        while head < len(order):  # breadth-first over root's component
+            u = order[head]
+            head += 1
+            for w in sorted(a1[u], key=rank.__getitem__):
+                if w not in parent:
+                    parent[w] = u
+                    order.append(w)
     mapping: Dict = {}
     used = set()
 
     def fits(v, w) -> bool:
-        # the mapping is injective: non-neighbours miss N(w) iff no other used vertex is in it
         if w in used:
             return False
-        nw, mapped = a2[w], 0
-        for u in a1[v]:
-            if u in mapping:
-                if mapping[u] not in nw:
-                    return False
-                mapped += 1
-        return len(used.intersection(nw)) == mapped
+        nw = a2[w]
+        return all(mapping[u] in nw for u in a1[v] if u in mapping)
 
     # depth-first backtracking without recursion: tried[i] counts the
-    # candidates already tried for order[i], in by_color2 order
+    # candidates already tried for order[i]; its parent, mapped at a
+    # smaller depth, keeps its image while order[i] is tried
     tried = [0]
     while tried:
         i = len(tried) - 1
@@ -423,7 +457,8 @@ def graph_isomorphism(G1: FiniteGraph, G2: FiniteGraph,
         v = order[i]
         if v in mapping:  # back from a dead end below: undo this choice
             used.discard(mapping.pop(v))
-        cands = by_color2[c1[v]]
+        p = parent[v]
+        cands = by_color2[c1[v]] if p is None else near2[mapping[p]].get(c1[v], ())
         k = tried[i]
         while k < len(cands) and not fits(v, cands[k]):
             k += 1

@@ -30,7 +30,8 @@ from halolab.isoperimetry import (FiniteFunction, almost_invariant_lift,
                                   profile_exact)
 from halolab.lampgraph import (_net_metric_pairs, build_Ystar,
                                check_iso_to_lamplighter, complete_graph,
-                               greedy_net, net_is_maximal_in_interior,
+                               greedy_net, lamplighter_graph,
+                               net_is_maximal_in_interior,
                                net_is_separated, net_metric_check)
 
 Z = ZdGroup(1, False)
@@ -230,6 +231,18 @@ def test_criterion_08_ystar_isomorphism_and_metric():
     Y = build_Ystar(sh, net, (1,), 3)
     ok, _ = check_iso_to_lamplighter(Y, complete_graph(2), complete_graph(3))
     assert ok
+    # wreath(C2, Z) at radius 6: 5,120 vertices over a net graph that is not complete
+    net6 = greedy_net(Z, 6, 1)
+    A6 = net6.graph
+    assert len(A6.edges) < len(A6.vertices) * (len(A6.vertices) - 1) // 2
+    Y6 = build_Ystar(make_halo("wreath", CyclicGroup(2), Z), net6, (1,), 6)
+    assert len(Y6.vertices) == 5120
+    ok6, mapping6 = check_iso_to_lamplighter(Y6, complete_graph(4), A6)
+    assert ok6
+    L6 = lamplighter_graph(complete_graph(4), A6, len(A6.vertices)).graph
+    assert mapping6.keys() == set(Y6.vertices) and set(mapping6.values()) == set(L6.vertices)
+    assert {frozenset(mapping6[v] for v in e) for e in Y6.edges} == L6.edges
+    assert check_iso_to_lamplighter(Y6, complete_graph(3), A6) == (False, None)
     assert net_is_separated(net) and net_is_maximal_in_interior(net)
     assert net_metric_check(net)
     # metric bounds exhaustively on larger windows too
@@ -239,7 +252,8 @@ def test_criterion_08_ystar_isomorphism_and_metric():
         assert c > 0 and failed == 0
         checked, skipped = checked + c, skipped + s
     record_criterion(8, True, "Y* isomorphic to the block-over-net lamplighter "
-                              f"graph; net metric bounds hold on {checked} "
+                              "graph (shuffler radius 3, wreath radius 6 with "
+                              f"{len(Y6.vertices)} vertices); net metric bounds hold on {checked} "
                               f"interior pairs of 3 nets ({skipped} skipped)")
 
 

@@ -162,6 +162,14 @@ def test_ystar(capsys):
     assert "isomorphic to block-over-net lamplighter graph: True" in out
 
 
+def test_ystar_wreath_radius_6(capsys):
+    assert main(["ystar", "--group", "wreath(C2, Z)", "--radius", "6",
+                 "--D", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "5120 vertices" in out
+    assert "isomorphic to block-over-net lamplighter graph: True" in out
+
+
 def test_embed(capsys):
     assert main(["embed", "--construction", "lamplighter", "--family",
                  "designer", "--params", "C2", "--base", "Z",

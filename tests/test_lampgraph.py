@@ -1,4 +1,5 @@
-from collections import deque
+import random
+from collections import Counter, deque
 from dataclasses import replace
 
 import pytest
@@ -8,7 +9,7 @@ from halolab.gf import GF
 from halolab.groups import CyclicGroup, HeisenbergGroup, SymmetricGroup, ZdGroup, ball
 from halolab.halo import make_halo
 from halolab.lampgraph import (FiniteGraph, _bigstep_distances,
-                               _net_metric_pairs, build_Ystar,
+                               _net_metric_pairs, _refine, build_Ystar,
                                check_iso_to_lamplighter, complete_graph,
                                graph_from_edges, graph_isomorphism,
                                greedy_net, lamplighter_graph,
@@ -278,6 +279,184 @@ def test_graph_isomorphism_basics():
     two_triangles = graph_from_edges(
         [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
     assert graph_isomorphism(c6, two_triangles) == (False, None)
+
+
+def _whole_class_isomorphism(G1, G2):
+    """Oracle: the search graph_isomorphism made before it visited G1
+    breadth-first.  Vertices go in key order (rarest colour, highest
+    degree, str), and each tries its whole colour class of G2, testing
+    that mapped neighbours go to neighbours and mapped non-neighbours to
+    non-neighbours."""
+    if len(G1.vertices) != len(G2.vertices) or len(G1.edges) != len(G2.edges):
+        return False, None
+    a1, a2 = G1.adjacency, G2.adjacency
+    c1 = _refine(a1, {v: len(a1[v]) for v in a1})
+    c2 = _refine(a2, {v: len(a2[v]) for v in a2})
+    if Counter(c1.values()) != Counter(c2.values()):
+        return False, None
+    by_color2 = {}
+    for v, c in c2.items():
+        by_color2.setdefault(c, []).append(v)
+    order = sorted(G1.vertices,
+                   key=lambda v: (len(by_color2[c1[v]]), -len(a1[v]), str(v)))
+    mapping, used = {}, set()
+
+    def fits(v, w):
+        if w in used:
+            return False
+        nw, mapped = a2[w], 0
+        for u in a1[v]:
+            if u in mapping:
+                if mapping[u] not in nw:
+                    return False
+                mapped += 1
+        return len(used.intersection(nw)) == mapped
+
+    tried = [0]
+    while tried:
+        i = len(tried) - 1
+        if i == len(order):
+            return True, dict(mapping)
+        v = order[i]
+        if v in mapping:
+            used.discard(mapping.pop(v))
+        cands = by_color2[c1[v]]
+        k = tried[i]
+        while k < len(cands) and not fits(v, cands[k]):
+            k += 1
+        if k == len(cands):
+            tried.pop()
+            continue
+        mapping[v] = cands[k]
+        used.add(cands[k])
+        tried[i] = k + 1
+        tried.append(0)
+    return False, None
+
+
+def _assert_isomorphism(G1, G2, mapping):
+    """mapping is a bijection V1 -> V2 whose image of E1 is exactly E2.
+    The map on vertex pairs is then injective, so it sends the non-edges
+    onto the non-edges too."""
+    assert mapping.keys() == set(G1.vertices)
+    assert set(mapping.values()) == set(G2.vertices)
+    assert len(G1.vertices) == len(G2.vertices)
+    assert {frozenset(mapping[v] for v in e) for e in G1.edges} == G2.edges
+
+
+def _assert_same_verdict_as_oracle(G1, G2):
+    ok, mapping = graph_isomorphism(G1, G2)
+    want, want_mapping = _whole_class_isomorphism(G1, G2)
+    assert ok == want
+    if ok:
+        _assert_isomorphism(G1, G2, mapping)
+        _assert_isomorphism(G1, G2, want_mapping)
+    else:
+        assert mapping is None
+    return ok
+
+
+@pytest.mark.parametrize("family, fiber, k", [
+    ("shuffler", None, 2), ("wreath", CyclicGroup(2), 4)])
+@pytest.mark.parametrize("radius", [1, 2, 3, 4, 5])
+def test_ystar_isomorphism_matches_whole_class_search(family, fiber, k, radius):
+    net = greedy_net(Z, radius, 1)
+    Y = build_Ystar(make_halo(family, fiber, Z), net, (1,), radius)
+    for kk, want in ((k, True), (3, False)):
+        L = lamplighter_graph(complete_graph(kk), net.graph, len(net.X0)).graph
+        assert _assert_same_verdict_as_oracle(Y, L) is want
+
+
+def test_ystar_wreath_radius_6_over_an_incomplete_net_graph():
+    wr = make_halo("wreath", CyclicGroup(2), Z)
+    net = greedy_net(Z, 6, 1)
+    A = net.graph
+    assert len(A.vertices) == 5 and len(A.edges) < 10  # not complete
+    Y = build_Ystar(wr, net, (1,), 6)
+    assert len(Y.vertices) == 4 ** 5 * 5
+    ok, mapping = check_iso_to_lamplighter(Y, complete_graph(4), A)
+    assert ok
+    _assert_isomorphism(Y, lamplighter_graph(complete_graph(4), A, 5).graph, mapping)
+    assert check_iso_to_lamplighter(Y, complete_graph(3), A) == (False, None)
+
+
+def _prism(n):
+    return graph_from_edges([(i, (i + 1) % n) for i in range(n)]
+                            + [(n + i, n + (i + 1) % n) for i in range(n)]
+                            + [(i, n + i) for i in range(n)])
+
+
+def _moebius_ladder(n):
+    return graph_from_edges([(i, (i + 1) % (2 * n)) for i in range(2 * n)]
+                            + [(i, i + n) for i in range(n)])
+
+
+def _relabelled(G, rng):
+    names = list(range(len(G.vertices)))
+    rng.shuffle(names)
+    new = dict(zip(G.vertices, (("r", i) for i in names)))
+    edges = sorted(tuple(sorted(new[v] for v in e)) for e in G.edges)
+    rng.shuffle(edges)
+    return graph_from_edges(edges, extra_vertices=sorted(new.values()))
+
+
+def _random_graph(rng, n, p):
+    return graph_from_edges([(i, j) for i in range(n) for j in range(i + 1, n)
+                             if rng.random() < p], extra_vertices=range(n))
+
+
+def _edge_swapped(G, rng, swaps):
+    """G after `swaps` random double-edge swaps ab, cd -> ad, cb: the
+    degree of every vertex stays."""
+    edges = {tuple(sorted(e)) for e in G.edges}
+    done = 0
+    while done < swaps:
+        (a, b), (c, d) = rng.sample(sorted(edges), 2)
+        if rng.random() < 0.5:
+            c, d = d, c
+        new = (tuple(sorted((a, d))), tuple(sorted((c, b))))
+        if len({a, b, c, d}) < 4 or any(e in edges for e in new):
+            continue
+        edges -= {(a, b), tuple(sorted((c, d)))}
+        edges |= set(new)
+        done += 1
+    return graph_from_edges(sorted(edges), extra_vertices=G.vertices)
+
+
+def test_graph_isomorphism_matches_whole_class_search_on_small_pairs():
+    # same degree sequence, non-isomorphic
+    c6 = graph_from_edges([(i, (i + 1) % 6) for i in range(6)])
+    two_triangles = graph_from_edges(
+        [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+    assert _assert_same_verdict_as_oracle(c6, two_triangles) is False
+    assert _assert_same_verdict_as_oracle(two_triangles, c6) is False
+    for n in (3, 4, 5, 6):  # 3-regular, colour refinement sees one class
+        assert _assert_same_verdict_as_oracle(_prism(n), _moebius_ladder(n)) is False
+        assert _assert_same_verdict_as_oracle(
+            _prism(n), _relabelled(_prism(n), random.Random(n))) is True
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_graph_isomorphism_matches_whole_class_search_on_random_pairs(seed):
+    rng = random.Random(seed)
+    G = _random_graph(rng, rng.randint(6, 14), rng.choice((0.2, 0.35, 0.5)))
+    assert _assert_same_verdict_as_oracle(G, _relabelled(G, rng)) is True
+    # 3-regular graphs on 2n vertices with equal degree sequences
+    n = rng.randint(5, 7)
+    R = _edge_swapped(_prism(n), rng, 3 * n)
+    S = _edge_swapped(R, rng, 2)
+    assert _assert_same_verdict_as_oracle(R, _relabelled(R, rng)) is True
+    _assert_same_verdict_as_oracle(R, _relabelled(S, rng))
+    _assert_same_verdict_as_oracle(S, _moebius_ladder(n))
+
+
+def test_graph_isomorphism_random_pairs_include_non_isomorphic_ones():
+    verdicts = []
+    for seed in range(8):
+        rng = random.Random(seed)
+        R = _edge_swapped(_prism(7), rng, 21)
+        verdicts.append(_assert_same_verdict_as_oracle(R, _edge_swapped(R, rng, 2)))
+    assert verdicts.count(False) >= 4
 
 
 def test_graph_isomorphism_long_path_does_not_recurse():
