@@ -15,7 +15,10 @@ from typing import List, Optional
 
 from .bounds import phi, phi_inverse
 from .decompose import decompose_gluing, decompose_upcloner, evaluate_word
+from .embeddings import (coset_system_mZ, lamplighter_in_halo, shuffler_endomorphism,
+                         wreath_in_shuffler)
 from .errors import ContractViolation, HalolabError
+from .experiment import load_config, run_experiment, write_profile_csv
 from .gf import GF
 from .groups import CyclicGroup, HeisenbergGroup, ZdGroup, ball, make_group
 from .halo import HaloGroup, UpclonerHalo, enumerate_block, lamp_growth
@@ -30,24 +33,31 @@ from .lampgraph import (build_Ystar, check_iso_to_lamplighter, complete_graph,
 # argparse turns an ArgumentTypeError into one error line and exit status 2
 
 def _parse_interval(text: str):
-    """--support: "lo" or "lo:hi", the base interval lo..hi of Z."""
+    """--support: "lo" or "lo:hi", the base interval lo..hi of Z, with
+    lo <= hi."""
     lo, _, hi = text.partition(":")
     try:
-        return int(lo), int(hi or lo)
+        lo, hi = int(lo), int(hi or lo)
     except ValueError:
+        lo = None
+    if lo is None or hi < lo:
         raise argparse.ArgumentTypeError(f"interval {text!r} is not lo or lo:hi "
-                                         "with integers lo, hi") from None
+                                         "with integers lo <= hi")
+    return lo, hi
 
 
-def _parse_exponent(text: str) -> int:
-    """--p: the norm exponent, an integer p >= 1."""
-    try:
-        p = int(text)
-    except ValueError:
-        p = None
-    if p is None or p < 1:
-        raise argparse.ArgumentTypeError(f"norm exponent {text!r} is not an integer >= 1")
-    return p
+def _integer_at_least(least: int, name: str):
+    """The argparse type of an integer option >= least; name says what
+    the option counts."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < least:
+            raise argparse.ArgumentTypeError(f"{name} {text!r} is not an integer >= {least}")
+        return value
+    return parse
 
 
 def _parse_sites(text: str):
@@ -112,7 +122,6 @@ def cmd_profile(args) -> int:
         val = "inf" if pt.value is None else str(pt.value)
         print(f"n={pt.n} value={val} method={pt.method} exact={pt.exact}")
     if args.out:
-        from .experiment import write_profile_csv
         write_profile_csv(args.out, pts)
         print(f"wrote {args.out}")
     return 0
@@ -122,10 +131,10 @@ def cmd_folner(args) -> int:
     g = make_group(args.group)
     pts = _points(args, g)
     val = folner_function(pts, Fraction(1, args.target))
-    kind = "exact" if args.method == "exact" else "upper bound"
     if val is None:
         print(f"Folner(1/{args.target}): no witness within the searched range")
     else:
+        kind = "exact" if pts[-1].exact else "upper bound"
         print(f"Folner(1/{args.target}) = {val} ({kind} within searched range)")
     return 0
 
@@ -205,8 +214,6 @@ def cmd_ystar(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    from .embeddings import (coset_system_mZ, lamplighter_in_halo,
-                             shuffler_endomorphism, wreath_in_shuffler)
     base = make_group(args.base)
     if args.construction == "wreath-in-shuffler":
         morphism = wreath_in_shuffler(base, coset_system_mZ(args.index))
@@ -242,7 +249,6 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_run(args) -> int:
-    from .experiment import load_config, run_experiment
     config = load_config(args.config)
     manifest = run_experiment(config, args.out)
     print(f"artifacts in {args.out}: {', '.join(manifest['artifacts'])}")
@@ -288,14 +294,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("growth", help="lamp growth table")
     p.add_argument("--family", required=True)
     p.add_argument("--params", default=None)
-    p.add_argument("--n-max", type=int, default=5, dest="n_max")
+    p.add_argument("--n-max", type=_integer_at_least(0, "site count"), default=5,
+                   dest="n_max")
     p.set_defaults(fn=cmd_growth)
 
     p = sub.add_parser("lift", parents=[group],
                        help="almost-invariant lift of a base indicator")
     p.add_argument("--support", type=_parse_interval, default="0",
                    help="base interval lo:hi")
-    p.add_argument("--p", type=_parse_exponent, default=1, help="norm exponent, an integer >= 1")
+    p.add_argument("--p", type=_integer_at_least(1, "norm exponent"), default=1,
+                   help="norm exponent, an integer >= 1")
     p.set_defaults(fn=cmd_lift)
 
     p = sub.add_parser("decompose", parents=[group, seed])

@@ -14,6 +14,7 @@ import os
 import platform
 from typing import Any, Dict, List, Sequence
 
+from . import __version__
 from .bounds import (bound_report, identity_bound, iterated_log,
                      log_over_loglog, power)
 from .errors import ContractViolation
@@ -149,10 +150,10 @@ def run_experiment(config: Dict, out_dir: str) -> Dict[str, Any]:
     group = make_group(cfg["group"])
 
     warnings: List[str] = []
+    if cfg["p"] != 1:
+        warnings.append(f"{cfg['method']} search optimizes the p=1 profile; "
+                        "p is recorded but ignored")
     if cfg["method"] == "exact":
-        if cfg["p"] != 1:
-            warnings.append("exact search optimizes the p=1 profile; "
-                            "p is recorded but ignored")
         points = profile_exact(group, cfg["n_max"], cfg["radius"],
                                budget=cfg["budget"])
         if points and not points[-1].exact:
@@ -188,7 +189,6 @@ def run_experiment(config: Dict, out_dir: str) -> Dict[str, Any]:
         with open(os.path.join(out_dir, "plot.svg"), "w") as fh:
             fh.write(_plot_svg(points, []))
 
-    from . import __version__
     manifest = {
         "seed": cfg["seed"],
         "group": cfg["group"],

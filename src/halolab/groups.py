@@ -11,6 +11,7 @@ for geodesic words.
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 import sys
 from typing import Any, Dict, Iterable, Iterator, List, Sequence, Tuple
@@ -83,10 +84,9 @@ class GroupHandle:
         value): the sequence vs holds the values of a run of support
         elements g, and the iterable ws (read once) the values at g * s
         beside them, for one generator s, 0 where g * s is outside the
-        support.  Each pair (g, s) appears in exactly one row.  The rows
-        carry the value objects of values themselves and the int 0, so a
-        caller may convert them by identity.  Here one row per generator
-        covers the whole support, each neighbour by step."""
+        support.  Each pair (g, s) appears in exactly one row.  Here one
+        row per generator covers the whole support, each neighbour by
+        step."""
         vs = list(values.values())
         get, step = values.get, self.step
         for i in range(len(self._step_generators)):
@@ -279,8 +279,6 @@ class SymmetricGroup(GroupHandle):
         return True
 
     def elements(self):
-        import itertools
-
         return [tuple(p) for p in itertools.permutations(range(self.m))]
 
     def element_str(self, a):

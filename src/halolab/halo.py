@@ -58,8 +58,8 @@ value; a lamp generator's row steps the codes at h, and a base
 generator's row looks them up in the table of h s, so no row hashes a
 payload.  Every cursor's table is alive until the rows are done, and a
 GF(2) code over the support's n sites has n^2 bits.  Where there is no
-code, each row applies ``_step_lamp`` to the payloads at h and looks up
-(lamp, cursor).  ``decompose``'s lamp BFS (its factor searches and edge
+code, the same loop runs with each payload as its own code, stepped by
+``_step_lamp``.  ``decompose``'s lamp BFS (its factor searches and edge
 tables) steps codes the same way, or the payloads themselves by
 ``lamp_compose``.
 
@@ -457,8 +457,9 @@ class HaloGroup(GroupHandle):
         table code -> value in support order; a lamp generator's row steps
         h's codes and looks them up in h's table, and a base generator s's
         row looks the same codes up in the table of h s (empty outside the
-        support), so no row hashes a payload.  With no code each product
-        is taken by _step_lamp, and each row looks up (lamp, cursor)."""
+        support), so no row hashes a payload.  With no code each payload is
+        its own code: the operands are the translated generators, and the
+        step is _step_lamp."""
         runs: Dict = {}  # cursor -> (its lamps, their values)
         for (lamp, h), v in values.items():
             run = runs.get(h)
@@ -466,7 +467,8 @@ class HaloGroup(GroupHandle):
                 run = runs[h] = ([], [])
             run[0].append(lamp)
             run[1].append(v)
-        moves = list(map(self._translates, runs))
+        del values  # the runs hold the support from here on
+        operands = list(itertools.chain.from_iterable(map(self._translates, runs)))
         distinct: Dict = {}  # id(lamp) -> lamp, filled only if _lamp_codes reads the lamps
 
         def distinct_lamps():
@@ -474,24 +476,19 @@ class HaloGroup(GroupHandle):
                 distinct.update(zip(map(id, lamps), lamps))
             yield from distinct.values()
 
-        codes = self._lamp_codes(list(itertools.chain.from_iterable(moves)), distinct_lamps())
+        codes = self._lamp_codes(operands, distinct_lamps())
+        if codes is None:
+            step = self._step_lamp
+        else:
+            encode, operands, step = codes
+            for key, lamp in distinct.items():  # now id(lamp) -> its code
+                distinct[key] = encode(lamp)
+            for lamps, _ in runs.values():  # each run now lists its lamps' codes
+                lamps[:] = map(distinct.__getitem__, map(id, lamps))
+        del distinct
         base_step = self.base.step
         base_steps = range(len(self._gens) - self.base_gen_offset)
         repeat = itertools.repeat
-        if codes is None:
-            get, step_lamp = values.get, self._step_lamp
-            for (h, (lamps, vals)), moved in zip(runs.items(), moves):
-                for t in moved:
-                    yield vals, [get((step_lamp(lamp, t), h), 0) for lamp in lamps]
-                for j in base_steps:
-                    yield vals, map(get, zip(lamps, repeat(base_step(h, j))), repeat(0))
-            return
-        encode, operands, step = codes
-        for key, lamp in distinct.items():  # now id(lamp) -> its code
-            distinct[key] = encode(lamp)
-        for lamps, _ in runs.values():  # each run now lists its lamps' codes
-            lamps[:] = map(distinct.__getitem__, map(id, lamps))
-        del distinct
         # cursor -> {code: value}, in support order; a run is dropped once tabled
         tables = {h: dict(zip(*runs.pop(h))) for h in list(runs)}
         empty: Dict = {}

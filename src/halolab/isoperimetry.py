@@ -12,6 +12,7 @@ the last step.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, repeat, starmap
@@ -114,13 +115,13 @@ def gradient_ratio(group: GroupHandle, f: FiniteFunction) -> Value:
     """||grad f||_p / ||f||_p, summed over ordered (g, s) pairs.
 
     Only pairs with g or gs in supp f contribute; the sum runs once over
-    the rows of group.step_rows(f.entries), which hold each (g, s) with g
-    in supp f once, adding the mirrored term |f(g)|^p whenever gs leaves
-    the support (that term is the (gs, s^-1) contribution).  The rows carry
-    f's own value objects, so each distinct object is scaled to an integer
-    (or made a float) once, and rows are converted through that map by
-    identity; the float terms stream into math.fsum, whose correctly
-    rounded sum does not depend on their order.
+    the rows of group.step_rows, which hold each (g, s) with g in supp f
+    once, adding the mirrored term |f(g)|^p whenever gs leaves the support
+    (that term is the (gs, s^-1) contribution).  Each distinct value
+    object of f is scaled to an integer (or made a float) once, and the
+    rows are served from that plain copy of f; the float terms stream
+    into math.fsum, whose correctly rounded sum does not depend on their
+    order.
     """
     if not f.entries:
         raise ContractViolation("gradient_ratio of the empty function")
@@ -132,31 +133,21 @@ def gradient_ratio(group: GroupHandle, f: FiniteFunction) -> Value:
         value = {i: v.numerator * (scale // v.denominator) for i, v in distinct.items()}
     else:
         value = {i: float(v) for i, v in distinct.items()}
-    value[id(0)] = 0  # what a row holds for a neighbour outside the support
-    convert = value.__getitem__
-
-    def rows():
-        last = a = None
-        for vs, ws in group.step_rows(f.entries):
-            if vs is not last:  # a run's values may come back with each of its rows
-                last, a = vs, list(map(convert, map(id, vs)))
-            yield a, list(map(convert, map(id, ws)))
-
+    plain = dict(zip(f.entries, map(value.__getitem__, map(id, f.entries.values()))))
+    norm = sum(map(abs, plain.values())) if exact else f.norm()
+    terms = chain.from_iterable(starmap(_row_terms, group.step_rows(plain)))
+    del plain  # so step_rows can let it go once it has grouped the support
     if exact:
-        grad = sum(starmap(_exact_row_sum, rows()))
-        return Fraction(grad, sum(map(abs, map(convert, map(id, f.entries.values())))))
+        return Fraction(sum(map(abs, terms)), norm)
     pf = float(p)
-
-    def terms(a, b):
-        return chain(map(pow, map(abs, map(sub, a, b)), repeat(pf)),
-                     map(pow, map(abs, compress(a, map(not_, b))), repeat(pf)))
-
-    return math.fsum(chain.from_iterable(starmap(terms, rows()))) ** (1.0 / pf) / f.norm()
+    return math.fsum(map(pow, map(abs, terms), repeat(pf))) ** (1.0 / pf) / norm
 
 
-def _exact_row_sum(a, b) -> int:
-    """sum |a - b|, plus |a| wherever b is 0, over one row of integers."""
-    return sum(map(abs, map(sub, a, b))) + sum(map(abs, compress(a, map(not_, b))))
+def _row_terms(a, ws):
+    """a - b, then a wherever b is 0, over one row (a, b = list(ws)): the
+    gradient terms of a row before their absolute value and power."""
+    b = list(ws)
+    return chain(map(sub, a, b), compress(a, map(not_, b)))
 
 
 # ---------------------------------------------------------------------------
@@ -413,8 +404,6 @@ def profile_heuristic(group: GroupHandle, n_max: int, method: str = "greedy",
     anneal: Metropolis over add/remove moves with geometric cooling
     T_k = 1.0 * 0.995^k for the given number of steps, seeded.
     """
-    import random as _random
-
     indices = range(len(group.generators()))
     e = group.identity()
     best: Dict[int, SubsetWitness] = {1: boundary(group, [e])}
@@ -438,7 +427,7 @@ def profile_heuristic(group: GroupHandle, n_max: int, method: str = "greedy",
             w = boundary(group, A)
             consider(w)
     elif method == "anneal":
-        rng = _random.Random(seed)
+        rng = random.Random(seed)
         A = frozenset([e])
         cur = boundary(group, A)
         for k in range(steps):

@@ -5,7 +5,9 @@ an exact graph-isomorphism check (degree refinement + backtracking).
 from __future__ import annotations
 
 import functools
+import itertools
 import json
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
@@ -115,7 +117,6 @@ def lamplighter_graph(B: FiniteGraph, A: FiniteGraph, support_cap: int,
     non_base = [b for b in B.vertices if b != b0]
     a_order = {a: i for i, a in enumerate(A.vertices)}
 
-    import itertools
     configs = []
     for k in range(min(support_cap, len(A.vertices)) + 1):
         for sites in itertools.combinations(A.vertices, k):
@@ -324,7 +325,6 @@ def build_Ystar(halo: HaloGroup, net: SeparatedNet, s0, radius: int,
                             "blocks at distinct net sites failed to commute; "
                             "this falsifies large-scale commutativity")
 
-    import itertools
     sizes = [len(blocks[x]) for x in sites]
     n_vertices = len(sites)
     for s in sizes:
@@ -407,7 +407,6 @@ def graph_isomorphism(G1: FiniteGraph, G2: FiniteGraph,
     a1, a2 = G1.adjacency, G2.adjacency
     c1 = _refine(a1, {v: len(a1[v]) for v in a1})
     c2 = _refine(a2, {v: len(a2[v]) for v in a2})
-    from collections import Counter
     if Counter(c1.values()) != Counter(c2.values()):
         return False, None
 

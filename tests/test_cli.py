@@ -36,6 +36,14 @@ def test_folner(capsys):
     assert "Folner(1/2) = 4" in capsys.readouterr().out
 
 
+def test_folner_labels_a_truncated_search_an_upper_bound(capsys):
+    """Radius 1 cuts the search short, so profile marks every point
+    exact=False; the exact method's answer is then only an upper bound."""
+    assert main(["folner", "--group", "Z", "--n-max", "6", "--radius", "1",
+                 "--target", "1"]) == 0
+    assert capsys.readouterr().out == "Folner(1/1) = 2 (upper bound within searched range)\n"
+
+
 def test_growth(capsys):
     assert main(["growth", "--family", "cloner", "--params", "GF2",
                  "--n-max", "3"]) == 0
@@ -89,6 +97,22 @@ def test_malformed_numbers_are_one_error_line_and_exit_2(argv, capsys):
     assert captured.out == "" and "Traceback" not in captured.err
     errors = [line for line in captured.err.splitlines() if "error:" in line]
     assert len(errors) == 1 and repr(argv[-1]) in errors[0] and "integers" in errors[0]
+
+
+@pytest.mark.parametrize("argv, shown", [
+    (["lift", "--group", "shuffler(Z)", "--support", "3:1"], "'3:1'"),
+    (["growth", "--family", "shuffler", "--n-max", "-1"], "'-1'"),
+], ids=["lift-support-3:1", "growth-n-max--1"])
+def test_ranges_that_select_nothing_are_one_error_line_and_exit_2(argv, shown, capsys):
+    """An empty --support used to fail late in gradient_ratio (exit 1), and
+    a negative --n-max printed no table and exited 0."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and shown in errors[0]
 
 
 @pytest.mark.parametrize("p", ["0", "-1"])
@@ -256,7 +280,7 @@ def test_run_requires_out(tmp_path, monkeypatch, capsys):
     def no_search(*args, **kwargs):
         raise AssertionError("the search ran")
 
-    monkeypatch.setattr("halolab.experiment.run_experiment", no_search)
+    monkeypatch.setattr("halolab.cli.run_experiment", no_search)
     with pytest.raises(SystemExit) as exc:
         main(["run", "--config", str(cfg)])
     assert exc.value.code == 2
@@ -277,6 +301,17 @@ def test_run_experiment_budget_warning(tmp_path):
     manifest = run_experiment({"group": "Z^2", "n_max": 9, "method": "exact",
                                "budget": 50}, str(tmp_path / "o"))
     assert any("budget" in w for w in manifest["warnings"])
+
+
+@pytest.mark.parametrize("method", ["exact", "greedy", "anneal"])
+def test_run_experiment_warns_that_every_method_ignores_p(method, tmp_path):
+    """Every method searches sets, so every one optimizes the p=1 profile:
+    a config with p != 1 keeps its p in config.json and gets one warning."""
+    cfg = {"group": "Z", "n_max": 4, "method": method}
+    warned = run_experiment(dict(cfg, p=3), str(tmp_path / "p3"))["warnings"]
+    assert warned == [f"{method} search optimizes the p=1 profile; p is recorded but ignored"]
+    assert json.loads((tmp_path / "p3" / "config.json").read_text())["p"] == 3
+    assert run_experiment(dict(cfg, p=1), str(tmp_path / "p1"))["warnings"] == []
 
 
 def test_run_experiment_schema_errors(tmp_path):

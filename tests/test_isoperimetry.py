@@ -157,14 +157,16 @@ def _stepwise_gradient_ratio(group, f):
 
 def test_gradient_ratio_by_rows_equals_the_stepwise_loop_bit_for_bit():
     """Fractions equal and floats bit-identical at p = 1 (exact and float
-    values), 2 and 3, on lifts to halos and on random functions on Z^2."""
+    values), 2 and 3, on lifts to halos (cloner(GF3) has no lamp code) and
+    on random functions on Z^2 and a halo, also ones whose equal values
+    are distinct Fraction objects."""
     rng = random.Random(13)
     cases = []
     for spec, U in (("shuffler(Z)", [(0,), (1,)]), ("juggler(2, Z)", [(0,)]),
                     ("wreath(C2, Z)", [(0,), (2,)]),
                     ("designer(C2, Z)", [(0,)]), ("cloner(GF2, Z)", [(0,)]),
                     ("upcloner(GF2, Z)", [(0,), (1,)]), ("shuffler(Z x C2)", [((0,), 0)]),
-                    ("upcloner(GF3, Z)", [(0,)])):
+                    ("upcloner(GF3, Z)", [(0,)]), ("cloner(GF3, Z)", [(0,)])):
         halo = make_group(spec)
         exact = _mixed_values(rng, U)
         for p, values in ((1, exact), (1, {u: rng.uniform(-5, 5) for u in U}),
@@ -175,6 +177,11 @@ def test_gradient_ratio_by_rows_equals_the_stepwise_loop_bit_for_bit():
         supp = rng.sample(window, 12)
         cases.append((Z2, FiniteFunction(_mixed_values(rng, supp), p)))
         cases.append((Z2, FiniteFunction({x: rng.uniform(-5, 5) for x in supp}, p)))
+    for group in (Z2, make_group("shuffler(Z)")):
+        supp = rng.sample(sorted(ball(group, 3).elements), 20)
+        repeated = {x: Fraction(rng.choice((-2, 1, 2)), 3) for x in supp}  # a new object each
+        assert len(set(map(id, repeated.values()))) == 20 > len(set(repeated.values()))
+        cases.extend((group, FiniteFunction(repeated, p)) for p in (1, 2, 3))
     for group, f in cases:
         r, old = gradient_ratio(group, f), _stepwise_gradient_ratio(group, f)
         assert type(r) is type(old), (group.spec, f.p)
