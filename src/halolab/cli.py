@@ -287,8 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=["exact", "greedy", "anneal"])
         p.add_argument("--radius", type=int, default=None)
         if name == "folner":
-            p.add_argument("--target", type=int, required=True,
-                           help="n for target ratio 1/n")
+            p.add_argument("--target", type=_integer_at_least(1, "target"), required=True,
+                           help="n for target ratio 1/n, an integer >= 1")
         p.set_defaults(fn=fn)
 
     p = sub.add_parser("growth", help="lamp growth table")

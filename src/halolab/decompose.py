@@ -176,13 +176,13 @@ def _lamp_bfs(halo: HaloGroup, moves: Sequence[Tuple[Lamp, list]],
     identity lamp.
 
     A move is a pair (lamp, labels).  The search steps the lamp codes of
-    ``halo._lamp_codes`` (shuffler and juggler lamps as bytes, one
-    bytes.translate per step; GF(2) cloner and upcloner lamps as ints, one
-    shift and XOR per column the move adds), or, where the hook returns
-    None, the payloads themselves by lamp_compose.  Returns (encode,
-    paths), where paths maps encode(lamp) to the labels of the moves along
-    the first path that reached the lamp, concatenated, in the order the
-    search reached them.  It stops as soon as ``target`` is reached, and
+    ``halo._lamp_codes`` (shuffler, juggler, wreath and designer lamps as
+    bytes, one bytes.translate per step; GF(2) cloner and upcloner lamps as
+    ints, one shift and XOR per column the move adds), or, where the hook
+    returns None, the payloads themselves by lamp_compose.  Returns
+    (encode, paths), where paths maps encode(lamp) to the labels of the
+    moves along the first path that reached the lamp, concatenated, in the
+    order the search reached them.  It stops as soon as ``target`` is reached, and
     raises UndecomposableError if it cannot be; with no target it visits
     the whole subgroup the moves generate.
     """

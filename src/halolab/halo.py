@@ -41,16 +41,22 @@ with no dict round-trip and no re-sort:
   a diagonal cloner generator (P = Q) scales column P by lam.
 
 ``_lamp_codes(moves, lamps)`` is the one lamp code of a family, for
-products of lamps with the moves: shuffler and juggler code a lamp as
+products of lamps with the moves.  Shuffler and juggler code a lamp as
 bytes over the points of the moves and the lamps (at most 256), so a
 product with a move is one ``bytes.translate`` and a lookup hashes flat
-bytes; over GF(2) cloner and upcloner code a lamp as an int, its 0/1
+bytes (``_byte_codes``).  Wreath and designer lamps go through the same
+coder: F wr Sym(X) acts faithfully on the points X x F by
+(f, s).(x, c) = (s x, f(s x) c), and composing these actions follows
+``lamp_compose``'s order for any fiber F, so a lamp is coded as the
+permutation of the points (x, c) it makes, x a site of the moves or the
+lamps.  Over GF(2) cloner and upcloner code a lamp as an int, its 0/1
 matrix over those points column by column, so a product with a move I + N
 is one shift and XOR per entry of N, a column added to a column, and a
-lookup hashes one int.  The other families, matrices over other fields
-and permutations of more than 256 points have no code.  Two readers use
-it.  ``step_rows(values)`` serves the neighbour values of a function on
-the halo for ``gradient_ratio``, with one code for the whole support:
+lookup hashes one int.  Matrices over GF(3), GF(4) and GF(5), and
+supports of more than 256 points (permutation points, or site x fiber
+points) have no code.  Two readers use it.  ``step_rows(pairs)`` serves
+the neighbour values of a function on the halo, given as (element,
+value) pairs, for ``gradient_ratio``, with one code for the whole support:
 its moves are the translated generators of every cursor, and each
 distinct lamp object is coded once (the lamps of a lift share one
 block's objects at every cursor).  Each cursor h keeps a table code ->
@@ -68,6 +74,7 @@ tables) steps codes the same way, or the payloads themselves by
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from bisect import bisect_left, insort
@@ -327,6 +334,22 @@ class _TermTable(dict):
         return value
 
 
+def _byte_codes(n: int, terms: Callable[[Lamp], int], moves: Sequence[Lamp]):
+    """HaloGroup._lamp_codes for lamps that act as permutations sigma of n
+    <= 256 points, numbered 0..n-1.  The code of sigma is the bytes whose
+    k-th is the number of sigma^-1(k): the identity's bytes read as an int,
+    plus terms(sigma).  (sigma o tau)^-1 = tau^-1 o sigma^-1, so sigma o tau
+    has the code of sigma translated by the table k -> tau^-1(k), which is
+    tau's code padded to 256 bytes: one bytes.translate."""
+    identity = int.from_bytes(bytes(range(n)), "little")
+
+    def encode(a):
+        return (identity + terms(a)).to_bytes(n, "little")
+
+    pad = bytes(range(n, 256))  # a table maps the bytes no point uses to themselves
+    return encode, [encode(t) + pad for t in moves], bytes.translate
+
+
 # ---------------------------------------------------------------------------
 # the halo handle
 
@@ -448,26 +471,25 @@ class HaloGroup(GroupHandle):
                                            for t, _ in self._gens[:self.base_gen_offset]]
         return moved
 
-    def step_rows(self, values):
-        """GroupHandle.step_rows by cursor: the support is grouped by cursor
-        h, and each generator gives one row over the lamps at h, the lamp
-        generators first.  One _lamp_codes serves the whole call: its moves
-        are the translated generators of every cursor, and it codes each
-        distinct lamp object of the support once.  Each cursor keeps a
-        table code -> value in support order; a lamp generator's row steps
-        h's codes and looks them up in h's table, and a base generator s's
-        row looks the same codes up in the table of h s (empty outside the
-        support), so no row hashes a payload.  With no code each payload is
-        its own code: the operands are the translated generators, and the
-        step is _step_lamp."""
+    def step_rows(self, pairs):
+        """GroupHandle.step_rows by cursor: the pairs are grouped by cursor
+        h as they are read, and each generator gives one row over the
+        lamps at h, the lamp generators first.  One _lamp_codes serves the
+        whole call: its moves are the translated generators of every
+        cursor, and it codes each distinct lamp object of the support
+        once.  Each cursor keeps a table code -> value in support order; a
+        lamp generator's row steps h's codes and looks them up in h's
+        table, and a base generator s's row looks the same codes up in the
+        table of h s (empty outside the support), so no row hashes a
+        payload.  With no code each payload is its own code: the operands
+        are the translated generators, and the step is _step_lamp."""
         runs: Dict = {}  # cursor -> (its lamps, their values)
-        for (lamp, h), v in values.items():
+        for (lamp, h), v in pairs:
             run = runs.get(h)
             if run is None:
                 run = runs[h] = ([], [])
             run[0].append(lamp)
             run[1].append(v)
-        del values  # the runs hold the support from here on
         operands = list(itertools.chain.from_iterable(map(self._translates, runs)))
         distinct: Dict = {}  # id(lamp) -> lamp, filled only if _lamp_codes reads the lamps
 
@@ -557,6 +579,66 @@ class _FiberHalo(HaloGroup):
         return _entry_block([[(x, v) if v != e else None for v in self._fiber_elements]
                              for x in sorted(sites)])
 
+    def _map_and_perm(self, a: Lamp) -> Tuple[Lamp, Lamp]:
+        """The map payload and the permutation payload of a lamp."""
+        raise NotImplementedError
+
+    @functools.cached_property
+    def _fiber_terms(self) -> Dict:
+        """v -> the term of a map entry (x, v) at the site x numbered 0: on
+        the points (0, c), numbered j(c), the bytes j(v^-1 c) - j(c)."""
+        fiber, elements = self.fiber, self._fiber_elements
+        j = {c: k for k, c in enumerate(elements)}
+        identity = int.from_bytes(bytes(range(len(elements))), "little")
+        return {v: int.from_bytes(bytes(j[fiber.multiply(fiber.invert(v), c)]
+                                        for c in elements), "little") - identity
+                for v in elements}
+
+    def _lamp_codes(self, moves, lamps=()):
+        """HaloGroup._lamp_codes by bytes, as a permutation of points.  A
+        lamp (f, s) (a wreath lamp is (f, id)) acts on the points X x F by
+        (f, s).(x, c) = (s x, f(s x) c).  For b = (g, t),
+        (f, s).((g, t).(x, c)) = (s t x, f(s t x) g(t x) c), which is the
+        action of lamp_compose(a, b) = (f * s.g, s t), with F abelian or
+        not; and only the identity lamp fixes every point.  So a lamp is
+        coded by _byte_codes as that permutation of the points (x, c), x a
+        site of the moves or the lamps, (x, c) numbered |F| i(x) + j(c).
+        Its inverse sends (y, d) to (s^-1 y, f(y)^-1 d), whose number is
+        that of (y, d) plus |F| (i(s^-1 y) - i(y)), from s alone, plus
+        j(f(y)^-1 d) - j(d), from f(y) alone.  So the code is the
+        identity's plus one term per entry (x, y) of s, on the points of
+        y, and one per entry (y, v) of f, on the points of y, each computed
+        once per distinct entry.  None for more than 256 points."""
+        maps, perms = set(), set()
+        for f, s in map(self._map_and_perm, itertools.chain(lamps, moves)):
+            maps.update(f)
+            perms.update(s)
+        m = len(self._fiber_elements)
+        sites = {x for x, _ in maps}.union(x for x, _ in perms)
+        if len(sites) * m > 256:
+            return None
+        index = {x: k for k, x in enumerate(sorted(sites))}
+        width = 8 * m  # the bits of one site's points
+        ones = int.from_bytes(bytes([1]) * m, "little")
+
+        def map_term(entry):
+            y, v = entry
+            return self._fiber_terms[v] << width * index[y]
+
+        def perm_term(entry):
+            x, y = entry
+            return (index[x] - index[y]) * m * ones << width * index[y]
+
+        map_get = _TermTable(map_term, maps).__getitem__
+        perm_get = _TermTable(perm_term, perms).__getitem__
+        parts = self._map_and_perm
+
+        def terms(a):
+            f, s = parts(a)
+            return sum(map(map_get, f)) + sum(map(perm_get, s))
+
+        return _byte_codes(len(sites) * m, terms, moves)
+
 
 class WreathHalo(_FiberHalo):
     """F wreath H: lamps are finitely supported maps H -> F."""
@@ -586,6 +668,9 @@ class WreathHalo(_FiberHalo):
     def _step_lamp(self, a, t):
         ((x, f),) = t
         return _map_times_at(a, x, f, self.fiber)
+
+    def _map_and_perm(self, a):
+        return a, ()
 
 
 class _PermutationHalo(HaloGroup):
@@ -618,28 +703,21 @@ class _PermutationHalo(HaloGroup):
         identity's code plus one shifted difference per entry, computed
         once per distinct entry.  (sigma o tau)^-1 = tau^-1 o sigma^-1, so
         sigma o tau has the code of sigma translated by the 256-byte table
-        of tau^-1, one bytes.translate.  A byte holds at most 256 indices:
-        None for more points."""
+        of tau^-1, one bytes.translate (_byte_codes).  A byte holds at most
+        256 indices: None for more points."""
         entries = set(itertools.chain.from_iterable(lamps))
         # a permutation's images are its points
         points = {x for x, _ in entries.union(itertools.chain.from_iterable(moves))}
-        n = len(points)
-        if n > 256:
+        if len(points) > 256:
             return None
         index = {x: k for k, x in enumerate(sorted(points))}
-        identity = int.from_bytes(bytes(range(n)), "little")
 
         def shift(entry):
             x, y = entry
             return (index[x] - index[y]) << (8 * index[y])
 
         get = _TermTable(shift, entries).__getitem__
-
-        def encode(a):
-            return (identity + sum(map(get, a))).to_bytes(n, "little")
-
-        pad = bytes(range(n, 256))  # a table maps the bytes no point uses to themselves
-        return encode, [encode(t) + pad for t in moves], bytes.translate
+        return _byte_codes(len(points), lambda a: sum(map(get, a)), moves)
 
 
 class ShufflerHalo(_PermutationHalo):
@@ -735,6 +813,9 @@ class DesignerHalo(_FiberHalo):
     def lamp_sites(self, a):
         fa, pa = a
         return frozenset(x for x, _ in fa) | frozenset(x for x, _ in pa)
+
+    def _map_and_perm(self, a):
+        return a
 
     def _step_lamp(self, a, t):
         (fa, pa), (ft, pt) = a, t

@@ -118,25 +118,28 @@ def gradient_ratio(group: GroupHandle, f: FiniteFunction) -> Value:
     the rows of group.step_rows, which hold each (g, s) with g in supp f
     once, adding the mirrored term |f(g)|^p whenever gs leaves the support
     (that term is the (gs, s^-1) contribution).  Each distinct value
-    object of f is scaled to an integer (or made a float) once, and the
-    rows are served from that plain copy of f; the float terms stream
-    into math.fsum, whose correctly rounded sum does not depend on their
-    order.
+    object of f is scaled to an integer (or made a float) once, and
+    step_rows reads f's support paired with those plain numbers in one
+    lazy pass, with no copy of f; the float terms stream into math.fsum,
+    whose correctly rounded sum does not depend on their order.
     """
     if not f.entries:
         raise ContractViolation("gradient_ratio of the empty function")
     p = f.p
-    distinct = {id(v): v for v in f.entries.values()}
+    vals = f.entries.values()
+    distinct = dict(zip(map(id, vals), vals))
     exact = p == 1 and all(isinstance(v, (int, Fraction)) for v in distinct.values())
     if exact:
         scale = math.lcm(*{v.denominator for v in distinct.values()})
         value = {i: v.numerator * (scale // v.denominator) for i, v in distinct.items()}
     else:
         value = {i: float(v) for i, v in distinct.items()}
-    plain = dict(zip(f.entries, map(value.__getitem__, map(id, f.entries.values()))))
-    norm = sum(map(abs, plain.values())) if exact else f.norm()
-    terms = chain.from_iterable(starmap(_row_terms, group.step_rows(plain)))
-    del plain  # so step_rows can let it go once it has grouped the support
+
+    def plain():  # f's values in plain numbers, in support order
+        return map(value.__getitem__, map(id, vals))
+
+    norm = sum(map(abs, plain())) if exact else f.norm()
+    terms = chain.from_iterable(starmap(_row_terms, group.step_rows(zip(f.entries, plain()))))
     if exact:
         return Fraction(sum(map(abs, terms)), norm)
     pf = float(p)

@@ -189,7 +189,10 @@ def greedy_net(group: GroupHandle, radius: int, D: int) -> SeparatedNet:
     """Greedy (D+2)-separated net over Ball(radius), insertion in BFS order
     (length, then element order); maximal within the ball interior.  One
     ball, of radius max(radius, 2D+5), serves the net, the separation test
-    and the bigstep set."""
+    and the bigstep set.  ContractViolation for a negative radius or D,
+    whose net would be empty or its checks vacuous."""
+    if radius < 0 or D < 0:
+        raise ContractViolation(f"greedy_net needs radius >= 0 and D >= 0, not {radius}, {D}")
     lengths = ball(group, max(radius, 2 * D + 5)).lengths
     order = sorted((g for g, l in lengths.items() if l <= radius),
                    key=lambda g: (lengths[g], g))

@@ -102,10 +102,13 @@ def test_malformed_numbers_are_one_error_line_and_exit_2(argv, capsys):
 @pytest.mark.parametrize("argv, shown", [
     (["lift", "--group", "shuffler(Z)", "--support", "3:1"], "'3:1'"),
     (["growth", "--family", "shuffler", "--n-max", "-1"], "'-1'"),
-], ids=["lift-support-3:1", "growth-n-max--1"])
+    (["folner", "--group", "Z", "--n-max", "3", "--target", "0"], "'0'"),
+    (["folner", "--group", "Z", "--n-max", "3", "--target=-2"], "'-2'"),
+], ids=["lift-support-3:1", "growth-n-max--1", "folner-target-0", "folner-target--2"])
 def test_ranges_that_select_nothing_are_one_error_line_and_exit_2(argv, shown, capsys):
-    """An empty --support used to fail late in gradient_ratio (exit 1), and
-    a negative --n-max printed no table and exited 0."""
+    """An empty --support used to fail late in gradient_ratio (exit 1), a
+    negative --n-max printed no table and exited 0, --target 0 ended in a
+    ZeroDivisionError traceback and --target -2 printed Folner(1/-2)."""
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -113,6 +116,18 @@ def test_ranges_that_select_nothing_are_one_error_line_and_exit_2(argv, shown, c
     assert captured.out == "" and "Traceback" not in captured.err
     errors = [line for line in captured.err.splitlines() if "error:" in line]
     assert len(errors) == 1 and shown in errors[0]
+
+
+@pytest.mark.parametrize("command, group, radius, D", [
+    ("net", "Z", -1, 1), ("net", "Z", 3, -1), ("ystar", "wreath(C2, Z)", -1, 1)])
+def test_a_negative_net_radius_or_d_is_one_error_line(command, group, radius, D, capsys):
+    """greedy_net rejects them; a negative radius used to print an empty
+    net whose checks passed, exit 0."""
+    assert main([command, "--group", group, f"--radius={radius}", f"--D={D}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: greedy_net needs radius >= 0 and D >= 0, not {radius}, {D}"]
 
 
 @pytest.mark.parametrize("p", ["0", "-1"])

@@ -11,7 +11,7 @@ from halolab.decompose import (_edge_table, _lamp_bfs, certify_commutator_form,
 from halolab.errors import (BudgetError, ContractViolation, UndecomposableError,
                             UnsupportedFamilyError)
 from halolab.gf import GF
-from halolab.groups import CyclicGroup, HeisenbergGroup, ZdGroup
+from halolab.groups import CyclicGroup, HeisenbergGroup, SymmetricGroup, ZdGroup
 from halolab.halo import enumerate_block, make_halo
 
 Z = ZdGroup(1, False)
@@ -439,10 +439,16 @@ CODED_HALOS = [("shuffler", None, Z), ("juggler", 2, Z), ("juggler", 3, Z),
                ("cloner", GF(2), Z), ("cloner", GF(2), ZdGroup(2)),
                ("cloner", GF(2), HeisenbergGroup()),
                ("upcloner", GF(2), Z), ("upcloner", GF(2), ZdGroup(2))]
+# wreath and designer lamps code as permutations of the points site x fiber;
+# Sym(3) is a non-abelian fiber
+FIBERS = [CyclicGroup(2), CyclicGroup(3), SymmetricGroup(3)]
+FIBER_CODED = [(family, fiber) for family in ("wreath", "designer") for fiber in FIBERS]
 
 
-@pytest.mark.parametrize("family, params, base", CODED_HALOS,
-                         ids=[f"{f}-{p}-{b.spec}" for f, p, b in CODED_HALOS])
+@pytest.mark.parametrize("family, params, base",
+                         CODED_HALOS + [(f, fiber, Z) for f, fiber in FIBER_CODED],
+                         ids=[f"{f}-{getattr(p, 'spec', p)}-{b.spec}" for f, p, b in CODED_HALOS]
+                         + [f"{f}-{fiber.spec}-Z" for f, fiber in FIBER_CODED])
 def test_lamp_codes_step_as_lamp_compose(family, params, base):
     """The moves are whole 2-site blocks.  encode is injective on the block
     the moves generate, decoding step(encode(a), operand) gives
@@ -542,19 +548,30 @@ def _coded_and_payload_words(family, params, base, site_sets, picks):
 
 
 GLUING_CODED = [("shuffler", None), ("juggler", 2), ("cloner", GF(2))]
+# (family, params, reach, words checked) over the 1-3-subsets of
+# {-reach..reach}.  A k-site set has (|F| - 1)^k full-support wreath
+# elements and at least as many designer ones; designer(Sym3) payload
+# searches over three sites take about 0.25 s each, so its window is {-1..1}
+GLUING_OVER_Z = ([(f, p, 2, {"shuffler": 30, "juggler": 5 + 20 * 3, "cloner": 20 * 3}[f])
+                  for f, p in GLUING_CODED]
+                 + [("wreath", FIBERS[0], 2, 5 + 10 + 10), ("wreath", FIBERS[1], 2, 5 * 2 + 60),
+                    ("wreath", FIBERS[2], 2, 5 * 3 + 60), ("designer", FIBERS[0], 2, 5 + 60),
+                    ("designer", FIBERS[1], 2, 5 * 2 + 60), ("designer", FIBERS[2], 1, 7 * 3)])
 
 
-@pytest.mark.parametrize("family, params", GLUING_CODED,
-                         ids=[f"{f}-{p}" for f, p in GLUING_CODED])
-def test_coded_factor_searches_give_the_payload_words_over_z(family, params):
-    """Every 1-3-subset of {-2..2}: all full-support shuffler elements and
-    all juggler(2) elements on a single site; three seeded juggler(2) and
-    cloner(GF2) elements per larger set (GL(1, 2) is trivial), as juggler(2)
-    payload searches take about 30 ms each."""
+@pytest.mark.parametrize("family, params, reach, words", GLUING_OVER_Z,
+                         ids=[f"{f}-{getattr(p, 'spec', p)}" for f, p, _, _ in GLUING_OVER_Z])
+def test_coded_factor_searches_give_the_payload_words_over_z(family, params, reach, words):
+    """Every 1-3-subset of {-reach..reach}: all full-support shuffler
+    elements and all juggler(2) elements on a single site; three seeded
+    juggler(2) and cloner(GF2) elements per larger set (GL(1, 2) is
+    trivial), as juggler(2) payload searches take about 30 ms each.
+    Wreath and designer, whose lamps code as permutations of the points
+    site x fiber, over C2, C3 and the non-abelian Sym(3): all full-support
+    elements, or three seeded ones where there are more."""
     sets = [R for k in (1, 2, 3)
-            for R in itertools.combinations([(s,) for s in range(-2, 3)], k)]
-    checked = _coded_and_payload_words(family, params, Z, sets, picks=3)
-    assert checked == {"shuffler": 30, "juggler": 5 + 20 * 3, "cloner": 20 * 3}[family]
+            for R in itertools.combinations([(s,) for s in range(-reach, reach + 1)], k)]
+    assert _coded_and_payload_words(family, params, Z, sets, picks=3) == words
 
 
 @pytest.mark.parametrize("family, params", GLUING_CODED,

@@ -589,13 +589,17 @@ def _random_values(rng, support):
 def test_step_rows_pair_each_element_with_its_multiply_neighbours(group):
     """Part of a ball of radius 3 as the support: on a halo its lamps sit at
     several cursors, and steps from the sphere and from the dropped
-    elements leave the support."""
+    elements leave the support.  step_rows reads the pairs from a one-shot
+    generator, which both GroupHandle.step_rows and the halo override
+    accept."""
     rng = random.Random(group.spec)
     window = sorted(ball(group, 3).elements)
     for _ in range(3):
         support = rng.sample(window, rng.randint(1, min(400, len(window))))
         values = _random_values(rng, support)
-        assert _row_pairs(group.step_rows(values)) == _multiply_row_pairs(group, values)
+        pairs = (pair for pair in values.items())
+        assert _row_pairs(group.step_rows(pairs)) == _multiply_row_pairs(group, values)
+        assert next(pairs, None) is None  # read to the end
 
 
 def _coded_and_stepped_rows(halo, values):
@@ -611,7 +615,8 @@ def _coded_and_stepped_rows(halo, values):
     def read(rows):
         return [(list(vs), list(ws)) for vs, ws in rows]
 
-    return coded, read(halo.step_rows(values)), read(stepped_halo.step_rows(values))
+    return (coded, read(halo.step_rows(values.items())),
+            read(stepped_halo.step_rows(values.items())))
 
 
 def _hits(rows):
@@ -622,16 +627,23 @@ def _hits(rows):
 PERMUTATION_HALOS = [("shuffler", None, Z), ("juggler", 2, Z), ("juggler", 3, Z),
                      ("shuffler", None, ProductGroup(Z, C2)),
                      ("shuffler", None, make_halo("wreath", C2, Z))]
+# wreath and designer lamps code as permutations of the points site x fiber;
+# Sym(3) is a non-abelian fiber
+FIBER_HALOS = [(family, fiber, Z) for family in ("wreath", "designer")
+               for fiber in (C2, C3, S3)]
+FIBER_IDS = [f"{family}-{fiber.spec}-Z" for family, fiber, _ in FIBER_HALOS]
 # over GF(2) the matrix rows come from codes, over GF(3), GF(4) (which adds
 # by XOR) and GF(5) from stepping each lamp
 MATRIX_HALOS = ([("cloner", GF(q), base) for q in (2, 3, 4) for base in (Z, Z2, H3)]
                 + [("upcloner", GF(q), base) for q in (2, 3, 5) for base in (ZLEX, Z2LEX)])
 
 
-@pytest.mark.parametrize("family, params, base", PERMUTATION_HALOS + MATRIX_HALOS,
+@pytest.mark.parametrize("family, params, base",
+                         PERMUTATION_HALOS + MATRIX_HALOS + FIBER_HALOS,
                          ids=["shuffler-Z", "juggler-2-Z", "juggler-3-Z",
                               "shuffler-Z x C2", "shuffler-wreath(C2, Z)"]
-                         + [f"{fam}-GF{gf.q}-{base.spec}" for fam, gf, base in MATRIX_HALOS])
+                         + [f"{fam}-GF{gf.q}-{base.spec}" for fam, gf, base in MATRIX_HALOS]
+                         + FIBER_IDS)
 def test_coded_lamp_rows_equal_the_stepped_rows(family, params, base):
     """Random lamps at a few cursors, each with some of its lamp-generator
     neighbours, so lookups both hit and miss."""
@@ -648,7 +660,8 @@ def test_coded_lamp_rows_equal_the_stepped_rows(family, params, base):
             support.add(x)
     values = _random_values(rng, support)
     coded, rows, stepped = _coded_and_stepped_rows(halo, values)
-    assert coded == (family in ("shuffler", "juggler") or params == GF(2))
+    assert coded == (family in ("shuffler", "juggler", "wreath", "designer")
+                     or params == GF(2))
     assert rows == stepped
     assert _hits(rows) > 0, "some lamp-generator neighbours should lie in the support"
 
@@ -664,11 +677,16 @@ def _base_rows(halo, rows):
 LIFTS = ([("shuffler", None, Z, size) for size in (1, 2, 3)]
          + [("juggler", 2, Z, size) for size in (1, 2)]
          + [("cloner", GF(2), Z, size) for size in (1, 2)]
-         + [("upcloner", GF(2), ZLEX, size) for size in (1, 2, 3)])
+         + [("upcloner", GF(2), ZLEX, size) for size in (1, 2, 3)]
+         + [("wreath", fiber, Z, size) for fiber in (C2, C3, S3) for size in (1, 2, 3)]
+         + [("designer", C2, Z, size) for size in (1, 2, 3)]
+         + [("designer", fiber, Z, size) for fiber in (C3, S3) for size in (1, 2)])
 
 
 @pytest.mark.parametrize("family, params, base, size", LIFTS,
-                         ids=[f"{fam}-{size}" for fam, _, _, size in LIFTS])
+                         ids=[f"{fam}-{size}" if params is None or isinstance(params, (int, GF))
+                              else f"{fam}-{params.spec}-{size}"
+                              for fam, params, _, size in LIFTS])
 def test_coded_rows_of_a_lift_equal_the_stepped_rows(family, params, base, size):
     """The almost-invariant lift puts one block's payload objects at every
     cursor of U: a base row from a cursor of U lands on the coded table of
@@ -685,11 +703,11 @@ def test_coded_rows_of_a_lift_equal_the_stepped_rows(family, params, base, size)
 
 
 CODED_HALOS = [("shuffler", None, Z), ("juggler", 2, Z), ("cloner", GF(2), Z),
-               ("upcloner", GF(2), ZLEX)]
+               ("upcloner", GF(2), ZLEX)] + FIBER_HALOS
+CODED_IDS = [fam for fam, _, _ in CODED_HALOS[:4]] + FIBER_IDS
 
 
-@pytest.mark.parametrize("family, params, base", CODED_HALOS,
-                         ids=[fam for fam, _, _ in CODED_HALOS])
+@pytest.mark.parametrize("family, params, base", CODED_HALOS, ids=CODED_IDS)
 def test_coded_rows_of_equal_lamps_as_distinct_objects(family, params, base):
     """The block L({0, 1, 2}) at cursor 0, and at cursor 1 a shuffled copy
     of it rebuilt by make_lamp: equal lamps, but distinct objects with
@@ -709,8 +727,7 @@ def test_coded_rows_of_equal_lamps_as_distinct_objects(family, params, base):
     assert _hits(_base_rows(halo, rows)) == 2 * len(block)
 
 
-@pytest.mark.parametrize("family, params, base", CODED_HALOS,
-                         ids=[fam for fam, _, _ in CODED_HALOS])
+@pytest.mark.parametrize("family, params, base", CODED_HALOS, ids=CODED_IDS)
 def test_coded_rows_whose_base_neighbours_leave_the_support(family, params, base):
     """The block L({0, 1, 2}) at the cursors 0 and 2: the cursors 1 and
     +-3 between and beside them carry no lamp, so every base row looks
@@ -755,5 +772,24 @@ def test_coded_lamp_rows_at_a_cursor_of_many_points(length):
     values = _random_values(random.Random(length), support)
     coded, rows, stepped = _coded_and_stepped_rows(halo, values)
     assert coded == (length + 1 <= 256)
+    assert rows == stepped
+    assert _hits(rows) > _hits(_base_rows(halo, rows)) > 0
+
+
+@pytest.mark.parametrize("sites", [85, 86])
+def test_coded_wreath_rows_of_many_points(sites):
+    """A wreath(C3, Z) lamp with the value 1 at the sites 0 .. sites - 1, at
+    the cursors 0 and 1, with its lamp-generator neighbours: the support's
+    lamps sit on 255 or 258 points (site, fiber element), around the 256
+    indices a byte holds, so it is coded only at 85 sites, and stepped at
+    86."""
+    halo = make_halo("wreath", C3, Z)
+    lamp = halo.make_lamp({(i,): 1 for i in range(sites)})
+    support = {(lamp, (0,)), (lamp, (1,))}
+    for x in list(support):
+        support.update(halo.step(x, i) for i in range(halo.base_gen_offset))
+    values = _random_values(random.Random(sites), support)
+    coded, rows, stepped = _coded_and_stepped_rows(halo, values)
+    assert coded == (3 * sites <= 256)
     assert rows == stepped
     assert _hits(rows) > _hits(_base_rows(halo, rows)) > 0

@@ -67,6 +67,13 @@ def test_greedy_net_d0_alternating():
     assert net_is_separated(net) and net_is_maximal_in_interior(net)
 
 
+@pytest.mark.parametrize("radius, D", [(-1, 1), (3, -1)])
+def test_greedy_net_rejects_a_negative_radius_or_D(radius, D):
+    """A negative radius gave an empty net whose checks passed vacuously."""
+    with pytest.raises(ContractViolation, match="radius >= 0 and D >= 0"):
+        greedy_net(Z, radius, D)
+
+
 def test_net_maximality_counts_points_at_distance_exactly_D_plus_2():
     # hand-built D = 0 nets in Z (separation 2), interior Ball(4)
     def net(*X0):
