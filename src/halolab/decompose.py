@@ -138,6 +138,12 @@ class _Budget:
             raise BudgetError(f"word length cap exceeded ({self.used} > {self.cap})")
 
 
+def _kept(halo: HaloGroup, name: str) -> Dict:
+    """The dict that halo keeps under the attribute name, made empty on
+    first use: what a halo's decompositions share."""
+    return vars(halo).setdefault(name, {})
+
+
 def _subset_measure(halo: HaloGroup, sites) -> Tuple[int, int]:
     """(translation-normalized subset length, cardinality).
 
@@ -176,10 +182,12 @@ def _lamp_bfs(halo: HaloGroup, moves: Sequence[Tuple[Lamp, list]],
     identity lamp.
 
     A move is a pair (lamp, labels).  The search steps the lamp codes of
-    ``halo._lamp_codes`` (shuffler, juggler, wreath and designer lamps as
-    bytes, one bytes.translate per step; GF(2) cloner and upcloner lamps as
-    ints, one shift and XOR per column the move adds), or, where the hook
-    returns None, the payloads themselves by lamp_compose.  Returns
+    ``halo._lamp_codes``: one byte code for wreath, designer, shuffler and
+    juggler lamps, each coded as the permutation it makes of the points
+    site x fiber (|F| = 1 for shuffler and juggler), one bytes.translate
+    per step; GF(2) cloner and upcloner lamps as ints, one shift and XOR
+    per column the move adds.  Where the hook returns None, it steps the
+    payloads themselves by lamp_compose.  Returns
     (encode, paths), where paths maps encode(lamp) to the labels of the
     moves along the first path that reached the lamp, concatenated, in the
     order the search reached them.  It stops as soon as ``target`` is reached, and
@@ -229,9 +237,7 @@ def _edge_table(halo: HaloGroup, p, q) -> Tuple[Callable, Dict[object, Word]]:
     length puts the shorter word first, and _lamp_bfs keeps the first path
     to each lamp.
     """
-    cache = getattr(halo, "_edge_tables", None)
-    if cache is None:
-        cache = halo._edge_tables = {}
+    cache = _kept(halo, "_edge_tables")
     ckey = (p, q)
     if ckey in cache:
         return cache[ckey]
@@ -274,9 +280,7 @@ def _factor_block(halo: HaloGroup, sites: Sequence) -> List[Lamp]:
     """The non-identity elements of L(sites), enumerated once per site set
     and kept on the halo: factor searches ask for the same blocks again and
     again, across the items of a run."""
-    cache = getattr(halo, "_factor_blocks", None)
-    if cache is None:
-        cache = halo._factor_blocks = {}
+    cache = _kept(halo, "_factor_blocks")
     key = frozenset(sites)
     block = cache.get(key)
     if block is None:
@@ -378,9 +382,7 @@ def _gen_index(halo: UpclonerHalo, i: int, lam: int) -> int:
     halo.generator_index once per (i, lam) and kept on the halo: the lookup
     builds the lamp by make_lamp, too slow to repeat at every leaf of the
     transvection recursion."""
-    cache = getattr(halo, "_gen_indices", None)
-    if cache is None:
-        cache = halo._gen_indices = {}
+    cache = _kept(halo, "_gen_indices")
     gi = cache.get((i, lam))
     if gi is None:
         e = halo.base.identity()
@@ -405,9 +407,7 @@ def _transvection_word(halo: UpclonerHalo, a, b, lam: int, parent,
     into the trace in the order building it recorded them."""
     if lam == 0:
         return []
-    memo = getattr(halo, "_transvection_words", None)
-    if memo is None:
-        memo = halo._transvection_words = {}
+    memo = _kept(halo, "_transvection_words")
     entry = memo.get((a, b, lam))
     if entry is not None:
         word, measure, _ = entry

@@ -41,20 +41,21 @@ with no dict round-trip and no re-sort:
   a diagonal cloner generator (P = Q) scales column P by lam.
 
 ``_lamp_codes(moves, lamps)`` is the one lamp code of a family, for
-products of lamps with the moves.  Shuffler and juggler code a lamp as
-bytes over the points of the moves and the lamps (at most 256), so a
-product with a move is one ``bytes.translate`` and a lookup hashes flat
-bytes (``_byte_codes``).  Wreath and designer lamps go through the same
-coder: F wr Sym(X) acts faithfully on the points X x F by
-(f, s).(x, c) = (s x, f(s x) c), and composing these actions follows
-``lamp_compose``'s order for any fiber F, so a lamp is coded as the
-permutation of the points (x, c) it makes, x a site of the moves or the
-lamps.  Over GF(2) cloner and upcloner code a lamp as an int, its 0/1
-matrix over those points column by column, so a product with a move I + N
-is one shift and XOR per entry of N, a column added to a column, and a
+products of lamps with the moves.  Wreath, designer, shuffler and
+juggler share one byte code (``_PointHalo``): F wr Sym(X) acts faithfully
+on the points X x F by (f, s).(x, c) = (s x, f(s x) c), and composing
+these actions follows ``lamp_compose``'s order for any fiber F, so a lamp
+is coded as bytes, the permutation of the points (x, c) it makes, x in
+the X of the moves and the lamps.  A wreath lamp is (f, id); a shuffler
+or juggler lamp is (1, s) with |F| = 1, so its points are X itself, the
+sites (juggler: the points (site, track)).  A product with a move is one
+``bytes.translate`` and a lookup hashes flat bytes.  Over GF(2) cloner
+and upcloner code a lamp as an int, its 0/1 matrix over the sites of the
+moves and the lamps column by column, so a product with a move I + N is
+one shift and XOR per entry of N, a column added to a column, and a
 lookup hashes one int.  Matrices over GF(3), GF(4) and GF(5), and
-supports of more than 256 points (permutation points, or site x fiber
-points) have no code.  Two readers use it.  ``step_rows(pairs)`` serves
+supports of more than 256 points (x, c) have no code.  Two readers use
+it.  ``step_rows(pairs)`` serves
 the neighbour values of a function on the halo, given as (element,
 value) pairs, for ``gradient_ratio``, with one code for the whole support:
 its moves are the translated generators of every cursor, and each
@@ -145,12 +146,16 @@ def _perm_block(points: Sequence) -> List[Lamp]:
             for images in itertools.permutations(range(len(points)))]
 
 
-def _perm_check(a: Lamp):
+def _perm_lamp(mapping: Dict) -> Lamp:
+    """The canonical payload of a point -> image mapping, checked to be a
+    bijection of its support."""
+    lamp = _perm_canonical(mapping)
     # a canonical payload has distinct points and no fixed point, so it is a
     # bijection of its support exactly when the images cover the points
-    images = dict(a)
+    images = dict(lamp)
     if images.keys() != set(images.values()):
         raise ContractViolation("permutation payload is not a bijection on its support")
+    return lamp
 
 
 def _entry_block(table: Sequence[Sequence]) -> List[Lamp]:
@@ -334,22 +339,6 @@ class _TermTable(dict):
         return value
 
 
-def _byte_codes(n: int, terms: Callable[[Lamp], int], moves: Sequence[Lamp]):
-    """HaloGroup._lamp_codes for lamps that act as permutations sigma of n
-    <= 256 points, numbered 0..n-1.  The code of sigma is the bytes whose
-    k-th is the number of sigma^-1(k): the identity's bytes read as an int,
-    plus terms(sigma).  (sigma o tau)^-1 = tau^-1 o sigma^-1, so sigma o tau
-    has the code of sigma translated by the table k -> tau^-1(k), which is
-    tau's code padded to 256 bytes: one bytes.translate."""
-    identity = int.from_bytes(bytes(range(n)), "little")
-
-    def encode(a):
-        return (identity + terms(a)).to_bytes(n, "little")
-
-    pad = bytes(range(n, 256))  # a table maps the bytes no point uses to themselves
-    return encode, [encode(t) + pad for t in moves], bytes.translate
-
-
 # ---------------------------------------------------------------------------
 # the halo handle
 
@@ -409,8 +398,7 @@ class HaloGroup(GroupHandle):
     def _lamp_codes(self, moves: Sequence[Lamp], lamps: Iterable[Lamp] = ()):
         """The family's lamp code for products of lamps with the moves:
         (encode, operands, step), where encode is injective on the lamps
-        given (an iterable, read at most once, and not at all by a family
-        with no code) and on the lamps the moves generate, and
+        given (an iterable) and on the lamps the moves generate, and
         step(encode(a), operands[i]) == encode(lamp_compose(a, moves[i])).
         encode may raise KeyError for a lamp at points outside the moves'
         and the lamps'.  step_rows asks for one code per call, for a whole
@@ -491,14 +479,10 @@ class HaloGroup(GroupHandle):
             run[0].append(lamp)
             run[1].append(v)
         operands = list(itertools.chain.from_iterable(map(self._translates, runs)))
-        distinct: Dict = {}  # id(lamp) -> lamp, filled only if _lamp_codes reads the lamps
-
-        def distinct_lamps():
-            for lamps, _ in runs.values():
-                distinct.update(zip(map(id, lamps), lamps))
-            yield from distinct.values()
-
-        codes = self._lamp_codes(operands, distinct_lamps())
+        distinct: Dict = {}  # id(lamp) -> lamp
+        for lamps, _ in runs.values():
+            distinct.update(zip(map(id, lamps), lamps))
+        codes = self._lamp_codes(operands, distinct.values())
         if codes is None:
             step = self._step_lamp
         else:
@@ -547,19 +531,94 @@ class HaloGroup(GroupHandle):
     def base_word(self, h, max_radius: float = math.inf) -> List[Tuple[int, int]]:
         """Geodesic word for the base move (1, h), as halo generator indices;
         read off one base ball, grown until it holds h (by default with no
-        radius limit: the ball's memory budget bounds it)."""
-        if not self._geodesic_ball.reach(h, max_radius):
-            raise ContractViolation(f"base element {h!r} not within radius {max_radius}")
+        radius limit: the ball's memory budget bounds it).  A value that is
+        no base element is rejected before the ball grows for it."""
+        geodesics = self._geodesic_ball
+        if h not in geodesics.lengths:
+            if not self.base.is_element(h):
+                raise ContractViolation(f"{h!r} is not an element of {self.base.spec}")
+            if not geodesics.reach(h, max_radius):
+                raise ContractViolation(f"base element {h!r} not within radius {max_radius}")
         off = self.base_gen_offset
-        return [(off + i, 1) for i, _ in self._geodesic_ball.word_to(h)]
+        return [(off + i, 1) for i, _ in geodesics.word_to(h)]
 
 
-class _FiberHalo(HaloGroup):
+class _PointHalo(HaloGroup):
+    """Shared lamp code of the four families whose lamps permute points.  A
+    lamp of F wr Sym(X) is a pair (f, s) of a map X -> F and a permutation
+    of X: a designer lamp is one, a wreath lamp is (f, id), and a shuffler
+    or juggler lamp is (1, s) with |F| = 1, over the points X = H (juggler:
+    H x tracks).  Each family reads the two parts off its own payload
+    (``_code_entries``, ``_code_terms``), so no lamp is split in two."""
+
+    _site_points = 1  # |F|, the points (x, c) of one x in X
+
+    def lamp_sites(self, a):
+        return frozenset(x for x, _ in a)
+
+    def _code_entries(self, lamps) -> Tuple[set, set]:
+        """The distinct map entries and permutation entries of the lamps."""
+        raise NotImplementedError
+
+    def _code_terms(self, map_term: Callable, perm_term: Callable) -> Callable[[Lamp], int]:
+        """lamp -> the sum of its entries' terms, given each part's term."""
+        raise NotImplementedError
+
+    def _lamp_codes(self, moves, lamps=()):
+        """HaloGroup._lamp_codes by bytes, as a permutation of points.  A
+        lamp (f, s) acts on the points X x F by (f, s).(x, c) =
+        (s x, f(s x) c).  For b = (g, t), (f, s).((g, t).(x, c)) =
+        (s t x, f(s t x) g(t x) c), which is the action of
+        lamp_compose(a, b) = (f * s.g, s t), with F abelian or not; and only
+        the identity lamp fixes every point.  So a lamp sigma is coded as
+        that permutation of the points (x, c), x in the sorted X of the
+        moves and the lamps, (x, c) numbered |F| i(x) + j(c): the bytes
+        whose k-th is the number of sigma^-1(point k).
+        (sigma o tau)^-1 = tau^-1 o sigma^-1, so sigma o tau has the code
+        of sigma translated by the table k -> tau^-1(k), which is tau's code
+        padded to 256 bytes: one bytes.translate.  The inverse of (f, s)
+        sends (y, d) to (s^-1 y, f(y)^-1 d), whose number is that of (y, d)
+        plus |F| (i(s^-1 y) - i(y)), from s alone, plus j(f(y)^-1 d) - j(d),
+        from f(y) alone.  So the code is the identity's plus one term per
+        entry (x, y) of s, on the points of y, and one per entry (y, v) of
+        f, on the points of y, each computed once per distinct entry.  A
+        byte holds at most 256 numbers: None for more points."""
+        maps, perms = self._code_entries(itertools.chain(lamps, moves))
+        m = self._site_points
+        xs = {x for x, _ in maps}.union(x for x, _ in perms)
+        n = len(xs) * m
+        if n > 256:
+            return None
+        index = {x: k for k, x in enumerate(sorted(xs))}
+        width = 8 * m  # the bits of the points (x, c) of one x
+        ones = int.from_bytes(bytes([1]) * m, "little")
+
+        def map_term(entry):  # only a _FiberHalo has map entries
+            y, v = entry
+            return self._fiber_terms[v] << width * index[y]
+
+        def perm_term(entry):
+            x, y = entry
+            return (index[x] - index[y]) * m * ones << width * index[y]
+
+        terms = self._code_terms(_TermTable(map_term, maps).__getitem__,
+                                 _TermTable(perm_term, perms).__getitem__)
+        identity = int.from_bytes(bytes(range(n)), "little")
+
+        def encode(a):
+            return (identity + terms(a)).to_bytes(n, "little")
+
+        pad = bytes(range(n, 256))  # a table maps the bytes no point uses to themselves
+        return encode, [encode(t) + pad for t in moves], bytes.translate
+
+
+class _FiberHalo(_PointHalo):
     """Shared set-up of the families whose lamps carry a map H -> F."""
 
     def __init__(self, fiber: GroupHandle, base: GroupHandle):
         self.fiber = _fiber(self.family, fiber)
         self._fiber_elements = fiber.elements()
+        self._site_points = len(self._fiber_elements)
         self.spec = f"{self.family}({fiber.spec}, {base.spec})"
         super().__init__(fiber, base)
 
@@ -579,10 +638,6 @@ class _FiberHalo(HaloGroup):
         return _entry_block([[(x, v) if v != e else None for v in self._fiber_elements]
                              for x in sorted(sites)])
 
-    def _map_and_perm(self, a: Lamp) -> Tuple[Lamp, Lamp]:
-        """The map payload and the permutation payload of a lamp."""
-        raise NotImplementedError
-
     @functools.cached_property
     def _fiber_terms(self) -> Dict:
         """v -> the term of a map entry (x, v) at the site x numbered 0: on
@@ -593,51 +648,6 @@ class _FiberHalo(HaloGroup):
         return {v: int.from_bytes(bytes(j[fiber.multiply(fiber.invert(v), c)]
                                         for c in elements), "little") - identity
                 for v in elements}
-
-    def _lamp_codes(self, moves, lamps=()):
-        """HaloGroup._lamp_codes by bytes, as a permutation of points.  A
-        lamp (f, s) (a wreath lamp is (f, id)) acts on the points X x F by
-        (f, s).(x, c) = (s x, f(s x) c).  For b = (g, t),
-        (f, s).((g, t).(x, c)) = (s t x, f(s t x) g(t x) c), which is the
-        action of lamp_compose(a, b) = (f * s.g, s t), with F abelian or
-        not; and only the identity lamp fixes every point.  So a lamp is
-        coded by _byte_codes as that permutation of the points (x, c), x a
-        site of the moves or the lamps, (x, c) numbered |F| i(x) + j(c).
-        Its inverse sends (y, d) to (s^-1 y, f(y)^-1 d), whose number is
-        that of (y, d) plus |F| (i(s^-1 y) - i(y)), from s alone, plus
-        j(f(y)^-1 d) - j(d), from f(y) alone.  So the code is the
-        identity's plus one term per entry (x, y) of s, on the points of
-        y, and one per entry (y, v) of f, on the points of y, each computed
-        once per distinct entry.  None for more than 256 points."""
-        maps, perms = set(), set()
-        for f, s in map(self._map_and_perm, itertools.chain(lamps, moves)):
-            maps.update(f)
-            perms.update(s)
-        m = len(self._fiber_elements)
-        sites = {x for x, _ in maps}.union(x for x, _ in perms)
-        if len(sites) * m > 256:
-            return None
-        index = {x: k for k, x in enumerate(sorted(sites))}
-        width = 8 * m  # the bits of one site's points
-        ones = int.from_bytes(bytes([1]) * m, "little")
-
-        def map_term(entry):
-            y, v = entry
-            return self._fiber_terms[v] << width * index[y]
-
-        def perm_term(entry):
-            x, y = entry
-            return (index[x] - index[y]) * m * ones << width * index[y]
-
-        map_get = _TermTable(map_term, maps).__getitem__
-        perm_get = _TermTable(perm_term, perms).__getitem__
-        parts = self._map_and_perm
-
-        def terms(a):
-            f, s = parts(a)
-            return sum(map(map_get, f)) + sum(map(perm_get, s))
-
-        return _byte_codes(len(sites) * m, terms, moves)
 
 
 class WreathHalo(_FiberHalo):
@@ -658,9 +668,6 @@ class WreathHalo(_FiberHalo):
     def lamp_act(self, h, a):
         return _map_translate(self.base, h, a, self.fiber)
 
-    def lamp_sites(self, a):
-        return frozenset(x for x, _ in a)
-
     def lamp_generators(self):
         e = self.base.identity()
         return [self.make_lamp({e: f}) for f in self.fiber.generators()]
@@ -669,19 +676,20 @@ class WreathHalo(_FiberHalo):
         ((x, f),) = t
         return _map_times_at(a, x, f, self.fiber)
 
-    def _map_and_perm(self, a):
-        return a, ()
+    def _code_entries(self, lamps):
+        return set(itertools.chain.from_iterable(lamps)), set()
+
+    def _code_terms(self, map_term, perm_term):
+        return lambda a: sum(map(map_term, a))
 
 
-class _PermutationHalo(HaloGroup):
+class _PermutationHalo(_PointHalo):
     """Shared lamp arithmetic of the permutation families: lamps are finitely
     supported permutations of points on which H acts by ``_move(h, point)``."""
 
     def make_lamp(self, entries: Dict) -> Lamp:
         """entries: point -> image point, a bijection of its support."""
-        lamp = _perm_canonical(entries)
-        _perm_check(lamp)
-        return lamp
+        return _perm_lamp(entries)
 
     def lamp_compose(self, a, b):
         return _perm_compose(a, b)
@@ -696,28 +704,11 @@ class _PermutationHalo(HaloGroup):
         (P, _), (Q, _) = t  # a transposition, P < Q
         return _perm_swap(a, P, Q)
 
-    def _lamp_codes(self, moves, lamps=()):
-        """HaloGroup._lamp_codes by bytes.  With points[k] the sorted points
-        that the moves and the lamps move, a lamp sigma is coded as the
-        bytes whose k-th is the index of sigma^-1(points[k]): the
-        identity's code plus one shifted difference per entry, computed
-        once per distinct entry.  (sigma o tau)^-1 = tau^-1 o sigma^-1, so
-        sigma o tau has the code of sigma translated by the 256-byte table
-        of tau^-1, one bytes.translate (_byte_codes).  A byte holds at most
-        256 indices: None for more points."""
-        entries = set(itertools.chain.from_iterable(lamps))
-        # a permutation's images are its points
-        points = {x for x, _ in entries.union(itertools.chain.from_iterable(moves))}
-        if len(points) > 256:
-            return None
-        index = {x: k for k, x in enumerate(sorted(points))}
+    def _code_entries(self, lamps):
+        return set(), set(itertools.chain.from_iterable(lamps))
 
-        def shift(entry):
-            x, y = entry
-            return (index[x] - index[y]) << (8 * index[y])
-
-        get = _TermTable(shift, entries).__getitem__
-        return _byte_codes(len(points), lambda a: sum(map(get, a)), moves)
+    def _code_terms(self, map_term, perm_term):
+        return lambda a: sum(map(perm_term, a))
 
 
 class ShufflerHalo(_PermutationHalo):
@@ -732,9 +723,6 @@ class ShufflerHalo(_PermutationHalo):
 
     def _move(self, h, x):
         return self.base.multiply(h, x)
-
-    def lamp_sites(self, a):
-        return frozenset(x for x, _ in a)
 
     def lamp_generators(self):
         e = self.base.identity()
@@ -779,9 +767,8 @@ class DesignerHalo(_FiberHalo):
     def make_lamp(self, entries) -> Lamp:
         """entries: a pair (site -> fiber element, site -> image site)."""
         mapping, perm = entries
-        lamp = _perm_canonical(perm)
-        _perm_check(lamp)
-        return (self._map_lamp(mapping), lamp)
+        perm = _perm_lamp(perm)
+        return (self._map_lamp(mapping), perm)
 
     def _lamp_entries(self, lamp):
         mapping, perm = lamp
@@ -814,8 +801,15 @@ class DesignerHalo(_FiberHalo):
         fa, pa = a
         return frozenset(x for x, _ in fa) | frozenset(x for x, _ in pa)
 
-    def _map_and_perm(self, a):
-        return a
+    def _code_entries(self, lamps):
+        maps, perms = set(), set()
+        for f, s in lamps:
+            maps.update(f)
+            perms.update(s)
+        return maps, perms
+
+    def _code_terms(self, map_term, perm_term):
+        return lambda a: sum(map(map_term, a[0])) + sum(map(perm_term, a[1]))
 
     def _step_lamp(self, a, t):
         (fa, pa), (ft, pt) = a, t

@@ -407,6 +407,8 @@ def profile_heuristic(group: GroupHandle, n_max: int, method: str = "greedy",
     anneal: Metropolis over add/remove moves with geometric cooling
     T_k = 1.0 * 0.995^k for the given number of steps, seeded.
     """
+    if n_max < 1:
+        raise ContractViolation("n_max must be >= 1")
     indices = range(len(group.generators()))
     e = group.identity()
     best: Dict[int, SubsetWitness] = {1: boundary(group, [e])}

@@ -118,6 +118,15 @@ def test_ranges_that_select_nothing_are_one_error_line_and_exit_2(argv, shown, c
     assert len(errors) == 1 and shown in errors[0]
 
 
+@pytest.mark.parametrize("method", ["exact", "greedy", "anneal"])
+def test_profile_n_max_zero_is_one_error_line_for_every_method(method, capsys):
+    """The heuristic methods used to print nothing and exit 0."""
+    assert main(["profile", "--group", "Z", "--n-max", "0", "--method", method]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: n_max must be >= 1"]
+
+
 @pytest.mark.parametrize("command, group, radius, D", [
     ("net", "Z", -1, 1), ("net", "Z", 3, -1), ("ystar", "wreath(C2, Z)", -1, 1)])
 def test_a_negative_net_radius_or_d_is_one_error_line(command, group, radius, D, capsys):

@@ -517,6 +517,17 @@ def test_base_word_after_growth_equals_a_fresh_balls_word(family, params, base):
     assert len(halo.base_word(far)) == ball(base, 8).lengths[far]
 
 
+@pytest.mark.parametrize("value", [(1, 2), 1, "x"], ids=["2-tuple", "int", "str"])
+def test_base_word_rejects_a_value_that_is_no_base_element(value):
+    """Such a value used to grow the base ball toward its memory budget
+    (still running after 20 s for (1, 2) over Z); it is now refused before
+    the ball takes a step."""
+    halo = make_halo("wreath", C2, Z)
+    with pytest.raises(ContractViolation, match="is not an element of Z"):
+        halo.base_word(value)
+    assert halo._geodesic_ball.radius == 0
+
+
 # ---------------------------------------------------------------------------
 # ball and boundary take each a * s by step; these copies multiply instead
 
@@ -791,5 +802,27 @@ def test_coded_wreath_rows_of_many_points(sites):
     values = _random_values(random.Random(sites), support)
     coded, rows, stepped = _coded_and_stepped_rows(halo, values)
     assert coded == (3 * sites <= 256)
+    assert rows == stepped
+    assert _hits(rows) > _hits(_base_rows(halo, rows)) > 0
+
+
+@pytest.mark.parametrize("sites", [127, 128])
+def test_coded_juggler_rows_of_many_points(sites):
+    """A juggler(2, Z) lamp that cycles through the points (site, track) of
+    the sites 0 .. sites - 1, at the cursors 0 and 1, with its
+    lamp-generator neighbours.  A translated generator at cursor 0 also
+    moves the two points of the site -1, so the support moves
+    2 (sites + 1) points, 256 or 258, around the 256 indices a byte holds:
+    a shuffler's |F| = 1 code over the points (site, track), coded at 127
+    sites and stepped at 128."""
+    halo = make_halo("juggler", 2, Z)
+    points = [((i,), t) for i in range(sites) for t in range(2)]
+    cycle = halo.make_lamp({x: points[(k + 1) % len(points)] for k, x in enumerate(points)})
+    support = {(cycle, (0,)), (cycle, (1,))}
+    for x in list(support):
+        support.update(halo.step(x, i) for i in range(halo.base_gen_offset))
+    values = _random_values(random.Random(sites), support)
+    coded, rows, stepped = _coded_and_stepped_rows(halo, values)
+    assert coded == (2 * (sites + 1) <= 256)
     assert rows == stepped
     assert _hits(rows) > _hits(_base_rows(halo, rows)) > 0

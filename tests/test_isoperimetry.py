@@ -632,6 +632,14 @@ def test_greedy_by_step_equals_greedy_by_multiply(spec):
     assert len(pts[-1].witness.A) > 20  # the growth ran far
 
 
+@pytest.mark.parametrize("method", ["greedy", "anneal"])
+@pytest.mark.parametrize("n_max", [0, -1])
+def test_profile_heuristic_rejects_n_max_below_one(method, n_max):
+    """As profile_exact does: an empty profile used to come back as []."""
+    with pytest.raises(ContractViolation, match="n_max must be >= 1"):
+        profile_heuristic(Z, n_max, method)
+
+
 def test_heuristic_matches_exact_at_n1():
     exact = profile_exact(Z2, 1, 1)
     for method in ("greedy", "anneal"):
