@@ -14,7 +14,7 @@ import functools
 import itertools
 import operator
 import sys
-from typing import Any, Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import BudgetError, ContractViolation
 
@@ -333,16 +333,22 @@ class Ball:
     ``lengths[g] = lengths[h] + 1``; the identity has no parent.
     ``lengths`` holds the elements in BFS order and ``elements`` is a live
     view of its keys.  The ball keeps its last sphere, and ``grow`` resumes
-    the search from it, taking each g * s as group.step(g, i): a ball grown
-    in steps equals a fresh ``ball(group, r)``, with the same lengths in the
-    same insertion order and the same parents.
+    the search from it, taking each g * s as group.step(g, i): without
+    ``keep``, a ball grown in steps equals a fresh ``ball(group, r)``, with
+    the same lengths in the same insertion order and the same parents.
     Memory is estimated per sphere, each element priced like the sphere's
     last one: its recursive tuple size plus 64 bytes of dict entries.
+
+    With ``keep``, a predicate the identity satisfies, the search steps
+    only through the elements it accepts: the ball holds the kept elements
+    that a path of kept elements reaches, and lengths are the lengths of
+    the shortest such paths.
     """
 
-    def __init__(self, group: GroupHandle):
+    def __init__(self, group: GroupHandle, keep: Optional[Callable[[Element], bool]] = None):
         e = group.identity()
         self.group = group
+        self.keep = keep
         self.radius = 0
         self.lengths: Dict[Element, int] = {e: 0}
         self.parents: Dict[Element, Tuple[Element, int]] = {}
@@ -365,8 +371,11 @@ class Ball:
         bytes; the ball stays a complete ball of that radius.
         """
         lengths, parents, step, steps = self.lengths, self.parents, self.group.step, self._steps
+        keep = self.keep
         while self.radius < radius:
-            if not self.sphere:  # the ball is the whole (finite) group
+            # Nothing is left to reach: the ball is the whole (finite)
+            # group or, with keep, every kept element a kept path reaches.
+            if not self.sphere:
                 self.radius = radius
                 break
             r = self.radius + 1
@@ -374,7 +383,7 @@ class Ball:
             for g in self.sphere:
                 for i in steps:
                     h = step(g, i)
-                    if h not in lengths:
+                    if h not in lengths and (keep is None or keep(h)):
                         lengths[h] = r
                         parents[h] = (g, i)
                         sphere.append(h)
@@ -389,7 +398,7 @@ class Ball:
 
     def reach(self, g: Element, max_radius: int) -> bool:
         """Grow sphere by sphere until g is in the ball, the radius is
-        max_radius or the group is exhausted; whether g is in the ball."""
+        max_radius or nothing is left to reach; whether g is in the ball."""
         while g not in self.lengths and self.radius < max_radius and self.sphere:
             self.grow(self.radius + 1)
         return g in self.lengths

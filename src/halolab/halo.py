@@ -55,17 +55,18 @@ moves and the lamps column by column, so a product with a move I + N is
 one shift and XOR per entry of N, a column added to a column, and a
 lookup hashes one int.  Matrices over GF(3), GF(4) and GF(5), and
 supports of more than 256 points (x, c) have no code.  Two readers use
-it.  ``step_rows(pairs)`` serves
-the neighbour values of a function on the halo, given as (element,
-value) pairs, for ``gradient_ratio``, with one code for the whole support:
-its moves are the translated generators of every cursor, and each
-distinct lamp object is coded once (the lamps of a lift share one
-block's objects at every cursor).  Each cursor h keeps a table code ->
-value; a lamp generator's row steps the codes at h, and a base
-generator's row looks them up in the table of h s, so no row hashes a
-payload.  Every cursor's table is alive until the rows are done, and a
-GF(2) code over the support's n sites has n^2 bits.  Where there is no
-code, the same loop runs with each payload as its own code, stepped by
+it.  ``step_rows(pairs)`` serves the neighbour values of a function on
+the halo, given as (element, value) pairs, for ``gradient_ratio``, with
+one code per connected run of cursors (cursors joined by base
+generators): its moves are the translated generators of the run's
+cursors, and each distinct lamp object of the run is coded once (the
+lamps of a lift share one block's objects at every cursor, and a lift's
+cursors are one run).  Each cursor h keeps a table code -> value; a lamp
+generator's row steps the codes at h, and a base generator's row looks
+them up in the table of h s, in the same run or empty, so no row hashes
+a payload.  A run's tables are alive until its rows are done, and a
+GF(2) code over a run's n sites has n^2 bits.  Where there is no code,
+the same loop runs with each payload as its own code, stepped by
 ``_step_lamp``.  ``decompose``'s lamp BFS (its factor searches and edge
 tables) steps codes the same way, or the payloads themselves by
 ``lamp_compose``.
@@ -339,6 +340,27 @@ class _TermTable(dict):
         return value
 
 
+def _cursor_runs(cursors, base_step: Callable, base_steps: range) -> List[List]:
+    """The connected runs of the cursors (a collection) under the base
+    generators, base_step(h, j) for j in base_steps: each run a list of
+    cursors in breadth-first order, the runs in the order of their first
+    cursor."""
+    left = dict.fromkeys(cursors)
+    runs = []
+    for start in cursors:
+        if start in left:
+            del left[start]
+            run = [start]
+            for h in run:  # the run grows while it is read
+                for j in base_steps:
+                    k = base_step(h, j)
+                    if k in left:
+                        del left[k]
+                        run.append(k)
+            runs.append(run)
+    return runs
+
+
 # ---------------------------------------------------------------------------
 # the halo handle
 
@@ -401,11 +423,11 @@ class HaloGroup(GroupHandle):
         given (an iterable) and on the lamps the moves generate, and
         step(encode(a), operands[i]) == encode(lamp_compose(a, moves[i])).
         encode may raise KeyError for a lamp at points outside the moves'
-        and the lamps'.  step_rows asks for one code per call, for a whole
-        support (every cursor's translated generators as moves, its
-        distinct lamps), so that lamps at different cursors compare by
-        their codes; the code grows with the support's points.  None here:
-        this family has no code."""
+        and the lamps'.  step_rows asks for one code per connected run of
+        cursors (the run's translated generators as moves, its distinct
+        lamps), so that lamps at the cursors of a run compare by their
+        codes; the code grows with the run's points.  None here: this
+        family has no code."""
         return None
 
     def block_elements(self, sites: Sequence) -> List[Lamp]:
@@ -462,49 +484,54 @@ class HaloGroup(GroupHandle):
     def step_rows(self, pairs):
         """GroupHandle.step_rows by cursor: the pairs are grouped by cursor
         h as they are read, and each generator gives one row over the
-        lamps at h, the lamp generators first.  One _lamp_codes serves the
-        whole call: its moves are the translated generators of every
-        cursor, and it codes each distinct lamp object of the support
-        once.  Each cursor keeps a table code -> value in support order; a
-        lamp generator's row steps h's codes and looks them up in h's
-        table, and a base generator s's row looks the same codes up in the
-        table of h s (empty outside the support), so no row hashes a
-        payload.  With no code each payload is its own code: the operands
-        are the translated generators, and the step is _step_lamp."""
-        runs: Dict = {}  # cursor -> (its lamps, their values)
+        lamps at h, the lamp generators first.  The cursors fall into
+        connected runs, joined by base generators, and one _lamp_codes
+        serves each run: its moves are the translated generators of the
+        run's cursors, and it codes each distinct lamp object of the run
+        once, so a code grows with its run's points, not the support's.
+        Each cursor keeps a table code -> value in support order; a lamp
+        generator's row steps h's codes and looks them up in h's table, and
+        a base generator s's row looks the same codes up in the table of
+        h s, which lies in h's run or outside the support (empty), so no
+        row hashes a payload.  With no code each payload is its own code:
+        the operands are the translated generators, and the step is
+        _step_lamp."""
+        cursors: Dict = {}  # cursor -> (its lamps, their values)
         for (lamp, h), v in pairs:
-            run = runs.get(h)
-            if run is None:
-                run = runs[h] = ([], [])
-            run[0].append(lamp)
-            run[1].append(v)
-        operands = list(itertools.chain.from_iterable(map(self._translates, runs)))
-        distinct: Dict = {}  # id(lamp) -> lamp
-        for lamps, _ in runs.values():
-            distinct.update(zip(map(id, lamps), lamps))
-        codes = self._lamp_codes(operands, distinct.values())
-        if codes is None:
-            step = self._step_lamp
-        else:
-            encode, operands, step = codes
-            for key, lamp in distinct.items():  # now id(lamp) -> its code
-                distinct[key] = encode(lamp)
-            for lamps, _ in runs.values():  # each run now lists its lamps' codes
-                lamps[:] = map(distinct.__getitem__, map(id, lamps))
-        del distinct
+            group = cursors.get(h)
+            if group is None:
+                group = cursors[h] = ([], [])
+            group[0].append(lamp)
+            group[1].append(v)
         base_step = self.base.step
         base_steps = range(len(self._gens) - self.base_gen_offset)
         repeat = itertools.repeat
-        # cursor -> {code: value}, in support order; a run is dropped once tabled
-        tables = {h: dict(zip(*runs.pop(h))) for h in list(runs)}
         empty: Dict = {}
-        operands = iter(operands)  # base_gen_offset of them per cursor, in cursor order
-        for h, table in tables.items():
-            vals = list(table.values())
-            for operand in itertools.islice(operands, self.base_gen_offset):
-                yield vals, map(table.get, map(step, table, repeat(operand)), repeat(0))
-            for j in base_steps:
-                yield vals, map(tables.get(base_step(h, j), empty).get, table, repeat(0))
+        for run in _cursor_runs(cursors, base_step, base_steps):
+            operands = list(itertools.chain.from_iterable(map(self._translates, run)))
+            lamp_lists = [cursors[h][0] for h in run]
+            distinct: Dict = {}  # id(lamp) -> lamp
+            for lamps in lamp_lists:
+                distinct.update(zip(map(id, lamps), lamps))
+            codes = self._lamp_codes(operands, distinct.values())
+            if codes is None:
+                step = self._step_lamp
+            else:
+                encode, operands, step = codes
+                for key, lamp in distinct.items():  # now id(lamp) -> its code
+                    distinct[key] = encode(lamp)
+                for lamps in lamp_lists:  # each cursor now lists its lamps' codes
+                    lamps[:] = map(distinct.__getitem__, map(id, lamps))
+            del distinct, lamp_lists
+            # cursor -> {code: value}, in support order; a group is dropped once tabled
+            tables = {h: dict(zip(*cursors.pop(h))) for h in run}
+            operands = iter(operands)  # base_gen_offset of them per cursor, in run order
+            for h, table in tables.items():
+                vals = list(table.values())
+                for operand in itertools.islice(operands, self.base_gen_offset):
+                    yield vals, map(table.get, map(step, table, repeat(operand)), repeat(0))
+                for j in base_steps:
+                    yield vals, map(tables.get(base_step(h, j), empty).get, table, repeat(0))
 
     def is_element(self, a):
         """A (lamp, cursor) pair whose cursor is a base element and whose

@@ -20,7 +20,7 @@ from operator import not_, sub
 from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import ContractViolation
-from .groups import GroupHandle, ProductGroup, ball
+from .groups import Ball, GroupHandle, ProductGroup
 from .halo import HaloGroup, enumerate_block, DEFAULT_ENUM_BUDGET
 
 Rational = Union[Fraction, int]
@@ -171,40 +171,45 @@ def _ordered_image(group: GroupHandle) -> Optional[Callable[[Any], Any]]:
 
 
 class _NeighbourTable:
-    """Ball(radius + 1) indexed by integers.
+    """The region within depth steps of the identity, indexed by integers.
 
-    The window Ball(radius) comes first, in element order, so on the
-    window comparing sorted index tuples is comparing sorted element
-    lists.  targets[i] lists the distinct indices of elements[i] * s over
-    the generators s, in generator order, and adj[i] those inside the
-    window, in index order; both exist for window vertices only.
+    The region is what one breadth-first search reaches from the identity
+    in depth steps.  It comes first, in element order, so on the region
+    comparing sorted index tuples is comparing sorted element lists; then
+    come the targets of its vertices outside it, in first-seen order.
+    targets[i] lists the distinct indices of elements[i] * s over the
+    generators s, in generator order, and adj[i] those inside the region,
+    in index order; both exist for region vertices only.
 
-    With a root map pi, adj keeps only the window vertices x with
-    pi(x) >= pi(identity), so a search over adj is rooted (see
-    profile_exact); targets are never filtered, as boundaries are taken in
-    the whole group.
+    With a root map pi, the search steps only through vertices x with
+    pi(x) >= pi(identity), so the region and adj hold only those and a
+    search over adj is rooted (see profile_exact); targets are never
+    filtered, as boundaries are taken in the whole group.  The search is a
+    Ball with that keep predicate, under its memory guard.
     """
 
-    def __init__(self, group: GroupHandle, radius: int,
+    def __init__(self, group: GroupHandle, depth: int,
                  root: Optional[Callable[[Any], Any]] = None):
-        b = ball(group, radius + 1)
-        self.elements = sorted(b.elements, key=lambda g: (b.lengths[g] > radius, g))
-        index = {g: i for i, g in enumerate(self.elements)}
-        window = sum(1 for g in self.elements if b.lengths[g] <= radius)
-        step = group.step
-        steps = range(len(group.generators()))
-        self.targets = [list(dict.fromkeys(index[step(g, i)] for i in steps))
-                        for g in self.elements[:window]]
-        keep = [True] * window
+        keep = None
         if root is not None:
             floor = root(group.identity())
-            keep = [not root(g) < floor for g in self.elements[:window]]
-        self.adj = [sorted(j for j in row if j < window and keep[j]) for row in self.targets]
+            keep = lambda g: not root(g) < floor
+        region = sorted(Ball(group, keep).grow(depth).elements)
+        step = group.step
+        steps = range(len(group.generators()))
+        rows = [[step(g, i) for i in steps] for g in region]
+        index = {g: i for i, g in enumerate(region)}
+        outside = list(dict.fromkeys(t for row in rows for t in row if t not in index))
+        index.update(zip(outside, range(len(region), len(region) + len(outside))))
+        self.elements = region + outside
+        self.targets = [list(dict.fromkeys(map(index.__getitem__, row))) for row in rows]
+        window = len(region)
+        self.adj = [sorted(j for j in row if j < window) for row in self.targets]
 
 
 def _exact_search(table: _NeighbourTable, v0: int, n_max: int,
                   budget: int) -> Tuple[Dict[int, Tuple[int, Tuple[int, ...]]], bool]:
-    """Visit the connected subsets S of the window that contain v0 and have
+    """Visit the connected subsets S of the region that contain v0 and have
     at most n_max elements, each set once, and return ({k: (|dS|, sorted
     index tuple of S)} for the best set S of each size k visited, whether
     every set was visited).  The best set of a size has the least |dS|,
@@ -213,7 +218,7 @@ def _exact_search(table: _NeighbourTable, v0: int, n_max: int,
     Exclusion-based enumeration: a child extends S by one candidate, and
     the candidates taken by its earlier siblings are banned below it.
     seen marks S, the banned vertices and the candidates, so the new
-    candidates of a child are the unseen window neighbours of the vertex
+    candidates of a child are the unseen region neighbours of the vertex
     it adds.  The recursion runs on an explicit stack with one (candidates,
     next position, added vertex, its new candidates) frame per vertex of
     S, and visits the sets in depth-first preorder.
@@ -225,7 +230,10 @@ def _exact_search(table: _NeighbourTable, v0: int, n_max: int,
     |S| = n_max - 1 each candidate u is scored as a leaf without being
     added: adding u takes u out of the boundary if cnt[u] > 0, and puts a
     target t of u into it iff nothing in S reaches t (cnt[t] == 0) and t
-    is not in S (t != u, as no generator is the identity).
+    is not in S (t != u, as no generator is the identity).  So every leaf
+    has |dS| >= bnd - 1, and when bnd - 1 exceeds the best |dS| of size
+    n_max so far no leaf of S can win and none is scored; the leaves still
+    count against the budget.
 
     budget caps the number of sets visited, leaves included.  The visit
     order is fixed, so a truncated search visits the first budget sets.
@@ -251,16 +259,17 @@ def _exact_search(table: _NeighbourTable, v0: int, n_max: int,
                 cand, complete = cand[:left], False
             left -= len(cand)
             lb, ls = best_b[n_max], best_s[n_max]
-            for u in cand:
-                b = bnd - 1 if cnt[u] else bnd
-                for t in targets[u]:
-                    if not cnt[t] and not in_s[t]:
-                        b += 1
-                if b <= lb:
-                    key = tuple(sorted(S + [u]))
-                    if b < lb or key < ls:
-                        lb, ls = b, key
-            best_b[n_max], best_s[n_max] = lb, ls
+            if bnd - 1 <= lb:  # else no leaf can win: each has |dS| >= bnd - 1
+                for u in cand:
+                    b = bnd - 1 if cnt[u] else bnd
+                    for t in targets[u]:
+                        if not cnt[t] and not in_s[t]:
+                            b += 1
+                    if b <= lb:
+                        key = tuple(sorted(S + [u]))
+                        if b < lb or key < ls:
+                            lb, ls = b, key
+                best_b[n_max], best_s[n_max] = lb, ls
             if not complete:
                 break
         elif i < len(cand):
@@ -313,7 +322,7 @@ def _beats(cand: SubsetWitness, incumbent: Optional[SubsetWitness]) -> bool:
 
     profile_exact's search applies this order without building witnesses:
     two sets of one size tie on ratio iff they tie on |dS|, and on its
-    window index order is element order, so the element lists compare as
+    region index order is element order, so the element lists compare as
     the sorted index tuples do."""
     if incumbent is None:
         return True
@@ -362,19 +371,27 @@ def profile_exact(group: GroupHandle, n_max: int, radius: int,
     identity.  Below radius n_max - 1 a translate can leave the window,
     and the search stays unrooted.
 
-    The search builds Ball(radius + 1) once, indexes it by integers and
-    tabulates each window element's right multiples by the generators
-    (|window| * |generators| steps).  The enumeration, _exact_search, does
-    no group arithmetic and has no generators: it walks an explicit stack
-    of candidate frames and keeps |dS| by boundary multiplicity counters,
-    updated in O(|generators|) integer steps per added or removed element.
+    The search reads only the region its sets can reach: the vertices
+    within min(radius, n_max - 1) steps of the identity, stepping through
+    rooted vertices only when the search is rooted (a rooted set is
+    connected through its own vertices, all of them rooted).  Below
+    radius n_max - 1 the region is Ball(radius).  One breadth-first search
+    finds the region, under Ball's memory guard; it is indexed by integers
+    in element order, and each region element's right multiples by the
+    generators are tabulated (|region| * |generators| steps), so a radius
+    far above n_max - 1 costs nothing more.  The enumeration,
+    _exact_search, does no group arithmetic and has no generators: it
+    walks an explicit stack of candidate frames and keeps |dS| by boundary
+    multiplicity counters, updated in O(|generators|) integer steps per
+    added or removed element.
     A set of the largest size n_max is a leaf, scored from the counters
     without being added: |dS u {u}| = |dS| - [cnt[u] > 0] + #{distinct
     targets t of u with cnt[t] == 0, t not in S}.  A target reached by two
     generators of u joins the boundary once, hence distinct.  Sets of one
     size compare by |dS| and then by sorted index tuple, which on the
-    window is _beats's order (see there), so boundary() runs once per
-    size, for the final witness.
+    region is _beats's order (see there), so boundary() runs once per
+    size, for the final witness.  A set of size n_max - 1 whose |dS| - 1
+    already exceeds the best leaf's is not scored: no leaf of it can win.
 
     budget caps the number of subsets visited, each visited set counting
     once; a rooted search visits only rooted sets.  The visit order is
@@ -389,7 +406,7 @@ def profile_exact(group: GroupHandle, n_max: int, radius: int,
     if radius < 0:
         raise ContractViolation("radius must be >= 0")
     root = _ordered_image(group) if radius >= n_max - 1 else None
-    table = _NeighbourTable(group, radius, root)
+    table = _NeighbourTable(group, min(radius, n_max - 1), root)
     elements = table.elements
     found, complete = _exact_search(table, elements.index(group.identity()), n_max, budget)
     best = {k: boundary(group, [elements[i] for i in S]) for k, (_, S) in found.items()}

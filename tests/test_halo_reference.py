@@ -826,3 +826,48 @@ def test_coded_juggler_rows_of_many_points(sites):
     assert coded == (2 * (sites + 1) <= 256)
     assert rows == stepped
     assert _hits(rows) > _hits(_base_rows(halo, rows)) > 0
+
+
+@pytest.mark.parametrize("family, params", [("cloner", GF(2)), ("juggler", 2)],
+                         ids=["cloner-GF2", "juggler-2"])
+def test_coded_rows_of_a_spread_support_code_each_run_alone(family, params):
+    """Random lamps at the cursors 0, 1, 10, 11, 20 and 30 of Z: four runs
+    of cursors joined by base generators.  The coded rows equal the stepped
+    rows, and step_rows makes one _lamp_codes call per run, which sees the
+    lamps of that run's cursors and no site near another run."""
+    halo = make_halo(family, params, Z)
+    rng = random.Random(f"{halo.spec} spread")
+    gens = halo.generators()[:halo.base_gen_offset]
+    runs = [[0, 1], [10, 11], [20], [30]]
+    support = set()
+    for h in itertools.chain.from_iterable(runs):
+        for _ in range(12):
+            x = (halo.identity()[0], (h,))
+            for _ in range(rng.randint(0, 6)):
+                x = halo.multiply(x, rng.choice(gens))
+            support.add(x)
+    values = _random_values(rng, support)
+    coded, rows, stepped = _coded_and_stepped_rows(halo, values)
+    assert coded and rows == stepped
+    assert _hits(_base_rows(halo, rows)) > 0 and _hits(rows) > _hits(_base_rows(halo, rows))
+
+    calls = []
+    lamp_codes = halo._lamp_codes
+
+    def spy(moves, lamps=()):
+        lamps = list(lamps)
+        calls.append((moves, lamps))
+        return lamp_codes(moves, lamps)
+
+    halo._lamp_codes = spy
+    assert _row_pairs(halo.step_rows(values.items())) == _row_pairs(stepped)
+    assert len(calls) == len(runs)
+    near = [{h + d for h in run for d in range(-3, 4)} for run in runs]
+    seen = []
+    for moves, lamps in calls:
+        sites = {x[0] for lamp in itertools.chain(moves, lamps) for x in halo.lamp_sites(lamp)}
+        (k,) = [k for k, window in enumerate(near) if sites <= window]
+        seen.append(k)
+        at_run = {id(lamp) for lamp, (h,) in values if h in runs[k]}
+        assert {id(lamp) for lamp in lamps} == at_run
+    assert sorted(seen) == list(range(len(runs)))

@@ -1,14 +1,16 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from halolab.errors import BudgetError, ContractViolation
 from halolab.gf import GF
-from halolab.groups import (CyclicGroup, HeisenbergGroup, SymmetricGroup, ZdGroup,
+from halolab.groups import (Ball, CyclicGroup, HeisenbergGroup, SymmetricGroup, ZdGroup,
                             ball, make_group)
+from halolab import isoperimetry
 from halolab.halo import HaloGroup, enumerate_block, make_halo
 from halolab.isoperimetry import (FiniteFunction, SubsetWitness,
                                   _NeighbourTable, _beats, _carry_forward,
@@ -571,6 +573,76 @@ def test_neighbour_table_targets_are_the_distinct_neighbours():
             assert table.targets[i] == list(dict.fromkeys(images))
             assert len(table.targets[i]) == len(set(group.generators()))
             assert table.adj[i] == sorted({j for j in images if j < window})
+
+
+def test_radius_above_n_max_minus_one_changes_nothing():
+    """A connected set of size n_max that holds the identity lies in
+    Ball(n_max - 1), so a larger radius gives the same points; the search
+    builds no larger ball for it."""
+    H3 = make_group("H3")
+    assert profile_exact(H3, 5, 20) == profile_exact(H3, 5, 4)
+    shuffler = make_group("shuffler(Z)")
+    assert profile_exact(shuffler, 4, 12) == profile_exact(shuffler, 4, 3)
+
+
+def _rooted_bfs(group, depth, root):
+    """The vertices within depth steps of the identity along paths whose
+    vertices x all have root(x) >= root(identity), by multiply."""
+    floor = root(group.identity())
+    reached = {group.identity()}
+    frontier = [group.identity()]
+    for _ in range(depth):
+        frontier = [h for h in {group.multiply(g, s) for g in frontier
+                                for s in group.generators()}
+                    if h not in reached and root(h) >= floor]
+        reached.update(frontier)
+    return reached
+
+
+@pytest.mark.parametrize("spec, n_max, radius", [("H3", 8, 7), ("wreath(C2, Z)", 6, 5)])
+def test_neighbour_table_holds_the_region_a_rooted_search_reaches(monkeypatch, spec,
+                                                                   n_max, radius):
+    """The rooted search indexes the rooted vertices within n_max - 1
+    steps through rooted vertices, first and in element order: fewer than
+    the rooted part of Ball(n_max - 1), and every witness among them."""
+    group = make_group(spec)
+    root = _reference_root(group)
+    built = []
+
+    class Spy(_NeighbourTable):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(isoperimetry, "_NeighbourTable", Spy)
+    pts = profile_exact(group, n_max, radius)
+    (table,) = built
+    region = table.elements[:len(table.adj)]
+    assert region == sorted(_rooted_bfs(group, n_max - 1, root))
+    floor = root(group.identity())
+    kept = {x for x in ball(group, n_max - 1).elements if root(x) >= floor}
+    assert set(region) < kept
+    assert all(pt.exact and pt.witness.A <= set(region) for pt in pts)
+
+
+def test_region_search_keeps_the_ball_memory_guard(monkeypatch):
+    """The rooted breadth-first search stops at the memory budget with a
+    BudgetError that names the depth and the element count it reached,
+    the rooted vertices within that depth."""
+    group = make_group("H3")
+    root = _reference_root(group)
+
+    class SmallBall(Ball):
+        def grow(self, radius, memory_budget=20000):
+            return super().grow(radius, memory_budget)
+
+    monkeypatch.setattr(isoperimetry, "Ball", SmallBall)
+    with pytest.raises(BudgetError, match=r"at radius \d+ \(\d+ elements") as info:
+        _NeighbourTable(group, 7, root)
+    depth, count = map(int, re.search(r"radius (\d+) \((\d+) elements",
+                                      str(info.value)).groups())
+    assert 0 < depth < 7
+    assert count == len(_rooted_bfs(group, depth, root)) < len(ball(group, depth))
 
 
 def test_profile_exact_monotone_and_folner_inverse():
