@@ -50,21 +50,32 @@ DEFAULT_WORD_CAP = 10 ** 5
 
 
 def evaluate_word(halo: HaloGroup, word: Word):
-    """The product of the word's letters, each one halo.step: a -1 letter
-    steps by the index of its generator's inverse, halo.inverse_index[idx]
-    (the generator list is closed under inversion)."""
+    """The product of the word's letters: a -1 letter steps by the index of
+    its generator's inverse, halo.inverse_index[idx] (the generator list is
+    closed under inversion).  A lamp letter is one halo.step; a base letter
+    moves the cursor alone by halo.base.step, as halo.step does."""
     inverse = halo.inverse_index
-    out = halo.identity()
-    for idx, exp in word:
-        if not 0 <= idx < len(inverse):
+    n = len(inverse)
+    off = halo.base_gen_offset
+    base_step, step = halo.base.step, halo.step
+    lamp, cursor = halo.identity()
+    for letter in word:
+        try:
+            idx, exp = letter
+            in_range = 0 <= idx < n
+        except (TypeError, ValueError):
+            raise ContractViolation(f"malformed word letter {letter!r}") from None
+        if not in_range:
             raise ContractViolation(f"generator index {idx} out of range")
-        if exp == 1:
-            out = halo.step(out, idx)
-        elif exp == -1:
-            out = halo.step(out, inverse[idx])
-        else:
+        if exp == -1:
+            idx = inverse[idx]
+        elif exp != 1:
             raise ContractViolation("word exponents must be +-1")
-    return out
+        if idx >= off:
+            cursor = base_step(cursor, idx - off)
+        else:
+            lamp, cursor = step((lamp, cursor), idx)
+    return (lamp, cursor)
 
 
 def invert_word(word: Word) -> Word:
@@ -154,12 +165,9 @@ def _subset_measure(halo: HaloGroup, sites) -> Tuple[int, int]:
     sites = sorted(sites)
     if not sites:
         return (0, 0)
-    anchor_inv = halo.base.invert(sites[0])
-    total = 0
-    for s in sites:
-        rel = halo.base.multiply(anchor_inv, s)
-        total += len(halo.base_word(rel))
-    return (total, len(sites))
+    base = halo.base
+    anchor_inv = base.invert(sites[0])
+    return (sum(halo.base_length(base.multiply(anchor_inv, s)) for s in sites), len(sites))
 
 
 def _check_lamp(halo: HaloGroup, lamp: Lamp):

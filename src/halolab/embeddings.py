@@ -85,17 +85,28 @@ class GroupMorphism:
     def homomorphism_counterexample(self, pairs: int = 1000, radius: int = 4,
                                     seed: int = 0):
         """None, or a pair (a, b) with phi(ab) != phi(a)phi(b), among pairs
-        drawn from the domain ball of this radius."""
+        drawn from the domain ball of this radius.  The draws are the same
+        for every call with this seed; a pair drawn again has passed
+        already and is skipped, and a product outside the ball is mapped
+        once per call."""
         if pairs < 1:
             raise ContractViolation(f"a homomorphism check needs pairs >= 1, not {pairs}")
         elems, image = self._domain_images(radius)
+        mapped = dict(image)  # grows by the products outside the ball
+        drawn = set()  # (id(a), id(b)): the ball's elements are its own objects
         rng = random.Random(seed)
         for _ in range(pairs):
             a, b = rng.choice(elems), rng.choice(elems)
+            key = (id(a), id(b))
+            if key in drawn:
+                continue
+            drawn.add(key)
             ab = self.domain.multiply(a, b)
             if self.member is not None and not self.member(ab):
                 continue
-            phi_ab = image[ab] if ab in image else self.map(ab)
+            phi_ab = mapped.get(ab)
+            if phi_ab is None:
+                phi_ab = mapped[ab] = self.map(ab)
             if phi_ab != self.codomain.multiply(image[a], image[b]):
                 return (a, b)
         return None

@@ -555,19 +555,27 @@ class HaloGroup(GroupHandle):
         return f"lamp={lamp!r} cursor={self.base.element_str(cursor)}"
 
     # -- shared helpers -----------------------------------------------------
-    def base_word(self, h, max_radius: float = math.inf) -> List[Tuple[int, int]]:
-        """Geodesic word for the base move (1, h), as halo generator indices;
-        read off one base ball, grown until it holds h (by default with no
-        radius limit: the ball's memory budget bounds it).  A value that is
-        no base element is rejected before the ball grows for it."""
-        geodesics = self._geodesic_ball
-        if h not in geodesics.lengths:
+    def base_length(self, h, max_radius: float = math.inf) -> int:
+        """Word length of the base element h, read off one base ball, grown
+        until it holds h (by default with no radius limit: the ball's memory
+        budget bounds it).  A value that is no base element is rejected
+        before the ball grows for it."""
+        lengths = self._geodesic_ball.lengths
+        length = lengths.get(h)
+        if length is None:
             if not self.base.is_element(h):
                 raise ContractViolation(f"{h!r} is not an element of {self.base.spec}")
-            if not geodesics.reach(h, max_radius):
+            if not self._geodesic_ball.reach(h, max_radius):
                 raise ContractViolation(f"base element {h!r} not within radius {max_radius}")
+            length = lengths[h]
+        return length
+
+    def base_word(self, h, max_radius: float = math.inf) -> List[Tuple[int, int]]:
+        """Geodesic word for the base move (1, h), as halo generator indices,
+        of base_length(h, max_radius) letters, from the same ball."""
+        self.base_length(h, max_radius)
         off = self.base_gen_offset
-        return [(off + i, 1) for i, _ in geodesics.word_to(h)]
+        return [(off + i, 1) for i, _ in self._geodesic_ball.word_to(h)]
 
 
 class _PointHalo(HaloGroup):

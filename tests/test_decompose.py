@@ -273,6 +273,16 @@ def test_evaluate_word_rejects_out_of_range_indices():
                 evaluate_word(sh, [(idx, exp)])
 
 
+def test_evaluate_word_rejects_malformed_letters_and_exponents():
+    sh = make_halo("shuffler", None, Z)
+    base_letter = (sh.base_gen_offset, 1)
+    for letter in (("a", 1), (0, 1, 2)):
+        with pytest.raises(ContractViolation, match="malformed word letter"):
+            evaluate_word(sh, [base_letter, letter])
+    with pytest.raises(ContractViolation, match=r"word exponents must be \+-1"):
+        evaluate_word(sh, [base_letter] * 3 + [(0, 2)])
+
+
 # ---------------------------------------------------------------------------
 # evaluate_word steps every letter; this copy multiplies and inverts instead
 

@@ -215,7 +215,7 @@ def _per_draw_check(morphism, pairs, radius, seed):
 
 def test_check_equals_a_per_draw_loop():
     for morphism in _criterion_11_morphisms():
-        for seed in (0, 7919):
+        for seed in (0, 1, 7919):
             assert morphism.check(pairs=1000, radius=4, seed=seed) == \
                 _per_draw_check(morphism, 1000, 4, seed), (morphism.name, seed)
 
@@ -245,6 +245,84 @@ def test_check_maps_each_ball_element_once():
         calls.clear()
         counted.check(pairs=300, radius=3, seed=1)
         assert len(calls) <= 300 + 1, morphism.name
+
+
+def _draws(elems, pairs, seed):
+    """The (a, b) of each draw of homomorphism_counterexample, in order."""
+    rng = random.Random(seed)
+    return [(rng.choice(elems), rng.choice(elems)) for _ in range(pairs)]
+
+
+def test_check_multiplies_each_distinct_draw_once(monkeypatch):
+    """The coset-preserving ball has 14 elements, so 1000 draws fall on at
+    most 196 ordered pairs: at most one product on each side per pair."""
+    morphism = wreath_in_shuffler(Z, coset_system_mZ(2))
+    products = {"domain": 0, "codomain": 0}
+    for side in products:
+        group = getattr(morphism, side)
+
+        def counted(a, b, side=side, multiply=group.multiply):
+            products[side] += 1
+            return multiply(a, b)
+
+        monkeypatch.setattr(group, "multiply", counted)
+    assert all(ok for ok, _ in morphism.check(pairs=1000, radius=4).values())
+    elems = _filtered_ball(morphism, 4)
+    assert len(elems) == 14
+    distinct = len(set(_draws(elems, 1000, 0)))
+    assert products["domain"] == distinct <= 196
+    assert products["codomain"] <= distinct
+
+
+def test_check_maps_each_product_outside_the_ball_once():
+    for morphism in _criterion_11_morphisms():
+        calls = []
+        counted = dataclasses.replace(morphism, map=lambda g, phi=morphism.map:
+                                      calls.append(g) or phi(g))
+        assert counted.check(pairs=1000, radius=4, seed=1) == \
+            morphism.check(pairs=1000, radius=4, seed=1)
+        ball_elements = set(_filtered_ball(morphism, 4))
+        outside = [g for g in calls if g not in ball_elements]
+        assert outside, morphism.name
+        assert len(outside) == len(set(outside)), morphism.name
+
+
+def test_skipped_products_of_repeated_draws_equal_the_per_draw_loop():
+    """member is not closed under products (cursors -1 and -1 make -2), so
+    the check skips some products, and some draws repeat a skipped pair."""
+    shuffler = make_halo("shuffler", None, Z)
+    morphism = GroupMorphism(shuffler, shuffler, lambda g: g, name="identity near 0",
+                             member=lambda g: abs(g[1][0]) <= 1)
+    elems = _filtered_ball(morphism, 2)
+    for seed in range(3):
+        seen, repeated_skips = set(), 0
+        for a, b in _draws(elems, 200, seed):
+            if (a, b) in seen and not morphism.member(shuffler.multiply(a, b)):
+                repeated_skips += 1
+            seen.add((a, b))
+        assert repeated_skips, seed
+        assert morphism.check(pairs=200, radius=2, seed=seed) == \
+            _per_draw_check(morphism, 200, 2, seed)
+
+
+def test_counterexample_after_a_repeated_draw_equals_the_per_draw_loop():
+    """The map is wrong only at cursor 4, which in Ball(2) only the pair
+    (t^2, t^2) reaches, so most draws pass and repeat before it is drawn."""
+    shuffler = make_halo("shuffler", None, Z)
+    morphism = GroupMorphism(shuffler, shuffler,
+                             lambda g: (g[0], (5,)) if g[1] == (4,) else g,
+                             name="wrong at cursor 4")
+    elems = _filtered_ball(morphism, 2)
+    t2 = ((), (2,))
+    late = 0
+    for seed in range(10):
+        cex = morphism.homomorphism_counterexample(pairs=1000, radius=2, seed=seed)
+        assert cex == (t2, t2)
+        assert (False, cex) == _per_draw_check(morphism, 1000, 2, seed)["homomorphism"]
+        draws = _draws(elems, 1000, seed)
+        first = draws.index(cex)
+        late += len(set(draws[:first])) < first  # a repeat came before it
+    assert late >= 5
 
 
 def test_check_rejects_no_pairs_and_a_negative_radius():
