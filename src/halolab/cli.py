@@ -164,8 +164,9 @@ def cmd_lift(args) -> int:
     print(f"|supp f| = {len(f.entries)}, |supp g| = {len(g.entries)}")
     print(f"ratio(f) = {rf}")
     print(f"ratio(g) = {rg}")
-    print(f"equal: {rf == rg if args.p == 1 else abs(rf - rg) <= 1e-10 * abs(rf)}")
-    return 0
+    equal = rf == rg if args.p == 1 else abs(rf - rg) <= 1e-10 * abs(rf)
+    print(f"equal: {equal}")
+    return 0 if equal else 1
 
 
 def cmd_decompose(args) -> int:
@@ -181,7 +182,7 @@ def cmd_decompose(args) -> int:
     check = evaluate_word(halo, word) == (lamp, halo.base.identity())
     print(f"block size {len(block)}; picked lamp {lamp!r}")
     print(f"word length {len(word)}; round-trip ok: {check}")
-    return 0
+    return 0 if check else 1
 
 
 def cmd_net(args) -> int:
@@ -189,9 +190,10 @@ def cmd_net(args) -> int:
     net = greedy_net(g, args.radius, args.D)
     print(f"X0 ({len(net.X0)} points): "
           + ", ".join(g.element_str(x) for x in net.X0))
-    print(f"separated (>= D+2 = {net.separation}): {net_is_separated(net)}")
-    print(f"maximal in interior: {net_is_maximal_in_interior(net)}")
-    return 0
+    separated, maximal = net_is_separated(net), net_is_maximal_in_interior(net)
+    print(f"separated (>= D+2 = {net.separation}): {separated}")
+    print(f"maximal in interior: {maximal}")
+    return 0 if separated and maximal else 1
 
 
 def cmd_ystar(args) -> int:
@@ -210,7 +212,7 @@ def cmd_ystar(args) -> int:
     if args.out:
         Y.export_edge_list(args.out)
         print(f"wrote {args.out}")
-    return 0
+    return 0 if ok else 1
 
 
 def cmd_embed(args) -> int:

@@ -37,9 +37,10 @@ class GroupHandle:
     list fetched once per handle; a subclass may override it with a
     cheaper edit of ``a`` (halo products do).
 
-    ``step_rows(pairs)`` serves the neighbour values of a finitely
+    ``step_rows(pairs, outside)`` serves the neighbour values of a finitely
     supported function, given as (element, value) pairs, in rows, one
-    generator at a time; halo products group the support by cursor (see
+    generator at a time, reading a neighbour outside the support as 0 or
+    as outside(f(g)); halo products group the support by cursor (see
     HaloGroup.step_rows).
 
     ``has_total_order`` says that ``<`` is also left-invariant: a < b
@@ -80,19 +81,23 @@ class GroupHandle:
         """a * generators()[i], for 0 <= i < len(generators())."""
         return self.multiply(a, self._step_generators[i])
 
-    def step_rows(self, pairs: Iterable[Tuple[Element, Any]]) -> Iterator[Tuple[Sequence, Iterable]]:
+    def step_rows(self, pairs: Iterable[Tuple[Element, Any]],
+                  outside: Optional[Callable[[Any], Any]] = None
+                  ) -> Iterator[Tuple[Sequence, Iterable]]:
         """Rows (vs, ws) over the support of a function given as pairs
         (element, nonzero value), each element once, an iterable read once:
         the sequence vs holds the values of a run of support elements g,
         and the iterable ws (read once) the values at g * s beside them,
-        for one generator s, 0 where g * s is outside the support.  Each
-        pair (g, s) appears in exactly one row.  Here one row per generator
-        covers the whole support, each neighbour by step."""
+        for one generator s.  Where g * s is outside the support ws reads
+        0, or outside(f(g)) when outside is given.  Each pair (g, s)
+        appears in exactly one row.  Here one row per generator covers the
+        whole support, each neighbour by step."""
         values = dict(pairs)
         vs = list(values.values())
+        missing = itertools.repeat(0) if outside is None else list(map(outside, vs))
         get, step = values.get, self.step
         for i in range(len(self._step_generators)):
-            yield vs, [get(step(g, i), 0) for g in values]
+            yield vs, list(map(get, map(step, values, itertools.repeat(i)), missing))
 
     def element_str(self, a: Element) -> str:
         return repr(a)

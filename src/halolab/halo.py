@@ -55,20 +55,26 @@ moves and the lamps column by column, so a product with a move I + N is
 one shift and XOR per entry of N, a column added to a column, and a
 lookup hashes one int.  Matrices over GF(3), GF(4) and GF(5), and
 supports of more than 256 points (x, c) have no code.  Two readers use
-it.  ``step_rows(pairs)`` serves the neighbour values of a function on
-the halo, given as (element, value) pairs, for ``gradient_ratio``, with
-one code per connected run of cursors (cursors joined by base
-generators): its moves are the translated generators of the run's
-cursors, and each distinct lamp object of the run is coded once (the
-lamps of a lift share one block's objects at every cursor, and a lift's
-cursors are one run).  Each cursor h keeps a table code -> value; a lamp
-generator's row steps the codes at h, and a base generator's row looks
-them up in the table of h s, in the same run or empty, so no row hashes
-a payload.  A run's tables are alive until its rows are done, and a
-GF(2) code over a run's n sites has n^2 bits.  Where there is no code,
-the same loop runs with each payload as its own code, stepped by
-``_step_lamp``.  ``decompose``'s lamp BFS (its factor searches and edge
-tables) steps codes the same way, or the payloads themselves by
+it.  ``step_rows(pairs, outside)`` serves the neighbour values of a
+function on the halo, given as (element, value) pairs, for
+``gradient_ratio``, with one code per connected run of cursors (cursors
+joined by base generators).  The code is made from the moves alone, the
+translated generators of the run's cursors, and the run's distinct lamp
+objects are coded once each, in one map (the lamps of a lift share one
+block's objects at every cursor, and a lift's cursors are one run).  A
+lamp at a point no move touches makes encode raise KeyError, and then
+the code is made again over the run's lamps too: a wreath or upcloner
+lift takes that path, as their generators at the cursors U touch fewer
+sites than V = U u U.S, while the lamps of a shuffler, juggler, designer
+or cloner lift are never scanned for their points.  Each cursor h keeps
+a table code -> value; a lamp generator's row steps the codes at h, and
+a base generator's row looks them up in the table of h s, in the same
+run or empty, so no row hashes a payload; a code missing from its table
+reads 0, or outside(f(g)).  A run's tables are alive until its rows are
+done, and a GF(2) code over a run's n sites has n^2 bits.  Where there
+is no code, the same loop runs with each payload as its own code,
+stepped by ``_step_lamp``.  ``decompose``'s lamp BFS (its factor searches
+and edge tables) steps codes the same way, or the payloads themselves by
 ``lamp_compose``.
 
 ``multiply`` stays the general product and the oracle for ``step`` and
@@ -81,7 +87,7 @@ import itertools
 import math
 from bisect import bisect_left, insort
 from operator import getitem
-from typing import Callable, Dict, FrozenSet, Iterable, List, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import BudgetError, ContractViolation, NotInDomainError
 from .gf import GF
@@ -361,6 +367,12 @@ def _cursor_runs(cursors, base_step: Callable, base_steps: range) -> List[List]:
     return runs
 
 
+def _encoded(codes, lamps: Iterable) -> Optional[List]:
+    """The codes of the lamps in one map, by the encode of codes (a
+    _lamp_codes result), or None when codes is None."""
+    return None if codes is None else list(map(codes[0], lamps))
+
+
 # ---------------------------------------------------------------------------
 # the halo handle
 
@@ -420,14 +432,17 @@ class HaloGroup(GroupHandle):
     def _lamp_codes(self, moves: Sequence[Lamp], lamps: Iterable[Lamp] = ()):
         """The family's lamp code for products of lamps with the moves:
         (encode, operands, step), where encode is injective on the lamps
-        given (an iterable) and on the lamps the moves generate, and
-        step(encode(a), operands[i]) == encode(lamp_compose(a, moves[i])).
-        encode may raise KeyError for a lamp at points outside the moves'
-        and the lamps'.  step_rows asks for one code per connected run of
-        cursors (the run's translated generators as moves, its distinct
-        lamps), so that lamps at the cursors of a run compare by their
-        codes; the code grows with the run's points.  None here: this
-        family has no code."""
+        whose points lie among the moves' and the given lamps' (an
+        iterable), and step(encode(a), operands[i]) ==
+        encode(lamp_compose(a, moves[i])).  encode may raise KeyError for a
+        lamp at other points.  step_rows asks for one code per connected
+        run of cursors, from the run's translated generators alone and, if
+        encode raises KeyError on one of the run's lamps, again with its
+        distinct lamps, so that lamps at the cursors of a run compare by
+        their codes; the code grows with the run's points.  None means no
+        code (here: this family has none); None for some moves must mean
+        None for them with any lamps too, since step_rows then asks no
+        more."""
         return None
 
     def block_elements(self, sites: Sequence) -> List[Lamp]:
@@ -481,21 +496,24 @@ class HaloGroup(GroupHandle):
                                            for t, _ in self._gens[:self.base_gen_offset]]
         return moved
 
-    def step_rows(self, pairs):
+    def step_rows(self, pairs, outside=None):
         """GroupHandle.step_rows by cursor: the pairs are grouped by cursor
         h as they are read, and each generator gives one row over the
         lamps at h, the lamp generators first.  The cursors fall into
-        connected runs, joined by base generators, and one _lamp_codes
-        serves each run: its moves are the translated generators of the
-        run's cursors, and it codes each distinct lamp object of the run
-        once, so a code grows with its run's points, not the support's.
-        Each cursor keeps a table code -> value in support order; a lamp
-        generator's row steps h's codes and looks them up in h's table, and
-        a base generator s's row looks the same codes up in the table of
-        h s, which lies in h's run or outside the support (empty), so no
-        row hashes a payload.  With no code each payload is its own code:
-        the operands are the translated generators, and the step is
-        _step_lamp."""
+        connected runs, joined by base generators, and one code serves
+        each run: _lamp_codes of the run's translated generators alone,
+        which codes each distinct lamp object of the run in one map, so a
+        code grows with its run's points, not the support's, and a lamp is
+        not scanned for its points.  Where encode raises KeyError (a lamp
+        at a point no move touches) the code is made again over the run's
+        lamps too.  Each cursor keeps a table code -> value in support
+        order; a lamp generator's row steps h's codes and looks them up in
+        h's table, and a base generator s's row looks the same codes up in
+        the table of h s, which lies in h's run or outside the support
+        (empty), so no row hashes a payload.  A code missing from its
+        table reads 0, or outside(f(g)).  With no code each payload is its
+        own code: the operands are the translated generators, and the step
+        is _step_lamp."""
         cursors: Dict = {}  # cursor -> (its lamps, their values)
         for (lamp, h), v in pairs:
             group = cursors.get(h)
@@ -513,13 +531,20 @@ class HaloGroup(GroupHandle):
             distinct: Dict = {}  # id(lamp) -> lamp
             for lamps in lamp_lists:
                 distinct.update(zip(map(id, lamps), lamps))
-            codes = self._lamp_codes(operands, distinct.values())
+            codes = self._lamp_codes(operands)
+            try:
+                coded = _encoded(codes, distinct.values())
+            except KeyError:  # a lamp at a point no move touches
+                codes = self._lamp_codes(operands, distinct.values())
+                coded = _encoded(codes, distinct.values())
             if codes is None:
                 step = self._step_lamp
             else:
-                encode, operands, step = codes
-                for key, lamp in distinct.items():  # now id(lamp) -> its code
-                    distinct[key] = encode(lamp)
+                operands, step = codes[1:]
+                # now id(lamp) -> its code: update only replaces values, so it
+                # may read distinct's keys meanwhile
+                distinct.update(zip(distinct, coded))
+                del coded
                 for lamps in lamp_lists:  # each cursor now lists its lamps' codes
                     lamps[:] = map(distinct.__getitem__, map(id, lamps))
             del distinct, lamp_lists
@@ -528,10 +553,11 @@ class HaloGroup(GroupHandle):
             operands = iter(operands)  # base_gen_offset of them per cursor, in run order
             for h, table in tables.items():
                 vals = list(table.values())
+                missing = repeat(0) if outside is None else list(map(outside, vals))
                 for operand in itertools.islice(operands, self.base_gen_offset):
-                    yield vals, map(table.get, map(step, table, repeat(operand)), repeat(0))
+                    yield vals, map(table.get, map(step, table, repeat(operand)), missing)
                 for j in base_steps:
-                    yield vals, map(tables.get(base_step(h, j), empty).get, table, repeat(0))
+                    yield vals, map(tables.get(base_step(h, j), empty).get, table, missing)
 
     def is_element(self, a):
         """A (lamp, cursor) pair whose cursor is a base element and whose

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, repeat, starmap
-from operator import not_, sub
+from operator import neg, not_, sub
 from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import ContractViolation
@@ -120,8 +120,13 @@ def gradient_ratio(group: GroupHandle, f: FiniteFunction) -> Value:
     (that term is the (gs, s^-1) contribution).  Each distinct value
     object of f is scaled to an integer (or made a float) once, and
     step_rows reads f's support paired with those plain numbers in one
-    lazy pass, with no copy of f; the float terms stream into math.fsum,
-    whose correctly rounded sum does not depend on their order.
+    lazy pass, with no copy of f.  At p = 1 exact, the rows read a
+    neighbour outside the support as -f(g): |f(g) - (-f(g))| = 2|f(g)| is
+    the pair's term plus its mirror, so each row sums |a - b| in one pass
+    (an inside neighbour of value -f(g) has that term too, with no
+    mirror).  Float values and p > 1 read 0 outside and add |a|^p wherever
+    b is 0 (_row_terms); the float terms stream into math.fsum, whose
+    correctly rounded sum does not depend on their order.
     """
     if not f.entries:
         raise ContractViolation("gradient_ratio of the empty function")
@@ -138,12 +143,13 @@ def gradient_ratio(group: GroupHandle, f: FiniteFunction) -> Value:
     def plain():  # f's values in plain numbers, in support order
         return map(value.__getitem__, map(id, vals))
 
-    norm = sum(map(abs, plain())) if exact else f.norm()
-    terms = chain.from_iterable(starmap(_row_terms, group.step_rows(zip(f.entries, plain()))))
     if exact:
-        return Fraction(sum(map(abs, terms)), norm)
+        rows = group.step_rows(zip(f.entries, plain()), neg)
+        grad = sum(sum(map(abs, map(sub, vs, ws))) for vs, ws in rows)
+        return Fraction(grad, sum(map(abs, plain())))
+    terms = chain.from_iterable(starmap(_row_terms, group.step_rows(zip(f.entries, plain()))))
     pf = float(p)
-    return math.fsum(map(pow, map(abs, terms), repeat(pf))) ** (1.0 / pf) / norm
+    return math.fsum(map(pow, map(abs, terms), repeat(pf))) ** (1.0 / pf) / f.norm()
 
 
 def _row_terms(a, ws):
@@ -350,13 +356,23 @@ def profile_exact(group: GroupHandle, n_max: int, radius: int,
     """Exact l^1 profile over connected subsets of Ball(radius) containing
     the identity, sizes <= n_max.
 
-    Restricting to connected sets containing the basepoint is harmless:
-    a disconnected optimum has a component with at least the same ratio
-    (component boundaries are disjoint or shared, either way |dA| >= sum),
-    and translating that component to contain the identity changes
-    nothing.  The ball restriction is provably harmless when
-    radius >= n_max - 1, since a connected set of size n containing the
-    identity lies in Ball(n-1); points are flagged exact accordingly.
+    ``exact`` means exact over connected sets through the identity: the
+    value at n is the best ratio of a connected set of size <= n, which
+    bounds j(n) from below.  That it is j(n) itself is not proved.
+    Components of a set may share boundary points, and then |dA| is less
+    than the sum of theirs: in Z, A = {0, 2} has dA = {-1, 1, 3}, and
+    3 < 2 + 2.  With a generating set the library does not build, (+-1, 0)
+    and (+-1, 1) on Z x C2, the set {(0, 0), (0, 1)} has ratio 1/2 and
+    every connected 2-set 1/3.  What holds is a split into clusters, the
+    components of the graph that joins points at distance <= 2: their
+    boundaries are disjoint and miss the other clusters, so a set's ratio
+    is at most its best cluster's, and j(n) is the best ratio over
+    clusters of size <= n (translating one to contain the identity changes
+    nothing).  On the shipped generating sets the tests find the cluster
+    optimum equal to this search's at small n.  The ball restriction is
+    provably harmless when radius >= n_max - 1, since a connected set of
+    size n containing the identity lies in Ball(n-1); points are flagged
+    exact accordingly.
 
     Under that same condition the search is rooted.  Left translation is
     an automorphism of the right Cayley graph, so g*A has the boundary

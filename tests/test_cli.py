@@ -239,6 +239,35 @@ def test_embed_rejects_a_check_of_nothing(option, message, capsys):
     assert captured.err == f"error: {message}\n"
 
 
+def test_lift_exits_1_when_the_ratios_differ(monkeypatch, capsys):
+    monkeypatch.setattr("halolab.cli.gradient_ratio", lambda group, f: len(f.entries))
+    assert main(["lift", "--group", "shuffler(Z)", "--support", "0:0"]) == 1
+    assert "equal: False" in capsys.readouterr().out
+
+
+def test_decompose_exits_1_when_the_round_trip_fails(monkeypatch, capsys):
+    monkeypatch.setattr("halolab.cli.evaluate_word", lambda halo, word: None)
+    assert main(["decompose", "--group", "shuffler(Z)", "--sites", "0;1;2",
+                 "--seed", "4"]) == 1
+    assert "round-trip ok: False" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("check, line", [
+    ("net_is_separated", "separated (>= D+2 = 3): False"),
+    ("net_is_maximal_in_interior", "maximal in interior: False"),
+])
+def test_net_exits_1_when_a_net_check_fails(check, line, monkeypatch, capsys):
+    monkeypatch.setattr(f"halolab.cli.{check}", lambda net: False)
+    assert main(["net", "--group", "Z", "--radius", "12", "--D", "1"]) == 1
+    assert line in capsys.readouterr().out
+
+
+def test_ystar_exits_1_when_the_isomorphism_check_fails(monkeypatch, capsys):
+    monkeypatch.setattr("halolab.cli.check_iso_to_lamplighter", lambda Y, K, net: (False, None))
+    assert main(["ystar", "--group", "shuffler(Z)", "--radius", "3", "--D", "1"]) == 1
+    assert "isomorphic to block-over-net lamplighter graph: False" in capsys.readouterr().out
+
+
 def test_bounds(capsys):
     assert main(["bounds", "--family", "shuffler", "--x", "18"]) == 0
     assert "phi_inverse=3" in capsys.readouterr().out

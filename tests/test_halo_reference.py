@@ -12,6 +12,7 @@ import random
 import re
 from collections import Counter
 from fractions import Fraction
+from operator import neg
 
 import pytest
 
@@ -572,10 +573,11 @@ def test_ball_and_boundary_by_step_equal_their_multiply_copies(group):
 # gradient rows: step_rows against a multiply copy, coded rows against steps
 
 
-def _multiply_row_pairs(group, values):
+def _multiply_row_pairs(group, values, outside=None):
     """Counter of (f(g), f(g s)) over g in the support and every generator
-    s, each g s taken by multiply; 0 outside the support."""
-    return Counter((v, values.get(group.multiply(g, s), 0))
+    s, each g s taken by multiply; 0 outside the support, or outside(f(g))
+    when outside is given."""
+    return Counter((v, values.get(group.multiply(g, s), 0 if outside is None else outside(v)))
                    for g, v in values.items() for s in group.generators())
 
 
@@ -602,7 +604,8 @@ def test_step_rows_pair_each_element_with_its_multiply_neighbours(group):
     several cursors, and steps from the sphere and from the dropped
     elements leave the support.  step_rows reads the pairs from a one-shot
     generator, which both GroupHandle.step_rows and the halo override
-    accept."""
+    accept.  With outside=neg a neighbour outside the support reads
+    -f(g), and one inside still reads its own value."""
     rng = random.Random(group.spec)
     window = sorted(ball(group, 3).elements)
     for _ in range(3):
@@ -611,6 +614,8 @@ def test_step_rows_pair_each_element_with_its_multiply_neighbours(group):
         pairs = (pair for pair in values.items())
         assert _row_pairs(group.step_rows(pairs)) == _multiply_row_pairs(group, values)
         assert next(pairs, None) is None  # read to the end
+        assert (_row_pairs(group.step_rows(values.items(), neg))
+                == _multiply_row_pairs(group, values, neg))
 
 
 def _coded_and_stepped_rows(halo, values):
@@ -828,29 +833,9 @@ def test_coded_juggler_rows_of_many_points(sites):
     assert _hits(rows) > _hits(_base_rows(halo, rows)) > 0
 
 
-@pytest.mark.parametrize("family, params", [("cloner", GF(2)), ("juggler", 2)],
-                         ids=["cloner-GF2", "juggler-2"])
-def test_coded_rows_of_a_spread_support_code_each_run_alone(family, params):
-    """Random lamps at the cursors 0, 1, 10, 11, 20 and 30 of Z: four runs
-    of cursors joined by base generators.  The coded rows equal the stepped
-    rows, and step_rows makes one _lamp_codes call per run, which sees the
-    lamps of that run's cursors and no site near another run."""
-    halo = make_halo(family, params, Z)
-    rng = random.Random(f"{halo.spec} spread")
-    gens = halo.generators()[:halo.base_gen_offset]
-    runs = [[0, 1], [10, 11], [20], [30]]
-    support = set()
-    for h in itertools.chain.from_iterable(runs):
-        for _ in range(12):
-            x = (halo.identity()[0], (h,))
-            for _ in range(rng.randint(0, 6)):
-                x = halo.multiply(x, rng.choice(gens))
-            support.add(x)
-    values = _random_values(rng, support)
-    coded, rows, stepped = _coded_and_stepped_rows(halo, values)
-    assert coded and rows == stepped
-    assert _hits(_base_rows(halo, rows)) > 0 and _hits(rows) > _hits(_base_rows(halo, rows))
-
+def _spy_lamp_codes(halo):
+    """The list that records each later _lamp_codes call of the halo as
+    (moves, lamps), the lamps read into a list."""
     calls = []
     lamp_codes = halo._lamp_codes
 
@@ -860,14 +845,84 @@ def test_coded_rows_of_a_spread_support_code_each_run_alone(family, params):
         return lamp_codes(moves, lamps)
 
     halo._lamp_codes = spy
+    return calls
+
+
+def _run_of_call(halo, moves, runs):
+    """The index of the one run of cursors whose sites within 3 hold every
+    site of the moves."""
+    sites = {x[0] for lamp in moves for x in halo.lamp_sites(lamp)}
+    (k,) = [k for k, run in enumerate(runs)
+            if sites <= {h + d for h in run for d in range(-3, 4)}]
+    return k
+
+
+def _lamps_by_generators(halo, rng, cursors, count, length):
+    """count lamps at each cursor, each a product of up to length random
+    lamp generators at that cursor."""
+    gens = halo.generators()[:halo.base_gen_offset]
+    support = set()
+    for h in cursors:
+        for _ in range(count):
+            x = (halo.identity()[0], (h,))
+            for _ in range(rng.randint(0, length)):
+                x = halo.multiply(x, rng.choice(gens))
+            support.add(x)
+    return support
+
+
+@pytest.mark.parametrize("family, params", [("cloner", GF(2)), ("juggler", 2)],
+                         ids=["cloner-GF2", "juggler-2"])
+def test_coded_rows_of_a_spread_support_code_each_run_alone(family, params):
+    """Random lamps at the cursors 0, 1, 10, 11, 20 and 30 of Z: four runs
+    of cursors joined by base generators.  The coded rows equal the stepped
+    rows, and step_rows makes one _lamp_codes call per run, from the moves
+    alone, which lie near that run and no other: each lamp is a product of
+    the translated generators at its cursor, so its points are the moves'."""
+    halo = make_halo(family, params, Z)
+    rng = random.Random(f"{halo.spec} spread")
+    runs = [[0, 1], [10, 11], [20], [30]]
+    support = _lamps_by_generators(halo, rng, itertools.chain.from_iterable(runs), 12, 6)
+    values = _random_values(rng, support)
+    coded, rows, stepped = _coded_and_stepped_rows(halo, values)
+    assert coded and rows == stepped
+    assert _hits(_base_rows(halo, rows)) > 0 and _hits(rows) > _hits(_base_rows(halo, rows))
+
+    calls = _spy_lamp_codes(halo)
     assert _row_pairs(halo.step_rows(values.items())) == _row_pairs(stepped)
-    assert len(calls) == len(runs)
-    near = [{h + d for h in run for d in range(-3, 4)} for run in runs]
-    seen = []
-    for moves, lamps in calls:
-        sites = {x[0] for lamp in itertools.chain(moves, lamps) for x in halo.lamp_sites(lamp)}
-        (k,) = [k for k, window in enumerate(near) if sites <= window]
-        seen.append(k)
-        at_run = {id(lamp) for lamp, (h,) in values if h in runs[k]}
-        assert {id(lamp) for lamp in lamps} == at_run
-    assert sorted(seen) == list(range(len(runs)))
+    assert sorted(_run_of_call(halo, moves, runs) for moves, _ in calls) == list(range(len(runs)))
+    assert all(lamps == [] for _, lamps in calls)
+
+
+@pytest.mark.parametrize("family, params", [("cloner", GF(2)), ("juggler", 2), ("wreath", C3)],
+                         ids=["cloner-GF2", "juggler-2", "wreath-C3"])
+def test_coded_rows_of_a_lamp_off_the_moves_code_its_run_again(family, params):
+    """Random lamps at the cursors 0, 1 and 20 of Z, and at cursor 0 the
+    product of a lamp generator at 0 and its translate to 9, with its
+    lamp-generator neighbours.  The moves of the run {0, 1} touch no site
+    beyond -1 to 2, so the run's code from its moves alone raises KeyError
+    on that lamp, and step_rows makes the code again over the run's lamps: two
+    _lamp_codes calls for that run, one for the run {20}.  The coded rows
+    equal the stepped rows."""
+    halo = make_halo(family, params, Z)
+    rng = random.Random(f"{halo.spec} off the moves")
+    runs = [[0, 1], [20]]
+    support = _lamps_by_generators(halo, rng, [0, 1, 20], 12, 4)
+    t = halo.generators()[0][0]
+    far = (halo.lamp_compose(t, halo.lamp_act((9,), t)), (0,))
+    assert (9,) in halo.lamp_sites(far[0])
+    support.add(far)
+    support.update(halo.step(far, i) for i in range(halo.base_gen_offset))
+    values = _random_values(rng, support)
+    coded, rows, stepped = _coded_and_stepped_rows(halo, values)
+    assert coded and rows == stepped
+    assert _hits(_base_rows(halo, rows)) > 0 and _hits(rows) > _hits(_base_rows(halo, rows))
+
+    calls = _spy_lamp_codes(halo)
+    assert _row_pairs(halo.step_rows(values.items())) == _row_pairs(stepped)
+    by_run = [[lamps for moves, lamps in calls if _run_of_call(halo, moves, runs) == k]
+              for k in range(len(runs))]
+    at_run = {id(lamp) for lamp, (h,) in values if h in runs[0]}
+    assert [len(lamps_of_calls) for lamps_of_calls in by_run] == [2, 1]
+    assert by_run[0][0] == [] and {id(lamp) for lamp in by_run[0][1]} == at_run
+    assert by_run[1] == [[]]

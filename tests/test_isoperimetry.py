@@ -8,13 +8,13 @@ import pytest
 
 from halolab.errors import BudgetError, ContractViolation
 from halolab.gf import GF
-from halolab.groups import (Ball, CyclicGroup, HeisenbergGroup, SymmetricGroup, ZdGroup,
-                            ball, make_group)
+from halolab.groups import (Ball, CyclicGroup, HeisenbergGroup, ProductGroup, SymmetricGroup,
+                            ZdGroup, ball, make_group)
 from halolab import isoperimetry
 from halolab.halo import HaloGroup, enumerate_block, make_halo
 from halolab.isoperimetry import (FiniteFunction, SubsetWitness,
                                   _NeighbourTable, _beats, _carry_forward,
-                                  _exact_search, almost_invariant_lift, boundary,
+                                  _exact_search, _row_terms, almost_invariant_lift, boundary,
                                   folner_function, gradient_ratio,
                                   power_transform, power_transform_bound,
                                   product_boundary, profile_exact,
@@ -191,6 +191,52 @@ def test_gradient_ratio_by_rows_equals_the_stepwise_loop_bit_for_bit():
             assert r.hex() == old.hex(), (group.spec, f.p, r, old)
         else:
             assert r == old and r == _reference_gradient_ratio(group, f), (group.spec, f.p)
+
+
+def _rows_reading_zero_outside(group, f):
+    """The exact p = 1 ratio from rows that read 0 outside the support,
+    each row's terms by _row_terms, which adds |f(g)| wherever a
+    neighbour reads 0; the values must be ints or Fractions."""
+    terms = itertools.chain.from_iterable(
+        itertools.starmap(_row_terms, group.step_rows(f.entries.items())))
+    return Fraction(sum(map(abs, terms)), sum(map(abs, f.entries.values())))
+
+
+def test_exact_rows_reading_minus_f_outside_on_alternating_functions():
+    """The exact path reads a neighbour outside the support as -f(g).  On
+    functions whose neighbouring support values are negatives of each
+    other an inside neighbour reads -f(g) too, and still counts as inside:
+    on {0: 1, 1: -1} over Z each of the 4 pairs has the term 2, and a
+    mirrored term added to the two inside pairs would give 6, not 4.  The
+    cases: alternating +-c on a Z interval, a +- pattern on a Z^2 box, and
+    lifts of alternating functions to shuffler, juggler, wreath and cloner;
+    the largest lifts are checked against rows that read 0 outside and
+    against the base ratio, since the term-by-term reference multiplies
+    every (g, s)."""
+    assert gradient_ratio(Z, FiniteFunction({(0,): 1, (1,): -1}, 1)) == 4
+    def sign(k):
+        return 1 - 2 * (k % 2)
+
+    cases = [(Z, FiniteFunction({(i,): sign(i) * Fraction(7, 3) for i in range(6)}, 1)),
+             (Z, FiniteFunction({(i,): sign(i) * 5 for i in range(-2, 3)}, 1)),
+             (Z2, FiniteFunction({(i, j): sign(i + j) * Fraction(3, 2)
+                                  for i in range(3) for j in range(4)}, 1)),
+             (Z2, FiniteFunction({(i, j): sign(i // 2 + j) * 2
+                                  for i in range(4) for j in range(2)}, 1))]
+    for spec, size in (("shuffler(Z)", 3), ("juggler(2, Z)", 2), ("wreath(C2, Z)", 3),
+                       ("cloner(GF2, Z)", 2)):
+        halo = make_group(spec)
+        f = FiniteFunction({(i,): sign(i) * 5 for i in range(size)}, 1)
+        g = almost_invariant_lift(halo, f)
+        r = gradient_ratio(halo, g)
+        assert r == gradient_ratio(Z, f) == _reference_gradient_ratio(Z, f), spec
+        assert r == _rows_reading_zero_outside(halo, g), spec
+        if len(g.entries) <= 1000:
+            cases.append((halo, g))
+    for group, f in cases:
+        r = gradient_ratio(group, f)
+        assert type(r) is Fraction
+        assert r == _reference_gradient_ratio(group, f) == _rows_reading_zero_outside(group, f)
 
 
 def test_norm_exponents_below_one_are_rejected():
@@ -436,6 +482,8 @@ SEARCH_CASES = [("Z^2", 6, 5), ("H3", 6, 5), ("wreath(C2, Z)", 5, 4),
 def _search_group(spec):
     if spec == "Sym3":
         return SymmetricGroup(3)
+    if spec == "wreath(Sym3, Z)":
+        return make_halo("wreath", SymmetricGroup(3), Z)
     if spec == "Z, -1 twice":
         return _RepeatedGeneratorZd(1, 1)
     if spec == "Z^2, -e1 twice":
@@ -560,6 +608,90 @@ def test_rooted_profile_exact_values_equal_the_unrooted_oracle(spec, n_max, radi
         A = pt.witness.A
         assert all(root(x) >= floor for x in A), pt.n
         assert _connected_from_identity(group, A) and boundary(group, A) == pt.witness, pt.n
+
+
+def _cluster_profile(group, n_max):
+    """{k: the best ratio |A|/|dA| (None for +infinity) over the clusters A
+    of size k through the identity}, by brute force.  A cluster is a set
+    connected in the graph that joins points at distance <= 2.  Split any
+    finite set into its clusters: points of two clusters lie >= 3 apart,
+    so the clusters' boundaries are disjoint and miss the other clusters,
+    |dA| is their sum, and A's ratio is at most its best cluster's.  By
+    left translation, the best ratio over clusters of size <= n through
+    the identity is j(n).  The clusters are enumerated by exclusion, each
+    once, and each boundary is grown by the added point's steps."""
+    step, gens = group.step, range(len(group.generators()))
+    steps, nears = {}, {}
+
+    def targets(x):
+        if x not in steps:
+            steps[x] = {step(x, i) for i in gens}
+        return steps[x]
+
+    def near(x):
+        if x not in nears:
+            nears[x] = sorted(targets(x).union(*map(targets, targets(x))) - {x})
+        return nears[x]
+
+    best = {}
+
+    def visit(A, out, cand, seen):
+        k = len(A)
+        ratio = Fraction(k, len(out)) if out else None
+        if k not in best or (best[k] is not None and (ratio is None or ratio > best[k])):
+            best[k] = ratio
+        if k < n_max:
+            for i, u in enumerate(cand):
+                new = [w for w in near(u) if w not in seen]
+                grown = A | {u}
+                visit(grown, (out - {u}) | (targets(u) - grown), cand[i + 1:] + new,
+                      seen.union(new))
+
+    e = group.identity()
+    visit(frozenset([e]), targets(e) - {e}, near(e), {e, *near(e)})
+    return best
+
+
+# every shipped family, and the base groups they are built over; the sizes
+# run in about a second each (juggler(2, Z) at n = 4 takes 15 s)
+CLUSTER_CASES = [("Z", 5), ("Z^2", 5), ("H3", 5), ("Z^3", 4), ("Z x C2", 5), ("Z x C3", 5),
+                 ("Z x Z x C2", 5), ("wreath(C2, Z)", 5), ("wreath(C3, Z)", 5),
+                 ("wreath(Sym3, Z)", 4), ("shuffler(Z)", 5), ("juggler(2, Z)", 3),
+                 ("designer(C2, Z)", 4), ("cloner(GF2, Z)", 4), ("upcloner(GF2, Z)", 5)]
+
+
+@pytest.mark.parametrize("spec, n_max", CLUSTER_CASES, ids=[spec for spec, _ in CLUSTER_CASES])
+def test_profile_exact_equals_the_best_cluster_through_the_identity(spec, n_max):
+    """profile_exact searches connected sets, so its values are exact over
+    connected sets through the identity; j(n) is the best ratio over
+    clusters (see _cluster_profile), a larger family of sets.  On the
+    shipped generating sets both agree at every n up to n_max."""
+    group = _search_group(spec)
+    best = _cluster_profile(group, n_max)
+    carried, top = [], Fraction(0)
+    for n in range(1, n_max + 1):
+        if top is not None and (best[n] is None or best[n] > top):
+            top = best[n]
+        carried.append(top)
+    pts = profile_exact(group, n_max, n_max - 1)
+    assert all(pt.exact for pt in pts)
+    assert [pt.value for pt in pts] == carried
+
+
+def test_a_cluster_can_beat_every_connected_set_off_the_shipped_generating_sets():
+    """Z x C2 generated by (+-1, 0) and (+-1, 1), a set the library does
+    not build: (0, 0) and (0, 1) are not adjacent and share their four
+    neighbours, so {(0, 0), (0, 1)} has ratio 1/2, and every connected
+    2-set has ratio 1/3.  So profile_exact is exact over connected sets
+    only, and the cluster oracle sees what it misses."""
+    class Diagonal(ProductGroup):
+        def generators(self):
+            return [((1,), 0), ((-1,), 0), ((1,), 1), ((-1,), 1)]
+
+    group = Diagonal(Z, CyclicGroup(2))
+    assert _cluster_profile(group, 2)[2] == Fraction(1, 2)
+    assert boundary(group, [((0,), 0), ((0,), 1)]).ratio == Fraction(1, 2)
+    assert [pt.value for pt in profile_exact(group, 2, 1)] == [Fraction(1, 4), Fraction(1, 3)]
 
 
 def test_neighbour_table_targets_are_the_distinct_neighbours():
