@@ -57,6 +57,7 @@ from .lampgraph import (
     FiniteGraph,
     LamplighterGraph,
     SeparatedNet,
+    YStarGraph,
     build_Ystar,
     check_iso_to_lamplighter,
     graph_isomorphism,

@@ -206,8 +206,7 @@ def cmd_ystar(args) -> int:
     Y = build_Ystar(halo, net, s0, args.radius)
     print(f"net size {len(net.X0)}; Y* has {len(Y.vertices)} vertices, "
           f"{len(Y.edges)} edges")
-    block = enumerate_block(halo, {halo.base.identity(), s0})
-    ok, _ = check_iso_to_lamplighter(Y, complete_graph(len(block)), net.graph)
+    ok, _ = check_iso_to_lamplighter(Y, complete_graph(Y.block_size), net.graph)
     print(f"isomorphic to block-over-net lamplighter graph: {ok}")
     if args.out:
         Y.export_edge_list(args.out)

@@ -1,19 +1,31 @@
 """Lamplighter graphs of two finite graphs, maximal separated nets in a
 Cayley ball, the subgraph Y* of a halo product built over such a net, and
 an exact graph-isomorphism check (degree refinement + backtracking).
+
+Y* is built as the lamplighter graph of K_k over its net graph, and
+:func:`check_iso_to_lamplighter` certifies it through that construction
+map, (rho, x) -> (y -> rho_y, x), in O(V + E) and without building the
+lamplighter graph: the map is a bijection onto its vertices, sends every
+Y* edge to a lamp or move edge, and the edge counts agree.  The search
+runs only on the m-vertex net graphs, and on whatever the certificate
+does not cover (a plain graph, a B that is not complete, a map that
+fails), so every verdict stays exact.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 import json
+import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .errors import BudgetError, ContractViolation
 from .groups import GroupHandle, ball
 from .halo import HaloGroup, enumerate_block
+
+LAMPLIGHTER_VERTEX_BUDGET = 10 ** 5
 
 
 @dataclass(frozen=True)
@@ -108,26 +120,39 @@ class LamplighterGraph:
         return True
 
 
-def lamplighter_graph(B: FiniteGraph, A: FiniteGraph, support_cap: int,
-                      vertex_budget: int = 10 ** 5) -> LamplighterGraph:
-    """The lamplighter graph of B over A, truncated to |supp f| <= cap."""
+def _lamplighter_size(B: FiniteGraph, A: FiniteGraph, support_cap: int,
+                      vertex_budget: int) -> int:
+    """The vertex count of lamplighter_graph(B, A, support_cap), raising
+    what it raises, before any of it is built: ContractViolation when B
+    has no basepoint, BudgetError at the first lamp config (in order of
+    support size) that takes configs x |A| past vertex_budget."""
     if B.basepoint is None:
         raise ContractViolation("B needs a basepoint to define supp f")
+    m = len(A.vertices)
+    non_base = sum(1 for b in B.vertices if b != B.basepoint)
+    configs = 0
+    for k in range(min(support_cap, m) + 1):
+        configs += math.comb(m, k) * non_base ** k
+        if configs * m > vertex_budget:
+            reached = vertex_budget // m + 1
+            raise BudgetError(
+                f"vertex budget exceeded ({vertex_budget}): reached "
+                f"{reached} lamp configs x |A| = {m}, "
+                f"{reached * m} vertices, at support size {k}")
+    return configs * m
+
+
+def lamplighter_graph(B: FiniteGraph, A: FiniteGraph, support_cap: int,
+                      vertex_budget: int = LAMPLIGHTER_VERTEX_BUDGET) -> LamplighterGraph:
+    """The lamplighter graph of B over A, truncated to |supp f| <= cap."""
+    _lamplighter_size(B, A, support_cap, vertex_budget)
     b0 = B.basepoint
     non_base = [b for b in B.vertices if b != b0]
     a_order = {a: i for i, a in enumerate(A.vertices)}
-
-    configs = []
-    for k in range(min(support_cap, len(A.vertices)) + 1):
-        for sites in itertools.combinations(A.vertices, k):
-            for values in itertools.product(non_base, repeat=k):
-                f = tuple(sorted(zip(sites, values), key=lambda p: a_order[p[0]]))
-                configs.append(f)
-                if len(configs) * len(A.vertices) > vertex_budget:
-                    raise BudgetError(
-                        f"vertex budget exceeded ({vertex_budget}): reached "
-                        f"{len(configs)} lamp configs x |A| = {len(A.vertices)}, "
-                        f"{len(configs) * len(A.vertices)} vertices, at support size {k}")
+    configs = [tuple(sorted(zip(sites, values), key=lambda p: a_order[p[0]]))
+               for k in range(min(support_cap, len(A.vertices)) + 1)
+               for sites in itertools.combinations(A.vertices, k)
+               for values in itertools.product(non_base, repeat=k)]
 
     config_set = set(configs)
     adjB = B.adjacency
@@ -300,8 +325,20 @@ def net_metric_check(net: SeparatedNet) -> bool:
 # ---------------------------------------------------------------------------
 # the subgraph Y* of a halo product
 
+@dataclass(frozen=True)
+class YStarGraph(FiniteGraph):
+    """Y* together with what built it: the net graph, whose vertex order
+    is the site order of every rho, and the block size k, the size of the
+    block at the first site (every translated block has it; the
+    certificate in :func:`check_iso_to_lamplighter` checks the vertex set
+    rather than trusting this)."""
+
+    net_graph: FiniteGraph = field(kw_only=True)
+    block_size: int = field(kw_only=True)
+
+
 def build_Ystar(halo: HaloGroup, net: SeparatedNet, s0, radius: int,
-                budget: int = 10 ** 5) -> FiniteGraph:
+                budget: int = 10 ** 5) -> YStarGraph:
     """Vertices (rho, x): rho assigns to each net site y an element of the
     translated two-point block L({y, y*s0}); x a net site.  Edges: change
     rho at the current site x by multiplication with a non-identity block
@@ -352,8 +389,9 @@ def build_Ystar(halo: HaloGroup, net: SeparatedNet, s0, radius: int,
                 edges.add(frozenset((v, (rho2, x))))
     e0 = tuple(0 for _ in sites)
     x0 = sites[0] if sites else None
-    return FiniteGraph(tuple(vertices), frozenset(edges),
-                       (e0, x0) if sites else None)
+    return YStarGraph(tuple(vertices), frozenset(edges),
+                      (e0, x0) if sites else None,
+                      net_graph=net.graph, block_size=sizes[0] if sites else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -373,9 +411,97 @@ def _refine(adj: Dict, colors: Dict) -> Dict:
 def check_iso_to_lamplighter(Y: FiniteGraph, B: FiniteGraph, A: FiniteGraph,
                              size_budget: int = 10 ** 4):
     """Decide Y isomorphic-to lamplighter_graph(B, A, |A|), the untruncated
-    lamplighter graph; returns (True, mapping) or (False, None)."""
-    L = lamplighter_graph(B, A, len(A.vertices))
-    return graph_isomorphism(Y, L.graph, size_budget)
+    lamplighter graph; returns (True, mapping) or (False, None).
+
+    It raises as building that graph and searching it would (see
+    :func:`lamplighter_graph` and :func:`graph_isomorphism`), but sizes the
+    graph L first by formula: with m = |A| and k = |B|, L has m k^m
+    vertices and k^m |E(A)| + m k^(m-1) |E(B)| edges (each config carries
+    A's edges as move edges, and each site, with the other m - 1 lamps
+    fixed, B's edges as lamp edges).  When Y's counts differ from these
+    the answer is (False, None) at once, the search's own first test.
+
+    A Y* from :func:`build_Ystar` is then certified through its
+    construction map, without building L (see :func:`_construction_map`).
+    Everything else is decided by building L and searching: a plain
+    FiniteGraph, a B that is not complete, a net graph not isomorphic to
+    A, or a map that fails its check.  So every verdict is exact.
+    """
+    m, k = len(A.vertices), len(B.vertices)
+    n = _lamplighter_size(B, A, m, LAMPLIGHTER_VERTEX_BUDGET)
+    _check_size_budget(len(Y.vertices), n, size_budget)
+    n_edges = k ** m * len(A.edges) + m * k ** m // k * len(B.edges)
+    if len(Y.vertices) != n or len(Y.edges) != n_edges:
+        return False, None
+    mapping = _construction_map(Y, B, A)
+    if mapping is not None:
+        return True, mapping
+    return graph_isomorphism(Y, lamplighter_graph(B, A, m).graph, size_budget)
+
+
+def _construction_map(Y: FiniteGraph, B: FiniteGraph, A: FiniteGraph) -> Optional[Dict]:
+    """The isomorphism Y -> L = lamplighter_graph(B, A, |A|) that built Y,
+    checked in O(V + E); None when Y is no Y* or the check fails.
+
+    For a Y* over the net graph N with block size k, and B complete on k
+    vertices, the map is (rho, x) -> (sorted {(phi(y), psi(rho_y)) :
+    rho_y != 0}, phi(x)), with the lamps sorted in A's vertex order as L
+    stores them.  phi: N -> A is an isomorphism found by
+    :func:`graph_isomorphism` on the m-vertex graphs and checked here;
+    psi sends block index 0 to B's basepoint and 1, ..., k - 1 to B's other
+    vertices in order.  The caller has checked |V(Y)| = |V(L)| and
+    |E(Y)| = |E(L)|.  Then the map is an isomorphism when
+      - Y's vertices are exactly the pairs (rho, x), rho in {0..k-1}^m and
+        x a site, and their images are distinct vertices of L: a bijection;
+      - every Y edge keeps rho and joins N-neighbours x, x' (its image is
+        the move edge phi(x) ~ phi(x') of L), or keeps x and changes rho
+        at x's site alone (its image changes the lamp at phi(x) between
+        two distinct, so B-adjacent, values: a lamp edge of L).
+    The map is injective on vertex pairs, so it sends E(Y) into E(L)
+    injectively, and onto it as the edge counts agree.
+    """
+    if not isinstance(Y, YStarGraph):
+        return None
+    N, k = Y.net_graph, Y.block_size
+    if len(B.vertices) != k or len(B.edges) != k * (k - 1) // 2:
+        return None  # B is not complete on k vertices
+    # no budget of its own: unequal sizes are refused before any search
+    ok, phi = graph_isomorphism(N, A, max(len(N.vertices), len(A.vertices)))
+    if not ok or set(phi.values()) != set(A.vertices) or (
+            {frozenset(phi[x] for x in e) for e in N.edges} != A.edges):
+        return None
+    b0 = B.basepoint
+    psi = (b0, *(b for b in B.vertices if b != b0))
+    a_order = {a: i for i, a in enumerate(A.vertices)}
+    sites = N.vertices
+    # each site's position in rho, with its image, in A's vertex order
+    lamps = sorted(((i, phi[x]) for i, x in enumerate(sites)),
+                   key=lambda p: a_order[p[1]])
+    mapping = {}
+    for rho in itertools.product(range(k), repeat=len(sites)):
+        f = tuple((a, psi[rho[i]]) for i, a in lamps if rho[i])
+        for x in sites:
+            mapping[(rho, x)] = (f, phi[x])
+    if mapping.keys() != set(Y.vertices) or len(set(mapping.values())) != len(mapping):
+        return None
+    pos = {x: i for i, x in enumerate(sites)}
+    moves = N.adjacency
+    for e in Y.edges:
+        (rho, x), (rho2, x2) = e
+        if rho == rho2:
+            if x2 not in moves[x]:
+                return None
+        else:
+            i = pos[x]
+            if x2 != x or rho[:i] != rho2[:i] or rho[i + 1:] != rho2[i + 1:]:
+                return None
+    return mapping
+
+
+def _check_size_budget(n1: int, n2: int, size_budget: int) -> None:
+    if n1 > size_budget or n2 > size_budget:
+        raise BudgetError(f"isomorphism size budget exceeded ({size_budget}): "
+                          f"the graphs have {n1} and {n2} vertices")
 
 
 def graph_isomorphism(G1: FiniteGraph, G2: FiniteGraph,
@@ -401,10 +527,7 @@ def graph_isomorphism(G1: FiniteGraph, G2: FiniteGraph,
     the edge counts are equal, so it sends the edges onto the edges and
     the non-edges onto the non-edges: it is an isomorphism.
     """
-    if len(G1.vertices) > size_budget or len(G2.vertices) > size_budget:
-        raise BudgetError(f"isomorphism size budget exceeded ({size_budget}): "
-                          f"the graphs have {len(G1.vertices)} and "
-                          f"{len(G2.vertices)} vertices")
+    _check_size_budget(len(G1.vertices), len(G2.vertices), size_budget)
     if len(G1.vertices) != len(G2.vertices) or len(G1.edges) != len(G2.edges):
         return False, None
     a1, a2 = G1.adjacency, G2.adjacency

@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter, deque
 from dataclasses import replace
@@ -8,7 +9,9 @@ from halolab.errors import BudgetError, ContractViolation
 from halolab.gf import GF
 from halolab.groups import CyclicGroup, HeisenbergGroup, SymmetricGroup, ZdGroup, ball
 from halolab.halo import make_halo
-from halolab.lampgraph import (FiniteGraph, _bigstep_distances,
+from halolab import lampgraph
+from halolab.lampgraph import (FiniteGraph, YStarGraph, _bigstep_distances,
+                               _construction_map, _lamplighter_size,
                                _net_metric_pairs, _refine, build_Ystar,
                                check_iso_to_lamplighter, complete_graph,
                                graph_from_edges, graph_isomorphism,
@@ -369,9 +372,127 @@ def _assert_same_verdict_as_oracle(G1, G2):
 def test_ystar_isomorphism_matches_whole_class_search(family, fiber, k, radius):
     net = greedy_net(Z, radius, 1)
     Y = build_Ystar(make_halo(family, fiber, Z), net, (1,), radius)
+    m = len(net.X0)
+    assert len(net.graph.edges) == m * (m - 1) // 2  # complete at these radii
     for kk, want in ((k, True), (3, False)):
-        L = lamplighter_graph(complete_graph(kk), net.graph, len(net.X0)).graph
-        assert _assert_same_verdict_as_oracle(Y, L) is want
+        for A in (net.graph, complete_graph(m)):
+            L = lamplighter_graph(complete_graph(kk), A, m).graph
+            assert _assert_same_verdict_as_oracle(Y, L) is want
+            ok, mapping = check_iso_to_lamplighter(Y, complete_graph(kk), A)
+            assert ok is want
+            if ok:
+                _assert_isomorphism(Y, L, mapping)
+            else:
+                assert mapping is None
+
+
+def _searched_sizes(monkeypatch):
+    """Spy on graph_isomorphism: the list it fills with the vertex counts
+    of each pair of graphs it is called on."""
+    seen = []
+    search = lampgraph.graph_isomorphism
+
+    def spy(G1, G2, *args):
+        seen.append((len(G1.vertices), len(G2.vertices)))
+        return search(G1, G2, *args)
+
+    monkeypatch.setattr(lampgraph, "graph_isomorphism", spy)
+    return seen
+
+
+def _wreath_ystar(radius):
+    """The net over Z at D = 1 and the Y* of wreath(C2, Z) over it."""
+    net = greedy_net(Z, radius, 1)
+    return net, build_Ystar(make_halo("wreath", CyclicGroup(2), Z), net, (1,), radius)
+
+
+@pytest.mark.parametrize("radius, k", [(3, 4), (6, 4)])
+def test_ystar_certificate_searches_only_the_small_graphs(monkeypatch, radius, k):
+    net, Y = _wreath_ystar(radius)
+    assert isinstance(Y, YStarGraph) and (Y.net_graph, Y.block_size) == (net.graph, k)
+    seen = _searched_sizes(monkeypatch)
+    ok, mapping = check_iso_to_lamplighter(Y, complete_graph(k), net.graph)
+    assert ok and len(mapping) == len(Y.vertices)
+    m = len(net.X0)
+    assert seen and max(map(max, seen)) <= max(m, k)
+
+
+def test_ystar_with_a_lamp_edge_swapped_for_a_non_edge_gets_the_search_verdict(monkeypatch):
+    net, Y = _wreath_ystar(3)
+    # rho changed at a site other than the cursor's
+    non_edge = frozenset({((0, 0, 0), net.X0[0]), ((0, 1, 0), net.X0[0])})
+    lamp = frozenset({((0, 0, 0), net.X0[2]), ((0, 0, 2), net.X0[2])})
+    assert lamp in Y.edges and non_edge not in Y.edges
+    bad = replace(Y, edges=(Y.edges - {lamp}) | {non_edge})
+    assert len(bad.edges) == len(Y.edges)
+    assert (bad.net_graph, bad.block_size) == (Y.net_graph, Y.block_size)
+    B, A = complete_graph(4), net.graph
+    assert _construction_map(bad, B, A) is None
+    seen = _searched_sizes(monkeypatch)
+    L = lamplighter_graph(B, A, len(A.vertices)).graph
+    assert check_iso_to_lamplighter(bad, B, A) == _whole_class_isomorphism(bad, L) == (False, None)
+    assert (len(Y.vertices), len(L.vertices)) in seen
+
+
+def test_ystar_with_any_diagonal_non_edge_is_not_certified():
+    # a pair that changes rho at one site and moves the cursor is no edge of
+    # L, whichever of its ends the check reads first
+    net, Y = _wreath_ystar(3)
+    B, A = complete_graph(4), net.graph
+    lamp = frozenset({((0, 0, 0), net.X0[2]), ((0, 0, 2), net.X0[2])})
+    for j, b in itertools.permutations(range(3), 2):
+        for value in (1, 2, 3):
+            changed = tuple(value if i == j else 0 for i in range(3))
+            for rho, rho2 in (((0, 0, 0), changed), (changed, (0, 0, 0))):
+                non_edge = frozenset({(rho, net.X0[j]), (rho2, net.X0[b])})
+                bad = replace(Y, edges=(Y.edges - {lamp}) | {non_edge})
+                assert len(bad.edges) == len(Y.edges)
+                assert _construction_map(bad, B, A) is None
+                assert check_iso_to_lamplighter(bad, B, A) == (False, None)
+
+
+def test_ystar_with_a_lamp_edge_dropped_is_refused_by_its_edge_count():
+    net, Y = _wreath_ystar(3)
+    lamp = frozenset({((0, 0, 0), net.X0[0]), ((1, 0, 0), net.X0[0])})
+    dropped = replace(Y, edges=Y.edges - {lamp})
+    assert len(dropped.edges) == len(Y.edges) - 1
+    assert check_iso_to_lamplighter(dropped, complete_graph(4), net.graph) == (False, None)
+
+
+def test_a_plain_lamplighter_graph_goes_through_the_search(monkeypatch):
+    B, A = complete_graph(2), complete_graph(3)
+    L = lamplighter_graph(B, A, 3).graph
+    assert type(L) is FiniteGraph and _construction_map(L, B, A) is None
+    seen = _searched_sizes(monkeypatch)
+    ok, mapping = check_iso_to_lamplighter(L, B, A)
+    assert ok
+    _assert_isomorphism(L, L, mapping)
+    assert seen == [(24, 24)]
+
+
+@pytest.mark.parametrize("B, A", [
+    (path_graph(2), path_graph(3)), (complete_graph(3), path_graph(4)),
+    (path_graph(3), complete_graph(4)), (complete_graph(4), FiniteGraph((0,), frozenset(), 0))])
+def test_lamplighter_size_counts_the_built_graph(B, A):
+    m, k = len(A.vertices), len(B.vertices)
+    for cap in range(m + 1):
+        L = lamplighter_graph(B, A, cap).graph
+        assert _lamplighter_size(B, A, cap, 10 ** 5) == len(L.vertices)
+    # the untruncated graph: the edge count check_iso_to_lamplighter reads
+    assert len(L.vertices) == m * k ** m
+    assert len(L.edges) == k ** m * len(A.edges) + m * k ** (m - 1) * len(B.edges)
+
+
+def test_check_iso_to_lamplighter_raises_the_budgets_of_build_and_search():
+    Y = build_Ystar(make_halo("shuffler", None, Z), greedy_net(Z, 3, 1), (1,), 3)
+    with pytest.raises(BudgetError, match=r"\(100000\): reached 11112 lamp configs "
+                       r"x \|A\| = 9, 100008 vertices, at support size 4"):
+        check_iso_to_lamplighter(Y, complete_graph(4), complete_graph(9))
+    with pytest.raises(BudgetError, match=r"\(20\): the graphs have 24 and 24 vertices"):
+        check_iso_to_lamplighter(Y, complete_graph(2), complete_graph(3), size_budget=20)
+    with pytest.raises(ContractViolation, match="basepoint"):
+        check_iso_to_lamplighter(Y, replace(complete_graph(2), basepoint=None),
+                                 complete_graph(3))
 
 
 def test_ystar_wreath_radius_6_over_an_incomplete_net_graph():
