@@ -130,7 +130,12 @@ class ZdGroup(GroupHandle):
 
     Tuple ``<`` is the lexicographic order, which translations preserve,
     so every Z^d is ordered.  ``lex`` only names that order in the spec
-    (``Z^d:lex``); it changes nothing else."""
+    (``Z^d:lex``); it changes nothing else.
+
+    ``multiply``, ``step`` and ``invert`` write out the coordinates of Z
+    and Z^2, the groups the halos run over; d >= 3 maps over the tuples.
+    ``step(a, i)`` adds ``_gens[i]``, so a subclass may list its own
+    generators."""
 
     has_total_order = True
 
@@ -150,13 +155,29 @@ class ZdGroup(GroupHandle):
         return (0,) * self.d
 
     def multiply(self, a, b):
+        d = self.d
+        if d == 2:
+            return (a[0] + b[0], a[1] + b[1])
+        if d == 1:
+            return (a[0] + b[0],)
         return tuple(map(operator.add, a, b))
 
     def step(self, a, i):
-        return tuple(map(operator.add, a, self._gens[i]))
+        s = self._gens[i]
+        d = self.d
+        if d == 2:
+            return (a[0] + s[0], a[1] + s[1])
+        if d == 1:
+            return (a[0] + s[0],)
+        return tuple(map(operator.add, a, s))
 
     def invert(self, a):
-        return tuple(-x for x in a)
+        d = self.d
+        if d == 2:
+            return (-a[0], -a[1])
+        if d == 1:
+            return (-a[0],)
+        return tuple(map(operator.neg, a))
 
     def generators(self):
         return list(self._gens)  # a copy, so no caller can edit the shared list

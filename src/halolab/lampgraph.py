@@ -124,11 +124,14 @@ def _lamplighter_size(B: FiniteGraph, A: FiniteGraph, support_cap: int,
                       vertex_budget: int) -> int:
     """The vertex count of lamplighter_graph(B, A, support_cap), raising
     what it raises, before any of it is built: ContractViolation when B
-    has no basepoint, BudgetError at the first lamp config (in order of
-    support size) that takes configs x |A| past vertex_budget."""
+    has no basepoint or A no vertex (a cursor needs one), BudgetError at
+    the first lamp config (in order of support size) that takes configs
+    x |A| past vertex_budget."""
     if B.basepoint is None:
         raise ContractViolation("B needs a basepoint to define supp f")
     m = len(A.vertices)
+    if not m:
+        raise ContractViolation("A needs at least one vertex for the cursor")
     non_base = sum(1 for b in B.vertices if b != B.basepoint)
     configs = 0
     for k in range(min(support_cap, m) + 1):

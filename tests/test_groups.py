@@ -1,3 +1,4 @@
+import operator
 import tracemalloc
 
 import pytest
@@ -211,3 +212,34 @@ def test_default_step_fetches_the_generators_once():
     for a in range(5):
         assert [c.step(a, i) for i in range(2)] == [(a + 1) % 5, (a - 1) % 5]
     assert Counting.calls == 1
+
+
+class _SkewedZd(ZdGroup):
+    """Z^d with its own generator list, not +-e_i: step must add these."""
+
+    def __init__(self, d, lex):
+        super().__init__(d, lex)
+        self._gens = [tuple(range(1, d + 1)), tuple(range(-1, -d - 1, -1)),
+                      (2,) * d, self._gens[0]]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("lex", [False, True])
+def test_zd_arithmetic_against_a_coordinatewise_oracle(d, lex):
+    """multiply, step and invert against tuple(map(...)) on every pair of
+    Ball(3) (Ball(2) for d = 4), for Z^d and for a subclass whose
+    generators are not +-e_i."""
+    e = (0,) * d
+    elems = ball(ZdGroup(d), 3 if d < 4 else 2).elements
+    for Z in (ZdGroup(d, lex), _SkewedZd(d, lex)):
+        assert Z.identity() == e
+        for a in elems:
+            inv = Z.invert(a)
+            assert type(inv) is tuple and inv == tuple(map(operator.neg, a))
+            assert Z.multiply(a, inv) == e
+            for i, s in enumerate(Z.generators()):
+                assert Z.step(a, i) == Z.multiply(a, s) == tuple(map(operator.add, a, s)), (Z, a, i)
+            for b in elems:
+                ab = Z.multiply(a, b)
+                assert type(ab) is tuple and ab == tuple(map(operator.add, a, b)), (Z, a, b)
+                assert all(type(x) is int for x in ab)

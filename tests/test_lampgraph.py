@@ -56,6 +56,14 @@ def test_lamplighter_graph_budget():
                           vertex_budget=100)
 
 
+def test_an_empty_base_graph_is_rejected_by_build_and_check():
+    empty = FiniteGraph((), frozenset())
+    with pytest.raises(ContractViolation, match="A needs at least one vertex"):
+        lamplighter_graph(complete_graph(2), empty, 1)
+    with pytest.raises(ContractViolation, match="A needs at least one vertex"):
+        check_iso_to_lamplighter(empty, complete_graph(2), empty)
+
+
 def test_greedy_net_on_z():
     net = greedy_net(Z, 12, 1)
     assert set(net.X0) == {(3 * k,) for k in range(-4, 5)}
