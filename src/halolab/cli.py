@@ -26,8 +26,8 @@ from .isoperimetry import (FiniteFunction, folner_function, gradient_ratio,
                            almost_invariant_lift, profile_exact,
                            profile_heuristic)
 from .lampgraph import (build_Ystar, check_iso_to_lamplighter, complete_graph,
-                        greedy_net, net_is_maximal_in_interior,
-                        net_is_separated)
+                        greedy_net, net_check_counts,
+                        net_is_maximal_in_interior, net_is_separated)
 
 
 # argparse turns an ArgumentTypeError into one error line and exit status 2
@@ -191,9 +191,17 @@ def cmd_net(args) -> int:
     print(f"X0 ({len(net.X0)} points): "
           + ", ".join(g.element_str(x) for x in net.X0))
     separated, maximal = net_is_separated(net), net_is_maximal_in_interior(net)
-    print(f"separated (>= D+2 = {net.separation}): {separated}")
-    print(f"maximal in interior: {maximal}")
-    return 0 if separated and maximal else 1
+    pairs, points = net_check_counts(net)
+    print(f"separated (>= D+2 = {net.separation}): {separated} ({pairs} pairs examined)")
+    print(f"maximal in interior: {maximal} ({points} interior points examined)")
+    # a check that examined nothing holds vacuously and proves nothing
+    if not pairs:
+        print("error: the separation check examined no pair: the net has one point",
+              file=sys.stderr)
+    if not points:
+        print("error: the maximality check examined no interior point: "
+              f"radius < D+2 = {net.separation}", file=sys.stderr)
+    return 0 if separated and maximal and pairs and points else 1
 
 
 def cmd_ystar(args) -> int:

@@ -10,6 +10,15 @@ Y* edge to a lamp or move edge, and the edge counts agree.  The search
 runs only on the m-vertex net graphs, and on whatever the certificate
 does not cover (a plain graph, a B that is not complete, a map that
 fails), so every verdict stays exact.
+
+A net from :func:`greedy_net` keeps the Cayley ball it grew, and its
+checks (:func:`net_is_separated`, :func:`net_is_maximal_in_interior`,
+:func:`net_metric_check`) read word lengths from that ball, growing it
+only past its radius; the metric check runs its net-graph BFS from the
+interior net points alone.  :func:`build_Ystar` makes each edge once and
+checks that blocks at distinct sites commute on the family's lamp codes
+(``HaloGroup._lamp_codes``), composing payloads only where a family has
+no code.
 """
 from __future__ import annotations
 
@@ -22,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .errors import BudgetError, ContractViolation
-from .groups import GroupHandle, ball
+from .groups import Ball, GroupHandle, ball
 from .halo import HaloGroup, enumerate_block
 
 LAMPLIGHTER_VERTEX_BUDGET = 10 ** 5
@@ -200,6 +209,21 @@ class SeparatedNet:
         return self.D + 2
 
     @functools.cached_property
+    def ball(self) -> Ball:
+        """The Cayley ball of the group that the net checks read word
+        lengths from: the one greedy_net grew for a net it built, else a
+        new Ball.  It is kept per instance, so a dataclasses.replace copy,
+        which may change the group, starts a ball of its own."""
+        return ball(self.group, 0)
+
+    def lengths(self, radius: int) -> Dict[Any, int]:
+        """Word lengths of the group out to at least the given radius, from
+        the net's ball, grown only when it is smaller (growing resumes from
+        its last sphere).  The ball may be larger: an element absent from
+        it is longer than its radius, which is at least the given one."""
+        return self.ball.grow(radius).lengths
+
+    @functools.cached_property
     def graph(self) -> FiniteGraph:
         """The net graph on X0, based at X0[0]: x ~ y iff x^-1 y is a bigstep
         generator, i.e. 0 < d_group(x, y) <= 2D+5.  Built on first use and
@@ -217,11 +241,13 @@ def greedy_net(group: GroupHandle, radius: int, D: int) -> SeparatedNet:
     """Greedy (D+2)-separated net over Ball(radius), insertion in BFS order
     (length, then element order); maximal within the ball interior.  One
     ball, of radius max(radius, 2D+5), serves the net, the separation test
-    and the bigstep set.  ContractViolation for a negative radius or D,
-    whose net would be empty or its checks vacuous."""
+    and the bigstep set, and the net keeps it (SeparatedNet.ball) for its
+    checks.  ContractViolation for a negative radius or D, whose net would
+    be empty or its checks vacuous."""
     if radius < 0 or D < 0:
         raise ContractViolation(f"greedy_net needs radius >= 0 and D >= 0, not {radius}, {D}")
-    lengths = ball(group, max(radius, 2 * D + 5)).lengths
+    grown = ball(group, max(radius, 2 * D + 5))
+    lengths = grown.lengths
     order = sorted((g for g, l in lengths.items() if l <= radius),
                    key=lambda g: (lengths[g], g))
     sep = D + 2
@@ -232,15 +258,31 @@ def greedy_net(group: GroupHandle, radius: int, D: int) -> SeparatedNet:
         if all(lengths.get(group.multiply(vi, x), sep) >= sep for x in X0):
             X0.append(v)
     bigs = sorted(g for g, l in lengths.items() if 0 < l <= 2 * D + 5)
-    return SeparatedNet(group, D, radius, tuple(X0), tuple(bigs))
+    net = SeparatedNet(group, D, radius, tuple(X0), tuple(bigs))
+    object.__setattr__(net, "ball", grown)  # fills the cached property
+    return net
 
 
 def net_is_separated(net: SeparatedNet) -> bool:
+    """Every two net points are at distance >= D+2."""
     g = net.group
-    near = set(ball(g, net.separation - 1).elements)
+    sep = net.separation
+    lengths = net.lengths(sep - 1)
     X = net.X0
-    return all(g.multiply(g.invert(X[i]), X[j]) not in near
+    return all(lengths.get(g.multiply(g.invert(X[i]), X[j]), sep) >= sep
                for i in range(len(X)) for j in range(i + 1, len(X)))
+
+
+def _interior_points(net: SeparatedNet) -> List:
+    """The ball points at distance <= radius - (D+2) from the identity, in
+    BFS order; none when the radius is below D+2."""
+    interior_r = net.radius - net.separation
+    pts = []
+    for v, l in net.lengths(max(interior_r, 0)).items():
+        if l > interior_r:  # BFS order: every later point is longer
+            break
+        pts.append(v)
+    return pts
 
 
 def net_is_maximal_in_interior(net: SeparatedNet) -> bool:
@@ -248,22 +290,30 @@ def net_is_maximal_in_interior(net: SeparatedNet) -> bool:
     within D+2 of some net point."""
     g = net.group
     sep = net.separation
-    lengths = ball(g, max(net.radius, sep)).lengths
-    interior_r = net.radius - sep
-    for v, l in lengths.items():
-        if l > interior_r:
-            continue
+    lengths = net.lengths(sep)
+    for v in _interior_points(net):
         vi = g.invert(v)
         if not any(lengths.get(g.multiply(vi, x), sep + 1) <= sep for x in net.X0):
             return False
     return True
 
 
-def _bigstep_distances(net: SeparatedNet) -> Dict[Tuple, int]:
-    """Distances in the net graph (see SeparatedNet.graph), BFS per source."""
+def net_check_counts(net: SeparatedNet) -> Tuple[int, int]:
+    """What the two net checks examine: the pairs of net points that
+    :func:`net_is_separated` tests, and the interior points that
+    :func:`net_is_maximal_in_interior` tests.  A check that examines
+    none holds vacuously."""
+    m = len(net.X0)
+    return m * (m - 1) // 2, len(_interior_points(net))
+
+
+def _bigstep_distances(net: SeparatedNet, sources: Iterable) -> Dict[Tuple, int]:
+    """Distances in the net graph (see SeparatedNet.graph) from each of the
+    given net points, one BFS per source: (source, y) -> distance for
+    every y the source reaches."""
     adj = net.graph.adjacency
     dist = {}
-    for src in net.X0:
+    for src in sources:
         d = {src: 0}
         frontier = [src]
         while frontier:
@@ -287,22 +337,25 @@ def _net_metric_pairs(net: SeparatedNet) -> Tuple[Dict[Tuple, int], Tuple[int, i
     its bigstep distance.  Those pairs are checked, and failed when the
     bound breaks; the other interior pairs, which the net graph does not
     join, are skipped, so checked + skipped is the number of ordered
-    interior pairs.
+    interior pairs.  The net-graph distances come from a BFS from each
+    interior net point alone.
 
     The bigstep distance has a closed form: d_big(x, y) = ceil(|x^-1 y| / L)
     with L = 2D + 5.  The bigstep generators are Ball(L) minus the
     identity, so k of them move at most kL.  Conversely, a geodesic word
     for x^-1 y cut into pieces of length <= L is a bigstep word, as each
     piece is itself a geodesic and so never the identity.  For interior
-    x, y, |x^-1 y| <= 2 r_int (r_int the interior radius), so one ball of
-    radius max(radius, 2 r_int) holds every length read here.
+    x, y, |x^-1 y| <= 2 r_int (r_int the interior radius), so the net's
+    ball, grown to radius max(radius, 2 r_int), holds every length read
+    here.
     """
     g = net.group
     L = 2 * net.D + 5
     interior_r = net.radius - net.separation
-    lengths = ball(g, max(net.radius, 2 * interior_r)).lengths
-    pts = [x for x in net.X0 if lengths[x] <= interior_r]
-    dX = _bigstep_distances(net)
+    lengths = net.lengths(max(net.radius, 2 * interior_r))
+    # a point the ball lacks is longer than its radius, so not interior
+    pts = [x for x in net.X0 if lengths.get(x, interior_r + 1) <= interior_r]
+    dX = _bigstep_distances(net, pts)
     d_big = {}
     for x in pts:
         xi = g.invert(x)
@@ -346,55 +399,74 @@ def build_Ystar(halo: HaloGroup, net: SeparatedNet, s0, radius: int,
     translated two-point block L({y, y*s0}); x a net site.  Edges: change
     rho at the current site x by multiplication with a non-identity block
     element (lamp edge), or move x to a net site within 2D+5 (move edge).
+    Each edge is made once: a move edge from its earlier site in net
+    order, a lamp edge from its smaller block index.
 
     Every pair of block elements at distinct sites must commute; a
-    violation falsifies large-scale commutativity and raises.
+    violation falsifies large-scale commutativity and raises (see
+    :func:`_check_blocks_commute`).
     """
     base = halo.base
     if s0 == base.identity():
         raise ContractViolation("s0 must differ from the identity")
     sites = list(net.X0)
-    blocks = {}
-    for x in sites:
-        pair = {x, base.multiply(x, s0)}
-        blocks[x] = sorted(enumerate_block(halo, pair, budget), key=repr)
-    # commutation across distinct sites (exhaustive at this truncation)
-    for i, x in enumerate(sites):
-        for y in sites[i + 1:]:
-            for a in blocks[x]:
-                for b in blocks[y]:
-                    if halo.lamp_compose(a, b) != halo.lamp_compose(b, a):
-                        raise ContractViolation(
-                            "blocks at distinct net sites failed to commute; "
-                            "this falsifies large-scale commutativity")
+    blocks = [sorted(enumerate_block(halo, {x, base.multiply(x, s0)}, budget), key=repr)
+              for x in sites]
+    _check_blocks_commute(halo, blocks)
 
-    sizes = [len(blocks[x]) for x in sites]
+    sizes = [len(block) for block in blocks]
     n_vertices = len(sites)
     for s in sizes:
         n_vertices *= s
     if n_vertices > budget:
         raise BudgetError(f"Y* vertex budget exceeded ({n_vertices} > {budget})")
 
-    idx_ranges = [range(s) for s in sizes]
+    pos = {x: i for i, x in enumerate(sites)}
     moves = net.graph.adjacency
+    later = [[y for y in moves[x] if pos[y] > xi] for xi, x in enumerate(sites)]
     vertices = []
     edges = set()
-    for rho in itertools.product(*idx_ranges):
+    for rho in itertools.product(*map(range, sizes)):
         for xi, x in enumerate(sites):
             v = (rho, x)
             vertices.append(v)
-            for y in moves[x]:
+            for y in later[xi]:
                 edges.add(frozenset((v, (rho, y))))
-            for j in range(len(blocks[x])):
-                if j == rho[xi]:
-                    continue
-                rho2 = rho[:xi] + (j,) + rho[xi + 1:]
-                edges.add(frozenset((v, (rho2, x))))
+            for j in range(rho[xi] + 1, sizes[xi]):
+                edges.add(frozenset((v, (rho[:xi] + (j,) + rho[xi + 1:], x))))
     e0 = tuple(0 for _ in sites)
     x0 = sites[0] if sites else None
     return YStarGraph(tuple(vertices), frozenset(edges),
                       (e0, x0) if sites else None,
                       net_graph=net.graph, block_size=sizes[0] if sites else 0)
+
+
+def _check_blocks_commute(halo: HaloGroup, blocks: List[List]) -> None:
+    """ContractViolation unless a b = b a for every a and b in blocks at
+    distinct sites, checked exhaustively.  One lamp code
+    (HaloGroup._lamp_codes) over all the block lamps gives each lamp its
+    code and its operand, and a b = b a iff step(code(a), operand(b)) ==
+    step(code(b), operand(a)): both sides code a product whose points lie
+    among the blocks', where encode is injective.  With no code (a field
+    other than GF(2), more than 256 points) each lamp is its own code and
+    operand, and the step is lamp_compose."""
+    lamps = [a for block in blocks for a in block]
+    codes = halo._lamp_codes(lamps)
+    if codes is None:
+        coded, operands, step = lamps, lamps, halo.lamp_compose
+    else:
+        encode, operands, step = codes
+        coded = list(map(encode, lamps))
+    pairs = iter(zip(coded, operands))
+    coded_blocks = [list(itertools.islice(pairs, len(block))) for block in blocks]
+    for i, block in enumerate(coded_blocks):
+        for other in coded_blocks[i + 1:]:
+            for a, op_a in block:
+                for b, op_b in other:
+                    if step(a, op_b) != step(b, op_a):
+                        raise ContractViolation(
+                            "blocks at distinct net sites failed to commute; "
+                            "this falsifies large-scale commutativity")
 
 
 # ---------------------------------------------------------------------------

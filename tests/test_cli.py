@@ -1,8 +1,12 @@
 import json
 import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import halolab
 from halolab.cli import main
 from halolab.errors import ContractViolation, ParseError
 from halolab.experiment import load_config, run_experiment
@@ -200,6 +204,38 @@ def test_net(capsys):
     out = capsys.readouterr().out
     assert "separated (>= D+2 = 3): True" in out
     assert "maximal in interior: True" in out
+
+
+def test_net_prints_what_each_check_examined(capsys):
+    assert main(["net", "--group", "Z", "--radius", "12", "--D", "1"]) == 0
+    captured = capsys.readouterr()
+    assert "separated (>= D+2 = 3): True (36 pairs examined)" in captured.out
+    assert "maximal in interior: True (19 interior points examined)" in captured.out
+    assert captured.err == ""
+
+
+def test_net_exits_1_when_its_checks_examine_nothing(capsys):
+    """A one-point net with no interior point used to print both checks
+    True and exit 0."""
+    assert main(["net", "--group", "Z^2", "--radius", "2", "--D", "1"]) == 1
+    captured = capsys.readouterr()
+    assert "separated (>= D+2 = 3): True (0 pairs examined)" in captured.out
+    assert "maximal in interior: True (0 interior points examined)" in captured.out
+    assert captured.err.splitlines() == [
+        "error: the separation check examined no pair: the net has one point",
+        "error: the maximality check examined no interior point: radius < D+2 = 3"]
+
+
+def test_python_m_halolab_runs_the_cli(tmp_path):
+    src = pathlib.Path(halolab.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    run = subprocess.run([sys.executable, "-m", "halolab", "net", "--group", "Z",
+                          "--radius", "12", "--D", "1"],
+                         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert "maximal in interior: True (19 interior points examined)" in run.stdout
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_ystar(capsys):

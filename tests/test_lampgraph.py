@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from collections import Counter, deque
 from dataclasses import replace
 
@@ -8,14 +9,14 @@ import pytest
 from halolab.errors import BudgetError, ContractViolation
 from halolab.gf import GF
 from halolab.groups import CyclicGroup, HeisenbergGroup, SymmetricGroup, ZdGroup, ball
-from halolab.halo import make_halo
+from halolab.halo import enumerate_block, make_halo
 from halolab import lampgraph
 from halolab.lampgraph import (FiniteGraph, YStarGraph, _bigstep_distances,
-                               _construction_map, _lamplighter_size,
-                               _net_metric_pairs, _refine, build_Ystar,
-                               check_iso_to_lamplighter, complete_graph,
+                               _check_blocks_commute, _construction_map,
+                               _lamplighter_size, _net_metric_pairs, _refine,
+                               build_Ystar, check_iso_to_lamplighter, complete_graph,
                                graph_from_edges, graph_isomorphism,
-                               greedy_net, lamplighter_graph,
+                               greedy_net, lamplighter_graph, net_check_counts,
                                net_is_maximal_in_interior, net_is_separated,
                                net_metric_check, path_graph)
 
@@ -140,7 +141,7 @@ def _per_source_d_big(net):
     b = ball(g, net.radius)
     interior_r = net.radius - net.separation
     pts = [x for x in net.X0 if b.lengths[x] <= interior_r]
-    dX = _bigstep_distances(net)
+    dX = _bigstep_distances(net, pts)
     k = -(-2 * interior_r // L)
     window = set(ball(g, interior_r + k * L).elements)
     out = {}
@@ -244,11 +245,111 @@ def test_net_metric_check_fails_on_a_long_detour():
     net = replace(greedy_net(Z2, 0, 0), radius=30, X0=X0)
     d_big, counts = _net_metric_pairs(net)
     assert counts == (169, 0, 2)
-    dX = _bigstep_distances(net)
+    dX = _bigstep_distances(net, net.X0)
     assert {xy for xy, dby in d_big.items() if dX[xy] > 5 * dby} == {
         ((3, 0), (-3, 0)), ((-3, 0), (3, 0))}
     assert d_big[((3, 0), (-3, 0))] == 2 and dX[((3, 0), (-3, 0))] == 12
     assert net_metric_check(net) is False
+
+
+# -- one ball per net: the checks against a fresh ball per check ------------
+
+def _fresh_ball_verdicts(net):
+    """Oracle: every net check and count with a fresh Cayley ball per check
+    and a net-graph BFS from every net point, as before the net kept its
+    ball."""
+    g = net.group
+    sep = net.separation
+    X = net.X0
+    near = set(ball(g, sep - 1).elements)
+    separated = all(g.multiply(g.invert(X[i]), X[j]) not in near
+                    for i in range(len(X)) for j in range(i + 1, len(X)))
+    lengths = ball(g, max(net.radius, sep)).lengths
+    interior = [v for v, l in lengths.items() if l <= net.radius - sep]
+    maximal = all(any(lengths.get(g.multiply(g.invert(v), x), sep + 1) <= sep for x in X)
+                  for v in interior)
+    L = 2 * net.D + 5
+    interior_r = net.radius - sep
+    lengths = ball(g, max(net.radius, 2 * interior_r)).lengths
+    pts = [x for x in X if lengths.get(x, interior_r + 1) <= interior_r]
+    dX = _bigstep_distances(net, X)
+    d_big = {(x, y): -(-lengths[g.multiply(g.invert(x), y)] // L)
+             for x in pts for y in pts if (x, y) in dX}
+    failed = sum(1 for xy, dby in d_big.items() if not dby <= dX[xy] <= L * dby)
+    pairs = (d_big, (len(d_big), len(pts) ** 2 - len(d_big), failed))
+    metric = pairs[1][1] == 0 and failed == 0
+    counts = (len(X) * (len(X) - 1) // 2, len(interior))
+    return separated, maximal, metric, pairs, counts
+
+
+def _verdicts(net):
+    return (net_is_separated(net), net_is_maximal_in_interior(net), net_metric_check(net),
+            _net_metric_pairs(net), net_check_counts(net))
+
+
+class _ZWithTwos(ZdGroup):
+    """Z generated by +-1 and +-2: the elements of Z, shorter lengths."""
+
+    def __init__(self):
+        super().__init__(1)
+        self._gens = [(1,), (-1,), (2,), (-2,)]
+
+
+class _KingZ2(ZdGroup):
+    """Z^2 generated by the eight king moves: the elements of Z^2, l-infinity
+    lengths."""
+
+    def __init__(self):
+        super().__init__(2)
+        self._gens = [(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1) if a or b]
+
+
+class _H3WithCentre(HeisenbergGroup):
+    """H3 generated by x, y and the central z, each with its inverse."""
+
+    def generators(self):
+        return super().generators() + [(0, 0, 1), (0, 0, -1)]
+
+    def step(self, a, i):
+        return self.multiply(a, self.generators()[i])
+
+
+@pytest.mark.parametrize("group, radius, D, other", [
+    (Z, 12, 1, _ZWithTwos()), (Z2, 7, 1, _KingZ2()), (H3, 4, 0, _H3WithCentre())])
+def test_net_checks_share_one_ball_and_match_a_fresh_ball_per_check(group, radius, D, other):
+    net = greedy_net(group, radius, D)
+    got = _verdicts(net)
+    assert got == _fresh_ball_verdicts(net)
+    assert got[:3] == (True, True, True)
+    # each copy starts a ball of its own, though the net's has grown
+    copies = [replace(net, X0=net.X0[::2]), replace(net, radius=radius + 2),
+              replace(net, radius=radius - 2), replace(net, group=other)]
+    for copy in copies:
+        assert copy.ball is not net.ball
+        assert _verdicts(copy) != got and _verdicts(copy) == _fresh_ball_verdicts(copy)
+    # the new generators bring net points closer than D+2, which the net's
+    # own ball would not show
+    assert not net_is_separated(copies[-1])
+    assert _verdicts(net) == got
+
+
+def test_greedy_net_grows_one_ball_for_its_checks(monkeypatch):
+    made = []
+
+    def spy(*args):
+        made.append(ball(*args))
+        return made[-1]
+
+    monkeypatch.setattr(lampgraph, "ball", spy)
+    for group, radius, D in ((Z, 12, 1), (Z2, 7, 1), (H3, 4, 0)):
+        made.clear()
+        net = greedy_net(group, radius, D)
+        _verdicts(net)
+        assert made == [net.ball]
+        replace(net, radius=radius + 1).graph  # the net graph reads no ball
+        assert made == [net.ball]
+        _verdicts(replace(net, radius=radius + 1))
+        assert len(made) == 2
 
 
 def test_ystar_shuffler_example():
@@ -284,6 +385,119 @@ def test_ystar_single_site_is_block_cayley_graph():
     net = greedy_net(Z, 1, 1)
     Y = build_Ystar(sh, net, (1,), 1)
     assert len(Y.vertices) == 2 and len(Y.edges) == 1
+
+
+def _two_sided_ystar(halo, net, s0, budget=10 ** 5):
+    """Oracle: Y* as built before each edge was made once.  Blocks sorted
+    by repr, the payload commutation loop, the vertex budget, and every
+    edge made from both of its ends."""
+    base = halo.base
+    sites = list(net.X0)
+    blocks = {x: sorted(enumerate_block(halo, {x, base.multiply(x, s0)}, budget), key=repr)
+              for x in sites}
+    assert _payload_blocks_commute(halo, [blocks[x] for x in sites])
+    sizes = [len(blocks[x]) for x in sites]
+    n_vertices = len(sites)
+    for s in sizes:
+        n_vertices *= s
+    if n_vertices > budget:
+        raise BudgetError(f"Y* vertex budget exceeded ({n_vertices} > {budget})")
+    moves = net.graph.adjacency
+    vertices, edges = [], set()
+    for rho in itertools.product(*[range(s) for s in sizes]):
+        for xi, x in enumerate(sites):
+            v = (rho, x)
+            vertices.append(v)
+            for y in moves[x]:
+                edges.add(frozenset((v, (rho, y))))
+            for j in range(sizes[xi]):
+                if j != rho[xi]:
+                    edges.add(frozenset((v, (rho[:xi] + (j,) + rho[xi + 1:], x))))
+    return tuple(vertices), frozenset(edges), (tuple(0 for _ in sites), sites[0]), sizes[0]
+
+
+@pytest.mark.parametrize("family, fiber", [
+    ("shuffler", None), ("wreath", CyclicGroup(2)), ("juggler", 2),
+    ("designer", CyclicGroup(2))])
+@pytest.mark.parametrize("radius", [3, 6])
+def test_ystar_makes_each_edge_once_and_matches_the_two_sided_build(family, fiber, radius):
+    halo = make_halo(family, fiber, Z)
+    net = greedy_net(Z, radius, 1)
+    try:
+        want = _two_sided_ystar(halo, net, (1,))
+    except BudgetError as exc:  # juggler and designer at radius 6
+        with pytest.raises(BudgetError, match=re.escape(str(exc))):
+            build_Ystar(halo, net, (1,), radius)
+        return
+    Y = build_Ystar(halo, net, (1,), radius)
+    assert (Y.vertices, Y.edges, Y.basepoint, Y.block_size) == want
+    assert Y.net_graph == net.graph
+
+
+def _payload_blocks_commute(halo, blocks):
+    """Oracle: a b == b a by lamp_compose for every a, b in blocks at
+    distinct sites."""
+    return all(halo.lamp_compose(a, b) == halo.lamp_compose(b, a)
+               for i, block in enumerate(blocks) for other in blocks[i + 1:]
+               for a in block for b in other)
+
+
+ALL_FAMILIES = [("wreath", CyclicGroup(2), Z), ("shuffler", None, Z), ("juggler", 2, Z),
+                ("designer", CyclicGroup(2), Z), ("cloner", GF(2), Z),
+                ("upcloner", GF(2), ZdGroup(1, True))]
+OVERLAPPING = [((0,), (1,)), ((0,), (2,), (-2,))]  # with s0 = (1,) and (2,)
+
+
+def _blocks(halo, X0, s0):
+    base = halo.base
+    return [sorted(enumerate_block(halo, {x, base.multiply(x, s0)}), key=repr) for x in X0]
+
+
+def _commute_verdict(halo, blocks):
+    try:
+        _check_blocks_commute(halo, blocks)
+    except ContractViolation:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("family, fiber, base", ALL_FAMILIES + [("cloner", GF(3), Z)])
+def test_coded_commutation_check_matches_the_payload_loop(family, fiber, base):
+    halo = make_halo(family, fiber, base)
+    cases = [(greedy_net(base, 3, 1).X0, (1,)), (greedy_net(base, 4, 0).X0, (1,)),
+             (OVERLAPPING[0], (1,)), (OVERLAPPING[1], (2,))]
+    verdicts = []
+    for X0, s0 in cases:
+        blocks = _blocks(halo, X0, s0)
+        verdicts.append(_commute_verdict(halo, blocks))
+        assert verdicts[-1] == _payload_blocks_commute(halo, blocks), (X0, s0)
+    assert verdicts[:2] == [True, True]  # disjoint blocks commute
+    # overlapping blocks commute only where the lamps do: wreath's
+    assert verdicts[2:] == [family == "wreath"] * 2
+
+
+@pytest.mark.parametrize("family, fiber, base", [("shuffler", None, Z), ("cloner", GF(3), Z)])
+def test_ystar_over_overlapping_blocks_raises(family, fiber, base):
+    halo = make_halo(family, fiber, base)
+    net = replace(greedy_net(base, 1, 1), X0=OVERLAPPING[0])
+    with pytest.raises(ContractViolation, match="failed to commute"):
+        build_Ystar(halo, net, (1,), 1)
+
+
+@pytest.mark.parametrize("family, fiber, base, coded", [
+    *(case + (True,) for case in ALL_FAMILIES), ("cloner", GF(3), Z, False)])
+def test_coded_commutation_check_composes_no_payload(family, fiber, base, coded, monkeypatch):
+    halo = make_halo(family, fiber, base)
+    calls = []
+    compose = halo.lamp_compose
+
+    def spy(a, b):
+        calls.append((a, b))
+        return compose(a, b)
+
+    monkeypatch.setattr(halo, "lamp_compose", spy)
+    _check_blocks_commute(halo, _blocks(halo, greedy_net(base, 3, 1).X0, (1,)))
+    assert (not calls) is coded, family
 
 
 def test_graph_isomorphism_basics():
