@@ -37,12 +37,13 @@ raises UndecomposableError for it.
 """
 from __future__ import annotations
 
+import math
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import (BudgetError, ContractViolation, UndecomposableError,
                      UnsupportedFamilyError)
 from .gf import GF
-from .groups import ZdGroup
+from .groups import ZdGroup, word_length
 from .halo import HaloGroup, Lamp, UpclonerHalo, enumerate_block, make_halo
 
 Word = List[Tuple[int, int]]
@@ -167,7 +168,8 @@ def _subset_measure(halo: HaloGroup, sites) -> Tuple[int, int]:
         return (0, 0)
     base = halo.base
     anchor_inv = base.invert(sites[0])
-    return (sum(halo.base_length(base.multiply(anchor_inv, s)) for s in sites), len(sites))
+    return (sum(word_length(base, base.multiply(anchor_inv, s), math.inf) for s in sites),
+            len(sites))
 
 
 def _check_lamp(halo: HaloGroup, lamp: Lamp):

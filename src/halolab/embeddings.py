@@ -12,7 +12,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .errors import ContractViolation, NotInDomainError, UnsupportedFamilyError
 from .gf import GF
-from .groups import Ball, CyclicGroup, GroupHandle, SymmetricGroup, ZdGroup, ball
+from .groups import CyclicGroup, GroupHandle, SymmetricGroup, ZdGroup
 from .halo import make_halo
 
 _WITNESS_RADIUS = 4  # the working ball of shuffler_endomorphism's checks
@@ -48,7 +48,7 @@ def coset_system_mZ(m: int) -> CosetSystem:
 @dataclass
 class GroupMorphism:
     """A homomorphism given by a closed-form mapping rule, with built-in
-    verification on Cayley balls."""
+    verification on balls of the domain, read off its cayley_ball."""
 
     domain: GroupHandle
     codomain: GroupHandle
@@ -56,11 +56,6 @@ class GroupMorphism:
     name: str = "morphism"
     member: Optional[Callable[[Any], bool]] = None  # restricts the domain
     not_surjective_witness: Any = None
-
-    @functools.cached_property
-    def _ball(self) -> Ball:
-        """One domain ball per morphism, grown as far as the checks need."""
-        return Ball(self.domain)
 
     @functools.cached_property
     def _images(self) -> Dict[int, Tuple[List, Dict]]:
@@ -73,7 +68,7 @@ class GroupMorphism:
         if radius < 0:
             raise ContractViolation(f"check radius must be >= 0, not {radius}")
         if radius not in self._images:
-            lengths = self._ball.grow(radius).lengths
+            lengths = self.domain.cayley_ball.grow(radius).lengths
             elems = sorted(g for g, l in lengths.items()
                            if l <= radius and (self.member is None or self.member(g)))
             self._images[radius] = elems, {g: self.map(g) for g in elems}
@@ -206,7 +201,8 @@ def shuffler_endomorphism(H: GroupHandle, psi: Optional[BaseEndomorphism] = None
     shuffler = make_halo("shuffler", None, H)
 
     # injectivity of psi on the working ball
-    images = [psi.map(h) for h in ball(H, _WITNESS_RADIUS).elements]
+    lengths = H.cayley_ball.grow(_WITNESS_RADIUS).lengths
+    images = [psi.map(h) for h, l in lengths.items() if l <= _WITNESS_RADIUS]
     if len(set(images)) < len(images):
         raise ContractViolation("psi is not injective on the working ball")
 
@@ -216,7 +212,7 @@ def shuffler_endomorphism(H: GroupHandle, psi: Optional[BaseEndomorphism] = None
         return (bar, psi.map(h))
 
     # non-surjectivity witness: a transposition whose support leaves im(psi)
-    lengths = ball(shuffler, max(2, _WITNESS_RADIUS)).lengths
+    lengths = shuffler.cayley_ball.grow(max(2, _WITNESS_RADIUS)).lengths
     witness = None
     for g in sorted(g for g, l in lengths.items() if l <= 2):
         sites = shuffler.lamp_sites(g[0])

@@ -6,7 +6,8 @@ groups: Z^d (optionally with the lexicographic total order), finite cyclic
 C_m, the discrete Heisenberg group H3(Z), finite symmetric groups, and
 direct products.  Cayley balls come from one resumable breadth-first
 search (:class:`Ball`) and carry exact word lengths plus parent pointers
-for geodesic words.
+for geodesic words.  Each handle keeps one, ``cayley_ball``, for every
+reader of word lengths; :func:`ball` makes a fresh one.
 """
 from __future__ import annotations
 
@@ -43,6 +44,10 @@ class GroupHandle:
     as outside(f(g)); halo products group the support by cursor (see
     HaloGroup.step_rows).
 
+    ``cayley_ball`` is the handle's own :class:`Ball`, made on first use
+    and kept; readers grow it as far as they need, so it equals a fresh
+    ``ball(self, r)`` at its radius r, whatever the order of the reads.
+
     ``has_total_order`` says that ``<`` is also left-invariant: a < b
     exactly when t*a < t*b, for every t.  It is True on Z^d, H3 and
     products of ordered groups; a group with torsion has no such order,
@@ -76,6 +81,16 @@ class GroupHandle:
     @functools.cached_property
     def _step_generators(self) -> List[Element]:
         return self.generators()
+
+    @property
+    def cayley_ball(self) -> "Ball":
+        # not functools.cached_property: its direct write to the instance
+        # __dict__ slows every later attribute read on CPython 3.11
+        try:
+            return self._cayley_ball
+        except AttributeError:
+            self._cayley_ball = Ball(self)
+            return self._cayley_ball
 
     def step(self, a: Element, i: int) -> Element:
         """a * generators()[i], for 0 <= i < len(generators())."""
@@ -456,13 +471,22 @@ def ball(group: GroupHandle, radius: int, memory_budget: int = DEFAULT_MEMORY_BU
     return Ball(group).grow(radius, memory_budget)
 
 
-def word_length(group: GroupHandle, g: Element, max_radius: int = 64) -> int:
-    """Exact word length of g, found by growing one BFS ball until it
-    holds g (or stops growing)."""
-    b = Ball(group)
-    if b.reach(g, max_radius):
-        return b.lengths[g]
-    raise ContractViolation(f"element {g!r} not within radius {max_radius}")
+def word_length(group: GroupHandle, g: Element, max_radius: float = 64) -> int:
+    """Exact word length of g, read off the group's cayley_ball, grown
+    until it holds g, reaches max_radius or stops growing.  A value that is
+    no element is refused before the ball grows for it, and a length past
+    max_radius is refused however far the ball has grown: the answer
+    depends on the arguments alone."""
+    b = group.cayley_ball
+    length = b.lengths.get(g)
+    if length is None:
+        if not group.is_element(g):
+            raise ContractViolation(f"{g!r} is not an element of {group.spec}")
+        if b.reach(g, max_radius):
+            length = b.lengths[g]
+    if length is None or length > max_radius:
+        raise ContractViolation(f"element {g!r} not within radius {max_radius}")
+    return length
 
 
 def make_group(spec: str) -> GroupHandle:

@@ -78,7 +78,8 @@ and edge tables) steps codes the same way, or the payloads themselves by
 ``lamp_compose``.
 
 ``multiply`` stays the general product and the oracle for ``step`` and
-``step_rows``.
+``step_rows``.  ``base_word`` and ``commutativity_constant`` read the
+base's ``cayley_ball``, the one ball of its word lengths.
 """
 from __future__ import annotations
 
@@ -91,7 +92,7 @@ from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence
 
 from .errors import BudgetError, ContractViolation, NotInDomainError
 from .gf import GF
-from .groups import Ball, GroupHandle, ball
+from .groups import GroupHandle, word_length
 
 Lamp = Tuple  # canonical payload tuple, family-specific
 DEFAULT_ENUM_BUDGET = 10 ** 6
@@ -392,7 +393,6 @@ class HaloGroup(GroupHandle):
         self.base = base
         self.params = params  # the family parameter, as make_halo and lamp_growth take it
         self._translated: Dict = {}  # cursor h -> [lamp_act(h, t) for each lamp generator t]
-        self._geodesic_ball = Ball(base)  # grown as far as base_word has needed
         lamp_part = [(g, base.identity()) for g in self.lamp_generators()]
         self._gens = lamp_part + [(self.lamp_identity(), s) for s in base.generators()]
         self.base_gen_offset = len(lamp_part)
@@ -581,27 +581,14 @@ class HaloGroup(GroupHandle):
         return f"lamp={lamp!r} cursor={self.base.element_str(cursor)}"
 
     # -- shared helpers -----------------------------------------------------
-    def base_length(self, h, max_radius: float = math.inf) -> int:
-        """Word length of the base element h, read off one base ball, grown
-        until it holds h (by default with no radius limit: the ball's memory
-        budget bounds it).  A value that is no base element is rejected
-        before the ball grows for it."""
-        lengths = self._geodesic_ball.lengths
-        length = lengths.get(h)
-        if length is None:
-            if not self.base.is_element(h):
-                raise ContractViolation(f"{h!r} is not an element of {self.base.spec}")
-            if not self._geodesic_ball.reach(h, max_radius):
-                raise ContractViolation(f"base element {h!r} not within radius {max_radius}")
-            length = lengths[h]
-        return length
-
     def base_word(self, h, max_radius: float = math.inf) -> List[Tuple[int, int]]:
         """Geodesic word for the base move (1, h), as halo generator indices,
-        of base_length(h, max_radius) letters, from the same ball."""
-        self.base_length(h, max_radius)
+        of word_length(base, h, max_radius) letters (by default with no
+        radius limit: the ball's memory budget bounds it), read off the
+        base's cayley_ball."""
+        word_length(self.base, h, max_radius)
         off = self.base_gen_offset
-        return [(off + i, 1) for i, _ in self._geodesic_ball.word_to(h)]
+        return [(off + i, 1) for i, _ in self.base.cayley_ball.word_to(h)]
 
 
 class _PointHalo(HaloGroup):
@@ -1198,7 +1185,7 @@ def commutativity_constant(halo: HaloGroup, radius: int,
     distance between subsets is min over point pairs of the word metric.
     """
     base = halo.base
-    metric = ball(base, 2 * radius).lengths
+    metric = base.cayley_ball.grow(2 * radius).lengths
     window = sorted(g for g, l in metric.items() if l <= radius)
 
     def dist(a, b):

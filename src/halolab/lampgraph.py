@@ -11,12 +11,14 @@ runs only on the m-vertex net graphs, and on whatever the certificate
 does not cover (a plain graph, a B that is not complete, a map that
 fails), so every verdict stays exact.
 
-A net from :func:`greedy_net` keeps the Cayley ball it grew, and its
-checks (:func:`net_is_separated`, :func:`net_is_maximal_in_interior`,
-:func:`net_metric_check`) read word lengths from that ball, growing it
-only past its radius; the metric check runs its net-graph BFS from the
-interior net points alone.  :func:`build_Ystar` makes each edge once and
-checks that blocks at distinct sites commute on the family's lamp codes
+:func:`greedy_net`, the net graph and the net checks
+(:func:`net_is_separated`, :func:`net_is_maximal_in_interior`,
+:func:`net_metric_check`) read word lengths from the group's one Cayley
+ball (``GroupHandle.cayley_ball``), growing it only past its radius, so
+a ``dataclasses.replace`` copy reads the ball of its own group; the
+metric check runs its net-graph BFS from the interior net points alone.
+:func:`build_Ystar` makes each edge once and checks that blocks at
+distinct sites commute on the family's lamp codes
 (``HaloGroup._lamp_codes``), composing payloads only where a family has
 no code.
 """
@@ -31,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .errors import BudgetError, ContractViolation
-from .groups import Ball, GroupHandle, ball
+from .groups import GroupHandle
 from .halo import HaloGroup, enumerate_block
 
 LAMPLIGHTER_VERTEX_BUDGET = 10 ** 5
@@ -202,52 +204,42 @@ class SeparatedNet:
     D: int
     radius: int
     X0: Tuple
-    bigstep: Tuple  # S_{2D+5} = Ball(2D+5) minus identity
 
     @property
     def separation(self) -> int:
         return self.D + 2
 
-    @functools.cached_property
-    def ball(self) -> Ball:
-        """The Cayley ball of the group that the net checks read word
-        lengths from: the one greedy_net grew for a net it built, else a
-        new Ball.  It is kept per instance, so a dataclasses.replace copy,
-        which may change the group, starts a ball of its own."""
-        return ball(self.group, 0)
-
     def lengths(self, radius: int) -> Dict[Any, int]:
         """Word lengths of the group out to at least the given radius, from
-        the net's ball, grown only when it is smaller (growing resumes from
-        its last sphere).  The ball may be larger: an element absent from
-        it is longer than its radius, which is at least the given one."""
-        return self.ball.grow(radius).lengths
+        its cayley_ball, grown only when it is smaller.  The ball may be
+        larger: an element absent from it is longer than its radius, which
+        is at least the given one."""
+        return self.group.cayley_ball.grow(radius).lengths
 
     @functools.cached_property
     def graph(self) -> FiniteGraph:
-        """The net graph on X0, based at X0[0]: x ~ y iff x^-1 y is a bigstep
-        generator, i.e. 0 < d_group(x, y) <= 2D+5.  Built on first use and
-        kept; the relation is symmetric, as the bigstep set is closed under
-        inversion."""
+        """The net graph on X0, based at X0[0]: x ~ y iff
+        0 < d_group(x, y) = |x^-1 y| <= 2D+5.  Built on first use and kept;
+        the relation is symmetric, as |z^-1| = |z|."""
         g = self.group
-        big = set(self.bigstep)
+        L = 2 * self.D + 5
+        lengths = self.lengths(L)
         X = self.X0
         edges = frozenset(frozenset((x, y)) for i, x in enumerate(X) for y in X[i + 1:]
-                          if g.multiply(g.invert(x), y) in big)
+                          if 0 < lengths.get(g.multiply(g.invert(x), y), L + 1) <= L)
         return FiniteGraph(X, edges, X[0])
 
 
 def greedy_net(group: GroupHandle, radius: int, D: int) -> SeparatedNet:
     """Greedy (D+2)-separated net over Ball(radius), insertion in BFS order
-    (length, then element order); maximal within the ball interior.  One
-    ball, of radius max(radius, 2D+5), serves the net, the separation test
-    and the bigstep set, and the net keeps it (SeparatedNet.ball) for its
-    checks.  ContractViolation for a negative radius or D, whose net would
-    be empty or its checks vacuous."""
+    (length, then element order); maximal within the ball interior.  The
+    group's cayley_ball, grown to radius max(radius, 2D+5), serves the net
+    and its separation test, and the net's checks and graph read it too.
+    ContractViolation for a negative radius or D, whose net would be empty
+    or its checks vacuous."""
     if radius < 0 or D < 0:
         raise ContractViolation(f"greedy_net needs radius >= 0 and D >= 0, not {radius}, {D}")
-    grown = ball(group, max(radius, 2 * D + 5))
-    lengths = grown.lengths
+    lengths = group.cayley_ball.grow(max(radius, 2 * D + 5)).lengths
     order = sorted((g for g, l in lengths.items() if l <= radius),
                    key=lambda g: (lengths[g], g))
     sep = D + 2
@@ -257,10 +249,7 @@ def greedy_net(group: GroupHandle, radius: int, D: int) -> SeparatedNet:
         # d(v, x) < sep iff v^-1 x is in the ball with length < sep
         if all(lengths.get(group.multiply(vi, x), sep) >= sep for x in X0):
             X0.append(v)
-    bigs = sorted(g for g, l in lengths.items() if 0 < l <= 2 * D + 5)
-    net = SeparatedNet(group, D, radius, tuple(X0), tuple(bigs))
-    object.__setattr__(net, "ball", grown)  # fills the cached property
-    return net
+    return SeparatedNet(group, D, radius, tuple(X0))
 
 
 def net_is_separated(net: SeparatedNet) -> bool:
@@ -345,7 +334,7 @@ def _net_metric_pairs(net: SeparatedNet) -> Tuple[Dict[Tuple, int], Tuple[int, i
     identity, so k of them move at most kL.  Conversely, a geodesic word
     for x^-1 y cut into pieces of length <= L is a bigstep word, as each
     piece is itself a geodesic and so never the identity.  For interior
-    x, y, |x^-1 y| <= 2 r_int (r_int the interior radius), so the net's
+    x, y, |x^-1 y| <= 2 r_int (r_int the interior radius), so the group's
     ball, grown to radius max(radius, 2 r_int), holds every length read
     here.
     """
@@ -488,25 +477,28 @@ def check_iso_to_lamplighter(Y: FiniteGraph, B: FiniteGraph, A: FiniteGraph,
     """Decide Y isomorphic-to lamplighter_graph(B, A, |A|), the untruncated
     lamplighter graph; returns (True, mapping) or (False, None).
 
-    It raises as building that graph and searching it would (see
-    :func:`lamplighter_graph` and :func:`graph_isomorphism`), but sizes the
-    graph L first by formula: with m = |A| and k = |B|, L has m k^m
-    vertices and k^m |E(A)| + m k^(m-1) |E(B)| edges (each config carries
-    A's edges as move edges, and each site, with the other m - 1 lamps
-    fixed, B's edges as lamp edges).  When Y's counts differ from these
-    the answer is (False, None) at once, the search's own first test.
+    ContractViolation when B has no basepoint or A no vertex, as
+    :func:`lamplighter_graph` raises.  With m = |A| and k = |B|, that graph
+    L has m k^m vertices and k^m |E(A)| + m k^(m-1) |E(B)| edges (each
+    config carries A's edges as move edges, and each site, with the other
+    m - 1 lamps fixed, B's edges as lamp edges).  When Y's counts differ
+    from these the answer is (False, None) at once, the search's own first
+    test.
 
     A Y* from :func:`build_Ystar` is then certified through its
     construction map, without building L (see :func:`_construction_map`).
     Everything else is decided by building L and searching: a plain
     FiniteGraph, a B that is not complete, a net graph not isomorphic to
-    A, or a map that fails its check.  So every verdict is exact.
+    A, or a map that fails its check.  So every verdict is exact.  Only
+    that fallback raises the budgets, as it builds L and searches.
     """
+    if B.basepoint is None:
+        raise ContractViolation("B needs a basepoint to define supp f")
     m, k = len(A.vertices), len(B.vertices)
-    n = _lamplighter_size(B, A, m, LAMPLIGHTER_VERTEX_BUDGET)
-    _check_size_budget(len(Y.vertices), n, size_budget)
-    n_edges = k ** m * len(A.edges) + m * k ** m // k * len(B.edges)
-    if len(Y.vertices) != n or len(Y.edges) != n_edges:
+    if not m:
+        raise ContractViolation("A needs at least one vertex for the cursor")
+    if (len(Y.vertices) != m * k ** m
+            or len(Y.edges) != k ** m * len(A.edges) + m * k ** (m - 1) * len(B.edges)):
         return False, None
     mapping = _construction_map(Y, B, A)
     if mapping is not None:
@@ -573,16 +565,11 @@ def _construction_map(Y: FiniteGraph, B: FiniteGraph, A: FiniteGraph) -> Optiona
     return mapping
 
 
-def _check_size_budget(n1: int, n2: int, size_budget: int) -> None:
-    if n1 > size_budget or n2 > size_budget:
-        raise BudgetError(f"isomorphism size budget exceeded ({size_budget}): "
-                          f"the graphs have {n1} and {n2} vertices")
-
-
 def graph_isomorphism(G1: FiniteGraph, G2: FiniteGraph,
                       size_budget: int = 10 ** 4):
     """Exact isomorphism by iterated degree refinement then backtracking.
-    Returns (True, dict vertex1 -> vertex2) or (False, None).
+    Returns (True, dict vertex1 -> vertex2) or (False, None); BudgetError
+    when either graph has more than size_budget vertices.
 
     The search visits G1 breadth-first.  Its roots are taken in key order
     (rarest colour first, then highest degree, then ``str``), each unseen
@@ -602,8 +589,11 @@ def graph_isomorphism(G1: FiniteGraph, G2: FiniteGraph,
     the edge counts are equal, so it sends the edges onto the edges and
     the non-edges onto the non-edges: it is an isomorphism.
     """
-    _check_size_budget(len(G1.vertices), len(G2.vertices), size_budget)
-    if len(G1.vertices) != len(G2.vertices) or len(G1.edges) != len(G2.edges):
+    n1, n2 = len(G1.vertices), len(G2.vertices)
+    if n1 > size_budget or n2 > size_budget:
+        raise BudgetError(f"isomorphism size budget exceeded ({size_budget}): "
+                          f"the graphs have {n1} and {n2} vertices")
+    if n1 != n2 or len(G1.edges) != len(G2.edges):
         return False, None
     a1, a2 = G1.adjacency, G2.adjacency
     c1 = _refine(a1, {v: len(a1[v]) for v in a1})

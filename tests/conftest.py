@@ -1,10 +1,13 @@
-"""Shared test plumbing: acceptance-criterion result recording, and the
-payload oracle of the lamp codes.
+"""Shared test plumbing: acceptance-criterion result recording, the
+payload oracle of the lamp codes, and the fresh-ball check of a grown
+Cayley ball.
 
 Acceptance tests call ``record_criterion`` so a single PASS/FAIL line per
 criterion is printed in the terminal summary regardless of output capture.
 """
 from typing import Dict, Tuple
+
+from halolab.groups import ball
 
 _RESULTS: Dict[int, Tuple[bool, str]] = {}
 
@@ -29,3 +32,11 @@ def search_payloads(halo):
     step payloads by lamp_compose: the oracle for the codes."""
     halo._lamp_codes = lambda moves, lamps=(): None
     return halo
+
+
+def assert_ball_is_fresh(b):
+    """A grown ball equals a fresh ball of its radius: lengths in the same
+    order, same parents."""
+    fresh = ball(b.group, b.radius)
+    assert list(b.lengths.items()) == list(fresh.lengths.items())
+    assert b.parents == fresh.parents

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from halolab import embeddings, groups
+from conftest import assert_ball_is_fresh
+from halolab import groups
 from halolab.errors import (ContractViolation, NotInDomainError,
                             UnsupportedFamilyError)
 from halolab.groups import CyclicGroup, ZdGroup, ball
@@ -84,23 +85,21 @@ def test_check_builds_one_domain_ball(monkeypatch):
     expected = lamplighter_in_halo("juggler", 2, Z).check(pairs=200, radius=2)
     morphism = lamplighter_in_halo("juggler", 2, Z)
     built = []
+    init = groups.Ball.__init__
 
-    class SpyBall(groups.Ball):
-        def __init__(self, group):
-            built.append(group)
-            super().__init__(group)
-
-    def spy_ball(group, *args, **kwargs):
+    def spy_init(self, group, *args):
         built.append(group)
-        return groups.ball(group, *args, **kwargs)
+        init(self, group, *args)
 
-    monkeypatch.setattr(embeddings, "Ball", SpyBall)
-    monkeypatch.setattr(embeddings, "ball", spy_ball)
+    monkeypatch.setattr(groups.Ball, "__init__", spy_init)
     assert morphism.check(pairs=200, radius=3)["injective_on_ball"] == (True, None)
     assert built == [morphism.domain]
     # a smaller radius reads the same ball, cut to that radius
     assert morphism.check(pairs=200, radius=2) == expected
     assert built == [morphism.domain]
+    monkeypatch.undo()
+    assert morphism.domain.cayley_ball.radius == 3
+    assert_ball_is_fresh(morphism.domain.cayley_ball)
 
 
 def test_lamplighter_in_juggler():

@@ -140,10 +140,14 @@ def test_word_length_stops_once_a_finite_ball_stops_growing(monkeypatch):
         return grow(self, radius, *args)
 
     monkeypatch.setattr(Ball, "grow", counting_grow)
-    with pytest.raises(ContractViolation, match="element 7 not within radius 64"):
-        word_length(CyclicGroup(5), 7)  # residues are 0..4
+    C5 = CyclicGroup(5)
+    assert not Ball(C5).reach(7, 64)  # residues are 0..4
     # spheres {1, 4}, {2, 3}, then the empty one: no growth up to radius 64
     assert grown == [1, 2, 3]
+    # word_length refuses 7 before its ball grows
+    with pytest.raises(ContractViolation, match="7 is not an element of C5"):
+        word_length(C5, 7)
+    assert grown == [1, 2, 3] and C5.cayley_ball.radius == 0
 
 
 def test_lex_order_on_zd():

@@ -16,7 +16,7 @@ from operator import neg
 
 import pytest
 
-from conftest import search_payloads
+from conftest import assert_ball_is_fresh, search_payloads
 from halolab.decompose import evaluate_word
 from halolab.gf import GF
 from halolab.errors import ContractViolation
@@ -503,19 +503,36 @@ def test_ball_grown_in_steps_equals_a_fresh_ball(spec):
 @pytest.mark.parametrize("family, params, base", [("shuffler", None, Z2), ("wreath", C2, H3),
                                                   ("juggler", 2, ZxC3)])
 def test_base_word_after_growth_equals_a_fresh_balls_word(family, params, base):
+    base = make_group(base.spec)  # a handle whose ball starts at radius 0
     halo = make_halo(family, params, base)
     fresh = ball(base, 4)
     off = halo.base_gen_offset
     xs = sorted(fresh.elements)
-    random.Random(halo.spec).shuffle(xs)  # the halo's one ball grows in uneven steps
+    random.Random(halo.spec).shuffle(xs)  # the base's one ball grows in uneven steps
     for x in xs:
         assert halo.base_word(x) == [(off + i, 1) for i, _ in fresh.word_to(x)], x
     far = max(xs)
     far = base.multiply(far, far)
-    message = f"base element {far!r} not within radius 1"
+    message = f"element {far!r} not within radius 1"
     with pytest.raises(ContractViolation, match=re.escape(message)):
         halo.base_word(far, max_radius=1)
     assert len(halo.base_word(far)) == ball(base, 8).lengths[far]
+    assert_ball_is_fresh(base.cayley_ball)
+
+
+@pytest.mark.parametrize("grown_first", [False, True], ids=["fresh", "grown"])
+def test_base_word_with_a_max_radius_answers_from_its_arguments_alone(grown_first):
+    """A 5-letter word past max_radius=1 is refused whether or not an
+    earlier call has grown the ball past it."""
+    halo = make_halo("wreath", C2, ZdGroup(1))
+    if grown_first:
+        assert len(halo.base_word((5,))) == 5
+    with pytest.raises(ContractViolation, match=re.escape("element (5,) not within radius 1")):
+        halo.base_word((5,), max_radius=1)
+    assert halo.base.cayley_ball.radius == (5 if grown_first else 1)
+    assert halo.base_word((5,), max_radius=5) == [(halo.base_gen_offset, 1)] * 5
+    with pytest.raises(ContractViolation, match=re.escape("element (5,) not within radius 4")):
+        halo.base_word((5,), max_radius=4)
 
 
 @pytest.mark.parametrize("value", [(1, 2), 1, "x"], ids=["2-tuple", "int", "str"])
@@ -523,10 +540,10 @@ def test_base_word_rejects_a_value_that_is_no_base_element(value):
     """Such a value used to grow the base ball toward its memory budget
     (still running after 20 s for (1, 2) over Z); it is now refused before
     the ball takes a step."""
-    halo = make_halo("wreath", C2, Z)
+    halo = make_halo("wreath", C2, ZdGroup(1))
     with pytest.raises(ContractViolation, match="is not an element of Z"):
         halo.base_word(value)
-    assert halo._geodesic_ball.radius == 0
+    assert halo.base.cayley_ball.radius == 0
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,13 @@ from dataclasses import replace
 
 import pytest
 
+from conftest import assert_ball_is_fresh
 from halolab.errors import BudgetError, ContractViolation
 from halolab.gf import GF
 from halolab.groups import CyclicGroup, HeisenbergGroup, SymmetricGroup, ZdGroup, ball
-from halolab.halo import enumerate_block, make_halo
-from halolab import lampgraph
+from halolab.embeddings import GroupMorphism, shuffler_endomorphism
+from halolab.halo import commutativity_constant, enumerate_block, make_halo
+from halolab import groups, lampgraph
 from halolab.lampgraph import (FiniteGraph, YStarGraph, _bigstep_distances,
                                _check_blocks_commute, _construction_map,
                                _lamplighter_size, _net_metric_pairs, _refine,
@@ -70,7 +72,8 @@ def test_greedy_net_on_z():
     assert set(net.X0) == {(3 * k,) for k in range(-4, 5)}
     assert net_is_separated(net)
     assert net_is_maximal_in_interior(net)
-    assert len(net.bigstep) == 14  # Ball(7) minus identity in Z
+    # x ~ y iff 0 < |x - y| <= 2D+5 = 7: the pairs 3 and 6 apart
+    assert len(net.graph.edges) == 8 + 7
 
 
 def test_greedy_net_d0_alternating():
@@ -142,6 +145,7 @@ def _per_source_d_big(net):
     interior_r = net.radius - net.separation
     pts = [x for x in net.X0 if b.lengths[x] <= interior_r]
     dX = _bigstep_distances(net, pts)
+    steps = sorted(s for s, l in ball(g, L).lengths.items() if l)  # Ball(L) minus e
     k = -(-2 * interior_r // L)
     window = set(ball(g, interior_r + k * L).elements)
     out = {}
@@ -152,7 +156,7 @@ def _per_source_d_big(net):
         while frontier and not want <= d.keys():
             nxt = []
             for u in frontier:
-                for s in net.bigstep:
+                for s in steps:
                     w = g.multiply(u, s)
                     if w in window and w not in d:
                         d[w] = d[u] + 1
@@ -220,7 +224,10 @@ def test_bigstep_distance_is_length_over_L_rounded_up(group, L):
     lengths = ball(group, L + 4).lengths
     e = group.identity()
     steps = [s for s in ball(group, L).elements if s != e]
-    assert sorted(steps) == list(greedy_net(group, 0, (L - 5) // 2).bigstep)
+    # the net graph joins e to exactly these steps
+    net = greedy_net(group, 0, (L - 5) // 2)
+    assert {s for s in ball(group, L + 1).elements
+            if replace(net, X0=(e, s)).graph.edges} == set(steps)
     d = {e: 0}
     queue = deque([e])
     todo = set(lengths) - {e}
@@ -252,12 +259,12 @@ def test_net_metric_check_fails_on_a_long_detour():
     assert net_metric_check(net) is False
 
 
-# -- one ball per net: the checks against a fresh ball per check ------------
+# -- one ball per group: the checks against a fresh ball per check ----------
 
 def _fresh_ball_verdicts(net):
-    """Oracle: every net check and count with a fresh Cayley ball per check
-    and a net-graph BFS from every net point, as before the net kept its
-    ball."""
+    """Oracle: every net check and count, and the net graph, with a fresh
+    Cayley ball per check and a net-graph BFS from every net point, as
+    before the group kept its ball."""
     g = net.group
     sep = net.separation
     X = net.X0
@@ -269,22 +276,37 @@ def _fresh_ball_verdicts(net):
     maximal = all(any(lengths.get(g.multiply(g.invert(v), x), sep + 1) <= sep for x in X)
                   for v in interior)
     L = 2 * net.D + 5
+    steps = set(ball(g, L).elements) - {g.identity()}
+    adj = {x: [y for y in X if g.multiply(g.invert(x), y) in steps] for x in X}
+    edges = {frozenset((x, y)) for x in X for y in adj[x]}
+    dX = {}
+    for src in X:
+        d = {src: 0}
+        frontier = [src]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for w in adj[u]:
+                    if w not in d:
+                        d[w] = d[u] + 1
+                        nxt.append(w)
+            frontier = nxt
+        dX.update(((src, y), dv) for y, dv in d.items())
     interior_r = net.radius - sep
     lengths = ball(g, max(net.radius, 2 * interior_r)).lengths
     pts = [x for x in X if lengths.get(x, interior_r + 1) <= interior_r]
-    dX = _bigstep_distances(net, X)
     d_big = {(x, y): -(-lengths[g.multiply(g.invert(x), y)] // L)
              for x in pts for y in pts if (x, y) in dX}
     failed = sum(1 for xy, dby in d_big.items() if not dby <= dX[xy] <= L * dby)
     pairs = (d_big, (len(d_big), len(pts) ** 2 - len(d_big), failed))
     metric = pairs[1][1] == 0 and failed == 0
     counts = (len(X) * (len(X) - 1) // 2, len(interior))
-    return separated, maximal, metric, pairs, counts
+    return separated, maximal, metric, pairs, counts, edges
 
 
 def _verdicts(net):
     return (net_is_separated(net), net_is_maximal_in_interior(net), net_metric_check(net),
-            _net_metric_pairs(net), net_check_counts(net))
+            _net_metric_pairs(net), net_check_counts(net), net.graph.edges)
 
 
 class _ZWithTwos(ZdGroup):
@@ -314,6 +336,10 @@ class _H3WithCentre(HeisenbergGroup):
         return self.multiply(a, self.generators()[i])
 
 
+# the net graph's edges, and those of its copy with the other group's generators
+_COPY_EDGES = {"Z": (15, 26), "Z^2": (126, 182), "H3": (1468, 2113)}
+
+
 @pytest.mark.parametrize("group, radius, D, other", [
     (Z, 12, 1, _ZWithTwos()), (Z2, 7, 1, _KingZ2()), (H3, 4, 0, _H3WithCentre())])
 def test_net_checks_share_one_ball_and_match_a_fresh_ball_per_check(group, radius, D, other):
@@ -321,35 +347,80 @@ def test_net_checks_share_one_ball_and_match_a_fresh_ball_per_check(group, radiu
     got = _verdicts(net)
     assert got == _fresh_ball_verdicts(net)
     assert got[:3] == (True, True, True)
-    # each copy starts a ball of its own, though the net's has grown
+    # each copy reads the ball of its own group, though the net's has grown;
+    # the copy with new generators builds its net graph on them
+    assert (len(net.graph.edges),
+            len(replace(net, group=other).graph.edges)) == _COPY_EDGES[group.spec]
     copies = [replace(net, X0=net.X0[::2]), replace(net, radius=radius + 2),
               replace(net, radius=radius - 2), replace(net, group=other)]
     for copy in copies:
-        assert copy.ball is not net.ball
         assert _verdicts(copy) != got and _verdicts(copy) == _fresh_ball_verdicts(copy)
     # the new generators bring net points closer than D+2, which the net's
-    # own ball would not show
+    # own group would not show
     assert not net_is_separated(copies[-1])
     assert _verdicts(net) == got
+    assert_ball_is_fresh(group.cayley_ball)
+    assert_ball_is_fresh(other.cayley_ball)
 
 
 def test_greedy_net_grows_one_ball_for_its_checks(monkeypatch):
     made = []
+    init = groups.Ball.__init__
 
-    def spy(*args):
-        made.append(ball(*args))
-        return made[-1]
+    def spy(self, *args):
+        made.append(self)
+        init(self, *args)
 
-    monkeypatch.setattr(lampgraph, "ball", spy)
-    for group, radius, D in ((Z, 12, 1), (Z2, 7, 1), (H3, 4, 0)):
+    for group, radius, D in ((ZdGroup(1), 12, 1), (ZdGroup(2), 7, 1), (HeisenbergGroup(), 4, 0)):
+        monkeypatch.setattr(groups.Ball, "__init__", spy)
         made.clear()
         net = greedy_net(group, radius, D)
         _verdicts(net)
-        assert made == [net.ball]
-        replace(net, radius=radius + 1).graph  # the net graph reads no ball
-        assert made == [net.ball]
+        assert made == [group.cayley_ball]
         _verdicts(replace(net, radius=radius + 1))
-        assert len(made) == 2
+        replace(net, X0=net.X0[::2]).graph
+        assert made == [group.cayley_ball]
+        monkeypatch.undo()
+        assert_ball_is_fresh(group.cayley_ball)
+
+
+def _morphism_outputs(g):
+    double = GroupMorphism(g, g, lambda v: (2 * v[0], 2 * v[1]))
+    # no homomorphism: its counterexample is the first failing pair drawn
+    # from the radius-3 ball, so it names the elements drawn from
+    square = GroupMorphism(g, g, lambda v: (v[0] * abs(v[0]), v[1]))
+    end = shuffler_endomorphism(g)
+    return (double.check(pairs=50, radius=3), square.check(pairs=50, radius=3),
+            end.not_surjective_witness, end.check(50, 2))
+
+
+def _net_outputs(g):
+    net = greedy_net(g, 5, 0)
+    return net.X0, _verdicts(net)
+
+
+# each reads the word lengths of the Z^2 handle g, to its own radius
+_BALL_READERS = {
+    "net": _net_outputs,
+    "base_word": lambda g: [make_halo("shuffler", None, g).base_word(x)
+                            for x in ((1, -2), (-4, 4), (3, 0))],
+    "morphism": _morphism_outputs,
+    "commutativity": lambda g: commutativity_constant(make_halo("shuffler", None, g), 2),
+}
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(_BALL_READERS)),
+                         ids="-".join)
+def test_readers_in_any_order_grow_one_ball_equal_to_a_fresh_ball(order):
+    """Net checks, base words, morphism checks and the commutativity
+    constant grow one group's ball in uneven steps (to radius 6, 8, 4 and
+    4); each output equals its value on a new handle, whose ball is fresh,
+    and the shared ball equals a fresh ball of its radius."""
+    g = ZdGroup(2)
+    for name in order:
+        assert _BALL_READERS[name](g) == _BALL_READERS[name](ZdGroup(2)), name
+    assert g.cayley_ball.radius == 8
+    assert_ball_is_fresh(g.cayley_ball)
 
 
 def test_ystar_shuffler_example():
@@ -705,13 +776,29 @@ def test_lamplighter_size_counts_the_built_graph(B, A):
     assert len(L.edges) == k ** m * len(A.edges) + m * k ** (m - 1) * len(B.edges)
 
 
-def test_check_iso_to_lamplighter_raises_the_budgets_of_build_and_search():
+def test_check_iso_to_lamplighter_raises_the_budgets_of_build_and_search(monkeypatch):
+    """The budgets bind only the fallback's build and search: a Y* the
+    construction map certifies passes whatever its size, and counts that
+    differ from L's refuse Y before anything is built."""
     Y = build_Ystar(make_halo("shuffler", None, Z), greedy_net(Z, 3, 1), (1,), 3)
-    with pytest.raises(BudgetError, match=r"\(100000\): reached 11112 lamp configs "
-                       r"x \|A\| = 9, 100008 vertices, at support size 4"):
-        check_iso_to_lamplighter(Y, complete_graph(4), complete_graph(9))
+    L = lamplighter_graph(complete_graph(2), complete_graph(3), 3).graph
+    assert len(Y.vertices) == len(L.vertices) == 24
+    ok, mapping = check_iso_to_lamplighter(Y, complete_graph(2), complete_graph(3),
+                                           size_budget=20)
+    assert ok
+    _assert_isomorphism(Y, L, mapping)
+    # L of K4 over K9 has 9 * 4^9 vertices, past the build's budget
+    assert check_iso_to_lamplighter(Y, complete_graph(4), complete_graph(9)) == (False, None)
     with pytest.raises(BudgetError, match=r"\(20\): the graphs have 24 and 24 vertices"):
-        check_iso_to_lamplighter(Y, complete_graph(2), complete_graph(3), size_budget=20)
+        check_iso_to_lamplighter(L, complete_graph(2), complete_graph(3), size_budget=20)
+    # the fallback builds L under lamplighter_graph's vertex budget
+    build = lampgraph.lamplighter_graph
+    monkeypatch.setattr(lampgraph, "lamplighter_graph",
+                        lambda B, A, cap: build(B, A, cap, vertex_budget=20))
+    with pytest.raises(BudgetError, match=r"\(20\): reached 7 lamp configs "
+                       r"x \|A\| = 3, 21 vertices, at support size 2"):
+        check_iso_to_lamplighter(L, complete_graph(2), complete_graph(3))
+    assert check_iso_to_lamplighter(Y, complete_graph(2), complete_graph(3))[0]
     with pytest.raises(ContractViolation, match="basepoint"):
         check_iso_to_lamplighter(Y, replace(complete_graph(2), basepoint=None),
                                  complete_graph(3))
