@@ -11,7 +11,6 @@ reader of word lengths; :func:`ball` makes a fresh one.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import operator
 import sys
@@ -78,10 +77,6 @@ class GroupHandle:
         """Whether a is an element in this handle's encoding."""
         raise NotImplementedError
 
-    @functools.cached_property
-    def _step_generators(self) -> List[Element]:
-        return self.generators()
-
     @property
     def cayley_ball(self) -> "Ball":
         # not functools.cached_property: its direct write to the instance
@@ -93,8 +88,14 @@ class GroupHandle:
             return self._cayley_ball
 
     def step(self, a: Element, i: int) -> Element:
-        """a * generators()[i], for 0 <= i < len(generators())."""
-        return self.multiply(a, self._step_generators[i])
+        """a * generators()[i], for 0 <= i < len(generators()); the list is
+        fetched on the first step and kept as _step_generators, a plain
+        attribute (see cayley_ball)."""
+        try:
+            gens = self._step_generators
+        except AttributeError:
+            gens = self._step_generators = self.generators()
+        return self.multiply(a, gens[i])
 
     def step_rows(self, pairs: Iterable[Tuple[Element, Any]],
                   outside: Optional[Callable[[Any], Any]] = None
@@ -111,7 +112,7 @@ class GroupHandle:
         vs = list(values.values())
         missing = itertools.repeat(0) if outside is None else list(map(outside, vs))
         get, step = values.get, self.step
-        for i in range(len(self._step_generators)):
+        for i in range(len(self.generators())):
             yield vs, list(map(get, map(step, values, itertools.repeat(i)), missing))
 
     def element_str(self, a: Element) -> str:

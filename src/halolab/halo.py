@@ -83,7 +83,6 @@ base's ``cayley_ball``, the one ball of its word lengths.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from bisect import bisect_left, insort
@@ -686,16 +685,24 @@ class _FiberHalo(_PointHalo):
         return _entry_block([[(x, v) if v != e else None for v in self._fiber_elements]
                              for x in sorted(sites)])
 
-    @functools.cached_property
+    @property
     def _fiber_terms(self) -> Dict:
         """v -> the term of a map entry (x, v) at the site x numbered 0: on
-        the points (0, c), numbered j(c), the bytes j(v^-1 c) - j(c)."""
+        the points (0, c), numbered j(c), the bytes j(v^-1 c) - j(c).  Made
+        on first use and kept as a plain attribute (see
+        GroupHandle.cayley_ball)."""
+        try:
+            return self._fiber_term_table
+        except AttributeError:
+            pass
         fiber, elements = self.fiber, self._fiber_elements
         j = {c: k for k, c in enumerate(elements)}
         identity = int.from_bytes(bytes(range(len(elements))), "little")
-        return {v: int.from_bytes(bytes(j[fiber.multiply(fiber.invert(v), c)]
-                                        for c in elements), "little") - identity
-                for v in elements}
+        self._fiber_term_table = {
+            v: int.from_bytes(bytes(j[fiber.multiply(fiber.invert(v), c)] for c in elements),
+                              "little") - identity
+            for v in elements}
+        return self._fiber_term_table
 
 
 class WreathHalo(_FiberHalo):

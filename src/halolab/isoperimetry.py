@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, repeat, starmap
@@ -32,17 +33,22 @@ class FiniteFunction:
     """Finitely supported map group element -> value, with norm exponent p.
 
     Values are exact Fractions when p = 1 workflows demand exactness;
-    floats are accepted for p > 1 pipelines.  Zero entries are not stored;
+    floats are accepted for p > 1 pipelines.  Zero entries are not stored:
     the entries are a copy of the caller's mapping, and each distinct value
-    object is compared with 0 once.
+    object is compared with 0 once.  The one exception is the product
+    U x L(V) of an almost-invariant lift (_LiftEntries), which is
+    read-only and holds only a FiniteFunction's stored values, so it is
+    kept as given, with no copy and no zero pass.
     """
 
-    entries: Dict[Any, Value]
+    entries: Mapping
     p: Rational = 1
 
     def __post_init__(self):
         if not self.p >= 1:
             raise ContractViolation(f"norm exponent p must be >= 1, not {self.p!r}")
+        if isinstance(self.entries, _LiftEntries):
+            return
         values = self.entries.values()
         distinct = dict(zip(map(id, values), values))
         zeros = {i for i, v in distinct.items() if v == 0}
@@ -509,6 +515,81 @@ def folner_function(points: Sequence[ProfilePoint], target: Fraction):
 # ---------------------------------------------------------------------------
 # the almost-invariant lift and the power transform
 
+_ABSENT = object()  # the default that tells a missing key from any stored value
+
+
+class _LiftEntries(Mapping):
+    """The entries of an almost-invariant lift, kept as the product they
+    are: (lamp, h) -> f(h) for each cursor h of U = supp f and each lamp of
+    the block L(V), a read-only mapping over f's entries (h -> f(h), in
+    support order, values non-zero) and the block (in block order).
+
+    keys, values and items run cursor by cursor, each cursor's lamps in
+    block order, which is the order of a dict filled by those two loops,
+    and yield f's own value objects; none of them looks an entry up.  A
+    lookup (``[]``, ``get``, ``in``) takes the cursor from f's entries and
+    the lamp from a frozenset of the block, made on the first lookup, so a
+    key whose cursor is not in U or whose lamp is not in L(V) is missing,
+    as it is from that dict.
+    """
+
+    __slots__ = ("_cursors", "_block", "_lamps")
+
+    def __init__(self, cursors: Mapping, block: Sequence):
+        self._cursors = cursors
+        self._block = block
+        self._lamps: Optional[FrozenSet] = None
+
+    def __len__(self):
+        return len(self._cursors) * len(self._block)
+
+    def __iter__(self):
+        block = self._block
+        return chain.from_iterable(zip(block, repeat(h)) for h in self._cursors)
+
+    def get(self, key, default=None):
+        if not (isinstance(key, tuple) and len(key) == 2):
+            return default
+        value = self._cursors.get(key[1], _ABSENT)
+        if value is _ABSENT:
+            return default
+        if self._lamps is None:
+            self._lamps = frozenset(self._block)
+        return value if key[0] in self._lamps else default
+
+    def __getitem__(self, key):
+        value = self.get(key, _ABSENT)
+        if value is _ABSENT:
+            raise KeyError(key)
+        return value
+
+    def __contains__(self, key):
+        return self.get(key, _ABSENT) is not _ABSENT
+
+    def values(self):
+        return _LiftValues(self)
+
+    def items(self):
+        return _LiftItems(self)
+
+
+class _LiftValues(ValuesView):
+    """f(h) once for each lamp of the block, cursor by cursor."""
+
+    def __iter__(self):
+        m = self._mapping
+        return chain.from_iterable(map(repeat, m._cursors.values(), repeat(len(m._block))))
+
+
+class _LiftItems(ItemsView):
+    """((lamp, h), f(h)) in the order of the keys."""
+
+    def __iter__(self):
+        block = self._mapping._block
+        return chain.from_iterable(zip(zip(block, repeat(h)), repeat(v))
+                                   for h, v in self._mapping._cursors.items())
+
+
 def almost_invariant_lift(halo: HaloGroup, f: FiniteFunction,
                           budget: int = DEFAULT_ENUM_BUDGET) -> FiniteFunction:
     """g(sigma, h) = f(h) * [sigma in L(V)] with V = U union U.S_H.
@@ -516,20 +597,17 @@ def almost_invariant_lift(halo: HaloGroup, f: FiniteFunction,
     U = supp f in the base; V adds all generator translates of U, so every
     conjugated lamp generator met from U stays inside L(V) and the gradient
     ratio of g equals that of f (exactly at p = 1).
-    |supp g| = |U| * Lambda(|V|).
+    |supp g| = |U| * Lambda(|V|).  g's entries are the product U x L(V)
+    itself (_LiftEntries over f's entries and the block), in the order of
+    a dict filled cursor by cursor in f's support order, each cursor's
+    lamps in block order, and no (lamp, cursor) key is hashed.
     """
     base = halo.base
     U = list(f.support)
     V = set(U)
     for s in base.generators():
         V.update(base.multiply(u, s) for u in U)
-    block = enumerate_block(halo, V, budget)
-    entries = {}
-    for h in U:
-        v = f(h)
-        for lamp in block:
-            entries[(lamp, h)] = v
-    return FiniteFunction(entries, f.p)
+    return FiniteFunction(_LiftEntries(f.entries, enumerate_block(halo, V, budget)), f.p)
 
 
 def power_transform(f: FiniteFunction, p: Rational, q: Rational) -> FiniteFunction:

@@ -247,3 +247,19 @@ def test_zd_arithmetic_against_a_coordinatewise_oracle(d, lex):
                 ab = Z.multiply(a, b)
                 assert type(ab) is tuple and ab == tuple(map(operator.add, a, b)), (Z, a, b)
                 assert all(type(x) is int for x in ab)
+
+
+def test_default_step_keeps_the_generators_in_a_plain_attribute():
+    """A group without its own step fetches its generator list on the
+    first step and keeps it as an ordinary instance attribute (no
+    functools.cached_property, whose direct __dict__ write slows later
+    attribute reads); every step still equals multiply."""
+    for group in (CyclicGroup(5), CyclicGroup(2), SymmetricGroup(3),
+                  ProductGroup(ZdGroup(1, False), CyclicGroup(3))):
+        assert "_step_generators" not in vars(group)
+        assert not hasattr(type(group), "_step_generators")
+        gens = group.generators()
+        elements = list(ball(group, 2).elements)
+        assert [group.step(a, i) for a in elements for i in range(len(gens))] == \
+            [group.multiply(a, s) for a in elements for s in gens]
+        assert vars(group)["_step_generators"] == gens

@@ -8,7 +8,7 @@ import pytest
 import halolab
 from halolab.errors import BudgetError, ContractViolation
 from halolab.gf import GF
-from halolab.groups import Ball, CyclicGroup, ZdGroup, ball, make_group
+from halolab.groups import Ball, CyclicGroup, SymmetricGroup, ZdGroup, ball, make_group
 from halolab.halo import (FAMILIES, commutativity_constant, enumerate_block,
                           lamp_growth, log_lamp_growth, make_halo)
 
@@ -435,3 +435,27 @@ def test_lamp_payload_helpers_stay_private():
                     else node.attr if isinstance(node, ast.Attribute) else "")
             assert path.name == "halo.py" or not name.startswith(
                 ("_perm_", "_map_", "_mat_")), f"{path.name}:{node.lineno} names {name}"
+
+
+# v -> term, as the lamp codes have read them since the fiber terms came in
+FIBER_TERMS = {
+    "C2": {0: 0, 1: -255},
+    "C3": {0: 0, 1: -65790, 2: -130815},
+    "Sym3": {(0, 1, 2): 0, (0, 2, 1): -2207579504895, (1, 0, 2): -1095250345470,
+             (1, 2, 0): -3302880246780, (2, 0, 1): -4415209406205,
+             (2, 1, 0): -5510459751675},
+}
+
+
+@pytest.mark.parametrize("family", ["wreath", "designer"])
+def test_fiber_terms_are_a_plain_attribute_made_on_first_use(family):
+    """_fiber_terms is made on first use, kept in an ordinary instance
+    attribute (no functools.cached_property, whose direct __dict__ write
+    slows later attribute reads), and holds the same terms as before."""
+    for fiber in (CyclicGroup(2), CyclicGroup(3), SymmetricGroup(3)):
+        halo = make_halo(family, fiber, Z)
+        assert "_fiber_term_table" not in vars(halo)
+        terms = halo._fiber_terms
+        assert terms == FIBER_TERMS[fiber.spec]
+        assert halo._fiber_terms is terms is vars(halo)["_fiber_term_table"]
+    assert type(vars(halolab.halo._FiberHalo)["_fiber_terms"]) is property

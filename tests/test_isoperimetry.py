@@ -278,6 +278,161 @@ def test_lift_entries_are_the_keyed_products_of_the_block(family, params):
     assert len(g.entries) == len(f.entries) * halo.growth(len(V))
 
 
+def _lift_sites(halo, U):
+    """V = U union U.S_H, the sites of an almost-invariant lift's block."""
+    base = halo.base
+    return set(U) | {base.multiply(u, s) for u in U for s in base.generators()}
+
+
+def _keyed_lift(halo, f):
+    """The lift as a dict filled key by key, cursor by cursor: the oracle
+    of the product entries, and the loop almost_invariant_lift ran before
+    it kept the product."""
+    block = enumerate_block(halo, _lift_sites(halo, f.support))
+    entries = {}
+    for h in f.support:
+        v = f(h)
+        for lamp in block:
+            entries[(lamp, h)] = v
+    return entries
+
+
+# every lift of an interval U = {0, .., size - 1} over Z whose block L(V),
+# |V| = size + 2, has at most 10^4 lamps, and two halos over Z^2 at U = {0}
+PRODUCT_LIFTS = ([(spec, size) for spec, sizes in
+                  (("wreath(C2, Z)", (1, 2, 3)), ("shuffler(Z)", (1, 2, 3)),
+                   ("juggler(2, Z)", (1,)), ("designer(C2, Z)", (1, 2, 3)),
+                   ("cloner(GF2, Z)", (1,)), ("upcloner(GF2, Z:lex)", (1, 2, 3)))
+                  for size in sizes]
+                 + [("shuffler(Z^2)", 1), ("wreath(C2, Z^2)", 1)])
+
+
+def _product_lift_case(spec, size):
+    """The halo, f with non-zero mixed values on U, and f's lift."""
+    halo = make_group(spec)
+    U = [(i,) + (0,) * (halo.base.d - 1) for i in range(size)]
+    rng = random.Random(f"{spec} {size}")
+    f = FiniteFunction({u: Fraction(rng.choice((-1, 1)) * rng.randint(1, 30), rng.randint(1, 12))
+                        for u in U}, 1)
+    return halo, f, almost_invariant_lift(halo, f)
+
+
+@pytest.mark.parametrize("spec, size", PRODUCT_LIFTS)
+def test_product_lift_iterates_as_the_keyed_dict(spec, size):
+    """keys, values and items run in the keyed dict's order and give f's
+    own value objects; len is |U| * Lambda(|V|)."""
+    halo, f, g = _product_lift_case(spec, size)
+    keyed = _keyed_lift(halo, f)
+    lam = halo.growth(len(_lift_sites(halo, f.support)))
+    assert lam <= 10 ** 4 and len(f.entries) == size
+    assert len(g.entries) == len(keyed) == size * lam
+    assert list(g.entries) == list(g.entries.keys()) == list(g.support) == list(keyed)
+    assert list(g.entries.items()) == list(keyed.items())
+    assert all(a is b for a, b in zip(g.entries.values(), keyed.values()))
+    assert list(dict(g.entries).items()) == list(keyed.items()) and g.entries == keyed
+
+
+@pytest.mark.parametrize("spec, size", PRODUCT_LIFTS)
+def test_product_lift_lookups_agree_with_the_keyed_dict(spec, size):
+    """g(x), in, get and [] give what the keyed dict gives, for lamps of
+    L(V) at cursors of U, a lamp with a site outside V, a non-canonical
+    payload, a cursor outside U, and keys that are no (lamp, cursor)
+    pair."""
+    halo, f, g = _product_lift_case(spec, size)
+    keyed = _keyed_lift(halo, f)
+    base = halo.base
+    V = _lift_sites(halo, f.support)
+    block = enumerate_block(halo, V)
+    far = max(V)
+    while far in V:
+        far = base.multiply(far, base.generators()[0])
+    outside = [lamp for lamp in enumerate_block(halo, [max(V), far])
+               if far in halo.lamp_sites(lamp)]
+    odd = next(lamp[::-1] for lamp in block if lamp[::-1] not in block)  # not canonical
+    assert outside
+    U = list(f.support)
+    present = [(lamp, h) for lamp in (block[0], block[-1], odd[::-1]) for h in U]
+    missing = ([(lamp, far) for lamp in block[:3]] + [(lamp, U[0]) for lamp in outside]
+               + [(odd, U[-1]), (block[0], min(V - set(U))), U[0],
+                  (block[0],), (block[0], U[0], U[0]), None, "xy"])
+    for x in present + missing:
+        assert (x in keyed) == (x in present), x
+        assert g(x) == keyed.get(x, 0) and (x in g.entries) == (x in keyed), x
+        assert (x in g.support) == (x in keyed), x
+        assert g.entries.get(x) is keyed.get(x) and g.entries.get(x, "-") is keyed.get(x, "-"), x
+        if x in keyed:
+            assert g.entries[x] is keyed[x] and (x, keyed[x]) in g.entries.items(), x
+        else:
+            with pytest.raises(KeyError):
+                g.entries[x]
+    assert all(v in g.entries.values() for v in f.entries.values())
+    assert Fraction(31) not in g.entries.values()
+
+
+def test_finite_function_of_product_entries_equals_the_keyed_dict():
+    """A FiniteFunction made from a lift's entries, at another p, holds
+    the keyed dict's entries in its order, with the same norm and ratio."""
+    for spec, size in (("juggler(2, Z)", 1), ("wreath(C2, Z)", 3), ("shuffler(Z^2)", 1)):
+        halo, f, g = _product_lift_case(spec, size)
+        keyed = _keyed_lift(halo, f)
+        h, oracle = FiniteFunction(g.entries, 2), FiniteFunction(keyed, 2)
+        assert h.p == 2 and h.entries == keyed
+        assert list(dict(h.entries).items()) == list(keyed.items())
+        assert h.norm().hex() == oracle.norm().hex()
+        assert gradient_ratio(halo, h).hex() == gradient_ratio(halo, oracle).hex()
+
+
+def test_iterating_product_entries_looks_no_entry_up(monkeypatch):
+    """keys, values and items, and gradient_ratio over them, never read an
+    entry by key: a spy on every lookup stays silent."""
+    halo, f, g = _product_lift_case("designer(C2, Z)", 2)
+    lookups = []
+
+    def spy(name):
+        def lookup(self, *args):
+            lookups.append(name)
+            raise AssertionError(f"{name} called")
+        return lookup
+
+    for name in ("__getitem__", "get", "__contains__"):
+        monkeypatch.setattr(isoperimetry._LiftEntries, name, spy(name))
+    keys, values = list(g.entries.keys()), list(g.entries.values())
+    items = list(g.entries.items())
+    assert list(zip(keys, values)) == items and len(items) == len(g.entries) == 2 * 384
+    assert gradient_ratio(halo, g) == gradient_ratio(halo.base, f)
+    assert FiniteFunction(g.entries, 3).norm() > 0
+    assert lookups == []
+    with pytest.raises(AssertionError, match="__getitem__"):
+        g.entries[keys[0]]
+    assert lookups == ["__getitem__"]
+
+
+def test_product_lift_ratios_equal_the_keyed_lift_ratios():
+    """On every criterion-1 combo (six families over Z, U = {0}, {0, 1},
+    {0, 1, 2}, block within the 10^6 budget) at p = 1, 2, 3, the product
+    lift's ratio is the keyed lift's: Fractions equal, floats equal bit for
+    bit."""
+    checked = 0
+    for spec in ("wreath(C2, Z)", "shuffler(Z)", "juggler(2, Z)", "designer(C2, Z)",
+                 "cloner(GF2, Z)", "upcloner(GF2, Z:lex)"):
+        halo = make_group(spec)
+        for size in (1, 2, 3):
+            if halo.growth(size + 2) > 10 ** 6:
+                continue
+            for p in (1, 2, 3):
+                one = Fraction(1) if p == 1 else 1.0
+                f = FiniteFunction({(i,): one for i in range(size)}, p)
+                new = gradient_ratio(halo, almost_invariant_lift(halo, f))
+                old = gradient_ratio(halo, FiniteFunction(_keyed_lift(halo, f), p))
+                assert type(new) is type(old), (spec, size, p)
+                if type(new) is float:
+                    assert new.hex() == old.hex(), (spec, size, p)
+                else:
+                    assert new == old, (spec, size, p)
+                checked += 1
+    assert checked == 48
+
+
 def test_profile_exact_on_z():
     pts = profile_exact(Z, 10, 11)
     for pt in pts:
