@@ -134,8 +134,9 @@ def cmd_folner(args) -> int:
     if val is None:
         print(f"Folner(1/{args.target}): no witness within the searched range")
     else:
-        kind = "exact" if pts[-1].exact else "upper bound"
-        print(f"Folner(1/{args.target}) = {val} ({kind} within searched range)")
+        kind = ("exact over connected sets through the identity" if pts[-1].exact
+                else "upper bound within searched range")
+        print(f"Folner(1/{args.target}) = {val} ({kind})")
     return 0
 
 
@@ -175,8 +176,14 @@ def cmd_decompose(args) -> int:
         print("decompose requires a halo-product group", file=sys.stderr)
         return 2
     block = enumerate_block(halo, [_base_site(halo.base, p) for p in args.sites])
-    rng = random.Random(args.seed)
-    lamp = rng.choice(sorted(block, key=repr))
+    ident = halo.lamp_identity()
+    lamps = sorted((l for l in block if l != ident), key=repr)
+    if not lamps:  # a round trip of the identity would check nothing
+        print(f"block size {len(block)}; no lamp but the identity")
+        print("error: the block holds only the identity lamp; there is nothing to decompose",
+              file=sys.stderr)
+        return 1
+    lamp = random.Random(args.seed).choice(lamps)
     decomposer = decompose_upcloner if isinstance(halo, UpclonerHalo) else decompose_gluing
     word = decomposer(halo, lamp)
     check = evaluate_word(halo, word) == (lamp, halo.base.identity())

@@ -196,29 +196,22 @@ def _lamp_bfs(halo: HaloGroup, moves: Sequence[Tuple[Lamp, list]],
     juggler lamps, each coded as the permutation it makes of the points
     site x fiber (|F| = 1 for shuffler and juggler), one bytes.translate
     per step; GF(2) cloner and upcloner lamps as ints, one shift and XOR
-    per column the move adds.  Where the hook returns None, it steps the
-    payloads themselves by lamp_compose.  Returns
+    per column the move adds; other lamps as their own payloads, stepped
+    by lamp_compose.  The code is made over the target too, so it codes
+    the target even where no move touches its points.  Returns
     (encode, paths), where paths maps encode(lamp) to the labels of the
     moves along the first path that reached the lamp, concatenated, in the
     order the search reached them.  It stops as soon as ``target`` is reached, and
     raises UndecomposableError if it cannot be; with no target it visits
     the whole subgroup the moves generate.
     """
-    lamps = [lamp for lamp, _ in moves]
-    codes = halo._lamp_codes(lamps)
-    if codes is None:  # search the payloads themselves
-        codes = (lambda a: a), lamps, halo.lamp_compose
-    encode, operands, step = codes
+    encode, operands, step = halo._lamp_codes([lamp for lamp, _ in moves],
+                                              () if target is None else [target])
     steps = list(zip(operands, [labels for _, labels in moves]))
     start = encode(halo.lamp_identity())
     paths: Dict = {start: []}
     frontier = [start]
-    goal = None
-    if target is not None:
-        try:
-            goal = encode(target)
-        except KeyError:  # the target moves a point that no move touches
-            frontier = []
+    goal = None if target is None else encode(target)
     while frontier and goal not in paths:
         new_frontier = []
         for state in frontier:

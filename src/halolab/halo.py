@@ -41,22 +41,24 @@ with no dict round-trip and no re-sort:
   a diagonal cloner generator (P = Q) scales column P by lam.
 
 ``_lamp_codes(moves, lamps)`` is the one lamp code of a family, for
-products of lamps with the moves.  Wreath, designer, shuffler and
-juggler share one byte code (``_PointHalo``): F wr Sym(X) acts faithfully
-on the points X x F by (f, s).(x, c) = (s x, f(s x) c), and composing
-these actions follows ``lamp_compose``'s order for any fiber F, so a lamp
-is coded as bytes, the permutation of the points (x, c) it makes, x in
-the X of the moves and the lamps.  A wreath lamp is (f, id); a shuffler
+products of lamps with the moves.  Every family has one, by default
+the payload code: a lamp is its own code and a product is
+``lamp_compose``.  Wreath, designer, shuffler and juggler share one byte
+code (``_PointHalo``): F wr Sym(X) acts faithfully on the points X x F
+by (f, s).(x, c) = (s x, f(s x) c), and composing these actions follows
+``lamp_compose``'s order for any fiber F, so a lamp is coded as bytes,
+the permutation of the points (x, c) it makes, x in the X of the moves
+and the lamps.  A wreath lamp is (f, id); a shuffler
 or juggler lamp is (1, s) with |F| = 1, so its points are X itself, the
 sites (juggler: the points (site, track)).  A product with a move is one
 ``bytes.translate`` and a lookup hashes flat bytes.  Over GF(2) cloner
 and upcloner code a lamp as an int, its 0/1 matrix over the sites of the
 moves and the lamps column by column, so a product with a move I + N is
 one shift and XOR per entry of N, a column added to a column, and a
-lookup hashes one int.  Matrices over GF(3), GF(4) and GF(5), and
-supports of more than 256 points (x, c) have no code.  Two readers use
-it.  ``step_rows(pairs, outside)`` serves the neighbour values of a
-function on the halo, given as (element, value) pairs, for
+lookup hashes one int.  Matrices over GF(3), GF(4) and GF(5) and
+supports of more than 256 points (x, c) keep the payload code.  Three
+readers use it.  ``step_rows(pairs, outside)`` serves the neighbour
+values of a function on the halo, given as (element, value) pairs, for
 ``gradient_ratio``, with one code per connected run of cursors (cursors
 joined by base generators).  The code is made from the moves alone, the
 translated generators of the run's cursors, and the run's distinct lamp
@@ -71,15 +73,15 @@ a table code -> value; a lamp generator's row steps the codes at h, and
 a base generator's row looks them up in the table of h s, in the same
 run or empty, so no row hashes a payload; a code missing from its table
 reads 0, or outside(f(g)).  A run's tables are alive until its rows are
-done, and a GF(2) code over a run's n sites has n^2 bits.  Where there
-is no code, the same loop runs with each payload as its own code,
-stepped by ``_step_lamp``.  ``decompose``'s lamp BFS (its factor searches
-and edge tables) steps codes the same way, or the payloads themselves by
-``lamp_compose``.
+done, and a GF(2) code over a run's n sites has n^2 bits.
+``decompose``'s lamp BFS (its factor searches and edge tables) steps
+codes the same way, and ``lampgraph`` checks on codes that blocks at
+distinct net sites commute.
 
 ``multiply`` stays the general product and the oracle for ``step`` and
-``step_rows``.  ``base_word`` and ``commutativity_constant`` read the
-base's ``cayley_ball``, the one ball of its word lengths.
+``step_rows``; ``_step_lamp`` serves ``step`` alone.  ``base_word`` and
+``commutativity_constant`` read the base's ``cayley_ball``, the one ball
+of its word lengths.
 """
 from __future__ import annotations
 
@@ -87,7 +89,7 @@ import itertools
 import math
 from bisect import bisect_left, insort
 from operator import getitem
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from .errors import BudgetError, ContractViolation, NotInDomainError
 from .gf import GF
@@ -367,12 +369,6 @@ def _cursor_runs(cursors, base_step: Callable, base_steps: range) -> List[List]:
     return runs
 
 
-def _encoded(codes, lamps: Iterable) -> Optional[List]:
-    """The codes of the lamps in one map, by the encode of codes (a
-    _lamp_codes result), or None when codes is None."""
-    return None if codes is None else list(map(codes[0], lamps))
-
-
 # ---------------------------------------------------------------------------
 # the halo handle
 
@@ -425,7 +421,7 @@ class HaloGroup(GroupHandle):
 
     def _step_lamp(self, a: Lamp, t: Lamp) -> Lamp:
         """lamp_compose(a, t) for t a translated lamp generator, as a local
-        edit of a."""
+        edit of a: what step does to the payload."""
         raise NotImplementedError
 
     def _lamp_codes(self, moves: Sequence[Lamp], lamps: Iterable[Lamp] = ()):
@@ -438,11 +434,10 @@ class HaloGroup(GroupHandle):
         run of cursors, from the run's translated generators alone and, if
         encode raises KeyError on one of the run's lamps, again with its
         distinct lamps, so that lamps at the cursors of a run compare by
-        their codes; the code grows with the run's points.  None means no
-        code (here: this family has none); None for some moves must mean
-        None for them with any lamps too, since step_rows then asks no
-        more."""
-        return None
+        their codes; the code grows with the run's points.  Here the
+        payload code, which any family may fall back on: a lamp is its own
+        code, the operands are the moves, and step is lamp_compose."""
+        return (lambda a: a), moves, self.lamp_compose
 
     def block_elements(self, sites: Sequence) -> List[Lamp]:
         """Complete list of L(sites); call via enumerate_block for budgeting."""
@@ -510,9 +505,7 @@ class HaloGroup(GroupHandle):
         h's table, and a base generator s's row looks the same codes up in
         the table of h s, which lies in h's run or outside the support
         (empty), so no row hashes a payload.  A code missing from its
-        table reads 0, or outside(f(g)).  With no code each payload is its
-        own code: the operands are the translated generators, and the step
-        is _step_lamp."""
+        table reads 0, or outside(f(g))."""
         cursors: Dict = {}  # cursor -> (its lamps, their values)
         for (lamp, h), v in pairs:
             group = cursors.get(h)
@@ -525,27 +518,23 @@ class HaloGroup(GroupHandle):
         repeat = itertools.repeat
         empty: Dict = {}
         for run in _cursor_runs(cursors, base_step, base_steps):
-            operands = list(itertools.chain.from_iterable(map(self._translates, run)))
+            moves = list(itertools.chain.from_iterable(map(self._translates, run)))
             lamp_lists = [cursors[h][0] for h in run]
             distinct: Dict = {}  # id(lamp) -> lamp
             for lamps in lamp_lists:
                 distinct.update(zip(map(id, lamps), lamps))
-            codes = self._lamp_codes(operands)
+            encode, operands, step = self._lamp_codes(moves)
             try:
-                coded = _encoded(codes, distinct.values())
+                coded = list(map(encode, distinct.values()))
             except KeyError:  # a lamp at a point no move touches
-                codes = self._lamp_codes(operands, distinct.values())
-                coded = _encoded(codes, distinct.values())
-            if codes is None:
-                step = self._step_lamp
-            else:
-                operands, step = codes[1:]
-                # now id(lamp) -> its code: update only replaces values, so it
-                # may read distinct's keys meanwhile
-                distinct.update(zip(distinct, coded))
-                del coded
-                for lamps in lamp_lists:  # each cursor now lists its lamps' codes
-                    lamps[:] = map(distinct.__getitem__, map(id, lamps))
+                encode, operands, step = self._lamp_codes(moves, distinct.values())
+                coded = list(map(encode, distinct.values()))
+            # now id(lamp) -> its code: update only replaces values, so it may
+            # read distinct's keys meanwhile
+            distinct.update(zip(distinct, coded))
+            del coded
+            for lamps in lamp_lists:  # each cursor now lists its lamps' codes
+                lamps[:] = map(distinct.__getitem__, map(id, lamps))
             del distinct, lamp_lists
             # cursor -> {code: value}, in support order; a group is dropped once tabled
             tables = {h: dict(zip(*cursors.pop(h))) for h in run}
@@ -629,13 +618,13 @@ class _PointHalo(HaloGroup):
         from f(y) alone.  So the code is the identity's plus one term per
         entry (x, y) of s, on the points of y, and one per entry (y, v) of
         f, on the points of y, each computed once per distinct entry.  A
-        byte holds at most 256 numbers: None for more points."""
+        byte holds at most 256 numbers: more points keep the payload code."""
         maps, perms = self._code_entries(itertools.chain(lamps, moves))
         m = self._site_points
         xs = {x for x, _ in maps}.union(x for x, _ in perms)
         n = len(xs) * m
         if n > 256:
-            return None
+            return super()._lamp_codes(moves)
         index = {x: k for k, x in enumerate(sorted(xs))}
         width = 8 * m  # the bits of the points (x, c) of one x
         ones = int.from_bytes(bytes([1]) * m, "little")
@@ -932,9 +921,9 @@ class _MatrixHalo(HaloGroup):
         differs from the identity's by 1, so N's entries are the move's
         entries: its operand is the tuple of their column shifts (k n, j n),
         and a step XORs each shifted column of the code, all read from the
-        code before the step.  None over other fields."""
+        code before the step.  Other fields keep the payload code."""
         if self.gf.q != 2:
-            return None
+            return super()._lamp_codes(moves)
         entries = set(itertools.chain.from_iterable(lamps))
         sites = {x for pq, _ in entries.union(itertools.chain.from_iterable(moves)) for x in pq}
         index = {x: k for k, x in enumerate(sorted(sites))}

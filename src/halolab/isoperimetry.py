@@ -501,7 +501,10 @@ def folner_function(points: Sequence[ProfilePoint], target: Fraction):
     """Least witnessed |A| with |dA|/|A| <= target; None if no witness
     qualifies (search exhausted marker).
 
-    With heuristic points the result is an upper bound on the Folner value.
+    With exact points the result is exact over connected sets through the
+    identity (see profile_exact): no smaller connected set through the
+    identity meets the target.  With heuristic points, or a search cut
+    short, it is an upper bound on the Folner value.
     """
     best: Optional[int] = None
     for pt in points:

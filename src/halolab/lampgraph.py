@@ -19,8 +19,7 @@ a ``dataclasses.replace`` copy reads the ball of its own group; the
 metric check runs its net-graph BFS from the interior net points alone.
 :func:`build_Ystar` makes each edge once and checks that blocks at
 distinct sites commute on the family's lamp codes
-(``HaloGroup._lamp_codes``), composing payloads only where a family has
-no code.
+(``HaloGroup._lamp_codes``).
 """
 from __future__ import annotations
 
@@ -436,17 +435,10 @@ def _check_blocks_commute(halo: HaloGroup, blocks: List[List]) -> None:
     (HaloGroup._lamp_codes) over all the block lamps gives each lamp its
     code and its operand, and a b = b a iff step(code(a), operand(b)) ==
     step(code(b), operand(a)): both sides code a product whose points lie
-    among the blocks', where encode is injective.  With no code (a field
-    other than GF(2), more than 256 points) each lamp is its own code and
-    operand, and the step is lamp_compose."""
+    among the blocks', where encode is injective."""
     lamps = [a for block in blocks for a in block]
-    codes = halo._lamp_codes(lamps)
-    if codes is None:
-        coded, operands, step = lamps, lamps, halo.lamp_compose
-    else:
-        encode, operands, step = codes
-        coded = list(map(encode, lamps))
-    pairs = iter(zip(coded, operands))
+    encode, operands, step = halo._lamp_codes(lamps)
+    pairs = iter(zip(map(encode, lamps), operands))
     coded_blocks = [list(itertools.islice(pairs, len(block))) for block in blocks]
     for i, block in enumerate(coded_blocks):
         for other in coded_blocks[i + 1:]:

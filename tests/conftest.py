@@ -5,9 +5,11 @@ Cayley ball.
 Acceptance tests call ``record_criterion`` so a single PASS/FAIL line per
 criterion is printed in the terminal summary regardless of output capture.
 """
+import functools
 from typing import Dict, Tuple
 
 from halolab.groups import ball
+from halolab.halo import HaloGroup
 
 _RESULTS: Dict[int, Tuple[bool, str]] = {}
 
@@ -27,11 +29,17 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 
 def search_payloads(halo):
-    """Take the halo's lamp code away (its _lamp_codes returns None), so
-    its lamp rows step each payload by _step_lamp and its lamp searches
-    step payloads by lamp_compose: the oracle for the codes."""
-    halo._lamp_codes = lambda moves, lamps=(): None
+    """Give the halo the payload code (HaloGroup._lamp_codes), so its lamp
+    rows, lamp searches and commutation checks step each payload by
+    lamp_compose, the general product: the oracle for the codes."""
+    halo._lamp_codes = functools.partial(HaloGroup._lamp_codes, halo)
     return halo
+
+
+def is_payload_code(halo, codes) -> bool:
+    """Whether codes, a _lamp_codes result of the halo, is the payload code,
+    which steps by lamp_compose."""
+    return codes[2] == halo.lamp_compose
 
 
 def assert_ball_is_fresh(b):

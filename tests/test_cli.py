@@ -40,6 +40,14 @@ def test_folner(capsys):
     assert "Folner(1/2) = 4" in capsys.readouterr().out
 
 
+def test_folner_labels_an_exact_point_exact_over_connected_sets(capsys):
+    """An untruncated exact search is exact over the connected sets
+    through the identity, which is all the label claims."""
+    assert main(["folner", "--group", "Z", "--n-max", "5", "--target", "2"]) == 0
+    assert (capsys.readouterr().out
+            == "Folner(1/2) = 4 (exact over connected sets through the identity)\n")
+
+
 def test_folner_labels_a_truncated_search_an_upper_bound(capsys):
     """Radius 1 cuts the search short, so profile marks every point
     exact=False; the exact method's answer is then only an upper bound."""
@@ -194,9 +202,27 @@ def test_decompose_rejects_sites_that_are_not_base_elements(capsys):
 
 @pytest.mark.parametrize("group", ["shuffler(Z)", "cloner(GF2, Z)", "upcloner(GF2, Z)"])
 def test_decompose_counts_a_repeated_site_once(group, capsys):
-    assert main(["decompose", "--group", group, "--sites", "0;0", "--seed", "1"]) == 0
+    """0;0 is one site, whose block in these families is the identity
+    alone: a round trip of it would check nothing, so the command fails."""
+    assert main(["decompose", "--group", group, "--sites", "0;0", "--seed", "1"]) == 1
+    captured = capsys.readouterr()
+    assert "block size 1;" in captured.out and "round-trip" not in captured.out
+    errors = captured.err.splitlines()
+    assert len(errors) == 1 and errors[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("group, sites", [("wreath(C2, Z)", "0;0"),
+                                          ("upcloner(GF2, Z^2:lex)", "0,0;1,1")])
+def test_decompose_picks_a_lamp_other_than_the_identity(group, sites, seed, capsys):
+    """A two-lamp block, one site of wreath(C2, Z) or an upcloner pair:
+    whatever the seed (seed 0 drew the identity from the whole block), the
+    lamp drawn is the block's one non-identity lamp, whose word is not
+    empty."""
+    assert main(["decompose", "--group", group, "--sites", sites, "--seed", str(seed)]) == 0
     out = capsys.readouterr().out
-    assert "block size 1;" in out and "round-trip ok: True" in out
+    assert "block size 2;" in out and "round-trip ok: True" in out
+    assert "picked lamp ()" not in out and "word length 0;" not in out
 
 
 def test_net(capsys):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import search_payloads
+from conftest import is_payload_code, search_payloads
 from halolab.decompose import (_edge_table, _lamp_bfs, certify_commutator_form,
                                certified_form, commutator_transvection,
                                decompose_gluing, decompose_upcloner,
@@ -427,8 +427,8 @@ def test_lamp_bfs_equals_the_searches_it_replaced(family, params):
 
 # ---------------------------------------------------------------------------
 # coded lamps: shuffler and juggler searches step bytes by bytes.translate,
-# GF(2) cloner and upcloner searches step ints by column shifts; the payloads
-# and lamp_compose of a search with no code (search_payloads) stay the oracle
+# GF(2) cloner and upcloner searches step ints by column shifts; the payload
+# code (search_payloads), whose step is lamp_compose, stays the oracle
 
 def _search_sites(halo):
     """Sites e, s and a neighbour of s for a base generator s (e, s when a
@@ -486,19 +486,22 @@ def test_lamp_codes_step_as_lamp_compose(family, params, base):
 
 
 def test_cloner_over_gf3_searches_payloads():
-    """Only GF(2) matrices are coded: over GF(3) the hook returns None and
-    the search keys its paths by the payloads themselves."""
+    """Only GF(2) matrices have a code of their own: over GF(3) the hook
+    returns the payload code, and the search keys its paths by the
+    payloads themselves."""
     halo = make_halo("cloner", GF(3), Z)
     moves = [l for l in enumerate_block(halo, [(0,), (1,)]) if l][:5]
-    assert halo._lamp_codes(moves) is None
+    codes = halo._lamp_codes(moves)
+    assert is_payload_code(halo, codes) and list(codes[1]) == moves
     encode, paths = _lamp_bfs(halo, [(m, [m]) for m in moves])
     assert all(encode(m) is m and paths[m] == [m] for m in moves)
 
 
 def test_lamp_codes_hold_at_most_256_points():
     """Adjacent transpositions of Z over 256 points code and step; over 257
-    points the hook returns None, and the search reaches a one-swap target
-    through payloads, on the paths of a search forced onto payloads."""
+    points the hook returns the payload code, and the search reaches a
+    one-swap target through payloads, on the paths of a search forced onto
+    payloads."""
     halo = make_halo("shuffler", None, Z)
 
     def swaps(points):
@@ -510,12 +513,56 @@ def test_lamp_codes_hold_at_most_256_points():
     for m, op in zip(moves, operands):
         assert step(encode(a), op) == encode(halo.lamp_compose(a, m))
     moves = swaps(257)
-    assert halo._lamp_codes(moves) is None
+    assert is_payload_code(halo, halo._lamp_codes(moves))
     target = moves[128]
     encode, paths = _lamp_bfs(halo, [(m, [m]) for m in moves], target)
     forced = search_payloads(make_halo("shuffler", None, Z))
     assert paths == _lamp_bfs(forced, [(m, [m]) for m in moves], target)[1]
     assert list(paths)[-1] == encode(target) and paths[encode(target)] == [target]
+
+
+# every family, each field it takes, and byte supports on both sides of 256
+# points; GF(3), GF(4), GF(5) and 257 points take the payload code
+LAMP_CODE_CASES = ([(f, fiber, Z, None) for f in ("wreath", "designer") for fiber in FIBERS]
+                   + [("shuffler", None, Z, None), ("juggler", 2, Z, None)]
+                   + [(f, GF(q), base, None) for f, base in (("cloner", Z), ("upcloner", ZLEX))
+                      for q in (2, 3, 4, 5)]
+                   + [("shuffler", None, Z, points) for points in (256, 257)])
+
+
+@pytest.mark.parametrize("family, params, base, points", LAMP_CODE_CASES,
+                         ids=[f"{f}-{n}-points" if n else f"{f}-{getattr(p, 'spec', p)}"
+                              for f, p, _, n in LAMP_CODE_CASES])
+def test_every_family_has_a_lamp_code(family, params, base, points):
+    """_lamp_codes returns a triple (encode, operands, step) with
+    step(encode(a), operands[i]) == encode(lamp_compose(a, moves[i])): the
+    family's own code, or the payload code over GF(3), GF(4) and GF(5) and
+    past 256 points.  The moves are the non-identity lamps of two
+    neighbouring blocks and a is each of 20 seeded lamps of their union;
+    at 256 and 257 points the moves are the adjacent swaps and a is each of
+    two seeded permutations of the points."""
+    halo = make_halo(family, params, base)
+    rng = random.Random(f"{halo.spec} {points}")
+    if points is None:
+        sites, r1, r2 = _search_sites(halo)
+        ident = halo.lamp_identity()
+        moves = [l for R in (r1, r2) for l in enumerate_block(halo, R) if l != ident]
+        block = enumerate_block(halo, sites)
+        lamps = rng.sample(block, min(20, len(block)))
+    else:
+        moves = [halo.make_lamp({(i,): (i + 1,), (i + 1,): (i,)}) for i in range(points - 1)]
+        lamps = [halo.make_lamp(dict(zip([(i,) for i in range(points)],
+                                         rng.sample([(i,) for i in range(points)], points))))
+                 for _ in range(2)]
+    codes = halo._lamp_codes(moves)
+    assert type(codes) is tuple and len(codes) == 3
+    assert is_payload_code(halo, codes) == (getattr(params, "q", 2) > 2 or (points or 0) > 256)
+    encode, operands, step = codes
+    assert len(operands) == len(moves)
+    for a in lamps:
+        code = encode(a)
+        for m, op in zip(moves, operands):
+            assert step(code, op) == encode(halo.lamp_compose(a, m))
 
 
 @pytest.mark.parametrize("coded", [True, False], ids=["codes", "payloads"])
@@ -526,7 +573,7 @@ def test_lamp_bfs_target_outside_the_moves_is_undecomposable(coded):
     halo = make_halo("shuffler", None, Z)
     if not coded:
         search_payloads(halo)
-    assert (halo._lamp_codes([]) is not None) == coded
+    assert is_payload_code(halo, halo._lamp_codes([])) != coded
 
     def swap(i, j):
         return halo.make_lamp({(i,): (j,), (j,): (i,)})
@@ -544,7 +591,7 @@ def _coded_and_payload_words(family, params, base, site_sets, picks):
     through payloads, on every full-support element of each site set, or on
     `picks` seeded ones where there are more."""
     fast = make_halo(family, params, base)
-    assert fast._lamp_codes(enumerate_block(fast, site_sets[0])) is not None
+    assert not is_payload_code(fast, fast._lamp_codes(enumerate_block(fast, site_sets[0])))
     slow = search_payloads(make_halo(family, params, base))
     decompose = decompose_upcloner if family == "upcloner" else decompose_gluing
     rng = random.Random(fast.spec)

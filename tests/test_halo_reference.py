@@ -16,7 +16,7 @@ from operator import neg
 
 import pytest
 
-from conftest import assert_ball_is_fresh, search_payloads
+from conftest import assert_ball_is_fresh, is_payload_code, search_payloads
 from halolab.decompose import evaluate_word
 from halolab.gf import GF
 from halolab.errors import ContractViolation
@@ -636,14 +636,14 @@ def test_step_rows_pair_each_element_with_its_multiply_neighbours(group):
 
 
 def _coded_and_stepped_rows(halo, values):
-    """Whether the halo has a lamp code for the whole support (every
-    cursor's translated generators as moves, the support's lamps), the
-    rows of its step_rows call, and the rows of a copy of the halo with no
-    code, which steps and looks up each payload; each row is read into a
-    pair of lists."""
+    """Whether the halo has a lamp code of its own, not the payload code,
+    for the whole support (every cursor's translated generators as moves,
+    the support's lamps), the rows of its step_rows call, and the rows of
+    a copy of the halo given the payload code, which steps each payload by
+    lamp_compose and looks it up; each row is read into a pair of lists."""
     stepped_halo = search_payloads(make_halo(halo.family, halo.params, halo.base))
     moves = [t for h in dict.fromkeys(h for _, h in values) for t in halo._translates(h)]
-    coded = halo._lamp_codes(moves, [lamp for lamp, _ in values]) is not None
+    coded = not is_payload_code(halo, halo._lamp_codes(moves, [lamp for lamp, _ in values]))
 
     def read(rows):
         return [(list(vs), list(ws)) for vs, ws in rows]
@@ -666,7 +666,7 @@ FIBER_HALOS = [(family, fiber, Z) for family in ("wreath", "designer")
                for fiber in (C2, C3, S3)]
 FIBER_IDS = [f"{family}-{fiber.spec}-Z" for family, fiber, _ in FIBER_HALOS]
 # over GF(2) the matrix rows come from codes, over GF(3), GF(4) (which adds
-# by XOR) and GF(5) from stepping each lamp
+# by XOR) and GF(5) from the payload code, which steps each lamp
 MATRIX_HALOS = ([("cloner", GF(q), base) for q in (2, 3, 4) for base in (Z, Z2, H3)]
                 + [("upcloner", GF(q), base) for q in (2, 3, 5) for base in (ZLEX, Z2LEX)])
 
