@@ -40,8 +40,9 @@ class GroupHandle:
     ``step_rows(pairs, outside)`` serves the neighbour values of a finitely
     supported function, given as (element, value) pairs, in rows, one
     generator at a time, reading a neighbour outside the support as 0 or
-    as outside(f(g)); halo products group the support by cursor (see
-    HaloGroup.step_rows).
+    as outside(f(g)); halo products group the pairs by cursor and serve
+    the rows from the groups, one lamp code per run of cursors, each
+    cursor's lamp list coded once (see HaloGroup.step_rows).
 
     ``cayley_ball`` is the handle's own :class:`Ball`, made on first use
     and kept; readers grow it as far as they need, so it equals a fresh

@@ -59,21 +59,26 @@ lookup hashes one int.  Matrices over GF(3), GF(4) and GF(5) and
 supports of more than 256 points (x, c) keep the payload code.  Three
 readers use it.  ``step_rows(pairs, outside)`` serves the neighbour
 values of a function on the halo, given as (element, value) pairs, for
-``gradient_ratio``, with one code per connected run of cursors (cursors
-joined by base generators).  The code is made from the moves alone, the
-translated generators of the run's cursors, and the run's distinct lamp
-objects are coded once each, in one map (the lamps of a lift share one
-block's objects at every cursor, and a lift's cursors are one run).  A
-lamp at a point no move touches makes encode raise KeyError, and then
-the code is made again over the run's lamps too: a wreath or upcloner
-lift takes that path, as their generators at the cursors U touch fewer
-sites than V = U u U.S, while the lamps of a shuffler, juggler, designer
-or cloner lift are never scanned for their points.  Each cursor h keeps
-a table code -> value; a lamp generator's row steps the codes at h, and
-a base generator's row looks them up in the table of h s, in the same
-run or empty, so no row hashes a payload; a code missing from its table
-reads 0, or outside(f(g)).  A run's tables are alive until its rows are
-done, and a GF(2) code over a run's n sites has n^2 bits.
+``gradient_ratio``: it groups the pairs by cursor, each cursor's lamps
+in a list, and ``_cursor_rows`` serves the rows from groups (lamps,
+values) per cursor, with one code per connected run of cursors (cursors
+joined by base generators).  ``gradient_ratio`` hands a lift's groups
+to ``_cursor_rows`` itself, the block's list at every cursor, so no
+lifted pair is read outside the rows.  The code is made from the moves
+alone, the translated generators of the run's cursors, and each
+distinct lamp list of the run is coded once, in one map (a lift's
+block once per run: its cursors are one run, or a few that share the
+block).  A lamp at a point no move touches makes encode raise KeyError,
+and then the code is made again over the lamps of the run's lists too:
+a wreath or upcloner lift takes that path, as their generators at the
+cursors U touch fewer sites than V = U u U.S, while the lamps of a
+shuffler, juggler, designer or cloner lift are never scanned for their
+points.  Each cursor h keeps a table code -> value; a lamp generator's
+row steps the codes at h, and a base generator's row looks them up in
+the table of h s, in the same run or empty, so no row hashes a payload;
+a code missing from its table reads 0, or outside(f(g)).  A run's
+tables are alive until its rows are done, and a GF(2) code over a
+run's n sites has n^2 bits.
 ``decompose``'s lamp BFS (its factor searches and edge tables) steps
 codes the same way, and ``lampgraph`` checks on codes that blocks at
 distinct net sites commute.
@@ -430,13 +435,14 @@ class HaloGroup(GroupHandle):
         whose points lie among the moves' and the given lamps' (an
         iterable), and step(encode(a), operands[i]) ==
         encode(lamp_compose(a, moves[i])).  encode may raise KeyError for a
-        lamp at other points.  step_rows asks for one code per connected
-        run of cursors, from the run's translated generators alone and, if
-        encode raises KeyError on one of the run's lamps, again with its
-        distinct lamps, so that lamps at the cursors of a run compare by
-        their codes; the code grows with the run's points.  Here the
-        payload code, which any family may fall back on: a lamp is its own
-        code, the operands are the moves, and step is lamp_compose."""
+        lamp at other points.  The gradient rows (_cursor_rows) ask for one
+        code per connected run of cursors, from the run's translated
+        generators alone and, if encode raises KeyError on one of the run's
+        lamps, again with the lamps of the run's distinct lamp lists, so
+        that lamps at the cursors of a run compare by their codes; the code
+        grows with the run's points.  Here the payload code, which any
+        family may fall back on: a lamp is its own code, the operands are
+        the moves, and step is lamp_compose."""
         return (lambda a: a), moves, self.lamp_compose
 
     def block_elements(self, sites: Sequence) -> List[Lamp]:
@@ -492,20 +498,8 @@ class HaloGroup(GroupHandle):
 
     def step_rows(self, pairs, outside=None):
         """GroupHandle.step_rows by cursor: the pairs are grouped by cursor
-        h as they are read, and each generator gives one row over the
-        lamps at h, the lamp generators first.  The cursors fall into
-        connected runs, joined by base generators, and one code serves
-        each run: _lamp_codes of the run's translated generators alone,
-        which codes each distinct lamp object of the run in one map, so a
-        code grows with its run's points, not the support's, and a lamp is
-        not scanned for its points.  Where encode raises KeyError (a lamp
-        at a point no move touches) the code is made again over the run's
-        lamps too.  Each cursor keeps a table code -> value in support
-        order; a lamp generator's row steps h's codes and looks them up in
-        h's table, and a base generator s's row looks the same codes up in
-        the table of h s, which lies in h's run or outside the support
-        (empty), so no row hashes a payload.  A code missing from its
-        table reads 0, or outside(f(g))."""
+        h as they are read, each cursor's lamps in a list of their own
+        beside their values, and _cursor_rows serves the groups."""
         cursors: Dict = {}  # cursor -> (its lamps, their values)
         for (lamp, h), v in pairs:
             group = cursors.get(h)
@@ -513,31 +507,47 @@ class HaloGroup(GroupHandle):
                 group = cursors[h] = ([], [])
             group[0].append(lamp)
             group[1].append(v)
+        yield from self._cursor_rows(cursors, outside)
+
+    def _cursor_rows(self, cursors: Dict, outside=None):
+        """step_rows over a support given cursor by cursor: cursors maps each
+        cursor h to (lamps, values), a list of distinct lamps and an
+        iterable of their values, read once; several cursors may hold the
+        one list (a lift's block).  Each generator gives one row over the
+        lamps at h, the lamp generators first.  The cursors fall into
+        connected runs, joined by base generators, and one code serves
+        each run: _lamp_codes of the run's translated generators alone, so
+        a code grows with its run's points, not the support's, and a lamp
+        is not scanned for its points.  Each distinct lamp list of a run is
+        coded once, in one map; where encode raises KeyError (a lamp at a
+        point no move touches) the code is made again over the lamps of the
+        run's lists too.  Each cursor keeps a table code -> value in its
+        list's order, and its group is dropped from cursors once tabled; a
+        lamp generator's row steps h's codes and looks them up in h's
+        table, and a base generator s's row looks the same codes up in the
+        table of h s, which lies in h's run or outside the support
+        (empty), so no row hashes a payload.  A code missing from its
+        table reads 0, or outside(f(g))."""
         base_step = self.base.step
         base_steps = range(len(self._gens) - self.base_gen_offset)
         repeat = itertools.repeat
         empty: Dict = {}
         for run in _cursor_runs(cursors, base_step, base_steps):
             moves = list(itertools.chain.from_iterable(map(self._translates, run)))
-            lamp_lists = [cursors[h][0] for h in run]
-            distinct: Dict = {}  # id(lamp) -> lamp
-            for lamps in lamp_lists:
-                distinct.update(zip(map(id, lamps), lamps))
+            lists = {id(lamps): lamps for lamps, _ in map(cursors.get, run)}
             encode, operands, step = self._lamp_codes(moves)
             try:
-                coded = list(map(encode, distinct.values()))
+                codes = {i: list(map(encode, lamps)) for i, lamps in lists.items()}
             except KeyError:  # a lamp at a point no move touches
-                encode, operands, step = self._lamp_codes(moves, distinct.values())
-                coded = list(map(encode, distinct.values()))
-            # now id(lamp) -> its code: update only replaces values, so it may
-            # read distinct's keys meanwhile
-            distinct.update(zip(distinct, coded))
-            del coded
-            for lamps in lamp_lists:  # each cursor now lists its lamps' codes
-                lamps[:] = map(distinct.__getitem__, map(id, lamps))
-            del distinct, lamp_lists
-            # cursor -> {code: value}, in support order; a group is dropped once tabled
-            tables = {h: dict(zip(*cursors.pop(h))) for h in run}
+                encode, operands, step = self._lamp_codes(
+                    moves, itertools.chain.from_iterable(lists.values()))
+                codes = {i: list(map(encode, lamps)) for i, lamps in lists.items()}
+            del lists
+            tables = {}  # cursor -> {code: value}
+            for h in run:
+                lamps, values = cursors.pop(h)
+                tables[h] = dict(zip(codes[id(lamps)], values))
+            del codes, lamps, values
             operands = iter(operands)  # base_gen_offset of them per cursor, in run order
             for h, table in tables.items():
                 vals = list(table.values())

@@ -66,11 +66,25 @@ class FiniteFunction:
         return self.entries.get(g, 0)
 
     def norm(self) -> Value:
-        p = self.p
+        """||f||_p: at p = 1 the sum of |f(g)|, exact for exact values, and
+        for p > 1 the p-th root of the math.fsum of |f(g)|^p.  A lift
+        (_LiftEntries) is read as its product U x L(V): each |f(h)| (or
+        |f(h)|^p) is taken once per cursor and repeated Lambda = |L(V)|
+        times in cursor order, the very additions (p = 1) or terms
+        (math.fsum) its entries give, so the result is bit-identical; at
+        p = 1 exact values sum as the sum over h of |f(h)| * Lambda."""
+        p, entries = self.p, self.entries
+        power = abs if p == 1 else lambda v: abs(v) ** float(p)
+        if isinstance(entries, _LiftEntries):
+            size, values = len(entries._block), entries._cursors.values()
+            if p == 1 and all(isinstance(v, (int, Fraction)) for v in values):
+                return sum(map(abs, values)) * size
+            terms = chain.from_iterable(map(repeat, map(power, values), repeat(size)))
+        else:
+            terms = map(power, entries.values())
         if p == 1:
-            return sum(abs(v) for v in self.entries.values())
-        total = math.fsum(abs(v) ** float(p) for v in self.entries.values())
-        return total ** (1.0 / float(p))
+            return sum(terms)
+        return math.fsum(terms) ** (1.0 / float(p))
 
 
 @dataclass(frozen=True)
@@ -126,18 +140,24 @@ def gradient_ratio(group: GroupHandle, f: FiniteFunction) -> Value:
     (that term is the (gs, s^-1) contribution).  Each distinct value
     object of f is scaled to an integer (or made a float) once, and
     step_rows reads f's support paired with those plain numbers in one
-    lazy pass, with no copy of f.  At p = 1 exact, the rows read a
-    neighbour outside the support as -f(g): |f(g) - (-f(g))| = 2|f(g)| is
-    the pair's term plus its mirror, so each row sums |a - b| in one pass
-    (an inside neighbour of value -f(g) has that term too, with no
+    lazy pass, with no copy of f.  A lift (_LiftEntries) on a halo is read
+    as its product U x L(V): each of the |U| cursor values is scaled once,
+    the halo's row kernel gets (block, f(h) repeated Lambda times) for
+    each cursor h, so each run codes the block once, and the exact norm
+    is the sum over h of |f(h)| * Lambda.  At p = 1 exact, the rows read
+    a neighbour outside the support as -f(g): |f(g) - (-f(g))| = 2|f(g)|
+    is the pair's term plus its mirror, so each row sums |a - b| in one
+    pass (an inside neighbour of value -f(g) has that term too, with no
     mirror).  Float values and p > 1 read 0 outside and add |a|^p wherever
     b is 0 (_row_terms); the float terms stream into math.fsum, whose
     correctly rounded sum does not depend on their order.
     """
-    if not f.entries:
+    entries = f.entries
+    if not entries:
         raise ContractViolation("gradient_ratio of the empty function")
     p = f.p
-    vals = f.entries.values()
+    lift = isinstance(entries, _LiftEntries) and isinstance(group, HaloGroup)
+    vals = entries._cursors.values() if lift else entries.values()
     distinct = dict(zip(map(id, vals), vals))
     exact = p == 1 and all(isinstance(v, (int, Fraction)) for v in distinct.values())
     if exact:
@@ -146,14 +166,23 @@ def gradient_ratio(group: GroupHandle, f: FiniteFunction) -> Value:
     else:
         value = {i: float(v) for i, v in distinct.items()}
 
-    def plain():  # f's values in plain numbers, in support order
+    def plain():  # f's values in plain numbers, in support order (a lift: cursor order)
         return map(value.__getitem__, map(id, vals))
 
+    outside = neg if exact else None
+    if lift:
+        block = entries._block
+        size = len(block)
+        cursors = dict(zip(entries._cursors, plain()))
+        rows = group._cursor_rows(
+            {h: (block, repeat(v, size)) for h, v in cursors.items()}, outside)
+    else:
+        rows = group.step_rows(zip(entries, plain()), outside)
     if exact:
-        rows = group.step_rows(zip(f.entries, plain()), neg)
         grad = sum(sum(map(abs, map(sub, vs, ws))) for vs, ws in rows)
-        return Fraction(grad, sum(map(abs, plain())))
-    terms = chain.from_iterable(starmap(_row_terms, group.step_rows(zip(f.entries, plain()))))
+        total = sum(map(abs, cursors.values())) * size if lift else sum(map(abs, plain()))
+        return Fraction(grad, total)
+    terms = chain.from_iterable(starmap(_row_terms, rows))
     pf = float(p)
     return math.fsum(map(pow, map(abs, terms), repeat(pf))) ** (1.0 / pf) / f.norm()
 
@@ -533,7 +562,10 @@ class _LiftEntries(Mapping):
     lookup (``[]``, ``get``, ``in``) takes the cursor from f's entries and
     the lamp from a frozenset of the block, made on the first lookup, so a
     key whose cursor is not in U or whose lamp is not in L(V) is missing,
-    as it is from that dict.
+    as it is from that dict.  FiniteFunction.norm and gradient_ratio (on a
+    halo) read the product itself, f's |U| values and the one block, and
+    touch no (lamp, h) pair: the gradient rows get the block at every
+    cursor, so each run of cursors codes it once.
     """
 
     __slots__ = ("_cursors", "_block", "_lamps")

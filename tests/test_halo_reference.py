@@ -24,7 +24,7 @@ from halolab.groups import (Ball, CyclicGroup, HeisenbergGroup, ProductGroup,
                             SymmetricGroup, ZdGroup, ball, make_group)
 from halolab import halo as halo_module
 from halolab.halo import HaloGroup, enumerate_block, make_halo
-from halolab.isoperimetry import FiniteFunction, almost_invariant_lift
+from halolab.isoperimetry import FiniteFunction, almost_invariant_lift, gradient_ratio
 
 # ---------------------------------------------------------------------------
 # the keyed reference helpers
@@ -943,3 +943,41 @@ def test_coded_rows_of_a_lamp_off_the_moves_code_its_run_again(family, params):
     assert [len(lamps_of_calls) for lamps_of_calls in by_run] == [2, 1]
     assert by_run[0][0] == [] and {id(lamp) for lamp in by_run[0][1]} == at_run
     assert by_run[1] == [[]]
+
+
+@pytest.mark.parametrize("spec, size, lamp_counts", [("juggler(2, Z)", 2, [0]),
+                                                     ("wreath(C2, Z)", 3, [0, 32]),
+                                                     ("upcloner(GF2, Z)", 3, [0, 1024])],
+                         ids=["juggler-2", "wreath-C2", "upcloner-GF2"])
+def test_the_gradient_of_a_lift_codes_its_block_once(spec, size, lamp_counts):
+    """The lift of 1_U, U = {0, .., size - 1}: its cursors are one run, and
+    gradient_ratio hands the rows the block at every cursor, so the block
+    is coded once, Lambda encodes for |U| Lambda entries.  The juggler's
+    moves touch every point of V, so one code from the moves alone serves;
+    the wreath's and upcloner's stop at their first lamp off the moves, and
+    the code is made again over the block's lamps, listed once."""
+    halo = make_group(spec)
+    g = almost_invariant_lift(halo, FiniteFunction({(i,): 1 for i in range(size)}, 1))
+    size_block = len(g.entries) // size
+    calls = _spy_lamp_codes(halo)
+    encodes = []  # per _lamp_codes call, the encode calls its code served
+    lamp_codes = halo._lamp_codes
+
+    def counting(moves, lamps=()):
+        encode, operands, step = lamp_codes(moves, lamps)
+        encodes.append(0)
+        k = len(encodes) - 1
+
+        def counted(a):
+            encodes[k] += 1
+            return encode(a)
+
+        return counted, operands, step
+
+    halo._lamp_codes = counting
+    assert gradient_ratio(halo, g) == gradient_ratio(halo.base, FiniteFunction(
+        {(i,): 1 for i in range(size)}, 1))
+    assert [len(lamps) for _, lamps in calls] == lamp_counts
+    assert encodes[-1] == size_block and all(0 < k <= size_block for k in encodes)
+    if spec == "juggler(2, Z)":
+        assert (encodes, len(g.entries)) == ([40320], 80640)

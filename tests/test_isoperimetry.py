@@ -159,16 +159,21 @@ def _stepwise_gradient_ratio(group, f):
 
 def test_gradient_ratio_by_rows_equals_the_stepwise_loop_bit_for_bit():
     """Fractions equal and floats bit-identical at p = 1 (exact and float
-    values), 2 and 3, on lifts to halos (cloner(GF3) has no lamp code) and
-    on random functions on Z^2 and a halo, also ones whose equal values
-    are distinct Fraction objects."""
+    values), 2 and 3, on lifts to halos (cloner(GF3) and upcloner(GF3) on
+    the payload code; lifts whose cursors form one run of two or three, and
+    wreath(C2, Z) over U = {0, 2}, two runs that share one block) and on
+    random functions on Z^2 and a halo, also ones whose equal values are
+    distinct Fraction objects.  A lift's norm, read off its product U x
+    L(V), equals the norm of its entries copied into a dict."""
     rng = random.Random(13)
     cases = []
     for spec, U in (("shuffler(Z)", [(0,), (1,)]), ("juggler(2, Z)", [(0,)]),
                     ("wreath(C2, Z)", [(0,), (2,)]),
                     ("designer(C2, Z)", [(0,)]), ("cloner(GF2, Z)", [(0,)]),
                     ("upcloner(GF2, Z)", [(0,), (1,)]), ("shuffler(Z x C2)", [((0,), 0)]),
-                    ("upcloner(GF3, Z)", [(0,)]), ("cloner(GF3, Z)", [(0,)])):
+                    ("upcloner(GF3, Z)", [(0,)]), ("cloner(GF3, Z)", [(0,)]),
+                    ("shuffler(Z)", [(0,), (1,), (2,)]), ("designer(C2, Z)", [(0,), (1,)]),
+                    ("wreath(C3, Z)", [(0,), (1,)]), ("upcloner(GF2, Z)", [(0,), (1,), (2,)])):
         halo = make_group(spec)
         exact = _mixed_values(rng, U)
         for p, values in ((1, exact), (1, {u: rng.uniform(-5, 5) for u in U}),
@@ -191,6 +196,12 @@ def test_gradient_ratio_by_rows_equals_the_stepwise_loop_bit_for_bit():
             assert r.hex() == old.hex(), (group.spec, f.p, r, old)
         else:
             assert r == old and r == _reference_gradient_ratio(group, f), (group.spec, f.p)
+        norm, flat = f.norm(), FiniteFunction(dict(f.entries), f.p).norm()
+        assert type(norm) is type(flat), (group.spec, f.p)
+        if type(norm) is float:
+            assert norm.hex() == flat.hex(), (group.spec, f.p, norm, flat)
+        else:
+            assert norm == flat, (group.spec, f.p)
 
 
 def _rows_reading_zero_outside(group, f):
