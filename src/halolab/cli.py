@@ -235,15 +235,11 @@ def cmd_embed(args) -> int:
         morphism = wreath_in_shuffler(base, coset_system_mZ(args.index))
     elif args.construction == "endomorphism":
         morphism = shuffler_endomorphism(base)
-    elif args.construction == "lamplighter":
-        morphism = lamplighter_in_halo(args.family, _parse_params(args.params), base)
     else:
-        print(f"unknown construction {args.construction}", file=sys.stderr)
-        return 2
+        morphism = lamplighter_in_halo(args.family, _parse_params(args.params), base)
     print(morphism.name)
     failed = False
-    results = morphism.check(pairs=args.pairs, radius=args.check_radius,
-                             seed=args.seed)
+    results = morphism.check(radius=args.check_radius)
     for prop, (ok, extra) in results.items():
         line = f"  {prop}: {'pass' if ok else 'FAIL'}"
         if not ok and extra is not None:
@@ -340,15 +336,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--D", type=int, required=True)
     p.set_defaults(fn=cmd_ystar)
 
-    p = sub.add_parser("embed", parents=[seed])
+    p = sub.add_parser("embed")
     p.add_argument("--construction", required=True,
                    choices=["wreath-in-shuffler", "endomorphism", "lamplighter"])
     p.add_argument("--base", default="Z")
     p.add_argument("--index", type=int, default=2, help="subgroup index m")
     p.add_argument("--family", default="juggler")
     p.add_argument("--params", default="2")
-    p.add_argument("--pairs", type=int, default=1000)
-    p.add_argument("--check-radius", type=int, default=4, dest="check_radius")
+    p.add_argument("--check-radius", type=int, default=4, dest="check_radius",
+                   help="the check covers every pair a, b with |a| + |b| <= this")
     p.set_defaults(fn=cmd_embed)
 
     p = sub.add_parser("bounds", help="phi_inverse table")

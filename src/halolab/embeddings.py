@@ -1,13 +1,12 @@
 """Subgroup embeddings between halo products: the finitary-wreath subgroup
 of a shuffler over a finite-index subgroup, the injective non-surjective
 shuffler endomorphism, and lamplighter subgroups of juggler, designer and
-cloner products.
+cloner products.  Each morphism's homomorphism check runs one fixed list
+of pairs, exhaustive on a ball of the domain.
 """
 from __future__ import annotations
 
-import functools
-import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .errors import ContractViolation, NotInDomainError, UnsupportedFamilyError
@@ -48,7 +47,8 @@ def coset_system_mZ(m: int) -> CosetSystem:
 @dataclass
 class GroupMorphism:
     """A homomorphism given by a closed-form mapping rule, with built-in
-    verification on balls of the domain, read off its cayley_ball."""
+    verification on balls of the domain, read off its cayley_ball: the
+    homomorphism check proves, not samples (see homomorphism_counterexample)."""
 
     domain: GroupHandle
     codomain: GroupHandle
@@ -56,17 +56,15 @@ class GroupMorphism:
     name: str = "morphism"
     member: Optional[Callable[[Any], bool]] = None  # restricts the domain
     not_surjective_witness: Any = None
-
-    @functools.cached_property
-    def _images(self) -> Dict[int, Tuple[List, Dict]]:
-        """Per radius, what _domain_images returns, kept on the morphism."""
-        return {}
+    # per radius, what _domain_images returns, kept on the morphism
+    _images: Dict[int, Tuple[List, Dict]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def _domain_images(self, radius: int) -> Tuple[List, Dict]:
         """The sorted domain ball of this radius, cut to member, and the
         image of each of its elements, mapped once per radius."""
-        if radius < 0:
-            raise ContractViolation(f"check radius must be >= 0, not {radius}")
+        if radius < 1:
+            raise ContractViolation(f"check radius must be >= 1, not {radius}")
         if radius not in self._images:
             lengths = self.domain.cayley_ball.grow(radius).lengths
             elems = sorted(g for g, l in lengths.items()
@@ -79,29 +77,29 @@ class GroupMorphism:
 
     def homomorphism_counterexample(self, pairs: int = 1000, radius: int = 4,
                                     seed: int = 0):
-        """None, or a pair (a, b) with phi(ab) != phi(a)phi(b), among pairs
-        drawn from the domain ball of this radius.  The draws are the same
-        for every call with this seed; a pair drawn again has passed
-        already and is skipped, and a product outside the ball is mapped
-        once per call."""
-        if pairs < 1:
-            raise ContractViolation(f"a homomorphism check needs pairs >= 1, not {pairs}")
+        """None, or the first pair (a, b) of a fixed list with phi(ab) !=
+        phi(a)phi(b).  Without member the list is (1, 1) and (g, s) for g
+        in Ball(radius - 1), s a generator, and None proves phi(ab) =
+        phi(a)phi(b) whenever |a| + |b| <= radius: (1, 1) gives phi(1) = 1,
+        and by induction on |b|, for b = b's with |b'| = |b| - 1, ab' lies
+        in Ball(radius - 1), so phi(ab) = phi(ab')phi(s) =
+        phi(a)phi(b')phi(s) = phi(a)phi(b), as (b', s) is listed too.
+        With member the generators need not be members: the list is every
+        ordered pair of members of the ball, a product that is no member
+        skipped.  ``pairs`` and ``seed`` choose nothing; radius < 1 would
+        check no pair but (1, 1) and raises ContractViolation."""
         elems, image = self._domain_images(radius)
-        mapped = dict(image)  # grows by the products outside the ball
-        drawn = set()  # (id(a), id(b)): the ball's elements are its own objects
-        rng = random.Random(seed)
-        for _ in range(pairs):
-            a, b = rng.choice(elems), rng.choice(elems)
-            key = (id(a), id(b))
-            if key in drawn:
-                continue
-            drawn.add(key)
+        if self.member is None:
+            e, lengths = self.domain.identity(), self.domain.cayley_ball.lengths
+            checked = [(e, e)] + [(g, s) for g in elems if lengths[g] < radius
+                                  for s in self.domain.generators()]
+        else:
+            checked = [(a, b) for a in elems for b in elems]
+        for a, b in checked:
             ab = self.domain.multiply(a, b)
             if self.member is not None and not self.member(ab):
                 continue
-            phi_ab = mapped.get(ab)
-            if phi_ab is None:
-                phi_ab = mapped[ab] = self.map(ab)
+            phi_ab = image[ab] if ab in image else self.map(ab)
             if phi_ab != self.codomain.multiply(image[a], image[b]):
                 return (a, b)
         return None
@@ -111,6 +109,7 @@ class GroupMorphism:
         return len(set(image.values())) == len(image)
 
     def check(self, pairs: int = 1000, radius: int = 4, seed: int = 0) -> Dict[str, Tuple[bool, Any]]:
+        """``pairs`` and ``seed`` choose nothing (see homomorphism_counterexample)."""
         cex = self.homomorphism_counterexample(pairs, radius, seed)
         out = {
             "identity": (self.preserves_identity(), None),

@@ -1189,7 +1189,10 @@ def commutativity_constant(halo: HaloGroup, radius: int,
 
     Tested subsets are the singletons and pairs inside Ball(radius); the
     distance between subsets is min over point pairs of the word metric.
+    ContractViolation for a negative radius, whose window would be empty.
     """
+    if radius < 0:
+        raise ContractViolation(f"commutativity_constant needs radius >= 0, not {radius}")
     base = halo.base
     metric = base.cayley_ball.grow(2 * radius).lengths
     window = sorted(g for g, l in metric.items() if l <= radius)

@@ -388,7 +388,8 @@ def build_Ystar(halo: HaloGroup, net: SeparatedNet, s0, radius: int,
     rho at the current site x by multiplication with a non-identity block
     element (lamp edge), or move x to a net site within 2D+5 (move edge).
     Each edge is made once: a move edge from its earlier site in net
-    order, a lamp edge from its smaller block index.
+    order, a lamp edge from its smaller block index.  ``radius`` is read
+    by nothing.
 
     Every pair of block elements at distinct sites must commute; a
     violation falsifies large-scale commutativity and raises (see

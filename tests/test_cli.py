@@ -283,22 +283,19 @@ def test_ystar_wreath_radius_6(capsys):
 def test_embed(capsys):
     assert main(["embed", "--construction", "lamplighter", "--family",
                  "designer", "--params", "C2", "--base", "Z",
-                 "--pairs", "100", "--check-radius", "3"]) == 0
+                 "--check-radius", "3"]) == 0
     out = capsys.readouterr().out
     assert "homomorphism: pass" in out
 
 
-@pytest.mark.parametrize("option, message", [
-    (["--pairs", "0"], "a homomorphism check needs pairs >= 1, not 0"),
-    (["--check-radius", "-1"], "check radius must be >= 0, not -1"),
-], ids=["no-pairs", "negative-radius"])
-def test_embed_rejects_a_check_of_nothing(option, message, capsys):
-    """A check with no pairs used to print 'homomorphism: pass' and exit 0,
-    and a negative radius died in rng.choice([])."""
-    assert main(["embed", "--construction", "endomorphism", "--base", "Z"] + option) == 1
+@pytest.mark.parametrize("radius", ["0", "-1"])
+def test_embed_rejects_a_check_of_nothing(radius, capsys):
+    """Below radius 1 the homomorphism check would compare no pair but (1, 1)."""
+    assert main(["embed", "--construction", "endomorphism", "--base", "Z",
+                 "--check-radius", radius]) == 1
     captured = capsys.readouterr()
     assert "pass" not in captured.out
-    assert captured.err == f"error: {message}\n"
+    assert captured.err == f"error: check radius must be >= 1, not {radius}\n"
 
 
 def test_lift_exits_1_when_the_ratios_differ(monkeypatch, capsys):
@@ -386,6 +383,19 @@ def test_options_are_scoped_to_the_subcommands_that_read_them(capsys):
             main(argv)
         assert exc.value.code == 2, argv
         assert flag in capsys.readouterr().err, argv
+
+
+@pytest.mark.parametrize("option", [["--pairs", "100"], ["--seed", "1"]],
+                         ids=["pairs", "seed"])
+def test_embed_takes_no_sample_options(option, capsys):
+    """The homomorphism check is exhaustive, so nothing chooses a sample:
+    argparse refuses the old sample options before any check runs."""
+    with pytest.raises(SystemExit) as exc:
+        main(["embed", "--construction", "endomorphism"] + option)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert option[0] in captured.err
 
 
 def test_run_requires_out(tmp_path, monkeypatch, capsys):

@@ -1,5 +1,4 @@
 import dataclasses
-import random
 
 import pytest
 
@@ -16,8 +15,8 @@ from halolab.halo import make_halo
 Z = ZdGroup(1, False)
 
 
-def _assert_all_checks_pass(morphism, pairs=500, radius=3):
-    results = morphism.check(pairs=pairs, radius=radius)
+def _assert_all_checks_pass(morphism, radius=3):
+    results = morphism.check(radius=radius)
     for prop, (ok, extra) in results.items():
         assert ok, (morphism.name, prop, extra)
 
@@ -82,7 +81,7 @@ def test_shuffler_endomorphism_iterates():
 
 
 def test_check_builds_one_domain_ball(monkeypatch):
-    expected = lamplighter_in_halo("juggler", 2, Z).check(pairs=200, radius=2)
+    expected = lamplighter_in_halo("juggler", 2, Z).check(radius=2)
     morphism = lamplighter_in_halo("juggler", 2, Z)
     built = []
     init = groups.Ball.__init__
@@ -92,10 +91,10 @@ def test_check_builds_one_domain_ball(monkeypatch):
         init(self, group, *args)
 
     monkeypatch.setattr(groups.Ball, "__init__", spy_init)
-    assert morphism.check(pairs=200, radius=3)["injective_on_ball"] == (True, None)
+    assert morphism.check(radius=3)["injective_on_ball"] == (True, None)
     assert built == [morphism.domain]
     # a smaller radius reads the same ball, cut to that radius
-    assert morphism.check(pairs=200, radius=2) == expected
+    assert morphism.check(radius=2) == expected
     assert built == [morphism.domain]
     monkeypatch.undo()
     assert morphism.domain.cayley_ball.radius == 3
@@ -112,8 +111,7 @@ def test_lamplighter_in_designer():
 
 def test_lamplighter_in_cloner():
     for q in (3, 4, 5):
-        _assert_all_checks_pass(lamplighter_in_halo("cloner", q, Z),
-                                pairs=200, radius=2)
+        _assert_all_checks_pass(lamplighter_in_halo("cloner", q, Z), radius=2)
 
 
 def test_cloner_gf2_rejected():
@@ -140,18 +138,78 @@ def test_lamplighter_in_halo_rejects_family_parameters():
         lamplighter_in_halo("juggler", 1, Z)
 
 
+def test_doubling_endomorphism():
+    psi = doubling(2)
+    assert psi.map((1, -3)) == (2, -6)
+    assert psi.in_image((2, 4)) and not psi.in_image((1, 2))
+
+
+# ---------------------------------------------------------------------------
+# check against a brute-force oracle that calls phi afresh on every pair
+
+def _criterion_11_morphisms():
+    return [wreath_in_shuffler(Z, coset_system_mZ(2)), shuffler_endomorphism(Z),
+            lamplighter_in_halo("juggler", 2, Z),
+            lamplighter_in_halo("designer", CyclicGroup(2), Z),
+            lamplighter_in_halo("cloner", 3, Z)]
+
+
+def _oracle(morphism, radius):
+    """The verdict on each property, and the set of pairs (a, b) with
+    phi(ab) != phi(a)phi(b): every pair with |a| + |b| <= radius, or, on a
+    restricted domain, every pair of members of Ball(radius) whose
+    product is a member."""
+    domain, codomain, phi, member = (morphism.domain, morphism.codomain,
+                                     morphism.map, morphism.member)
+    lengths = ball(domain, radius).lengths
+    if member is None:
+        elems = list(lengths)
+        pairs = [(a, b) for a in elems for b in elems if lengths[a] + lengths[b] <= radius]
+    else:
+        elems = [g for g in lengths if member(g)]
+        pairs = [(a, b) for a in elems for b in elems if member(domain.multiply(a, b))]
+    failing = {(a, b) for a, b in pairs
+               if phi(domain.multiply(a, b)) != codomain.multiply(phi(a), phi(b))}
+    images = [phi(g) for g in elems]
+    verdicts = {"identity": phi(domain.identity()) == codomain.identity(),
+                "homomorphism": not failing,
+                "injective_on_ball": len(set(images)) == len(images)}
+    if morphism.not_surjective_witness is not None:
+        verdicts["not_surjective"] = True
+    return verdicts, failing
+
+
+def _check_equals_the_oracle(morphism, radius):
+    """check's results, after asserting its verdicts are the oracle's and
+    its counterexample, if any, is a failing pair of the oracle."""
+    results = morphism.check(radius=radius)
+    verdicts, failing = _oracle(morphism, radius)
+    assert {prop: ok for prop, (ok, _) in results.items()} == verdicts, (morphism.name, radius)
+    ok, cex = results["homomorphism"]
+    assert (cex is None) == ok and (ok or cex in failing), (morphism.name, radius, cex)
+    assert results["identity"][1] is None and results["injective_on_ball"][1] is None
+    return results
+
+
+def test_check_equals_the_oracle_on_the_criterion_11_morphisms():
+    for morphism in _criterion_11_morphisms():
+        for radius in (1, 2, 3, 4):
+            results = _check_equals_the_oracle(morphism, radius)
+            assert all(ok for ok, _ in results.values()), (morphism.name, radius)
+            # pairs and seed are kept in the signature and choose nothing
+            assert morphism.check(pairs=0, radius=radius, seed=7919) == results
+        if morphism.not_surjective_witness is not None:
+            assert results["not_surjective"] == (True, morphism.not_surjective_witness)
+
+
 def test_check_reports_a_map_that_is_no_homomorphism():
     # doubling the cursor but leaving the lamp where it is: (sigma, h)(tau, k)
     # translates tau by h, the image translates it by 2h
     shuffler = make_halo("shuffler", None, Z)
     morphism = GroupMorphism(shuffler, shuffler, lambda g: (g[0], (2 * g[1][0],)),
                              name="untranslated doubling")
-    results = morphism.check(pairs=200, radius=2)
-    ok, pair = results["homomorphism"]
-    assert not ok
-    a, b = pair
-    assert morphism.map(shuffler.multiply(a, b)) != \
-        shuffler.multiply(morphism.map(a), morphism.map(b))
+    results = _check_equals_the_oracle(morphism, 2)
+    assert not results["homomorphism"][0]
     assert results["identity"] == (True, None)
     assert results["injective_on_ball"] == (True, None)
 
@@ -161,177 +219,86 @@ def test_check_reports_a_map_that_is_not_injective():
     shuffler = make_halo("shuffler", None, Z)
     morphism = GroupMorphism(shuffler, shuffler, lambda g: ((), g[1]),
                              name="forget the lamp")
-    results = morphism.check(pairs=200, radius=2)
+    results = _check_equals_the_oracle(morphism, 2)
     assert results["injective_on_ball"] == (False, None)
     assert results["homomorphism"] == (True, None)
     assert results["identity"] == (True, None)
 
 
-def test_doubling_endomorphism():
-    psi = doubling(2)
-    assert psi.map((1, -3)) == (2, -6)
-    assert psi.in_image((2, 4)) and not psi.in_image((1, 2))
-
-
-# ---------------------------------------------------------------------------
-# check maps each domain-ball element once; the oracle maps a, b and ab at
-# every draw, from the same sorted ball and the same seed
-
-def _criterion_11_morphisms():
-    return [wreath_in_shuffler(Z, coset_system_mZ(2)), shuffler_endomorphism(Z),
-            lamplighter_in_halo("juggler", 2, Z),
-            lamplighter_in_halo("designer", CyclicGroup(2), Z),
-            lamplighter_in_halo("cloner", 3, Z)]
-
-
-def _filtered_ball(morphism, radius):
-    return sorted(g for g, l in ball(morphism.domain, radius).lengths.items()
-                  if l <= radius and (morphism.member is None or morphism.member(g)))
-
-
-def _per_draw_check(morphism, pairs, radius, seed):
-    domain, codomain, phi, member = (morphism.domain, morphism.codomain,
-                                     morphism.map, morphism.member)
-    elems = _filtered_ball(morphism, radius)
-    rng = random.Random(seed)
-    cex = None
-    for _ in range(pairs):
-        a, b = rng.choice(elems), rng.choice(elems)
-        ab = domain.multiply(a, b)
-        if member is not None and not member(ab):
-            continue
-        if phi(ab) != codomain.multiply(phi(a), phi(b)):
-            cex = (a, b)
-            break
-    images = [phi(g) for g in elems]
-    out = {"identity": (phi(domain.identity()) == codomain.identity(), None),
-           "homomorphism": (cex is None, cex),
-           "injective_on_ball": (len(set(images)) == len(images), None)}
-    if morphism.not_surjective_witness is not None:
-        out["not_surjective"] = (True, morphism.not_surjective_witness)
-    return out
-
-
-def test_check_equals_a_per_draw_loop():
-    for morphism in _criterion_11_morphisms():
-        for seed in (0, 1, 7919):
-            assert morphism.check(pairs=1000, radius=4, seed=seed) == \
-                _per_draw_check(morphism, 1000, 4, seed), (morphism.name, seed)
-
-
-def test_counterexample_equals_the_per_draw_loop():
-    shuffler = make_halo("shuffler", None, Z)
-    morphism = GroupMorphism(shuffler, shuffler, lambda g: (g[0], (2 * g[1][0],)),
-                             name="untranslated doubling")
-    for seed in range(5):
-        cex = morphism.homomorphism_counterexample(pairs=200, radius=2, seed=seed)
-        assert cex is not None
-        assert (False, cex) == _per_draw_check(morphism, 200, 2, seed)["homomorphism"]
-
-
-def test_check_maps_each_ball_element_once():
-    """At most one map call per filtered ball element, one per drawn product
-    and one for preserves_identity; a second check at the same radius maps
-    only the products and the identity again."""
-    for morphism in _criterion_11_morphisms():
-        calls = []
-        counted = dataclasses.replace(morphism, map=lambda g, phi=morphism.map:
-                                      calls.append(g) or phi(g))
-        assert counted.check(pairs=300, radius=3) == morphism.check(pairs=300, radius=3)
-        ball_elements = _filtered_ball(morphism, 3)
-        assert set(ball_elements) <= set(calls)
-        assert len(calls) <= len(ball_elements) + 300 + 1, morphism.name
-        calls.clear()
-        counted.check(pairs=300, radius=3, seed=1)
-        assert len(calls) <= 300 + 1, morphism.name
-
-
-def _draws(elems, pairs, seed):
-    """The (a, b) of each draw of homomorphism_counterexample, in order."""
-    rng = random.Random(seed)
-    return [(rng.choice(elems), rng.choice(elems)) for _ in range(pairs)]
-
-
-def test_check_multiplies_each_distinct_draw_once(monkeypatch):
-    """The coset-preserving ball has 14 elements, so 1000 draws fall on at
-    most 196 ordered pairs: at most one product on each side per pair."""
-    morphism = wreath_in_shuffler(Z, coset_system_mZ(2))
-    products = {"domain": 0, "codomain": 0}
-    for side in products:
-        group = getattr(morphism, side)
-
-        def counted(a, b, side=side, multiply=group.multiply):
-            products[side] += 1
-            return multiply(a, b)
-
-        monkeypatch.setattr(group, "multiply", counted)
-    assert all(ok for ok, _ in morphism.check(pairs=1000, radius=4).values())
-    elems = _filtered_ball(morphism, 4)
-    assert len(elems) == 14
-    distinct = len(set(_draws(elems, 1000, 0)))
-    assert products["domain"] == distinct <= 196
-    assert products["codomain"] <= distinct
-
-
-def test_check_maps_each_product_outside_the_ball_once():
-    for morphism in _criterion_11_morphisms():
-        calls = []
-        counted = dataclasses.replace(morphism, map=lambda g, phi=morphism.map:
-                                      calls.append(g) or phi(g))
-        assert counted.check(pairs=1000, radius=4, seed=1) == \
-            morphism.check(pairs=1000, radius=4, seed=1)
-        ball_elements = set(_filtered_ball(morphism, 4))
-        outside = [g for g in calls if g not in ball_elements]
-        assert outside, morphism.name
-        assert len(outside) == len(set(outside)), morphism.name
-
-
-def test_skipped_products_of_repeated_draws_equal_the_per_draw_loop():
-    """member is not closed under products (cursors -1 and -1 make -2), so
-    the check skips some products, and some draws repeat a skipped pair."""
-    shuffler = make_halo("shuffler", None, Z)
-    morphism = GroupMorphism(shuffler, shuffler, lambda g: g, name="identity near 0",
-                             member=lambda g: abs(g[1][0]) <= 1)
-    elems = _filtered_ball(morphism, 2)
-    for seed in range(3):
-        seen, repeated_skips = set(), 0
-        for a, b in _draws(elems, 200, seed):
-            if (a, b) in seen and not morphism.member(shuffler.multiply(a, b)):
-                repeated_skips += 1
-            seen.add((a, b))
-        assert repeated_skips, seed
-        assert morphism.check(pairs=200, radius=2, seed=seed) == \
-            _per_draw_check(morphism, 200, 2, seed)
-
-
-def test_counterexample_after_a_repeated_draw_equals_the_per_draw_loop():
-    """The map is wrong only at cursor 4, which in Ball(2) only the pair
-    (t^2, t^2) reaches, so most draws pass and repeat before it is drawn."""
+def test_check_covers_exactly_the_pairs_with_length_sum_within_the_radius():
+    """The map is wrong only at cursor 4.  At radius 4 the pair (t^3, t)
+    reaches it; at radius 3 no product with |a| + |b| <= 3 does, so the
+    check passes there, as the oracle does."""
     shuffler = make_halo("shuffler", None, Z)
     morphism = GroupMorphism(shuffler, shuffler,
                              lambda g: (g[0], (5,)) if g[1] == (4,) else g,
                              name="wrong at cursor 4")
-    elems = _filtered_ball(morphism, 2)
-    t2 = ((), (2,))
-    late = 0
-    for seed in range(10):
-        cex = morphism.homomorphism_counterexample(pairs=1000, radius=2, seed=seed)
-        assert cex == (t2, t2)
-        assert (False, cex) == _per_draw_check(morphism, 1000, 2, seed)["homomorphism"]
-        draws = _draws(elems, 1000, seed)
-        first = draws.index(cex)
-        late += len(set(draws[:first])) < first  # a repeat came before it
-    assert late >= 5
+    ok, cex = _check_equals_the_oracle(morphism, 4)["homomorphism"]
+    assert not ok and shuffler.multiply(*cex)[1] == (4,)
+    assert _check_equals_the_oracle(morphism, 3)["homomorphism"] == (True, None)
 
 
-def test_check_rejects_no_pairs_and_a_negative_radius():
+def test_check_skips_member_pairs_whose_product_is_no_member():
+    """member is not closed under products (cursors 1 and 1 make 2), so
+    the check skips such pairs, as the oracle does."""
+    shuffler = make_halo("shuffler", None, Z)
+    morphism = GroupMorphism(shuffler, shuffler, lambda g: g, name="identity near 0",
+                             member=lambda g: abs(g[1][0]) <= 1)
+    for radius in (1, 2, 3):
+        elems = [g for g in ball(shuffler, radius).elements if morphism.member(g)]
+        assert any(not morphism.member(shuffler.multiply(a, b))
+                   for a in elems for b in elems)
+        results = _check_equals_the_oracle(morphism, radius)
+        assert all(ok for ok, _ in results.values()), radius
+
+
+def test_check_maps_only_the_ball_on_an_unrestricted_domain():
+    """One map call per ball element and one for preserves_identity: every
+    product g * s the check compares lies in the ball.  A second check at
+    the same radius maps only the identity again."""
+    for morphism in _criterion_11_morphisms()[1:]:
+        calls = []
+        counted = dataclasses.replace(morphism, map=lambda g, phi=morphism.map:
+                                      calls.append(g) or phi(g))
+        assert counted.check(radius=3) == morphism.check(radius=3)
+        ball_elements = list(ball(morphism.domain, 3).elements)
+        assert sorted(calls) == sorted(ball_elements + [morphism.domain.identity()])
+        calls.clear()
+        counted.check(radius=3)
+        assert calls == [morphism.domain.identity()], morphism.name
+
+
+def test_check_multiplies_each_listed_pair_once(monkeypatch):
+    """At radius 4: (1, 1) and (g, s) for g in Ball(3), s a generator, on
+    the lamplighter embeddings (22 * 3 + 1 = 67 pairs); every ordered pair
+    of the 14 coset-preserving elements on wreath_in_shuffler (196).  The
+    endomorphism is left out: its domain is its codomain."""
+    morphisms = _criterion_11_morphisms()
+    for morphism in morphisms[:1] + morphisms[2:]:
+        domain = morphism.domain
+        lengths = ball(domain, 4).lengths
+        multiplied = []
+        monkeypatch.setattr(domain, "multiply", lambda a, b, multiply=domain.multiply:
+                            multiplied.append((a, b)) or multiply(a, b))
+        assert all(ok for ok, _ in morphism.check(radius=4).values())
+        if morphism.member is None:
+            e = domain.identity()
+            listed = [(e, e)] + [(g, s) for g, l in lengths.items() if l < 4
+                                 for s in domain.generators()]
+        else:
+            elems = [g for g in lengths if morphism.member(g)]
+            listed = [(a, b) for a in elems for b in elems]
+        assert sorted(multiplied) == sorted(listed), morphism.name
+        assert len(multiplied) == (67 if morphism.member is None else 196)
+        monkeypatch.undo()
+
+
+def test_check_rejects_a_radius_below_1():
     morphism = shuffler_endomorphism(Z)
-    for call in (lambda: morphism.check(pairs=0),
-                 lambda: morphism.homomorphism_counterexample(pairs=0)):
-        with pytest.raises(ContractViolation, match="pairs >= 1, not 0"):
-            call()
-    for call in (lambda: morphism.check(radius=-1),
-                 lambda: morphism.homomorphism_counterexample(radius=-1),
-                 lambda: morphism.injective_on_ball(radius=-1)):
-        with pytest.raises(ContractViolation, match="radius must be >= 0, not -1"):
-            call()
+    for radius in (0, -1):
+        for call in (lambda: morphism.check(radius=radius),
+                     lambda: morphism.homomorphism_counterexample(radius=radius),
+                     lambda: morphism.injective_on_ball(radius=radius)):
+            with pytest.raises(ContractViolation,
+                               match=f"radius must be >= 1, not {radius}"):
+                call()

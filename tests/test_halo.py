@@ -232,6 +232,15 @@ def test_commutativity_constant_reads_the_whole_window():
     assert commutativity_constant(sh, 2) == (1, (swap(-2, -1), swap(-2, 0)))
 
 
+def test_commutativity_constant_rejects_a_negative_radius():
+    """A negative radius leaves the window empty, which used to read as
+    (0, None): every block commutes, though radius 2 finds D = 1."""
+    sh = make_halo("shuffler", None, Z)
+    with pytest.raises(ContractViolation,
+                       match="commutativity_constant needs radius >= 0, not -1"):
+        commutativity_constant(sh, -1)
+
+
 def test_enumerate_block_rejects_sites_that_are_not_base_elements(monkeypatch):
     grown = []
     monkeypatch.setattr(Ball, "grow", lambda self, *a, **k: grown.append(a))

@@ -386,8 +386,8 @@ def test_greedy_net_grows_one_ball_for_its_checks(monkeypatch):
 
 def _morphism_outputs(g):
     double = GroupMorphism(g, g, lambda v: (2 * v[0], 2 * v[1]))
-    # no homomorphism: its counterexample is the first failing pair drawn
-    # from the radius-3 ball, so it names the elements drawn from
+    # no homomorphism: its counterexample is the first failing pair of the
+    # check's list, which is read off the radius-3 ball
     square = GroupMorphism(g, g, lambda v: (v[0] * abs(v[0]), v[1]))
     end = shuffler_endomorphism(g)
     return (double.check(pairs=50, radius=3), square.check(pairs=50, radius=3),
